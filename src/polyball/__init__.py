@@ -31,7 +31,6 @@ from .fock import (
     TruncationError,
     apply_creation,
     creation_matrix,
-    creation_tuple,
     exact_window,
     monomial_indices,
     word_operator,

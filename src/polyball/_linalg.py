@@ -12,10 +12,6 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.atleast_2d(m), 2))
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 def min_eig_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian matrix."""
     if m.shape[0] == 0:
@@ -41,13 +37,3 @@ def psd_sqrt(m: np.ndarray, clamp: float = 1e-12):
     root = u @ (np.sqrt(w)[:, None] * u.conj().T)
     return root, factor, int(np.count_nonzero(keep))
 
-
-def kron_with_identity_right(m: np.ndarray, e: int) -> np.ndarray:
-    """kron(m, I_e) without forming the identity."""
-    if e == 1:
-        return m
-    return np.kron(m, np.eye(e, dtype=m.dtype))
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T

@@ -20,15 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg as la
-from .fock import FockOperator, FockTruncation, creation_matrix
-from .words import (
-    MultiWord,
-    Side,
-    Word,
-    _strip_prefix,
-    _strip_suffix,
-    lambda_pairs_within_degrees,
-)
+from .fock import FockOperator, FockTruncation, creation_matrix, monomial_indices
+from .words import MultiWord, Side, Word, lambda_pairs_within_degrees
 
 
 class DivergenceError(ValueError):
@@ -354,11 +347,11 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
                    require_tail: float | None = None) -> PoissonKernelResult:
     """Pluriharmonic Poisson kernel sum over index pairs within the box.
 
-    Each term pairs the reversed-word annihilation/creation monomial in the
-    chosen universal tuple (right by default) with the X-monomial; terms are
-    assembled as exact compressions.  Self-adjoint; PSD up to the reported
-    tail.  The factorization bound additionally covers the discrepancy
-    against the resolvent-product factorization.
+    The term at (a, b) pairs X_a X_b* with the universal-tuple monomial at
+    (b~, a~) on the chosen side (right by default: append b and strip the
+    tail a); terms are assembled as exact compressions.  Self-adjoint; PSD
+    up to the reported tail.  The factorization bound additionally covers
+    the discrepancy against the resolvent-product factorization.
     """
     if X.n != trunc.n:
         raise ValueError("point and truncation have different factor shapes")
@@ -388,30 +381,10 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
     out = np.zeros((trunc.dim * h, trunc.dim * h), dtype=complex)
     out4 = out.reshape(trunc.dim, h, trunc.dim, h)
     for a, b in lambda_pairs_within_degrees(trunc.n, trunc.degrees):
-        src, dst = _poisson_monomial_indices(trunc, a, b, side)
+        src, dst = monomial_indices(trunc, b.reverse(), a.reverse(), side)
         if src.size == 0:
             continue
         xm = X.monomial(a) @ X.monomial(b).conj().T
         out4[dst, :, src, :] += xm[None, :, :]
-    op = FockOperator(trunc, out, coeff_dim=h, hermitian=True)
+    op = FockOperator(trunc, out, coeff_dim=h)
     return PoissonKernelResult(op, tail, fact_bound)
-
-
-def _poisson_monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
-                              side: Side = "right"):
-    """Exact compression indices of the universal-tuple monomial paired with
-    (a, b): right side R_{a~}* R_{b~} (append b, strip tail a), left side the
-    mirror S_{a~}* S_{b~} acting by prepending/stripping heads."""
-    maps = []
-    for i in range(1, trunc.k + 1):
-        ai, bi = a.parts[i - 1], b.parts[i - 1]
-        if side == "right":
-            def fn(w, ai=ai, bi=bi):
-                return _strip_suffix(w.concat(bi), ai)
-        else:
-            ar, br = ai.reverse(), bi.reverse()
-
-            def fn(w, ar=ar, br=br):
-                return _strip_prefix(br.concat(w), ar)
-        maps.append(trunc.factor_map(i, fn))
-    return trunc.product_map(maps)

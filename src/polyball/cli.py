@@ -49,7 +49,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank-tol", type=float, default=1e-10, dest="rank_tol")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r-grid", type=_float_list, default=(0.3, 0.6, 0.9), dest="r_grid")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", type=str, default=None)
 
 
@@ -84,7 +83,6 @@ def _config_from_args(args) -> RunConfig:
         rank_tol=args.rank_tol,
         seed=args.seed,
         r_grid=tuple(args.r_grid),
-        jobs=args.jobs,
         output=args.output,
     )
     cfg.validate()
@@ -100,7 +98,6 @@ def _config_json(cfg: RunConfig) -> dict:
         "rank_tol": cfg.rank_tol,
         "seed": cfg.seed,
         "r_grid": list(cfg.r_grid),
-        "jobs": cfg.jobs,
     }
 
 

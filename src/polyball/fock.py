@@ -8,26 +8,36 @@ except on the top degree slice of its factor.  Word monomials S_a S_b* and
 R_a R_b* are assembled as exact compressions of the corresponding infinite
 operators, i.e. entrywise from word arithmetic, never as products of
 truncated letters.
+
+Word arithmetic is integer arithmetic on basis indices.  In factor i a word
+w of length p has index offset[p] + rank(w), where offset[p] = sum of n_i^q
+over q < p and rank(w) reads the letters minus one as base-n_i digits, first
+letter most significant.  Stripping a head of length m is a divmod by
+n_i^(p - m), stripping a tail a divmod by n_i^m, and attaching a word at
+either end the matching multiply-add, so every index map is a few vectorized
+operations on the per-factor rank array.  The Poisson-kernel pairing at a
+coefficient index pair (a, b) is the monomial at (b~, a~), ~ the reversal.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .words import (
-    MultiWord,
-    Side,
-    Word,
-    _strip_prefix,
-    _strip_suffix,
-    words_up_to,
-)
+from .words import MultiWord, Side, Word, words_up_to
 
 
 class TruncationError(ValueError):
     """A word does not fit in the truncation."""
+
+
+def _rank(w: Word) -> int:
+    """Base-n rank of a word among the words of its length."""
+    r = 0
+    for g in w.letters:
+        r = r * w.n + g - 1
+    return r
 
 
 class FockTruncation:
@@ -44,18 +54,23 @@ class FockTruncation:
         self._factor_words: list[list[Word]] = [
             words_up_to(ni, di) for ni, di in zip(self.n, self.degrees)
         ]
-        self._factor_index: list[dict[tuple[int, ...], int]] = [
-            {w.letters: i for i, w in enumerate(ws)} for ws in self._factor_words
-        ]
+        # per factor: offset[p] = index of the first word of length p, and the
+        # length and base-n rank of every basis word
+        self._offset: list[np.ndarray] = []
+        self._factor_degree: list[np.ndarray] = []
+        self._rank: list[np.ndarray] = []
+        for ni, di in zip(self.n, self.degrees):
+            sizes = ni ** np.arange(di + 1, dtype=np.int64)
+            offset = np.concatenate(([0], np.cumsum(sizes)))
+            length = np.repeat(np.arange(di + 1, dtype=np.int64), sizes)
+            self._offset.append(offset)
+            self._factor_degree.append(length)
+            self._rank.append(np.arange(offset[-1], dtype=np.int64) - offset[length])
         self.factor_dims = tuple(len(ws) for ws in self._factor_words)
         self.dim = int(np.prod(self.factor_dims))
         self._strides = tuple(
             int(np.prod(self.factor_dims[i + 1 :])) for i in range(self.k)
         )
-        # per-factor degree of each basis word, for window masks
-        self._factor_degree = [
-            np.array([len(w) for w in ws], dtype=np.int64) for ws in self._factor_words
-        ]
 
     # -- indexing -----------------------------------------------------------
 
@@ -63,10 +78,9 @@ class FockTruncation:
         return self._factor_words[i - 1]
 
     def factor_word_index(self, i: int, w: Word) -> int:
-        try:
-            return self._factor_index[i - 1][w.letters]
-        except KeyError:
-            raise TruncationError(f"word {w!r} exceeds degree cap in factor {i}")
+        if w.n != self.n[i - 1] or len(w) > self.degrees[i - 1]:
+            raise TruncationError(f"word {w!r} does not fit factor {i} of {self!r}")
+        return int(self._offset[i - 1][len(w)]) + _rank(w)
 
     def basis_index(self, mw: MultiWord) -> int:
         if mw.n != self.n:
@@ -125,16 +139,28 @@ class FockTruncation:
 
     # -- per-factor letter maps ----------------------------------------------
 
-    def factor_map(self, i: int, fn: Callable[[Word], Word | None]) -> np.ndarray:
-        """Int map over factor-i basis words: target index, or -1 when fn
-        returns None or a word beyond the cap."""
-        ws = self._factor_words[i - 1]
-        idx = self._factor_index[i - 1]
-        out = np.full(len(ws), -1, dtype=np.int64)
-        for s, w in enumerate(ws):
-            t = fn(w)
-            if t is not None and len(t) <= self.degrees[i - 1]:
-                out[s] = idx[t.letters]
+    def _shift_map(self, i: int, strip: Word, attach: Word, side: Side) -> np.ndarray:
+        """Int map over factor-i basis words of w -> attach.t where w = strip.t
+        (left side, heads) or w -> t.attach where w = t.strip (right side,
+        tails); -1 where strip does not fit or the result exceeds the cap."""
+        n, d = self.n[i - 1], self.degrees[i - 1]
+        out = np.full(self.factor_dims[i - 1], -1, dtype=np.int64)
+        if len(strip) > d or len(attach) > d:
+            return out
+        length, rank = self._factor_degree[i - 1], self._rank[i - 1]
+        rest = length - len(strip)
+        ok = (rest >= 0) & (rest + len(attach) <= d)
+        rest = np.where(ok, rest, 0)
+        if side == "left":
+            high, low = np.divmod(rank, n ** rest)
+            ok &= high == _rank(strip)
+            target = _rank(attach) * n ** rest + low
+        else:
+            high, low = np.divmod(rank, n ** len(strip))
+            ok &= low == _rank(strip)
+            target = high * n ** len(attach) + _rank(attach)
+        target += self._offset[i - 1][rest + len(attach)]
+        out[ok] = target[ok]
         return out
 
     def letter_map(self, side: Side, i: int, j: int) -> np.ndarray:
@@ -143,10 +169,8 @@ class FockTruncation:
             raise ValueError(f"factor index {i} out of range")
         if not 1 <= j <= self.n[i - 1]:
             raise ValueError(f"generator index {j} out of range for factor {i}")
-        g = Word((j,), self.n[i - 1])
-        if side == "left":
-            return self.factor_map(i, lambda w: g.concat(w))
-        return self.factor_map(i, lambda w: w.concat(g))
+        ni = self.n[i - 1]
+        return self._shift_map(i, Word((), ni), Word((j,), ni), side)
 
     def product_map(self, factor_maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Combine per-factor index maps into flat (source, target) arrays."""
@@ -196,16 +220,13 @@ class FockVector:
 class FockOperator:
     """Square matrix on (truncation x coefficient space), space index major."""
 
-    def __init__(self, trunc: FockTruncation, matrix, coeff_dim: int = 1,
-                 hermitian: bool | None = None, positive: bool | None = None):
+    def __init__(self, trunc: FockTruncation, matrix, coeff_dim: int = 1):
         self.trunc = trunc
         self.coeff_dim = int(coeff_dim)
         self.matrix = matrix
         n = trunc.dim * self.coeff_dim
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} != ({n}, {n})")
-        self.hermitian = hermitian
-        self.positive = positive
 
     def dense(self) -> np.ndarray:
         m = self.matrix
@@ -259,14 +280,6 @@ def creation_matrix(trunc: FockTruncation, side: Side, i: int, j: int,
     return m
 
 
-def creation_tuple(trunc: FockTruncation, side: Side = "left", scale: float = 1.0):
-    """All creation letters as matrices: out[i-1][j-1] = scale * creation."""
-    return [
-        [scale * creation_matrix(trunc, side, i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(trunc.n, start=1)
-    ]
-
-
 def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
                      side: Side = "left") -> tuple[np.ndarray, np.ndarray]:
     """(source, target) basis indices of the exact compression of the word
@@ -274,20 +287,10 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     R_a R_b* (strip reversed b as a tail, append reversed a)."""
     if a.n != trunc.n or b.n != trunc.n:
         raise TruncationError("word shape does not match truncation")
-    maps = []
-    for i in range(1, trunc.k + 1):
-        ai, bi = a.parts[i - 1], b.parts[i - 1]
-        if side == "left":
-            def fn(w, ai=ai, bi=bi):
-                t = _strip_prefix(w, bi)
-                return None if t is None else ai.concat(t)
-        else:
-            ar, br = ai.reverse(), bi.reverse()
-
-            def fn(w, ar=ar, br=br):
-                t = _strip_suffix(w, br)
-                return None if t is None else t.concat(ar)
-        maps.append(trunc.factor_map(i, fn))
+    if side == "right":
+        a, b = a.reverse(), b.reverse()
+    maps = [trunc._shift_map(i, bi, ai, side)
+            for i, (ai, bi) in enumerate(zip(a.parts, b.parts), start=1)]
     return trunc.product_map(maps)
 
 

@@ -91,8 +91,13 @@ def kernel_from_generator(side: Side, gen: Mapping[KernelKey, np.ndarray],
     value must be the identity (unless ``require_unit`` is off, for kernels
     attached to functions whose constant coefficient is not normalized) and
     the generator must be Hermitian (gen[b, a] == gen[a, b]*).  Missing
-    values raise unless a default matrix is supplied.
+    values raise unless a default matrix is supplied.  The side must be
+    "left" or "right" and max_len at least 1.
     """
+    if side not in ("left", "right"):
+        raise GeneratorError(f"kernel side must be 'left' or 'right', got {side!r}")
+    if max_len < 1:
+        raise GeneratorError(f"kernel max_len must be >= 1, got {max_len}")
     items = list(gen.items())
     if not items:
         raise GeneratorError("empty generator")

@@ -8,7 +8,6 @@ configured seed, so reports are reproducible.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +69,6 @@ class RunConfig:
     rank_tol: float = 1e-10
     seed: int = 0
     r_grid: tuple[float, ...] = (0.3, 0.6, 0.9)
-    jobs: int = 1
     output: str | None = None
 
     def validate(self) -> None:
@@ -86,8 +84,6 @@ class RunConfig:
             raise ValueError("r grid must lie in [0, 1)")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 @dataclass
@@ -532,16 +528,8 @@ _IDENTITIES = [
 
 def verify_suite(cfg: RunConfig) -> list[IdentityResult]:
     cfg.validate()
-
-    def run(item):
-        idx, (name, fn) = item
+    results = []
+    for idx, (name, fn) in enumerate(_IDENTITIES):
         anchor, err, tol = fn(cfg, _rng(cfg, idx))
-        return IdentityResult(name, anchor, float(err), float(tol))
-
-    items = list(enumerate(_IDENTITIES))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, items))
-    else:
-        results = [run(item) for item in items]
+        results.append(IdentityResult(name, anchor, float(err), float(tol)))
     return results

@@ -8,6 +8,7 @@ are frozen and hashable.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
@@ -212,13 +213,24 @@ def _mw_sort_key(mw: MultiWord):
 
 
 def lambda_pairs_up_to_total(n: Sequence[int], total: int) -> list[tuple[MultiWord, MultiWord]]:
-    """All pairs (a, b) with lambda_membership(a, b) and |a| + |b| <= total."""
+    """All pairs (a, b) with lambda_membership(a, b) and |a| + |b| <= total,
+    ordered by a and then by b in the multiword order.
+
+    The partners of a are the multiwords supported off the support of a; they
+    form a prefix, bounded by total - |a|, of that support class.
+    """
     mws = multiwords_up_to_total(n, total)
+    support = [sum(1 << i for i, w in enumerate(mw.parts) if w.letters) for mw in mws]
+    full = (1 << len(n)) - 1
+    # partners[free]: the multiwords supported inside the factor set free
+    partners = [[mw for mw, s in zip(mws, support) if s & ~free == 0]
+                for free in range(full + 1)]
+    lengths = [[mw.total_length for mw in p] for p in partners]
     out = []
-    for a in mws:
-        for b in mws:
-            if a.total_length + b.total_length <= total and lambda_membership(a, b):
-                out.append((a, b))
+    for a, s in zip(mws, support):
+        free = full & ~s
+        cut = bisect.bisect_right(lengths[free], total - a.total_length)
+        out.extend((a, b) for b in partners[free][:cut])
     return out
 
 

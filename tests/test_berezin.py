@@ -15,7 +15,14 @@ from polyball.berezin import (
 )
 from polyball.fock import FockTruncation, creation_matrix, word_operator
 from polyball.sampling import random_nilpotent_point, random_point
-from polyball.words import identity_multiword, lambda_pairs_up_to_total, multiword
+from polyball.words import (
+    MultiWord,
+    Word,
+    identity_multiword,
+    lambda_pairs_up_to_total,
+    lambda_pairs_within_degrees,
+    multiword,
+)
 
 
 def test_defect_scalars():
@@ -231,3 +238,40 @@ def test_classical_disc_kernel_value():
     # direct series oracle
     oracle = sum(0.5 ** abs(m) for m in range(-24, 25))
     assert abs(val - oracle) < 1e-14
+
+
+def _poisson_kernel_by_words(x, t, side):
+    """Word-by-word reference: at (a, b) the right side appends b and strips
+    the tail a, the left side prepends b~ and strips the head a~."""
+    h = x.h_dim
+    out = np.zeros((t.dim, h, t.dim, h), dtype=complex)
+    basis = t.basis()
+    for a, b in lambda_pairs_within_degrees(t.n, t.degrees):
+        xm = x.monomial(a) @ x.monomial(b).conj().T
+        for s, w in enumerate(basis):
+            parts = []
+            for wi, ai, bi, d in zip(w.parts, a.parts, b.parts, t.degrees):
+                if side == "right":
+                    full, cut = wi.letters + bi.letters, ai.letters
+                    ok = len(full) >= len(cut) and full[len(full) - len(cut):] == cut
+                    rest = full[: len(full) - len(cut)]
+                else:
+                    full, cut = bi.letters[::-1] + wi.letters, ai.letters[::-1]
+                    ok = full[: len(cut)] == cut
+                    rest = full[len(cut):]
+                if not ok or len(rest) > d:
+                    break
+                parts.append(Word(rest, wi.n))
+            else:
+                out[t.basis_index(MultiWord(tuple(parts))), :, s, :] += xm
+    return out.reshape(t.dim * h, t.dim * h)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (2, 2)), ((3,), (3,)), ((1, 1, 2), (1, 1, 2))])
+def test_poisson_kernel_matches_word_reference(rng, n, degrees, side):
+    t = FockTruncation(n, degrees)
+    x = random_point(rng, n, 2, 0.5)
+    got = poisson_kernel(x, t, side=side).op.dense()
+    want = _poisson_kernel_by_words(x, t, side)
+    np.testing.assert_array_equal(got, want)

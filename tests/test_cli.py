@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from polyball import serialize
 from polyball.berezin import PolyballPoint
@@ -89,6 +90,20 @@ def test_dilate_rejects_non_psd(tmp_path, capsys):
     serialize.dump(serialize.kernel_to_json(k), str(kfile))
     assert run(["dilate", str(kfile)]) == 3
     assert "min eigenvalue" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("side", "diagonal"), ("max_len", 0), ("max_len", -1),
+])
+def test_dilate_rejects_malformed_kernel(tmp_path, capsys, field, value):
+    g = identity_multiword([1])
+    k = kernel_from_generator("left", {(g, g): np.eye(1)}, 2, default=np.zeros((1, 1)))
+    data = serialize.kernel_to_json(k)
+    data[field] = value
+    kfile = tmp_path / "kernel.json"
+    serialize.dump(data, str(kfile))
+    assert run(["dilate", str(kfile)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_transform_poisson_point_mass(tmp_path):

@@ -10,9 +10,18 @@ from polyball.fock import (
     apply_creation,
     creation_matrix,
     exact_window,
+    monomial_indices,
     word_operator,
 )
-from polyball.words import compare, identity_multiword, lambda_pairs_up_to_total, multiword, multiwords_up_to_total
+from polyball.words import (
+    MultiWord,
+    Word,
+    compare,
+    identity_multiword,
+    lambda_pairs_up_to_total,
+    multiword,
+    multiwords_up_to_total,
+)
 
 
 def test_basis_index_graded_lex():
@@ -202,3 +211,74 @@ def test_sparse_path_matches_dense():
     small = word_operator(t, a, g, np.eye(1)).dense()
     dense = op.dense()
     np.testing.assert_allclose(dense[:: 8, :: 8], small)
+
+
+def _shift_by_words(w, strip, attach, side, cap):
+    """Word-by-word reference: strip a head (left) or tail (right) and attach
+    at the same end; None when strip does not fit or the cap is exceeded."""
+    m = len(strip)
+    if side == "left":
+        if w.letters[:m] != strip.letters:
+            return None
+        out = attach.letters + w.letters[m:]
+    else:
+        if m > len(w) or w.letters[len(w) - m:] != strip.letters:
+            return None
+        out = w.letters[: len(w) - m] + attach.letters
+    return Word(out, w.n) if len(out) <= cap else None
+
+
+def _monomial_indices_by_words(t, a, b, side):
+    if side == "right":
+        a, b = a.reverse(), b.reverse()
+    src, dst = [], []
+    for s, w in enumerate(t.basis()):
+        parts = [
+            _shift_by_words(wi, bi, ai, side, d)
+            for wi, ai, bi, d in zip(w.parts, a.parts, b.parts, t.degrees)
+        ]
+        if all(p is not None for p in parts):
+            src.append(s)
+            dst.append(t.basis_index(MultiWord(tuple(parts))))
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+INDEX_SHAPES = [((2, 1), (3, 3)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2))]
+
+
+def _monomial_words(n, degrees):
+    """Multiwords of total length <= 2, plus one word per factor just over the cap."""
+    words = multiwords_up_to_total(n, 2)
+    for i, (ni, d) in enumerate(zip(n, degrees)):
+        parts = [[] for _ in n]
+        parts[i] = [(p % ni) + 1 for p in range(d + 1)]
+        words.append(multiword(parts, n))
+    return words
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", INDEX_SHAPES)
+def test_letter_map_matches_word_reference(n, degrees, side):
+    t = FockTruncation(n, degrees)
+    for i, (ni, d) in enumerate(zip(n, degrees), start=1):
+        empty = Word((), ni)
+        for j in range(1, ni + 1):
+            want = [
+                _shift_by_words(w, empty, Word((j,), ni), side, d)
+                for w in t.factor_words(i)
+            ]
+            want = [-1 if v is None else t.factor_word_index(i, v) for v in want]
+            np.testing.assert_array_equal(t.letter_map(side, i, j), want)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", INDEX_SHAPES)
+def test_monomial_indices_match_word_reference(n, degrees, side):
+    t = FockTruncation(n, degrees)
+    words = _monomial_words(n, degrees)
+    for a in words:
+        for b in words:
+            got = monomial_indices(t, a, b, side)
+            want = _monomial_indices_by_words(t, a, b, side)
+            np.testing.assert_array_equal(got[0], want[0], err_msg=f"{a} {b}")
+            np.testing.assert_array_equal(got[1], want[1], err_msg=f"{a} {b}")

@@ -67,6 +67,25 @@ def test_lambda_reversal_and_fixed_point():
         assert c.comparable and c.c_plus == a and c.c_minus == b
 
 
+def _lambda_pairs_by_filter(n, total):
+    """Every pair of multiwords, filtered: the definition, in the order the
+    enumeration must keep (seeded draws consume pairs in this order)."""
+    mws = multiwords_up_to_total(n, total)
+    return [
+        (a, b)
+        for a in mws
+        for b in mws
+        if a.total_length + b.total_length <= total and lambda_membership(a, b)
+    ]
+
+
+@pytest.mark.parametrize("n, total", [
+    ((2, 1), 3), ((2, 1), 6), ((2, 2), 6), ((3,), 6), ((1, 1, 2), 5),
+])
+def test_lambda_pairs_match_filter(n, total):
+    assert lambda_pairs_up_to_total(n, total) == _lambda_pairs_by_filter(n, total)
+
+
 def _oracle_right_less(v, w):
     # v <_r w iff w = s.v for some nonempty s
     lv, lw = list(v.letters), list(w.letters)
