@@ -333,12 +333,28 @@ class PoissonKernelResult:
     factorization_bound: float
 
 
-def _lambda_tail(rho: Sequence[float], degrees: Sequence[int]) -> float:
-    full = math.prod((1.0 + r) / (1.0 - r) for r in rho)
-    kept = math.prod(
-        1.0 + 2.0 * sum(r ** p for p in range(1, d + 1))
-        for r, d in zip(rho, degrees)
-    )
+def dropped_shell_mass(q: Sequence[float], pairs: bool,
+                       box: Sequence[int] | None = None,
+                       cap: int | None = None) -> float:
+    """Dropped mass of sum_m prod_i c(m_i) q_i^m_i over per-factor lengths m,
+    c(0) = 1 and c(m) = 1 for creation words, 2 for index pairs.  The kept
+    shells are the box m_i <= box_i or, without a box, the total-length cap
+    sum_i m_i <= cap.  Requires every q_i < 1."""
+    c = 2.0 if pairs else 1.0
+    full = math.prod((1.0 + (c - 1.0) * x) / (1.0 - x) for x in q)
+    if box is not None:
+        kept = math.prod(
+            1.0 + 2.0 * sum(x ** m for m in range(1, d + 1)) if pairs
+            else sum(x ** m for m in range(d + 1))
+            for x, d in zip(q, box)
+        )
+    else:
+        poly = np.zeros(cap + 1)
+        poly[0] = 1.0
+        for x in q:
+            fac = np.array([1.0] + [c * x ** m for m in range(1, cap + 1)])
+            poly = np.convolve(poly, fac)[: cap + 1]
+        kept = float(poly.sum())
     return full - kept
 
 
@@ -366,7 +382,7 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
     elif any(r >= 1.0 for r in rho):
         raise DivergenceError(f"row norms {rho} outside the open ball")
     else:
-        tail = _lambda_tail(rho, trunc.degrees)
+        tail = dropped_shell_mass(rho, pairs=True, box=trunc.degrees)
     if all(r < 1.0 for r in rho):
         # covers the resolvent-side truncation defect as well (Gram columns
         # of the dropped creation shells)

@@ -2,13 +2,14 @@
 evaluation.  JSON in, JSON/CSV out.
 
 Exit codes: 0 success, 2 configuration error, 3 positivity failure,
-4 domain (membership) failure, 1 internal error.
+4 domain (membership) failure, 1 internal error or failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -38,17 +39,29 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_int_list, default=(2, 1),
-                   help="generators per factor, comma separated (default 2,1)")
-    p.add_argument("--degrees", type=_int_list, default=(3, 3),
-                   help="per-factor truncation degrees (default 3,3)")
-    p.add_argument("--max-len", type=int, default=3, dest="max_len",
-                   help="kernel word-length cap (default 3)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--rank-tol", type=float, default=1e-10, dest="rank_tol")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-grid", type=_float_list, default=(0.3, 0.6, 0.9), dest="r_grid")
+_FLAGS = {
+    "n": dict(type=_int_list, default=(2, 1),
+              help="generators per factor, comma separated (default 2,1)"),
+    "degrees": dict(type=_int_list, default=(3, 3),
+                    help="per-factor truncation degrees (default 3,3)"),
+    "max_len": dict(type=int, default=3, help="kernel word-length cap (default 3)"),
+    "tol": dict(type=float, default=1e-8),
+    "rank_tol": dict(type=float, default=1e-10),
+    "seed": dict(type=int, default=0),
+    "r_grid": dict(type=_float_list, default=(0.3, 0.6, 0.9)),
+}
+
+# the flags each subcommand reads, plus --output; also its report's config block
+_COMMAND_FLAGS = {
+    "verify": ("n", "degrees", "max_len", "tol", "rank_tol", "seed", "r_grid"),
+    "dilate": ("tol", "rank_tol"),
+    "transform": ("r_grid",),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for name in _COMMAND_FLAGS[command]:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
     p.add_argument("--output", type=str, default=None)
 
 
@@ -60,45 +73,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run the identity verification suite")
-    _add_common(pv)
+    _add_flags(pv, "verify")
 
     pd = sub.add_parser("dilate", help="dilate a PSD multi-Toeplitz kernel")
     pd.add_argument("kernel", help="kernel JSON file")
-    _add_common(pd)
+    _add_flags(pd, "dilate")
 
     pt = sub.add_parser("transform", help="evaluate a transform at a point")
     pt.add_argument("inputs", help="inputs JSON file")
     pt.add_argument("--kind", choices=("berezin", "poisson", "herglotz", "fantappie"),
                     required=True)
-    _add_common(pt)
+    _add_flags(pt, "transform")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        n=tuple(args.n),
-        degrees=tuple(args.degrees),
-        max_len=args.max_len,
-        tol=args.tol,
-        rank_tol=args.rank_tol,
-        seed=args.seed,
-        r_grid=tuple(args.r_grid),
-        output=args.output,
-    )
+    """RunConfig of the subcommand's flags, defaults for the rest; validated."""
+    given = vars(args)
+    cfg = RunConfig(**{f.name: given[f.name] for f in dataclasses.fields(RunConfig)
+                       if f.name in given})
     cfg.validate()
     return cfg
 
 
-def _config_json(cfg: RunConfig) -> dict:
-    return {
-        "n": list(cfg.n),
-        "degrees": list(cfg.degrees),
-        "max_len": cfg.max_len,
-        "tol": cfg.tol,
-        "rank_tol": cfg.rank_tol,
-        "seed": cfg.seed,
-        "r_grid": list(cfg.r_grid),
-    }
+def _config_json(cfg: RunConfig, command: str) -> dict:
+    values = {name: getattr(cfg, name) for name in _COMMAND_FLAGS[command]}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     results = verify_suite(cfg)
     report = {
-        "config": _config_json(cfg),
+        "config": _config_json(cfg, "verify"),
         "identities": [r.to_json() for r in results],
         "all_pass": all(r.passed for r in results),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -141,7 +141,7 @@ def cmd_dilate(args) -> int:
         return EXIT_NOT_PSD
     rep = dilation_verify(dil, kernel, rank_tol=cfg.rank_tol)
     report = {
-        "config": _config_json(cfg),
+        "config": _config_json(cfg, "dilate"),
         "kernel": {"side": kernel.side, "n": list(kernel.n),
                    "e_dim": kernel.e_dim, "max_len": kernel.max_len,
                    "gram_min_eig": psd.min_eig},
@@ -164,6 +164,10 @@ def cmd_dilate(args) -> int:
     print(f"dilated to dimension {dil.space_dim}; "
           f"max defect {rep.max_defect:.3e}; minimal={rep.minimal}")
     _emit(report, cfg.output)
+    if rep.max_defect > cfg.tol or not rep.minimal:
+        print(f"dilation failed verification: max defect {rep.max_defect:.3e} "
+              f"(tolerance {cfg.tol:.3e}), minimal={rep.minimal}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 
@@ -191,7 +195,7 @@ def cmd_transform(args) -> int:
         return EXIT_DOMAIN
     value, tail = _transform_value(args.kind, data, X)
     report = {
-        "config": _config_json(cfg),
+        "config": _config_json(cfg, "transform"),
         "kind": args.kind,
         "membership": {
             "row_norms": membership.row_norms,

@@ -229,8 +229,7 @@ class FockOperator:
             raise ValueError(f"matrix shape {matrix.shape} != ({n}, {n})")
 
     def dense(self) -> np.ndarray:
-        m = self.matrix
-        return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
+        return np.asarray(self.matrix)
 
     def adjoint(self) -> "FockOperator":
         return FockOperator(self.trunc, self.dense().conj().T, self.coeff_dim)
@@ -297,7 +296,7 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
 def word_operator(trunc: FockTruncation, a: MultiWord, b: MultiWord,
                   coefficient: np.ndarray | None = None,
                   side: Side = "left") -> FockOperator:
-    """coefficient (x) S_a S_b* as an explicit matrix (R-side on request).
+    """coefficient (x) S_a S_b* as an explicit dense matrix (R-side on request).
 
     Assembled entrywise, so the result is the exact compression of the
     untruncated monomial; no intermediate-truncation artifacts.
@@ -308,15 +307,6 @@ def word_operator(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     e = coefficient.shape[0]
     src, dst = monomial_indices(trunc, a, b, side)
     n = trunc.dim * e
-    if n > 4096:
-        import scipy.sparse as sp
-
-        # block-sparse: entry (dst*e + r, src*e + c) = coefficient[r, c]
-        r_idx = np.repeat(dst, e * e) * e + np.tile(np.repeat(np.arange(e), e), len(dst))
-        c_idx = np.repeat(src, e * e) * e + np.tile(np.tile(np.arange(e), e), len(src))
-        vals = np.tile(coefficient.ravel(), len(src))
-        m = sp.coo_matrix((vals, (r_idx, c_idx)), shape=(n, n)).tocsr()
-        return FockOperator(trunc, m, e)
     m = np.zeros((n, n), dtype=complex)
     m4 = m.reshape(trunc.dim, e, trunc.dim, e)
     m4[dst, :, src, :] = coefficient

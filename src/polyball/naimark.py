@@ -7,16 +7,20 @@ numerical null space realized as an eigenvalue rank cut, and the row
 isometries act by prepending a generator to the indexing word.  Right kernels
 are dilated through the reversal reduction.  All dilation identities carry a
 window qualifier: they are exact on words of total length <= L - 1.
+
+The kernel of commuting row isometries V compressed to a subspace E is read
+off the columns V_w E; ``word_columns`` builds them, for dense matrices and
+matrix-free actions alike, and ``kernel_from_columns`` tabulates the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import opnorm
+from ._linalg import min_eig_hermitian, opnorm
 from .words import (
     MultiWord,
     Side,
@@ -133,6 +137,42 @@ def kernel_from_generator(side: Side, gen: Mapping[KernelKey, np.ndarray],
     return ToeplitzKernel(side, n, e, max_len, values)
 
 
+def word_columns(letter: Callable[[int, int, np.ndarray], np.ndarray],
+                 e_basis: np.ndarray, n: Sequence[int],
+                 max_len: int) -> dict[MultiWord, np.ndarray]:
+    """{w: V_w E} over the multiwords of total length <= max_len.
+
+    ``letter(i, j, m)`` applies the letter V_{i,j} (1-based factor and
+    generator) to the columns m, so V may be dense or matrix-free.  V_w is
+    V_{1,w_1} ... V_{k,w_k}; the columns are built by prefix,
+    V_{g.w} E = V_g (V_w E) with g the first letter of the first nonempty
+    factor, in the graded word order.
+    """
+    words = multiwords_up_to_total(n, max_len)
+    cols = {words[0]: e_basis}  # the unit word comes first
+    for w in words[1:]:
+        i = next(i for i, p in enumerate(w.parts) if p.letters)
+        p = w.parts[i]
+        rest = MultiWord(w.parts[:i] + (Word(p.letters[1:], p.n),) + w.parts[i + 1:])
+        cols[w] = letter(i + 1, p.letters[0], cols[rest])
+    return cols
+
+
+def kernel_from_columns(side: Side, n: Sequence[int], max_len: int,
+                        cols: Mapping[MultiWord, np.ndarray]) -> ToeplitzKernel:
+    """Kernel table (V_s E)* (V_w E) of ``word_columns`` output, stored at
+    (s, w) on the left side and at the reversed pair (s~, w~) on the right."""
+    values: dict[KernelKey, np.ndarray] = {}
+    for s, cs in cols.items():
+        cs_h = cs.conj().T
+        for w, cw in cols.items():
+            v = cs_h @ cw
+            key = (s.reverse(), w.reverse()) if side == "right" else (s, w)
+            if np.max(np.abs(v)) > 0:
+                values[key] = v
+    return ToeplitzKernel(side, n, next(iter(cols.values())).shape[1], max_len, values)
+
+
 def kernel_from_isometries(side: Side, V: Sequence[Sequence[np.ndarray]],
                            e_basis: np.ndarray, max_len: int) -> ToeplitzKernel:
     """Kernel of a tuple of commuting row isometries compressed to a subspace.
@@ -144,23 +184,8 @@ def kernel_from_isometries(side: Side, V: Sequence[Sequence[np.ndarray]],
     """
     e_basis = np.asarray(e_basis, dtype=complex)
     n = tuple(len(row) for row in V)
-    monos = multiwords_up_to_total(n, max_len)
-    cols = {}
-    for w in monos:
-        m = e_basis
-        for i in reversed(range(len(V))):
-            wi = w.parts[i]
-            for j in reversed(wi.letters):
-                m = V[i][j - 1] @ m
-        cols[w] = m
-    values: dict[KernelKey, np.ndarray] = {}
-    for s in monos:
-        for w in monos:
-            v = cols[s].conj().T @ cols[w]
-            key = (s.reverse(), w.reverse()) if side == "right" else (s, w)
-            if np.max(np.abs(v)) > 0:
-                values[key] = v
-    return ToeplitzKernel(side, n, e_basis.shape[1], max_len, values)
+    cols = word_columns(lambda i, j, m: V[i - 1][j - 1] @ m, e_basis, n, max_len)
+    return kernel_from_columns(side, n, max_len, cols)
 
 
 @dataclass
@@ -171,8 +196,7 @@ class PsdReport:
 
 
 def kernel_is_psd(K: ToeplitzKernel, tol: float = 1e-10) -> PsdReport:
-    g = K.gram()
-    w = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
+    w = min_eig_hermitian(K.gram())
     return PsdReport(w >= -tol, w, tol)
 
 

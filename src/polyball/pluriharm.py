@@ -17,9 +17,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .berezin import DivergenceError, PolyballPoint
+from ._linalg import min_eig_hermitian
+from .berezin import DivergenceError, PolyballPoint, dropped_shell_mass
 from .fock import FockTruncation, word_operator
-from .naimark import ToeplitzKernel, kernel_from_generator, kernel_is_psd
+from .naimark import ToeplitzKernel, kernel_from_generator, kernel_is_psd, word_columns
 from .toeplitz import MultiToeplitzSymbol, SymbolKey, evaluate_symbol, symbol_operator
 from .words import (
     MultiWord,
@@ -70,7 +71,8 @@ def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
     total length <= max_total_len.
 
     V must be a tuple of cross-factor commuting row operators; the
-    commutation defect is validated against ``commutation_tol``.
+    commutation defect is validated against ``commutation_tol``.  The columns
+    V_w E come from ``naimark.word_columns``, as for the kernels of isometries.
     """
     e_basis = np.asarray(e_basis, dtype=complex)
     n = tuple(len(row) for row in V)
@@ -83,21 +85,10 @@ def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
                         raise ValueError(
                             f"factors {i + 1} and {i2 + 1} do not commute (defect {d:.3e})"
                         )
-    cols: dict[MultiWord, np.ndarray] = {}
-
-    def col(mw: MultiWord) -> np.ndarray:
-        if mw not in cols:
-            m = e_basis
-            rev = mw.reverse()
-            for i in reversed(range(len(V))):
-                for j in reversed(rev.parts[i].letters):
-                    m = V[i][j - 1] @ m
-            cols[mw] = m
-        return cols[mw]
-
+    cols = word_columns(lambda i, j, m: V[i - 1][j - 1] @ m, e_basis, n, max_total_len)
     sym = MultiToeplitzSymbol(n, e_basis.shape[1])
     for a, b in lambda_pairs_up_to_total(n, max_total_len):
-        c = col(a).conj().T @ col(b)
+        c = cols[a.reverse()].conj().T @ cols[b.reverse()]
         if np.max(np.abs(c)) > 0:
             sym[a, b] = c
     return PluriharmonicFunction(sym)
@@ -167,7 +158,7 @@ def schur_positivity(F: PluriharmonicFunction, r_grid: Iterable[float],
     for r in r_grid:
         m = F.at_creations(trunc, r).dense()
         mw = m[np.ix_(blk, blk)]
-        op_min = float(np.linalg.eigvalsh(0.5 * (mw + mw.conj().T))[0])
+        op_min = min_eig_hermitian(mw)
         gram_min = kernel_is_psd(gamma_kernel(F, r, max_len), tol).min_eig
         points.append(
             SchurPoint(r, op_min, gram_min, op_min >= -tol, gram_min >= -tol)
@@ -291,21 +282,16 @@ class CbMapData:
 
 
 def mu_r_scale(mu: CbMapData, r: float) -> CbMapData:
-    vals = {
-        k: (r ** (k[0].total_length + k[1].total_length)) * v
-        for k, v in mu.values.items()
-    }
-    return CbMapData(mu.n, mu.e_dim, vals, herglotz_class=mu.herglotz_class,
-                     coeff_bound=mu.coeff_bound, max_total_len=mu.max_total_len,
-                     per_factor_cap=mu.per_factor_cap)
+    """The map data of the r-scaled family: its symbol scaled by r."""
+    return CbMapData(mu.n, mu.e_dim, mu.to_symbol().scaled(r).coeffs,
+                     herglotz_class=mu.herglotz_class, coeff_bound=mu.coeff_bound,
+                     max_total_len=mu.max_total_len, per_factor_cap=mu.per_factor_cap)
 
 
 def nu_of(F: PluriharmonicFunction, r: float) -> CbMapData:
     """The linear-map data of the r-scaled function: coefficientwise
     r^(|a|+|b|) scaling of the symbol."""
-    vals = {k: (r ** (k[0].total_length + k[1].total_length)) * v
-            for k, v in F.symbol.items()}
-    return CbMapData(F.n, F.e_dim, vals)
+    return CbMapData(F.n, F.e_dim, F.symbol.scaled(r).coeffs)
 
 
 def nu_trace_form(F: PluriharmonicFunction, r: float, trunc: FockTruncation,
@@ -333,19 +319,6 @@ class TransformResult:
     tail_bound: float
 
 
-def _lambda_kept_mass(q: Sequence[float], cap: int) -> float:
-    """Sum over index-pair shells of total length <= cap of prod q_i^|m_i|."""
-    poly = np.zeros(cap + 1)
-    poly[0] = 1.0
-    for qi in q:
-        fac = np.zeros(cap + 1)
-        fac[0] = 1.0
-        for m in range(1, cap + 1):
-            fac[m] = 2.0 * qi ** m
-        poly = np.convolve(poly, fac)[: cap + 1]
-    return float(poly.sum())
-
-
 def _transform_tail(mu: CbMapData, X: PolyballPoint, holomorphic: bool) -> float:
     if mu.coeff_bound is None:
         return 0.0
@@ -355,31 +328,10 @@ def _transform_tail(mu: CbMapData, X: PolyballPoint, holomorphic: bool) -> float
         raise DivergenceError(
             f"shell masses {q} not summable; tighten the point or drop the family bound"
         )
-    if holomorphic:
-        full = math.prod(1.0 / (1.0 - x) for x in q)
-        if mu.per_factor_cap is not None:
-            kept = math.prod(
-                sum(qi ** m for m in range(c + 1))
-                for qi, c in zip(q, mu.per_factor_cap)
-            )
-        else:
-            cap = mu.max_total_len
-            poly = np.zeros(cap + 1)
-            poly[0] = 1.0
-            for qi in q:
-                fac = np.array([qi ** m for m in range(cap + 1)])
-                poly = np.convolve(poly, fac)[: cap + 1]
-            kept = float(poly.sum())
-    else:
-        full = math.prod((1.0 + x) / (1.0 - x) for x in q)
-        if mu.per_factor_cap is not None:
-            kept = math.prod(
-                1.0 + 2.0 * sum(qi ** m for m in range(1, c + 1))
-                for qi, c in zip(q, mu.per_factor_cap)
-            )
-        else:
-            kept = _lambda_kept_mass(q, mu.max_total_len)
-    return mu.coeff_bound * max(full - kept, 0.0)
+    # holomorphic series keep creation words only; the others, index pairs
+    dropped = dropped_shell_mass(q, pairs=not holomorphic, box=mu.per_factor_cap,
+                                 cap=mu.max_total_len)
+    return mu.coeff_bound * max(dropped, 0.0)
 
 
 def poisson_transform(mu: CbMapData, X: PolyballPoint,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .berezin import PolyballPoint, in_polyball
-from .fock import FockTruncation
-from .naimark import ToeplitzKernel, kernel_from_generator
+from .fock import FockTruncation, FockVector, apply_creation
+from .naimark import ToeplitzKernel, kernel_from_columns, kernel_from_generator, word_columns
 from .toeplitz import MultiToeplitzSymbol
 from .words import (
     Side,
@@ -114,8 +114,6 @@ def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
 
     Columns are built matrix-free, so deep truncations stay cheap.
     """
-    from .fock import FockVector, apply_creation
-
     n = tuple(n)
     depth = max_len + 2
     trunc = FockTruncation(n, [depth] * len(n))
@@ -124,22 +122,11 @@ def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
     raw[low, :] = _rand_complex(rng, len(low), e_dim)
     q, _ = np.linalg.qr(raw)
     e_basis = q[:, :e_dim]
-    monos = multiwords_up_to_total(n, max_len)
-    cols = {}
-    for w in monos:
-        v = FockVector(trunc, e_basis)
-        for i in range(len(n), 0, -1):
-            for j in reversed(w.parts[i - 1].letters):
-                v = apply_creation(trunc, "left", i, j, False, v)
-        cols[w] = v.amplitudes
-    values = {}
-    for s in monos:
-        for w in monos:
-            val = cols[s].conj().T @ cols[w]
-            key = (s.reverse(), w.reverse()) if side == "right" else (s, w)
-            if np.max(np.abs(val)) > 0:
-                values[key] = val
-    return ToeplitzKernel(side, n, e_dim, max_len, values)
+
+    def letter(i: int, j: int, m: np.ndarray) -> np.ndarray:
+        return apply_creation(trunc, "left", i, j, False, FockVector(trunc, m)).amplitudes
+
+    return kernel_from_columns(side, n, max_len, word_columns(letter, e_basis, n, max_len))
 
 
 def random_non_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,

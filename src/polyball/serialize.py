@@ -38,6 +38,8 @@ def matrix_to_json(m: np.ndarray) -> list[float]:
 def matrix_from_json(data, rows: int, cols: int | None = None) -> np.ndarray:
     cols = rows if cols is None else cols
     arr = np.asarray(data, dtype=float).reshape(rows * cols, 2)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has a non-finite entry (NaN or infinity)")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 

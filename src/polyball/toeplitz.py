@@ -72,15 +72,14 @@ class MultiToeplitzSymbol:
         return max((a.total_length + b.total_length for a, b in self.coeffs), default=0)
 
     def scaled(self, r: float) -> "MultiToeplitzSymbol":
-        """Coefficientwise r^(|a|+|b|) scaling."""
-        return MultiToeplitzSymbol(
-            self.n,
-            self.e_dim,
-            {
-                k: (r ** (k[0].total_length + k[1].total_length)) * m
-                for k, m in self.coeffs.items()
-            },
-        )
+        """Coefficientwise r^(|a|+|b|) scaling: the symbol of the r-scaled
+        function.  The only place the package computes this scaling."""
+        out = MultiToeplitzSymbol(self.n, self.e_dim)
+        out.coeffs = {
+            k: (r ** (k[0].total_length + k[1].total_length)) * m
+            for k, m in self.coeffs.items()
+        }
+        return out
 
     def hermitian_defect(self) -> float:
         worst = 0.0
@@ -195,7 +194,8 @@ def evaluate_symbol(sym: MultiToeplitzSymbol, X: PolyballPoint) -> np.ndarray:
 
 def symbol_operator(sym: MultiToeplitzSymbol, trunc: FockTruncation,
                     r: float = 1.0, side: Side = "left") -> FockOperator:
-    """Evaluate the symbol at the scaled truncated creation tuple.
+    """Evaluate the symbol at the scaled truncated creation tuple, i.e. the
+    r-scaled symbol at the creations.
 
     Assembled monomial by monomial as exact compressions, so the result is
     the compression of the untruncated operator; equivalent to (but cheaper
@@ -207,12 +207,11 @@ def symbol_operator(sym: MultiToeplitzSymbol, trunc: FockTruncation,
     nmat = trunc.dim * e
     out = np.zeros((nmat, nmat), dtype=complex)
     out4 = out.reshape(trunc.dim, e, trunc.dim, e)
-    for (a, b), c in sym.items():
+    for (a, b), c in sym.scaled(r).items():
         src, dst = monomial_indices(trunc, a, b, side)
         if src.size == 0:
             continue
-        scale = r ** (a.total_length + b.total_length)
-        out4[dst, :, src, :] += scale * c[None, :, :]
+        out4[dst, :, src, :] += c[None, :, :]
     return FockOperator(trunc, out, coeff_dim=e)
 
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from polyball.berezin import (
     DivergenceError,
     PolyballPoint,
+    dropped_shell_mass,
     berezin_kernel,
     berezin_transform,
     cauchy_operator,
@@ -275,3 +278,65 @@ def test_poisson_kernel_matches_word_reference(rng, n, degrees, side):
     got = poisson_kernel(x, t, side=side).op.dense()
     want = _poisson_kernel_by_words(x, t, side)
     np.testing.assert_array_equal(got, want)
+
+
+def _old_pair_box(q, box):
+    full = math.prod((1.0 + r) / (1.0 - r) for r in q)
+    kept = math.prod(1.0 + 2.0 * sum(r ** p for p in range(1, d + 1)) for r, d in zip(q, box))
+    return full - kept
+
+
+def _old_word_box(q, box):
+    full = math.prod(1.0 / (1.0 - x) for x in q)
+    kept = math.prod(sum(x ** m for m in range(c + 1)) for x, c in zip(q, box))
+    return full - kept
+
+
+def _old_pair_cap(q, cap):
+    full = math.prod((1.0 + x) / (1.0 - x) for x in q)
+    poly = np.zeros(cap + 1)
+    poly[0] = 1.0
+    for x in q:
+        fac = np.zeros(cap + 1)
+        fac[0] = 1.0
+        for m in range(1, cap + 1):
+            fac[m] = 2.0 * x ** m
+        poly = np.convolve(poly, fac)[: cap + 1]
+    return full - float(poly.sum())
+
+
+def _old_word_cap(q, cap):
+    full = math.prod(1.0 / (1.0 - x) for x in q)
+    poly = np.zeros(cap + 1)
+    poly[0] = 1.0
+    for x in q:
+        fac = np.array([x ** m for m in range(cap + 1)])
+        poly = np.convolve(poly, fac)[: cap + 1]
+    return full - float(poly.sum())
+
+
+@pytest.mark.parametrize("pairs, kept, old", [
+    (True, "box", _old_pair_box),
+    (False, "box", _old_word_box),
+    (True, "cap", _old_pair_cap),
+    (False, "cap", _old_word_cap),
+])
+def test_dropped_shell_mass_matches_old_formulas(pairs, kept, old):
+    """The shared shell-mass helper against the four formulas it replaced
+    (Poisson-kernel box, transform box and total cap for creation words and
+    for index pairs): equal to the last bit."""
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        k = int(rng.integers(1, 4))
+        q = [float(x) for x in rng.uniform(0.0, 0.95, k)]
+        if kept == "box":
+            box = tuple(int(d) for d in rng.integers(0, 9, k))
+            got, want = dropped_shell_mass(q, pairs, box=box), old(q, box)
+        else:
+            cap = int(rng.integers(0, 12))
+            got, want = dropped_shell_mass(q, pairs, cap=cap), old(q, cap)
+        assert got == want, (q, got, want)
+    # nothing kept but the unit shell: the whole non-constant mass drops
+    full = (1.0 + 0.5) / 0.5 if pairs else 1.0 / 0.5
+    args = {"box": (0,)} if kept == "box" else {"cap": 0}
+    assert dropped_shell_mass([0.5], pairs, **args) == full - 1.0

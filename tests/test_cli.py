@@ -57,15 +57,16 @@ def test_dilate_delta_kernel(tmp_path):
     kfile = tmp_path / "kernel.json"
     serialize.dump(serialize.kernel_to_json(k), str(kfile))
     out = tmp_path / "dilation.json"
-    code = run(["dilate", str(kfile), "--max-len", "4", "--output", str(out)])
+    code = run(["dilate", str(kfile), "--output", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
+    assert report["config"] == {"tol": 1e-8, "rank_tol": 1e-10}
     assert report["space_dim"] == 5
     assert report["defects"]["reproduction_error"] < 1e-10
     assert report["defects"]["minimal"]
 
 
-def test_dilate_rho_kernel(tmp_path):
+def _rho_kernel_file(tmp_path):
     g = identity_multiword([1])
     gen = {(g, g): np.eye(1)}
     for m in range(1, 11):
@@ -75,10 +76,27 @@ def test_dilate_rho_kernel(tmp_path):
     k = kernel_from_generator("left", gen, 5)
     kfile = tmp_path / "kernel.json"
     serialize.dump(serialize.kernel_to_json(k), str(kfile))
+    return kfile
+
+
+def test_dilate_rho_kernel(tmp_path):
+    kfile = _rho_kernel_file(tmp_path)
     out = tmp_path / "dilation.json"
     assert run(["dilate", str(kfile), "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["defects"]["reproduction_error"] <= 1e-9
+
+
+def test_dilate_fails_above_tolerance(tmp_path, capsys):
+    """A dilation whose defects exceed --tol exits 1, as a failed verify
+    does, and still writes its report."""
+    kfile = _rho_kernel_file(tmp_path)
+    out = tmp_path / "dilation.json"
+    assert run(["dilate", str(kfile), "--tol", "1e-20", "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert 0 < report["defects"]["reproduction_error"] <= 1e-9
+    assert report["kernel"]["gram_min_eig"] > 1e-20  # PSD at this tolerance
+    assert "failed verification" in capsys.readouterr().err
 
 
 def test_dilate_rejects_non_psd(tmp_path, capsys):
@@ -106,6 +124,56 @@ def test_dilate_rejects_malformed_kernel(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("dilate", ["--n", "2,1"]),
+    ("dilate", ["--max-len", "4"]),
+    ("dilate", ["--seed", "1"]),
+    ("transform", ["--degrees", "3,3"]),
+    ("transform", ["--tol", "1e-8"]),
+    ("dilate", ["--tol", "0"]),
+    ("dilate", ["--rank-tol", "-1e-10"]),
+    ("transform", ["--r-grid", "0.5,1.0"]),
+])
+def test_subcommand_rejects_unread_or_invalid_flags(tmp_path, command, flags):
+    """Each subcommand accepts only the flags it reads, validated; the same
+    call without the flag exits 0."""
+    if command == "dilate":
+        argv = ["dilate", str(_rho_kernel_file(tmp_path))]
+    else:
+        x = PolyballPoint.from_scalars([[0.5]])
+        inputs = tmp_path / "inputs.json"
+        serialize.dump({"mu": serialize.cbmap_to_json(CbMapData.vacuum_state([1])),
+                        "X": serialize.point_to_json(x)}, str(inputs))
+        argv = ["transform", str(inputs), "--kind", "poisson"]
+    assert run(argv) == 0
+    assert run(argv + flags) == 2
+
+
+def test_transform_rejects_non_finite_point(tmp_path, capsys):
+    tau = CbMapData.vacuum_state([1])
+    point = serialize.point_to_json(PolyballPoint.from_scalars([[0.5]]))
+    point["X"][0][0][0] = float("nan")
+    inputs = tmp_path / "inputs.json"
+    serialize.dump({"mu": serialize.cbmap_to_json(tau), "X": point}, str(inputs))
+    assert run(["transform", str(inputs), "--kind", "poisson"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_dilate_rejects_non_finite_kernel(tmp_path, capsys):
+    g = identity_multiword([1])
+    w = multiword([[1]], [1])
+    gen = {(g, g): np.eye(1), (w, g): [[0.5]], (g, w): [[0.5]]}
+    data = serialize.kernel_to_json(
+        kernel_from_generator("left", gen, 2, default=np.zeros((1, 1))))
+    for item in data["generator"]:
+        if item["alpha"] != item["beta"]:
+            item["matrix"][0] = float("nan")
+    kfile = tmp_path / "kernel.json"
+    serialize.dump(data, str(kfile))
+    assert run(["dilate", str(kfile)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_transform_poisson_point_mass(tmp_path):
     mu = CbMapData.point_mass([1.0, 1.0], 24)
     x = PolyballPoint.from_scalars([[0.5], [0.5]])
@@ -119,6 +187,7 @@ def test_transform_poisson_point_mass(tmp_path):
                 "--r-grid", "0.2,0.5", "--output", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
+    assert report["config"] == {"r_grid": [0.2, 0.5]}
     value = serialize.matrix_from_json(report["value"], report["value_dim"])
     assert abs(value[0, 0] - 9.0) < 1e-6
     csv_text = (tmp_path / "value.csv").read_text().splitlines()

@@ -98,13 +98,20 @@ def test_word_operator_identity_and_shift():
     np.testing.assert_allclose(shift, np.diag([1.0, 1.0], -1))
 
 
-def test_word_operator_coefficient_block():
-    t = FockTruncation([2], [2])
-    c = np.array([[1.0, 2.0], [3.0, 4.0]])
-    op = word_operator(t, multiword([[1]], [2]), identity_multiword([2]), c)
-    m = op.dense()
-    row = t.basis_index(multiword([[1]], [2]))
-    np.testing.assert_allclose(m[2 * row : 2 * row + 2, 0:2], c)
+@pytest.mark.parametrize("n, degrees, letters, e", [
+    ((2,), (2,), [[1]], 2),
+    ((2, 2), (2, 2), [[1], [2]], 3),
+])
+def test_word_operator_coefficient_block(n, degrees, letters, e):
+    t = FockTruncation(n, degrees)
+    c = np.arange(1.0, e * e + 1).reshape(e, e) + 1j * np.eye(e)
+    a = multiword(letters, n)
+    g = identity_multiword(n)
+    m = word_operator(t, a, g, c).dense()
+    row = t.basis_index(a)
+    np.testing.assert_array_equal(m[e * row : e * row + e, 0:e], c)
+    # space index major, coefficient minor: the scalar monomial tensor c
+    np.testing.assert_array_equal(m, np.kron(word_operator(t, a, g).dense(), c))
 
 
 def test_word_operator_entries_match_comparability():
@@ -199,18 +206,6 @@ def test_vacuum_cyclic():
                 v = apply_creation(t, "left", i, j, False, v)
         cols.append(v.amplitudes[:, 0])
     assert np.linalg.matrix_rank(np.stack(cols, axis=1)) == t.dim
-
-
-def test_sparse_path_matches_dense():
-    t = FockTruncation([2, 2], [4, 4])  # dim 961, coeff 8 -> sparse branch
-    a = multiword([[1], [2]], [2, 2])
-    g = identity_multiword([2, 2])
-    c = np.eye(8)
-    op = word_operator(t, a, g, c)
-    assert hasattr(op.matrix, "toarray")
-    small = word_operator(t, a, g, np.eye(1)).dense()
-    dense = op.dense()
-    np.testing.assert_allclose(dense[:: 8, :: 8], small)
 
 
 def _shift_by_words(w, strip, attach, side, cap):

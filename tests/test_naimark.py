@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from polyball.fock import FockTruncation, creation_matrix
+from polyball.fock import FockTruncation, FockVector, apply_creation, creation_matrix
 from polyball.naimark import (
     GeneratorError,
     KernelNotPSDError,
     NaimarkDilation,
     dilation_verify,
+    kernel_from_columns,
     kernel_from_generator,
     kernel_from_isometries,
     kernel_is_psd,
     naimark_dilate,
+    word_columns,
 )
 from polyball.sampling import random_non_psd_kernel, random_psd_kernel
 from polyball.words import identity_multiword, multiword, multiwords_up_to_total
@@ -210,3 +212,88 @@ def test_minimal_dilations_unitarily_equivalent(rng):
     w = frame2 @ np.linalg.pinv(d1.frame)
     assert np.abs(w.conj().T @ w - np.eye(d1.space_dim)).max() < 1e-8
     np.testing.assert_allclose(w @ d1.frame, frame2, atol=1e-8)
+
+
+def _columns_by_word(letter, e_basis, n, max_len):
+    """Per-word reference: apply the letters of w right to left, last factor
+    first, starting from E."""
+    cols = {}
+    for w in multiwords_up_to_total(n, max_len):
+        m = e_basis
+        for i in range(len(n), 0, -1):
+            for j in reversed(w.parts[i - 1].letters):
+                m = letter(i, j, m)
+        cols[w] = m
+    return cols
+
+
+def _table_by_word(side, cols):
+    """Per-pair reference table (V_s E)* (V_w E), right side at (s~, w~)."""
+    values = {}
+    for s in cols:
+        for w in cols:
+            v = cols[s].conj().T @ cols[w]
+            key = (s.reverse(), w.reverse()) if side == "right" else (s, w)
+            if np.max(np.abs(v)) > 0:
+                values[key] = v
+    return values
+
+
+def _assert_same_table(values, ref):
+    assert list(values) == list(ref)
+    for key, v in ref.items():
+        np.testing.assert_array_equal(values[key], v)
+
+
+@pytest.mark.parametrize("action", ["dense", "matrix-free"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [(2, 1), (1, 1, 2)])
+def test_word_columns_match_per_word_loop(n, side, action):
+    """The prefix-built columns and their kernel table equal the per-word
+    loop exactly, for dense isometries and matrix-free creations."""
+    rng = np.random.default_rng(3)
+    max_len = 3
+    t = FockTruncation(n, [max_len + 1] * len(n))
+    raw = rng.standard_normal((t.dim, 2)) + 1j * rng.standard_normal((t.dim, 2))
+    e_basis = np.linalg.qr(raw)[0]
+    if action == "dense":
+        V = [[creation_matrix(t, "left", i, j) for j in range(1, ni + 1)]
+             for i, ni in enumerate(n, start=1)]
+
+        def letter(i, j, m):
+            return V[i - 1][j - 1] @ m
+    else:
+        def letter(i, j, m):
+            return apply_creation(t, "left", i, j, False, FockVector(t, m)).amplitudes
+
+    cols = word_columns(letter, e_basis, n, max_len)
+    ref = _columns_by_word(letter, e_basis, n, max_len)
+    _assert_same_table(cols, ref)
+    k = kernel_from_columns(side, n, max_len, cols)
+    assert (k.side, k.n, k.e_dim, k.max_len) == (side, n, 2, max_len)
+    table = _table_by_word(side, ref)
+    _assert_same_table(k.values, table)
+    if action == "dense":
+        _assert_same_table(kernel_from_isometries(side, V, e_basis, max_len).values, table)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [(2, 1), (1, 1, 2)])
+def test_random_psd_kernel_matches_per_word_loop(n, side):
+    """random_psd_kernel against its former inline construction: the same
+    draws, matrix-free columns applied word by word, the same table."""
+    max_len, e_dim = 3, 2
+    k = random_psd_kernel(np.random.default_rng(5), side, n, e_dim, max_len)
+    rng = np.random.default_rng(5)
+    t = FockTruncation(n, [max_len + 2] * len(n))
+    low = [t.basis_index(w) for w in multiwords_up_to_total(n, 1)]
+    raw = np.zeros((t.dim, e_dim), dtype=complex)
+    raw[low, :] = (rng.standard_normal((len(low), e_dim))
+                   + 1j * rng.standard_normal((len(low), e_dim)))
+    e_basis = np.linalg.qr(raw)[0][:, :e_dim]
+
+    def letter(i, j, m):
+        return apply_creation(t, "left", i, j, False, FockVector(t, m)).amplitudes
+
+    ref = _table_by_word(side, _columns_by_word(letter, e_basis, n, max_len))
+    _assert_same_table(k.values, ref)

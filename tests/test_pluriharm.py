@@ -162,6 +162,36 @@ def test_single_generator_factors_with_commuting_unitaries(rng):
     assert rep.points[0].operator_positive  # r = 0.3: tail below the function
 
 
+@pytest.mark.parametrize("n", [(2, 1), (1, 1, 2)])
+def test_from_row_isometries_matches_per_word_loop(n):
+    """Coefficients read from the shared columns equal the former per-word
+    loop, P_E V_{a~}* V_{b~} |_E with V_w E applied letter by letter."""
+    rng = np.random.default_rng(7)
+    t = FockTruncation(n, [4] * len(n))
+    v = [[creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
+         for i, ni in enumerate(n, 1)]
+    raw = rng.standard_normal((t.dim, 2)) + 1j * rng.standard_normal((t.dim, 2))
+    e = np.linalg.qr(raw)[0]
+
+    def col(mw):
+        m = e
+        rev = mw.reverse()
+        for i in reversed(range(len(v))):
+            for j in reversed(rev.parts[i].letters):
+                m = v[i][j - 1] @ m
+        return m
+
+    f = from_row_isometries(v, e, 3)
+    want = {}
+    for a, b in lambda_pairs_up_to_total(n, 3):
+        c = col(a).conj().T @ col(b)
+        if np.max(np.abs(c)) > 0:
+            want[(a, b)] = c
+    assert list(f.symbol.coeffs) == list(want)
+    for key, c in want.items():
+        np.testing.assert_array_equal(f.symbol.coeffs[key], c)
+
+
 def test_from_row_isometries_commutation_guard(rng):
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3))

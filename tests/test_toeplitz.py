@@ -212,3 +212,14 @@ def test_hermitian_symmetry_detection():
     assert not sym.is_hermitian_symmetric()
     sym[g, w] = [[2.0 - 1.0j]]
     assert sym.is_hermitian_symmetric()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("r", [0.0, 0.37, 1.0])
+def test_symbol_operator_is_scaled_symbol_at_creations(side, r):
+    """r enters symbol_operator only through MultiToeplitzSymbol.scaled."""
+    rng = np.random.default_rng(11)
+    t = FockTruncation([2, 1], [3, 3])
+    sym = random_hermitian_symbol(rng, (2, 1), 2, 3)
+    got = symbol_operator(sym, t, r, side).dense()
+    np.testing.assert_array_equal(got, symbol_operator(sym.scaled(r), t, side=side).dense())
