@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -272,57 +273,85 @@ class CauchyResult:
     min_singular: float
 
 
-def _min_singular(factor: np.ndarray, lu_piv) -> float:
-    """Smallest singular value; exact for small matrices, inverse power
-    iteration on the LU factors otherwise."""
-    import scipy.linalg as sla
-
+def _min_singular(factor, solve, solve_h) -> float:
+    """Smallest singular value of the square ``factor`` (dense or sparse);
+    exact for small matrices, otherwise inverse power iteration through
+    ``solve`` (x -> factor^-1 x) and ``solve_h`` (x -> factor^-H x)."""
     dim = factor.shape[0]
     if dim <= 600:
-        return float(np.linalg.svd(factor, compute_uv=False)[-1])
+        dense = factor.toarray() if hasattr(factor, "toarray") else factor
+        return float(np.linalg.svd(dense, compute_uv=False)[-1])
     x = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim)
     x /= np.linalg.norm(x)
     growth = 1.0
     for _ in range(12):
-        x = sla.lu_solve(lu_piv, x)
-        x = sla.lu_solve(lu_piv, x, trans=2)
+        x = solve_h(solve(x))
         growth = float(np.linalg.norm(x))
         x /= growth
     return growth ** -0.5
+
+
+def _nilpotent_series(a, x: np.ndarray) -> np.ndarray:
+    """(I - a)^(-1) x = sum_p a^p x for a strictly triangular sparse ``a``.
+    Its powers vanish exactly, so the sum stops at the first term that is
+    exactly zero and is exact, not truncated."""
+    total = x.copy()
+    term = x
+    for _ in range(a.shape[0]):
+        term = a @ term
+        if not term.any():
+            break
+        total += term
+    return total
 
 
 def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
                     singular_tol: float = 1e-12) -> CauchyResult:
     """(I (x) Delta_X(I)^(1/2)) prod_i (I - sum_j V_ij (x) X_ij*)^(-1).
 
-    The resolvents are computed by LU solves, never by Neumann summation.
+    When every V_ij is strictly lower-triangular in the basis order, as the
+    truncated left and right creations are in graded-lex order, each
+    A_i = sum_j V_ij (x) X_ij* is nilpotent and its resolvent is the finite
+    Neumann series of the sparse A_i, summed until a term is exactly zero:
+    exact, with no truncation.  Any other V is resolved by dense LU solves.
+    ``min_singular`` is the smallest singular value over the factors
+    I - A_i; a factor at or below ``singular_tol`` raises
+    ``SingularResolventError``.
     """
     import scipy.linalg as sla
+    import scipy.sparse as sp
 
     if len(V) != X.k or any(len(row) != ni for row, ni in zip(V, X.n)):
         raise ValueError("V and X have different factor shapes")
-    m = np.asarray(V[0][0]).shape[0]
+    V = [[np.asarray(v, dtype=complex) for v in row] for row in V]
+    m = V[0][0].shape[0]
     h = X.h_dim
     dim = m * h
+    graded = not any(np.triu(v).any() for row in V for v in row)
     acc = np.eye(dim, dtype=complex)
     min_sv = math.inf
     for i in reversed(range(X.k)):
-        a = sum(
-            np.kron(np.asarray(V[i][j], dtype=complex), X.X[i][j].conj().T)
-            for j in range(X.n[i])
-        )
-        factor = np.eye(dim, dtype=complex) - a
-        try:
-            lu_piv = sla.lu_factor(factor)
-        except np.linalg.LinAlgError:
-            raise SingularResolventError(0.0)
-        sv = _min_singular(factor, lu_piv)
+        terms = [(v, xij.conj().T) for v, xij in zip(V[i], X.X[i])]
+        if graded:
+            a = sum(sp.kron(sp.csr_matrix(v), xs, format="csr") for v, xs in terms)
+            factor = sp.eye(dim, dtype=complex, format="csr") - a
+            solve = partial(_nilpotent_series, a)
+            solve_h = partial(_nilpotent_series, a.conj().T.tocsr())
+        else:
+            factor = np.eye(dim, dtype=complex) - sum(np.kron(v, xs) for v, xs in terms)
+            try:
+                lu_piv = sla.lu_factor(factor)
+            except np.linalg.LinAlgError:
+                raise SingularResolventError(0.0)
+            solve = partial(sla.lu_solve, lu_piv)
+            solve_h = partial(sla.lu_solve, lu_piv, trans=2)
+        sv = _min_singular(factor, solve, solve_h)
         min_sv = min(min_sv, sv)
         if sv <= singular_tol:
             raise SingularResolventError(sv)
-        acc = sla.lu_solve(lu_piv, acc)
+        acc = solve(acc)
     root, _, _ = la.psd_sqrt(defect(X))
-    out = np.kron(np.eye(m, dtype=complex), root) @ acc
+    out = (root @ acc.reshape(m, h, dim)).reshape(dim, dim)
     return CauchyResult(out, min_sv)
 
 

@@ -17,8 +17,9 @@ import sys
 import time
 
 from . import serialize
+from ._linalg import min_eig_hermitian
 from .berezin import DivergenceError, PolyballPoint, berezin_transform, in_polyball
-from .naimark import KernelNotPSDError, dilation_verify, kernel_is_psd, naimark_dilate
+from .naimark import KernelNotPSDError, dilation_verify, naimark_dilate
 from .pluriharm import fantappie_transform, herglotz_transform, poisson_transform
 from .verify import RunConfig, verify_suite
 
@@ -129,11 +130,6 @@ def cmd_verify(args) -> int:
 def cmd_dilate(args) -> int:
     cfg = _config_from_args(args)
     kernel = serialize.kernel_from_json(serialize.load(args.kernel))
-    psd = kernel_is_psd(kernel, cfg.tol)
-    if not psd.psd:
-        print(f"kernel is not positive semi-definite: min eigenvalue {psd.min_eig:.6e}",
-              file=sys.stderr)
-        return EXIT_NOT_PSD
     try:
         dil = naimark_dilate(kernel, rank_tol=cfg.rank_tol)
     except KernelNotPSDError as ex:
@@ -144,7 +140,7 @@ def cmd_dilate(args) -> int:
         "config": _config_json(cfg, "dilate"),
         "kernel": {"side": kernel.side, "n": list(kernel.n),
                    "e_dim": kernel.e_dim, "max_len": kernel.max_len,
-                   "gram_min_eig": psd.min_eig},
+                   "gram_min_eig": min_eig_hermitian(kernel.gram())},
         "space_dim": dil.space_dim,
         "window_len": dil.window_len,
         "embedding": serialize.matrix_to_json(dil.embedding),

@@ -448,8 +448,8 @@ def _id_poisson_transform_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
         val = poisson_transform(mu, x).value
         worst = max(worst, -la.min_eig_hermitian(val))
         c = cauchy_operator(v, x)
-        wx = np.kron(w, np.eye(x.h_dim))  # the resolvent square lives on V (x) H
-        sandwich = wx.conj().T @ (c.matrix.conj().T @ c.matrix) @ wx
+        cw = c.matrix @ np.kron(w, np.eye(x.h_dim))  # the resolvent lives on V (x) H
+        sandwich = cw.conj().T @ cw
         worst = max(worst, float(np.max(np.abs(_eh_to_he(sandwich, x.h_dim, 2) - val))))
     return "compression data transforms positively and matches the sandwiched resolvent square", max(worst, 0.0), 1e-8
 

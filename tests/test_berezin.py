@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polyball.berezin import (
     DivergenceError,
     PolyballPoint,
+    SingularResolventError,
     dropped_shell_mass,
     berezin_kernel,
     berezin_transform,
@@ -161,6 +163,101 @@ def test_cauchy_at_zero():
     r = creation_matrix(t, "right", 1, 1)
     c = cauchy_operator([[r]], PolyballPoint.from_scalars([[0.0]]))
     np.testing.assert_allclose(c.matrix, np.eye(t.dim), atol=1e-15)
+
+
+def _cauchy_oracle(V, X):
+    """Dense resolvents by np.linalg.solve, the defect root by eigh with the
+    negative part clipped, and the smallest singular value over the factors."""
+    dim = V[0][0].shape[0] * X.h_dim
+    acc = np.eye(dim, dtype=complex)
+    min_sv = math.inf
+    for i in reversed(range(X.k)):
+        factor = np.eye(dim, dtype=complex) - sum(
+            np.kron(v, x.conj().T) for v, x in zip(V[i], X.X[i])
+        )
+        min_sv = min(min_sv, np.linalg.svd(factor, compute_uv=False)[-1])
+        acc = np.linalg.solve(factor, acc)
+    w, u = np.linalg.eigh(defect(X))
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    return np.kron(np.eye(V[0][0].shape[0]), root) @ acc, min_sv
+
+
+def _oracle_point(rng, kind, n, h):
+    if kind == "nilpotent":
+        return random_nilpotent_point(rng, n, h, 0.8)
+    x = random_point(rng, n, h, 0.6)
+    return x if kind == "inside" else x.scaled(2.5)
+
+
+def _assert_matches_oracle(c, V, X):
+    """Checks the matrix; returns the oracle's smallest singular value."""
+    ref, ref_sv = _cauchy_oracle(V, X)
+    assert np.abs(c.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    return ref_sv
+
+
+def _no_lu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LU factorization on a graded resolvent")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+
+
+@pytest.mark.parametrize("kind", ["nilpotent", "inside", "outside"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2))])
+def test_cauchy_graded_matches_dense_oracle(rng, monkeypatch, n, degrees, side, kind):
+    t = FockTruncation(n, degrees)
+    V = [
+        [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
+        for i, ni in enumerate(n, 1)
+    ]
+    X = _oracle_point(rng, kind, n, 2)
+    _no_lu(monkeypatch)
+    c = cauchy_operator(V, X)
+    assert c.min_singular == pytest.approx(_assert_matches_oracle(c, V, X), rel=1e-12)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cauchy_graded_inverse_iteration_branch(rng, monkeypatch, side):
+    """Above dimension 600 the smallest singular value comes from twelve
+    steps of inverse iteration through the series and the series of the
+    adjoint, an estimate that approaches the exact value from above."""
+    t = FockTruncation((2, 1), (5, 5))
+    V = [
+        [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
+        for i, ni in enumerate(t.n, 1)
+    ]
+    X = random_point(rng, (2, 1), 2, 0.6)
+    assert t.dim * X.h_dim > 600
+    _no_lu(monkeypatch)
+    c = cauchy_operator(V, X)
+    ref_sv = _assert_matches_oracle(c, V, X)
+    assert ref_sv * (1 - 1e-12) <= c.min_singular <= ref_sv * 1.01
+
+
+def test_cauchy_general_v_uses_lu(rng, monkeypatch):
+    """A non-triangular row contraction V goes through the LU path."""
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a: calls.append(1) or lu_factor(a))
+    m = 5
+    V = []
+    for ni in (2, 1):
+        row = rng.standard_normal((m, ni * m)) + 1j * rng.standard_normal((m, ni * m))
+        row *= 0.9 / np.linalg.norm(row, 2)
+        V.append([row[:, j * m:(j + 1) * m] for j in range(ni)])
+    X = random_point(rng, (2, 1), 2, 0.6)
+    c = cauchy_operator(V, X)
+    assert c.min_singular == pytest.approx(_assert_matches_oracle(c, V, X), rel=1e-12)
+    assert len(calls) == 2
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_cauchy_singular_factor_raises():
+    with pytest.raises(SingularResolventError) as ex:
+        cauchy_operator([[np.eye(1)]], PolyballPoint.from_scalars([[1.0]]))
+    assert ex.value.min_singular == 0.0
 
 
 def test_poisson_kernel_at_zero():

@@ -99,6 +99,27 @@ def test_dilate_fails_above_tolerance(tmp_path, capsys):
     assert "failed verification" in capsys.readouterr().err
 
 
+def test_dilate_singular_psd_kernel_at_tight_tolerance(tmp_path, capsys):
+    """A PSD kernel with a singular Gram (the all-ones kernel, rank 1) is not
+    refused as non-PSD however tight --tol is; only the dilation's own
+    relative criterion can refuse a kernel."""
+    g = identity_multiword([1])
+    gen = {(g, g): np.eye(1)}
+    for m in range(1, 4):
+        w = multiword([[1] * m], [1])
+        gen[(w, g)] = np.eye(1)
+        gen[(g, w)] = np.eye(1)
+    k = kernel_from_generator("left", gen, 3)
+    kfile = tmp_path / "kernel.json"
+    serialize.dump(serialize.kernel_to_json(k), str(kfile))
+    out = tmp_path / "dilation.json"
+    assert run(["dilate", str(kfile), "--tol", "1e-20", "--output", str(out)]) != 3
+    report = json.loads(out.read_text())
+    assert abs(report["kernel"]["gram_min_eig"]) < 1e-12  # singular Gram
+    assert report["space_dim"] == 1
+    assert "not positive semi-definite" not in capsys.readouterr().err
+
+
 def test_dilate_rejects_non_psd(tmp_path, capsys):
     g = identity_multiword([1])
     w = multiword([[1]], [1])
