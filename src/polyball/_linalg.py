@@ -12,6 +12,16 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.atleast_2d(m), 2))
 
 
+def hermitian_norm(m: np.ndarray) -> float:
+    """Operator norm of a Hermitian matrix: the largest |eigenvalue|.  Exact,
+    like ``opnorm``, at about half the cost of an SVD; only the lower
+    triangle is read."""
+    if m.size == 0:
+        return 0.0
+    w = np.linalg.eigvalsh(m)
+    return float(max(-w[0], w[-1]))
+
+
 def min_eig_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian matrix."""
     if m.shape[0] == 0:

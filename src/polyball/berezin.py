@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg as la
-from .fock import FockOperator, FockTruncation, creation_matrix, monomial_indices
+from .fock import FockOperator, FockTruncation, creation_matrix, poisson_pair_table
 from .words import MultiWord, Side, Word, lambda_pairs_within_degrees
 
 
@@ -275,20 +275,21 @@ class CauchyResult:
 
 def _min_singular(factor, solve, solve_h) -> float:
     """Smallest singular value of the square ``factor`` (dense or sparse);
-    exact for small matrices, otherwise inverse power iteration through
-    ``solve`` (x -> factor^-1 x) and ``solve_h`` (x -> factor^-H x)."""
+    an exact SVD for small matrices, otherwise Lanczos (``eigsh``) for the
+    largest eigenvalue 1/sigma_min^2 of the Hermitian (factor factor^H)^-1,
+    applied as ``solve`` (x -> factor^-1 x) then ``solve_h`` (x -> factor^-H
+    x), converged to a relative tolerance of 1e-12."""
     dim = factor.shape[0]
     if dim <= 600:
         dense = factor.toarray() if hasattr(factor, "toarray") else factor
         return float(np.linalg.svd(dense, compute_uv=False)[-1])
-    x = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim)
-    x /= np.linalg.norm(x)
-    growth = 1.0
-    for _ in range(12):
-        x = solve_h(solve(x))
-        growth = float(np.linalg.norm(x))
-        x /= growth
-    return growth ** -0.5
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    op = LinearOperator((dim, dim), matvec=lambda x: solve_h(solve(x)), dtype=complex)
+    # a fixed start vector keeps the value reproducible run to run
+    v0 = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim)
+    lam = eigsh(op, k=1, which="LM", v0=v0, tol=1e-12, return_eigenvectors=False)
+    return float(lam[0].real) ** -0.5
 
 
 def _nilpotent_series(a, x: np.ndarray) -> np.ndarray:
@@ -306,17 +307,21 @@ def _nilpotent_series(a, x: np.ndarray) -> np.ndarray:
 
 
 def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
-                    singular_tol: float = 1e-12) -> CauchyResult:
-    """(I (x) Delta_X(I)^(1/2)) prod_i (I - sum_j V_ij (x) X_ij*)^(-1).
+                    singular_tol: float = 1e-12,
+                    rhs: np.ndarray | None = None) -> CauchyResult:
+    """(I (x) Delta_X(I)^(1/2)) prod_i (I - sum_j V_ij (x) X_ij*)^(-1) rhs.
 
+    ``rhs`` is an (m*h, c) matrix on V's space (x) C^h, main index major; it
+    defaults to the identity, which gives the full operator.  It enters
+    before the solves, so a thin ``rhs`` costs c columns, not m*h.
     When every V_ij is strictly lower-triangular in the basis order, as the
     truncated left and right creations are in graded-lex order, each
     A_i = sum_j V_ij (x) X_ij* is nilpotent and its resolvent is the finite
     Neumann series of the sparse A_i, summed until a term is exactly zero:
     exact, with no truncation.  Any other V is resolved by dense LU solves.
     ``min_singular`` is the smallest singular value over the factors
-    I - A_i; a factor at or below ``singular_tol`` raises
-    ``SingularResolventError``.
+    I - A_i, whatever ``rhs`` is; a factor at or below ``singular_tol``
+    raises ``SingularResolventError``.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
@@ -328,7 +333,9 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     h = X.h_dim
     dim = m * h
     graded = not any(np.triu(v).any() for row in V for v in row)
-    acc = np.eye(dim, dtype=complex)
+    acc = np.eye(dim, dtype=complex) if rhs is None else np.asarray(rhs, dtype=complex)
+    if acc.ndim != 2 or acc.shape[0] != dim:
+        raise ValueError(f"rhs needs shape ({dim}, c), got {acc.shape}")
     min_sv = math.inf
     for i in reversed(range(X.k)):
         terms = [(v, xij.conj().T) for v, xij in zip(V[i], X.X[i])]
@@ -351,7 +358,7 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
             raise SingularResolventError(sv)
         acc = solve(acc)
     root, _, _ = la.psd_sqrt(defect(X))
-    out = (root @ acc.reshape(m, h, dim)).reshape(dim, dim)
+    out = (root @ acc.reshape(m, h, -1)).reshape(acc.shape)
     return CauchyResult(out, min_sv)
 
 
@@ -423,13 +430,13 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
             f"tail bound {tail:.3e} exceeds requested tolerance {require_tail:.3e}"
         )
     h = X.h_dim
+    xm = np.stack([X.monomial(a) @ X.monomial(b).conj().T
+                   for a, b in lambda_pairs_within_degrees(trunc.n, trunc.degrees)])
+    pid, src, dst = poisson_pair_table(trunc, side)
     out = np.zeros((trunc.dim * h, trunc.dim * h), dtype=complex)
     out4 = out.reshape(trunc.dim, h, trunc.dim, h)
-    for a, b in lambda_pairs_within_degrees(trunc.n, trunc.degrees):
-        src, dst = monomial_indices(trunc, b.reverse(), a.reverse(), side)
-        if src.size == 0:
-            continue
-        xm = X.monomial(a) @ X.monomial(b).conj().T
-        out4[dst, :, src, :] += xm[None, :, :]
+    # one scatter: no cell repeats, and adding onto zeros keeps every bit
+    # (signed zeros included) of the pair-by-pair sum
+    out4[dst, :, src, :] += xm[pid]
     op = FockOperator(trunc, out, coeff_dim=h)
     return PoissonKernelResult(op, tail, fact_bound)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import MultiWord, Side, Word, words_up_to
+from .words import MultiWord, Side, Word, factor_lambda_pairs, words_up_to
 
 
 class TruncationError(ValueError):
@@ -291,6 +291,31 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     maps = [trunc._shift_map(i, bi, ai, side)
             for i, (ai, bi) in enumerate(zip(a.parts, b.parts), start=1)]
     return trunc.product_map(maps)
+
+
+def poisson_pair_table(trunc: FockTruncation,
+                       side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pair id, source, target) of every cell of the Poisson-kernel pairings,
+    the monomials at (b~, a~) over ``lambda_pairs_within_degrees``, ids in
+    that order.  Per factor, one ``_shift_map`` per single-factor pair; a
+    multiword pair's cells are the product of its factors' cells, combined
+    with the strides.  No (target, source) cell occurs twice: per factor,
+    source and target determine the stripped and the attached word."""
+    pid = src = dst = np.zeros(1, dtype=np.int64)
+    for i, (ni, di, dim) in enumerate(zip(trunc.n, trunc.degrees, trunc.factor_dims), start=1):
+        cells = []
+        pairs = factor_lambda_pairs(ni, di)
+        for p, (a, b) in enumerate(pairs):
+            if side == "left":
+                a, b = a.reverse(), b.reverse()
+            m = trunc._shift_map(i, a, b, side)
+            s = np.flatnonzero(m >= 0)
+            cells.append((np.full(s.size, p, dtype=np.int64), s, m[s]))
+        p_i, s_i, t_i = (np.concatenate(c) for c in zip(*cells))
+        pid = (pid[:, None] * len(pairs) + p_i).ravel()
+        src = (src[:, None] * dim + s_i).ravel()
+        dst = (dst[:, None] * dim + t_i).ravel()
+    return pid, src, dst
 
 
 def word_operator(trunc: FockTruncation, a: MultiWord, b: MultiWord,

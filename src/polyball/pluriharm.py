@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import min_eig_hermitian
 from .berezin import DivergenceError, PolyballPoint, dropped_shell_mass
-from .fock import FockTruncation, word_operator
+from .fock import FockTruncation, monomial_indices
 from .naimark import ToeplitzKernel, kernel_from_generator, kernel_is_psd, word_columns
 from .toeplitz import MultiToeplitzSymbol, SymbolKey, evaluate_symbol, symbol_operator
 from .words import (
@@ -298,15 +298,19 @@ def nu_trace_form(F: PluriharmonicFunction, r: float, trunc: FockTruncation,
                   a: MultiWord) -> np.ndarray:
     """Radial-function extraction of the annihilation-monomial value: pair
     the function at the scaled right creations against the vacuum state after
-    multiplying by the adjoint creation word."""
+    multiplying by the adjoint creation word.  R_a* maps the basis vector
+    R_a e_vac to the vacuum and every other one off it, so the value is the
+    block of the function at (R_a e_vac, vacuum), read directly; zero when a
+    does not fit the truncation."""
     g = identity_multiword(F.n)
-    phi = symbol_operator(F.symbol, trunc, r, side="right").dense()
-    ra = word_operator(trunc, a, g, side="right").dense()
     e = F.e_dim
-    big = np.kron(ra.conj().T, np.eye(e)) @ phi
-    b4 = big.reshape(trunc.dim, e, trunc.dim, e)
     v = trunc.vacuum_index
-    return b4[v, :, v, :].copy()
+    src, dst = monomial_indices(trunc, a, g, side="right")
+    hit = dst[src == v]
+    if hit.size == 0:
+        return np.zeros((e, e), dtype=complex)
+    phi = symbol_operator(F.symbol, trunc, r, side="right").dense()
+    return phi.reshape(trunc.dim, e, trunc.dim, e)[hit[0], :, v, :].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -234,16 +234,19 @@ def lambda_pairs_up_to_total(n: Sequence[int], total: int) -> list[tuple[MultiWo
     return out
 
 
+def factor_lambda_pairs(n: int, d: int) -> list[tuple[Word, Word]]:
+    """Single-factor lambda pairs within degree d: (w, e) for every word w,
+    then (e, w) for every nonempty w, both in graded-lex order."""
+    ws = words_up_to(n, d)
+    e = empty_word(n)
+    return [(w, e) for w in ws] + [(e, w) for w in ws if not w.is_identity]
+
+
 def lambda_pairs_within_degrees(n: Sequence[int], degrees: Sequence[int]) -> list[tuple[MultiWord, MultiWord]]:
-    """All lambda pairs with |a_i| <= degrees[i] and |b_i| <= degrees[i]."""
-    per_factor: list[list[tuple[Word, Word]]] = []
-    for ni, di in zip(n, degrees):
-        ws = words_up_to(ni, di)
-        e = empty_word(ni)
-        pairs = [(w, e) for w in ws] + [(e, w) for w in ws if not w.is_identity]
-        per_factor.append(pairs)
+    """All lambda pairs with |a_i| <= degrees[i] and |b_i| <= degrees[i]:
+    the row-major product of the per-factor ``factor_lambda_pairs``."""
     out = []
-    for combo in itertools.product(*per_factor):
+    for combo in itertools.product(*(factor_lambda_pairs(ni, di) for ni, di in zip(n, degrees))):
         a = MultiWord(tuple(p[0] for p in combo))
         b = MultiWord(tuple(p[1] for p in combo))
         out.append((a, b))

@@ -220,9 +220,9 @@ def test_cauchy_graded_matches_dense_oracle(rng, monkeypatch, n, degrees, side, 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cauchy_graded_inverse_iteration_branch(rng, monkeypatch, side):
-    """Above dimension 600 the smallest singular value comes from twelve
-    steps of inverse iteration through the series and the series of the
-    adjoint, an estimate that approaches the exact value from above."""
+    """Above dimension 600 the smallest singular value comes from Lanczos on
+    the series followed by the series of the adjoint; it matches the exact
+    SVD value."""
     t = FockTruncation((2, 1), (5, 5))
     V = [
         [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
@@ -233,7 +233,18 @@ def test_cauchy_graded_inverse_iteration_branch(rng, monkeypatch, side):
     _no_lu(monkeypatch)
     c = cauchy_operator(V, X)
     ref_sv = _assert_matches_oracle(c, V, X)
-    assert ref_sv * (1 - 1e-12) <= c.min_singular <= ref_sv * 1.01
+    assert c.min_singular == pytest.approx(ref_sv, rel=1e-8)
+
+
+def _random_row_contraction(rng, m=5):
+    """A random non-triangular row contraction V of shape (2, 1), m x m
+    entries: the LU path of ``cauchy_operator``."""
+    V = []
+    for ni in (2, 1):
+        row = rng.standard_normal((m, ni * m)) + 1j * rng.standard_normal((m, ni * m))
+        row *= 0.9 / np.linalg.norm(row, 2)
+        V.append([row[:, j * m:(j + 1) * m] for j in range(ni)])
+    return V
 
 
 def test_cauchy_general_v_uses_lu(rng, monkeypatch):
@@ -241,16 +252,42 @@ def test_cauchy_general_v_uses_lu(rng, monkeypatch):
     calls = []
     lu_factor = scipy.linalg.lu_factor
     monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a: calls.append(1) or lu_factor(a))
-    m = 5
-    V = []
-    for ni in (2, 1):
-        row = rng.standard_normal((m, ni * m)) + 1j * rng.standard_normal((m, ni * m))
-        row *= 0.9 / np.linalg.norm(row, 2)
-        V.append([row[:, j * m:(j + 1) * m] for j in range(ni)])
+    V = _random_row_contraction(rng)
     X = random_point(rng, (2, 1), 2, 0.6)
     c = cauchy_operator(V, X)
     assert c.min_singular == pytest.approx(_assert_matches_oracle(c, V, X), rel=1e-12)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("path", ["left", "right", "lu"])
+def test_cauchy_rhs_is_matrix_times_rhs(rng, path):
+    """A thin rhs gives the full operator's product with it, and the same
+    min_singular: on the graded path with left and right creations at
+    (2,1)@(5,5) (dim 756, so min_singular runs Lanczos), and on the LU path."""
+    if path == "lu":
+        V = _random_row_contraction(rng)
+    else:
+        t = FockTruncation((2, 1), (5, 5))
+        V = [
+            [creation_matrix(t, path, i, j) for j in range(1, ni + 1)]
+            for i, ni in enumerate(t.n, 1)
+        ]
+    X = random_point(rng, (2, 1), 2, 0.6)
+    dim = V[0][0].shape[0] * X.h_dim
+    rhs = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    full = cauchy_operator(V, X)
+    thin = cauchy_operator(V, X, rhs=rhs)
+    want = full.matrix @ rhs
+    assert thin.matrix.shape == rhs.shape
+    assert np.abs(thin.matrix - want).max() <= 1e-12 * np.abs(want).max()
+    assert thin.min_singular == full.min_singular
+
+
+def test_cauchy_rhs_shape_checked():
+    t = FockTruncation([1], [3])
+    r = creation_matrix(t, "right", 1, 1)
+    with pytest.raises(ValueError):
+        cauchy_operator([[r]], PolyballPoint.from_scalars([[0.5]]), rhs=np.ones((t.dim + 1, 1)))
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -368,13 +405,21 @@ def _poisson_kernel_by_words(x, t, side):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("n, degrees", [((2, 1), (2, 2)), ((3,), (3,)), ((1, 1, 2), (1, 1, 2))])
-def test_poisson_kernel_matches_word_reference(rng, n, degrees, side):
+@pytest.mark.parametrize("n, degrees, kind", [
+    pytest.param((2, 1), (2, 2), "inside", id="n0-degrees0"),
+    pytest.param((3,), (3,), "inside", id="n1-degrees1"),
+    pytest.param((1, 1, 2), (1, 1, 2), "inside", id="n2-degrees2"),
+    pytest.param((2, 1), (3, 2), "inside", id="n3-degrees3"),
+    pytest.param((2, 1), (3, 2), "nilpotent", id="n3-degrees3-nilpotent"),
+    pytest.param((1, 1, 2), (1, 1, 2), "nilpotent", id="n2-degrees2-nilpotent"),
+])
+def test_poisson_kernel_matches_word_reference(rng, n, degrees, kind, side):
     t = FockTruncation(n, degrees)
-    x = random_point(rng, n, 2, 0.5)
+    x = random_point(rng, n, 2, 0.5) if kind == "inside" else random_nilpotent_point(rng, n, 3, 0.8)
     got = poisson_kernel(x, t, side=side).op.dense()
     want = _poisson_kernel_by_words(x, t, side)
-    np.testing.assert_array_equal(got, want)
+    # bit for bit, signed zeros of the nilpotent monomials included
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _old_pair_box(q, box):

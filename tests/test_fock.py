@@ -11,6 +11,7 @@ from polyball.fock import (
     creation_matrix,
     exact_window,
     monomial_indices,
+    poisson_pair_table,
     word_operator,
 )
 from polyball.words import (
@@ -19,6 +20,7 @@ from polyball.words import (
     compare,
     identity_multiword,
     lambda_pairs_up_to_total,
+    lambda_pairs_within_degrees,
     multiword,
     multiwords_up_to_total,
 )
@@ -277,3 +279,16 @@ def test_monomial_indices_match_word_reference(n, degrees, side):
             want = _monomial_indices_by_words(t, a, b, side)
             np.testing.assert_array_equal(got[0], want[0], err_msg=f"{a} {b}")
             np.testing.assert_array_equal(got[1], want[1], err_msg=f"{a} {b}")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (5, 5)), ((3,), (6,)), ((1, 1, 2), (2, 2, 2))])
+def test_poisson_pair_table_cells_unique(n, degrees, side):
+    """No (target, source) cell is hit by two pairs, so the Poisson kernel's
+    single scatter equals the pair-by-pair sum."""
+    t = FockTruncation(n, degrees)
+    pid, src, dst = poisson_pair_table(t, side)
+    assert pid.shape == src.shape == dst.shape
+    cells = dst * t.dim + src
+    assert np.unique(cells).size == cells.size
+    assert pid.max() == len(lambda_pairs_within_degrees(n, degrees)) - 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyball.berezin import PolyballPoint, berezin_transform, cauchy_operator
-from polyball.fock import FockTruncation, creation_matrix
+from polyball.fock import FockTruncation, creation_matrix, word_operator
 from polyball.pluriharm import (
     CbMapData,
     PluriharmonicFunction,
@@ -277,6 +277,30 @@ def test_nu_trace_form(rng):
             if b.is_identity:
                 got = nu_trace_form(f, r, trunc, a)
                 assert np.abs(got - nu.value(a, g)).max() < 1e-12
+
+
+def test_nu_trace_form_reads_the_kron_product_block(rng):
+    """The direct block read equals the dense formula it replaced, the vacuum
+    block row of kron(R_a*, I) times the function, bit for bit; words longer
+    than the truncation give zero."""
+    n = (2, 1)
+    trunc = FockTruncation(n, [2, 2])
+    g = identity_multiword(n)
+    sym = random_hermitian_symbol(rng, n, 2, 2, density=0.6)
+    f = PluriharmonicFunction(sym)
+    words = multiwords_up_to_total(n, 3)
+    v = trunc.vacuum_index
+    for r in (0.4, 0.9):
+        phi = symbol_operator(sym, trunc, r, side="right").dense()
+        for a in words:
+            got = nu_trace_form(f, r, trunc, a)
+            if trunc.admits(a):
+                ra = word_operator(trunc, a, g, side="right").dense()
+                big = np.kron(ra.conj().T, np.eye(2)) @ phi
+                want = big.reshape(trunc.dim, 2, trunc.dim, 2)[v, :, v, :]
+            else:
+                want = np.zeros((2, 2), dtype=complex)
+            np.testing.assert_array_equal(got, want, err_msg=repr(a))
 
 
 def test_fantappie_geometric():
