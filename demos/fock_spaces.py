@@ -11,7 +11,6 @@ from polyball import (
     FockVector,
     apply_creation,
     creation_matrix,
-    exact_window,
     identity_multiword,
     multiword,
     word_operator,
@@ -41,11 +40,11 @@ print("creating on a degree-3 word gives norm",
       apply_creation(t, "left", 1, 1, False, top).norm())
 
 print("\n=== identities are exact on windows ===")
-win = exact_window(t, [1, 1])
+win = t.window_mask([1, 1])
 s1 = creation_matrix(t, "left", 1, 1)
 s2 = creation_matrix(t, "left", 1, 2)
 gram = s1.conj().T @ s2
-sel = np.ix_(win.mask, win.mask)
+sel = np.ix_(win, win)
 print("max |S_{1,1}* S_{1,2}| on the budget-1 window:", np.abs(gram[sel]).max())
 gram = s1.conj().T @ s1 - np.eye(t.dim)
 print("max |S_{1,1}* S_{1,1} - I| on the same window:", np.abs(gram[sel]).max())

@@ -24,14 +24,12 @@ from .words import (
     words_up_to,
 )
 from .fock import (
-    ExactWindow,
     FockOperator,
     FockTruncation,
     FockVector,
     TruncationError,
     apply_creation,
     creation_matrix,
-    exact_window,
     monomial_indices,
     word_operator,
 )

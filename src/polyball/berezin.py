@@ -430,8 +430,9 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
             f"tail bound {tail:.3e} exceeds requested tolerance {require_tail:.3e}"
         )
     h = X.h_dim
-    xm = np.stack([X.monomial(a) @ X.monomial(b).conj().T
-                   for a, b in lambda_pairs_within_degrees(trunc.n, trunc.degrees)])
+    pairs = lambda_pairs_within_degrees(trunc.n, trunc.degrees)
+    mono = {w: X.monomial(w) for w in set().union(*pairs)}
+    xm = np.stack([mono[a] @ mono[b].conj().T for a, b in pairs])
     pid, src, dst = poisson_pair_table(trunc, side)
     out = np.zeros((trunc.dim * h, trunc.dim * h), dtype=complex)
     out4 = out.reshape(trunc.dim, h, trunc.dim, h)

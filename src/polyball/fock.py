@@ -337,22 +337,3 @@ def word_operator(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     m4[dst, :, src, :] = coefficient
     return FockOperator(trunc, m, e)
 
-
-class ExactWindow:
-    """Predicate marking basis words on which raising each factor-i degree by
-    up to budget[i] incurs no compression loss."""
-
-    def __init__(self, trunc: FockTruncation, budget: Sequence[int]):
-        self.trunc = trunc
-        self.budget = tuple(int(b) for b in budget)
-        self.mask = trunc.window_mask(self.budget)
-
-    def __call__(self, mw: MultiWord) -> bool:
-        return all(
-            len(w) <= d - b
-            for w, d, b in zip(mw.parts, self.trunc.degrees, self.budget)
-        )
-
-
-def exact_window(trunc: FockTruncation, raise_budget: Sequence[int]) -> ExactWindow:
-    return ExactWindow(trunc, raise_budget)

@@ -2,9 +2,11 @@
 semigroups and their constructive Naimark dilations at finite word length.
 
 A left kernel is constant along left-comparability quotients; its Gram matrix
-over all multiwords of total length <= L is factored, the quotient by the
-numerical null space realized as an eigenvalue rank cut, and the row
-isometries act by prepending a generator to the indexing word.  Right kernels
+over all multiwords of total length <= L is Cholesky-factored in the graded
+word order, a numerically dependent word column adding no row, and the row
+isometries act by prepending a generator to the indexing word.  Since shorter
+words come first, the window words span a coordinate prefix of the factor
+space, on which the isometries are one triangular solve.  Right kernels
 are dilated through the reversal reduction.  All dilation identities carry a
 window qualifier: they are exact on words of total length <= L - 1.
 
@@ -16,6 +18,7 @@ matrix-free actions alike, and ``kernel_from_columns`` tabulates the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -210,80 +213,94 @@ class NaimarkDilation:
     embedding: np.ndarray              # space_dim x e_dim, isometric
     window_len: int
     monomials: list[MultiWord] = field(repr=False)
-    frame: np.ndarray = field(repr=False)  # space_dim x (len(monomials)*e_dim)
+    frame: np.ndarray = field(repr=False)  # R, space_dim x (len(monomials)*e_dim), R* R = Gram
 
-    def word_isometry(self, mw: MultiWord) -> np.ndarray:
-        """V_mw = V_{1,w_1} ... V_{k,w_k} with V_{i,w} = V_{j1} @ ... @ V_{jp}."""
-        out = np.eye(self.space_dim, dtype=complex)
-        for i, w in enumerate(mw.parts):
-            for j in w.letters:
-                out = out @ self.isometries[i][j - 1]
-        return out
+    @cached_property
+    def columns(self) -> dict[MultiWord, np.ndarray]:
+        """{w: V_w E} over the monomials, by ``word_columns``."""
+        V = self.isometries
+        return word_columns(lambda i, j, m: V[i - 1][j - 1] @ m, self.embedding,
+                            self.n, self.window_len + 1)
 
     def reproduce(self, s: MultiWord, w: MultiWord) -> np.ndarray:
         """P_E V_s* V_w |_E, which matches the kernel on the window (for a
         right kernel, the table entry at the reversed pair)."""
-        return self.embedding.conj().T @ (
-            self.word_isometry(s).conj().T @ self.word_isometry(w) @ self.embedding
-        )
+        return self.columns[s].conj().T @ self.columns[w]
 
 
-def naimark_dilate(K: ToeplitzKernel, rank_tol: float = 1e-10,
-                   psd_tol: float = 1e-8) -> NaimarkDilation:
+_PSD_TOL = 1e-8  # relative to max(lambda_max, 1)
+
+
+def _graded_cholesky(g: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor of the Hermitian PSD ``g`` in its own column order.
+
+    A column whose residual diagonal is <= cut depends on the earlier ones
+    and adds no row.  Returns the upper-trapezoidal R, with R* R = g up to the
+    skipped residuals, and the pivot column of each row (increasing).
+    """
+    m = g.shape[0]
+    r = np.zeros((m, m), dtype=complex)
+    piv: list[int] = []
+    for k in range(m):
+        h = len(piv)
+        c = g[k, k:] - r[:h, k].conj() @ r[:h, k:]
+        if c[0].real <= cut:
+            continue
+        r[h, k:] = c / np.sqrt(c[0].real)
+        piv.append(k)
+    return r[: len(piv)], np.array(piv, dtype=np.int64)
+
+
+def _prepend(mw: MultiWord, i: int, j: int) -> MultiWord:
+    p = mw.parts[i]
+    return MultiWord(mw.parts[:i] + (Word((j,) + p.letters, p.n),) + mw.parts[i + 1:])
+
+
+def naimark_dilate(K: ToeplitzKernel, rank_tol: float = 1e-10) -> NaimarkDilation:
     """Minimal dilation by commuting row isometries, exact on the window.
 
-    The Gram matrix of the kernel over monomials of total length <= max_len
-    is eigen-factorized with a relative rank cut; the isometries act on the
-    factor coordinates by the index shift that prepends a generator in one
-    factor (for right kernels, the construction runs on the reversed words).
+    The Gram matrix G of the kernel over the monomials of total length <= L
+    is Cholesky-factored in their graded order, G = R* R; a column whose
+    residual diagonal is <= rank_tol * max(lambda_max, 1) adds no row.  The
+    window words (length <= L - 1) come first, so their columns span the
+    first r_dom coordinates.  V_ij maps the column of w to the column of the
+    word with generator j prepended in factor i: on those coordinates it is
+    R[:, shifted pivots] T^-1, T the triangular pivot block, and it is zero
+    beyond them.  The embedding is the unit word's columns of R.  Right
+    kernels are dilated on the reversed words.
     """
+    from scipy.linalg import solve_triangular
+
     work = K.reversed() if K.side == "right" else K
     g = work.gram()
-    e = work.e_dim
-    monos = work.monomials
-    lam, u = np.linalg.eigh(0.5 * (g + g.conj().T))
-    lam_max = max(float(lam[-1]), 0.0)
-    if float(lam[0]) < -psd_tol * max(lam_max, 1.0):
+    g = 0.5 * (g + g.conj().T)
+    lam = np.linalg.eigvalsh(g)
+    scale = max(float(lam[-1]), 1.0)
+    if float(lam[0]) < -_PSD_TOL * scale:
         raise KernelNotPSDError(float(lam[0]))
-    keep = lam > rank_tol * max(lam_max, 1.0)
-    if not np.any(keep):
-        raise KernelNotPSDError(float(lam[0]) if lam.size else 0.0)
-    frame = np.sqrt(lam[keep])[:, None] * u[:, keep].conj().T
+    frame, piv = _graded_cholesky(g, rank_tol * scale)
+    if not piv.size:
+        raise KernelNotPSDError(float(lam[0]))
+    e, monos, L = work.e_dim, work.monomials, work.max_len
     rank = frame.shape[0]
+    dom = piv[: np.searchsorted(piv, sum(w.total_length < L for w in monos) * e)]
     col_of = {mw: p for p, mw in enumerate(monos)}
-    L = work.max_len
-
-    def cols_for(words: list[MultiWord]) -> np.ndarray:
-        idx = np.array([col_of[w] for w in words], dtype=np.int64)
-        blk = (idx[:, None] * e + np.arange(e)[None, :]).ravel()
-        return frame[:, blk]
-
-    dom_words = [w for w in monos if w.total_length <= L - 1]
-    f_dom = cols_for(dom_words)
-    f_dom_pinv = np.linalg.pinv(f_dom, rcond=max(rank_tol, 1e-13))
-    isometries: list[list[np.ndarray]] = []
-    for i, ni in enumerate(work.n, start=1):
-        row = []
-        for j in range(1, ni + 1):
-            shifted = [
-                MultiWord(
-                    tuple(
-                        Word((j,) + w.letters, w.n) if fi == i - 1 else w
-                        for fi, w in enumerate(mw.parts)
-                    )
-                )
-                for mw in dom_words
-            ]
-            row.append(cols_for(shifted) @ f_dom_pinv)
-        isometries.append(row)
-    emb = cols_for([identity_multiword(work.n)])
+    # per letter (i, j), the column of each window pivot's word with j prepended in factor i
+    shifted = np.array([[col_of[_prepend(monos[p // e], i, j)] * e + p % e for p in dom]
+                        for i, ni in enumerate(work.n) for j in range(1, ni + 1)], dtype=np.int64)
+    # every letter's R[:, shifted] stacked, times T^-1 in one solve
+    x = frame[:, shifted].transpose(1, 0, 2).reshape(-1, dom.size)
+    v = np.zeros((len(shifted), rank, rank), dtype=complex)
+    v[:, :, : dom.size] = solve_triangular(frame[: dom.size, dom], x.T, trans="T").T.reshape(
+        len(shifted), rank, dom.size)
+    isometries = [list(row) for row in np.split(v, np.cumsum(work.n)[:-1])]
     return NaimarkDilation(
         side=K.side,
         n=work.n,
         e_dim=e,
         space_dim=rank,
         isometries=isometries,
-        embedding=emb,
+        embedding=frame[:, :e],
         window_len=L - 1,
         monomials=monos,
         frame=frame,
@@ -307,55 +324,46 @@ class DilationReport:
 
 def dilation_verify(D: NaimarkDilation, K: ToeplitzKernel,
                     rank_tol: float = 1e-10) -> DilationReport:
-    """Reproduction, window isometry, cross-factor commutation, minimality."""
-    work = K.reversed() if K.side == "right" else K
-    window = [w for w in D.monomials if w.total_length <= D.window_len]
-    vmats = {w: D.word_isometry(w) for w in window}
-    emb = D.embedding
-    rep_err = 0.0
-    for s in window:
-        for w in window:
-            got = emb.conj().T @ vmats[s].conj().T @ vmats[w] @ emb
-            rep_err = max(rep_err, float(np.max(np.abs(got - work.value(s, w)))))
-    # orthoprojector onto the natural domain (length <= window_len columns)
-    col_of = {mw: p for p, mw in enumerate(D.monomials)}
-    e = D.e_dim
-    idx = np.array([col_of[w] for w in window], dtype=np.int64)
-    blk = (idx[:, None] * e + np.arange(e)[None, :]).ravel()
-    f_dom = D.frame[:, blk]
-    q, sv, _ = np.linalg.svd(f_dom, full_matrices=False)
-    q = q[:, sv > rank_tol * max(float(sv[0]) if sv.size else 0.0, 1.0)]
-    p_dom = q @ q.conj().T
+    """Reproduction, window isometry, cross-factor commutation, minimality.
+
+    Everything is read from the columns V_w E.  Reproduction compares their
+    Gram over the window words with the kernel's (a right kernel's entry at
+    the reversed pair).  The isometry relations are checked on the span of
+    the window columns and the commutators on that of the words one shorter;
+    in the graded frame these spans are the coordinate prefixes holding the
+    pivot rows of those columns.
+    """
+    L, e, V = D.window_len, D.e_dim, D.isometries
+    cols = D.columns
+    window = [w for w in D.monomials if w.total_length <= L]
+    c = np.concatenate([cols[w] for w in window], axis=1)
+    pos = {w.reverse() if K.side == "right" else w: p for p, w in enumerate(window)}
+    want = np.zeros((len(window), e, len(window), e), dtype=complex)
+    for (s, w), v in K.values.items():
+        if s in pos and w in pos:
+            want[pos[s], :, pos[w]] = v
+    rep_err = float(np.abs(c.conj().T @ c - want.reshape(c.shape[1], -1)).max())
+
+    def prefix(length: int) -> int:
+        ncols = sum(w.total_length <= length for w in D.monomials) * e
+        return int(np.count_nonzero(np.any(D.frame[:, :ncols] != 0, axis=1)))
+
+    r_dom, r_in = prefix(L), prefix(L - 1)
     iso_err = 0.0
-    eye = np.eye(D.space_dim)
-    for i, ni in enumerate(D.n):
-        for s in range(ni):
-            for t in range(ni):
-                m = D.isometries[i][s].conj().T @ D.isometries[i][t]
-                delta = eye if s == t else 0.0 * eye
-                iso_err = max(iso_err, opnorm(p_dom @ (m - delta) @ p_dom))
-    # commutators on the two-letter window
-    inner = [w for w in D.monomials if w.total_length <= D.window_len - 1]
-    if inner:
-        idx2 = np.array([col_of[w] for w in inner], dtype=np.int64)
-        blk2 = (idx2[:, None] * e + np.arange(e)[None, :]).ravel()
-        f2 = D.frame[:, blk2]
-        q2, sv2, _ = np.linalg.svd(f2, full_matrices=False)
-        q2 = q2[:, sv2 > rank_tol * max(float(sv2[0]) if sv2.size else 0.0, 1.0)]
-        p2 = q2 @ q2.conj().T
-    else:
-        p2 = np.zeros((D.space_dim, D.space_dim))
+    for row in V:
+        for s, a in enumerate(row):
+            for t, b in enumerate(row):
+                m = a[:, :r_dom].conj().T @ b[:, :r_dom]
+                iso_err = max(iso_err, opnorm(m - np.eye(r_dom) if s == t else m))
     comm_err = 0.0
-    for i in range(len(D.n)):
-        for i2 in range(i + 1, len(D.n)):
-            for a in D.isometries[i]:
-                for b in D.isometries[i2]:
-                    comm_err = max(comm_err, opnorm((a @ b - b @ a) @ p2))
-    emb_err = float(np.max(np.abs(emb.conj().T @ emb - np.eye(D.e_dim))))
+    for i, row in enumerate(V):
+        for row2 in V[i + 1:]:
+            for a in row:
+                for b in row2:
+                    comm_err = max(comm_err, opnorm(a @ b[:, :r_in] - b @ a[:, :r_in]))
+    emb_err = float(np.max(np.abs(D.embedding.conj().T @ D.embedding - np.eye(e))))
     # minimality: the V_w E columns must span the whole space
-    span = np.concatenate([vmats_all @ emb for vmats_all in
-                           (D.word_isometry(w) for w in D.monomials)], axis=1)
-    sv = np.linalg.svd(span, compute_uv=False)
+    sv = np.linalg.svd(np.concatenate(list(cols.values()), axis=1), compute_uv=False)
     dim = int(np.count_nonzero(sv > rank_tol * max(float(sv[0]) if sv.size else 0.0, 1.0)))
     return DilationReport(
         reproduction_error=rep_err,

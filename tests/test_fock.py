@@ -9,7 +9,6 @@ from polyball.fock import (
     TruncationError,
     apply_creation,
     creation_matrix,
-    exact_window,
     monomial_indices,
     poisson_pair_table,
     word_operator,
@@ -184,16 +183,12 @@ def test_isometry_on_window_budget1():
             assert np.abs(m[sel]).max() == 0.0
 
 
-def test_exact_window_predicate():
+def test_window_mask_budgets():
     t = FockTruncation([2, 1], [3, 2])
-    win = exact_window(t, [0, 0])
-    assert win.mask.all()
-    win = exact_window(t, [1, 1])
-    assert win(multiword([[1, 2], [1]], [2, 1]))
-    assert not win(multiword([[1, 2, 1], []], [2, 1]))
-    assert win.mask.sum() == 7 * 2
+    assert t.window_mask([0, 0]).all()
+    assert t.window_mask([1, 1]).sum() == 7 * 2
     with pytest.raises(ValueError):
-        exact_window(t, [4, 0])
+        t.window_mask([4, 0])
 
 
 def test_vacuum_cyclic():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from polyball import verify
+from polyball._linalg import opnorm
 from polyball.fock import FockTruncation, FockVector, apply_creation, creation_matrix
 from polyball.naimark import (
     GeneratorError,
@@ -297,3 +300,109 @@ def test_random_psd_kernel_matches_per_word_loop(n, side):
 
     ref = _table_by_word(side, _columns_by_word(letter, e_basis, n, max_len))
     _assert_same_table(k.values, ref)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_frame_is_the_graded_cholesky_factor(rng, side):
+    """On a full-rank Gram the frame is its Cholesky factor in monomial
+    order (of the reversed kernel's Gram on the right side)."""
+    k = random_psd_kernel(rng, side, (2, 1), 2, 3)
+    g = (k.reversed() if side == "right" else k).gram()
+    d = naimark_dilate(k)
+    assert d.space_dim == g.shape[0]
+    want = scipy.linalg.cholesky(0.5 * (g + g.conj().T))
+    assert np.abs(d.frame - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_rank_one_kernel_has_one_row():
+    """The all-ones kernel (one generator, every pair comparable) has rank
+    one: only the unit column adds a row, and R* R = G."""
+    k = kernel_from_generator("left", rho_generator(1.0, 4), 4)
+    g = k.gram()
+    assert np.all(g == 1.0)
+    d = naimark_dilate(k)
+    assert d.frame.shape == (1, g.shape[0])
+    np.testing.assert_allclose(d.frame.conj().T @ d.frame, g, atol=1e-12)
+    np.testing.assert_allclose(d.isometries[0][0], [[1.0]], atol=1e-12)
+    rep = dilation_verify(d, k)
+    assert rep.max_defect < 1e-12 and rep.minimal
+
+
+def test_dependent_columns_add_no_row():
+    """A unitary on C^3 compressed to one vector: the Gram over words up to
+    length 5 has rank 3, so the three later word columns are skipped."""
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    e = (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
+    k = kernel_from_isometries("left", [[u]], e / np.linalg.norm(e), 5)
+    g = k.gram()
+    d = naimark_dilate(k)
+    assert d.space_dim == 3
+    np.testing.assert_array_equal(d.frame[:, :3], np.triu(d.frame[:, :3]))
+    np.testing.assert_allclose(d.frame.conj().T @ d.frame, g, atol=1e-12)
+    rep = dilation_verify(d, k)
+    assert rep.max_defect < 1e-10 and rep.minimal
+
+
+def _projector_defects(d, rank_tol=1e-10):
+    """The former isometry and commutator defects: orthoprojectors onto the
+    spans of the frame's window columns and of the words one shorter, by an
+    SVD rank cut."""
+    e = d.e_dim
+
+    def projector(max_len):
+        idx = [p * e + a for p, w in enumerate(d.monomials)
+               if w.total_length <= max_len for a in range(e)]
+        if not idx:
+            return np.zeros((d.space_dim, d.space_dim))
+        q, sv, _ = np.linalg.svd(d.frame[:, idx], full_matrices=False)
+        q = q[:, sv > rank_tol * max(float(sv[0]), 1.0)]
+        return q @ q.conj().T
+
+    p_dom, p2 = projector(d.window_len), projector(d.window_len - 1)
+    eye = np.eye(d.space_dim)
+    iso = max(opnorm(p_dom @ (a.conj().T @ b - (eye if s == t else 0.0 * eye)) @ p_dom)
+              for row in d.isometries
+              for s, a in enumerate(row) for t, b in enumerate(row))
+    comm = max((opnorm((a @ b - b @ a) @ p2)
+                for i, row in enumerate(d.isometries) for row2 in d.isometries[i + 1:]
+                for a in row for b in row2), default=0.0)
+    return iso, comm
+
+
+def test_prefix_defects_match_projector_formulas(rng):
+    kernels = [random_psd_kernel(rng, side, n, 2, max_len)
+               for side in ("left", "right") for n in ((2,), (2, 1), (1, 1, 2))
+               for max_len in (2, 3)]
+    # two ill-conditioned max_len-5 kernels, isometry defects 1.0e-5 and 2.9e-5
+    recipe = np.random.default_rng(14)
+    kernels += [random_psd_kernel(recipe, side, (2, 1), 2, 5) for side in ("left", "right")]
+    for k in kernels:
+        d = naimark_dilate(k)
+        rep = dilation_verify(d, k)
+        iso, comm = _projector_defects(d)
+        assert abs(rep.isometry_defect - iso) <= 1e-12
+        assert abs(rep.commutator_defect - comm) <= 1e-12
+
+
+def test_ill_conditioned_gram_keeps_isometries():
+    """An L=6 kernel whose Gram has no spectral gap (smallest eigenvalue
+    5e-11 of 1): an eigenvalue rank cut gave an isometry defect of 1.9e-2."""
+    rng = np.random.default_rng(1)
+    random_psd_kernel(rng, "left", (2, 1), 2, 5)
+    k = random_psd_kernel(rng, "left", (2, 1), 2, 6)
+    d = naimark_dilate(k)
+    assert d.space_dim == 494
+    rep = dilation_verify(d, k)
+    assert rep.isometry_defect <= 1e-7
+    assert rep.reproduction_error <= 1e-12 and rep.minimal
+
+
+def test_verify_small_seed_84_dilation_item_passes():
+    """verify --n 2,1 --degrees 3,3 --max-len 3 --seed 84: the dilation item
+    once failed with 4.7e-4 against 1e-8."""
+    cfg = verify.RunConfig(n=(2, 1), degrees=(3, 3), max_len=3, seed=84)
+    idx, fn = next((i, fn) for i, (name, fn) in enumerate(verify._IDENTITIES)
+                   if name == "naimark.dilation_reproduction")
+    _, err, tol = fn(cfg, verify._rng(cfg, idx))
+    assert err <= tol
