@@ -231,18 +231,8 @@ class FockOperator:
     def dense(self) -> np.ndarray:
         return np.asarray(self.matrix)
 
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.trunc, self.dense().conj().T, self.coeff_dim)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.dense(), 2))
-
-    def compressed(self, mask: np.ndarray) -> np.ndarray:
-        """Dense matrix restricted to the window rows/columns (mask over the
-        space index, tensored with the full coefficient space)."""
-        full = np.repeat(mask, self.coeff_dim)
-        m = self.dense()
-        return m[np.ix_(full, full)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Positive semi-definite multi-Toeplitz kernels on products of free
 semigroups and their constructive Naimark dilations at finite word length.
 
-A left kernel is constant along left-comparability quotients; its Gram matrix
-over all multiwords of total length <= L is Cholesky-factored in the graded
-word order, a numerically dependent word column adding no row, and the row
-isometries act by prepending a generator to the indexing word.  Since shorter
-words come first, the window words span a coordinate prefix of the factor
-space, on which the isometries are one triangular solve.  Right kernels
-are dilated through the reversal reduction.  All dilation identities carry a
-window qualifier: they are exact on words of total length <= L - 1.
+A kernel is held as its Gram matrix over all multiwords of total length <= L,
+in graded monomial order.  A left kernel is constant along left-comparability
+quotients; its Gram matrix is Cholesky-factored in that order, a numerically
+dependent word column adding no row, and the row isometries act by prepending
+a generator to the indexing word.  Since shorter words come first, the window
+words span a coordinate prefix of the factor space, on which the isometries
+are one triangular solve.  Right kernels are dilated through the reversal
+reduction.  All dilation identities carry a window qualifier: they are exact
+on words of total length <= L - 1.
 
 The kernel of commuting row isometries V compressed to a subspace E is read
 off the columns V_w E; ``word_columns`` builds them, for dense matrices and
-matrix-free actions alike, and ``kernel_from_columns`` tabulates the kernel.
+matrix-free actions alike, and ``kernel_from_columns`` forms the kernel's Gram.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from ._linalg import min_eig_hermitian, opnorm
 from .words import (
     MultiWord,
+    ShapeMismatchError,
     Side,
     Word,
     compare,
@@ -45,55 +47,55 @@ class GeneratorError(ValueError):
     pass
 
 
-KernelKey = tuple[MultiWord, MultiWord]
-
-
 class ToeplitzKernel:
-    """Kernel table over multiword pairs of total length <= max_len each."""
+    """Kernel over the multiwords of total length <= max_len, held as its Gram
+    matrix: block (p, q) of the (M e) x (M e) array is the entry at
+    (monomials[p], monomials[q]), the M monomials in graded order."""
 
     def __init__(self, side: Side, n: Sequence[int], e_dim: int, max_len: int,
-                 values: Mapping[KernelKey, np.ndarray]):
+                 gram: np.ndarray):
         self.side: Side = side
         self.n = tuple(int(x) for x in n)
         self.e_dim = int(e_dim)
         self.max_len = int(max_len)
         self.monomials = multiwords_up_to_total(self.n, self.max_len)
-        self.values = {k: np.asarray(v, dtype=complex) for k, v in values.items()}
+        self._position = {w: p for p, w in enumerate(self.monomials)}
+        self._gram = np.asarray(gram, dtype=complex)
+        if self._gram.shape != (len(self.monomials) * self.e_dim,) * 2:
+            raise ShapeMismatchError(f"Gram shape {self._gram.shape} does not fit the monomials")
 
     def value(self, s: MultiWord, w: MultiWord) -> np.ndarray:
-        return self.values.get((s, w), np.zeros((self.e_dim, self.e_dim), dtype=complex))
+        """The entry at (s, w), zero when a word is not a monomial."""
+        p, q, e = self._position.get(s), self._position.get(w), self.e_dim
+        if p is None or q is None:
+            return np.zeros((e, e), dtype=complex)
+        return self._gram[p * e : (p + 1) * e, q * e : (q + 1) * e]
 
     def gram(self) -> np.ndarray:
-        m = len(self.monomials)
-        e = self.e_dim
-        g = np.zeros((m * e, m * e), dtype=complex)
-        for p, s in enumerate(self.monomials):
-            for q, w in enumerate(self.monomials):
-                g[p * e : (p + 1) * e, q * e : (q + 1) * e] = self.value(s, w)
-        return g
+        return self._gram
 
     def reversed(self) -> "ToeplitzKernel":
         """Reverse every word; swaps the left and right kernel classes."""
         other: Side = "left" if self.side == "right" else "right"
-        vals = {(s.reverse(), w.reverse()): v for (s, w), v in self.values.items()}
-        return ToeplitzKernel(other, self.n, self.e_dim, self.max_len, vals)
+        perm = np.array([self._position[w.reverse()] for w in self.monomials])
+        idx = (perm[:, None] * self.e_dim + np.arange(self.e_dim)).ravel()
+        return ToeplitzKernel(other, self.n, self.e_dim, self.max_len, self._gram[np.ix_(idx, idx)])
 
     def max_difference(self, other: "ToeplitzKernel") -> float:
-        keys = set(self.values) | set(other.values)
-        return max(
-            (float(np.max(np.abs(self.value(*k) - other.value(*k)))) for k in keys),
-            default=0.0,
-        )
+        a, b = ((k.n, k.e_dim, k.max_len) for k in (self, other))
+        if a != b:
+            raise ShapeMismatchError(f"kernel (n, e_dim, max_len) differ: {a} vs {b}")
+        return float(np.max(np.abs(self._gram - other._gram)))
 
 
-def kernel_from_generator(side: Side, gen: Mapping[KernelKey, np.ndarray],
+def kernel_from_generator(side: Side, gen: Mapping[tuple[MultiWord, MultiWord], np.ndarray],
                           max_len: int,
                           default: np.ndarray | None = None,
                           require_unit: bool = True) -> ToeplitzKernel:
-    """Fill the full kernel table from values on the quotient index pairs.
+    """Fill the kernel's Gram from values on the quotient index pairs.
 
     ``gen`` maps coefficient index pairs (both-sided words, per factor one of
-    them the unit) to matrices; the table entry at (s, w) is the generator
+    them the unit) to matrices; the entry at (s, w) is the generator
     value at the comparability quotients, zero when incomparable.  The unit
     value must be the identity (unless ``require_unit`` is off, for kernels
     attached to functions whose constant coefficient is not normalized) and
@@ -105,12 +107,11 @@ def kernel_from_generator(side: Side, gen: Mapping[KernelKey, np.ndarray],
         raise GeneratorError(f"kernel side must be 'left' or 'right', got {side!r}")
     if max_len < 1:
         raise GeneratorError(f"kernel max_len must be >= 1, got {max_len}")
-    items = list(gen.items())
-    if not items:
+    if not gen:
         raise GeneratorError("empty generator")
-    n = items[0][0][0].n
-    e = items[0][1].shape[0] if hasattr(items[0][1], "shape") else np.asarray(items[0][1]).shape[0]
     gen = {k: np.asarray(v, dtype=complex) for k, v in gen.items()}
+    first = next(iter(gen))
+    n, e = first[0].n, gen[first].shape[0]
     gident = identity_multiword(n)
     unit = gen.get((gident, gident))
     if require_unit and (unit is None or np.max(np.abs(unit - np.eye(e))) > 1e-10):
@@ -123,11 +124,10 @@ def kernel_from_generator(side: Side, gen: Mapping[KernelKey, np.ndarray],
             raise GeneratorError(f"generator missing the adjoint partner of ({a!r}; {b!r})")
         if np.max(np.abs(partner - v.conj().T)) > 1e-10:
             raise GeneratorError(f"generator is not Hermitian at ({a!r}; {b!r})")
-    values: dict[KernelKey, np.ndarray] = {}
     monos = multiwords_up_to_total(n, max_len)
-    zero = np.zeros((e, e), dtype=complex)
-    for s in monos:
-        for w in monos:
+    g = np.zeros((len(monos), e, len(monos), e), dtype=complex)
+    for p, s in enumerate(monos):
+        for q, w in enumerate(monos):
             c = compare(side, s, w)
             if not c.comparable:
                 continue
@@ -136,8 +136,8 @@ def kernel_from_generator(side: Side, gen: Mapping[KernelKey, np.ndarray],
             if v is None:
                 raise GeneratorError(f"missing generator value at {key!r}")
             if np.any(v != 0):
-                values[(s, w)] = v
-    return ToeplitzKernel(side, n, e, max_len, values)
+                g[p, :, q] = v
+    return ToeplitzKernel(side, n, e, max_len, g.reshape(len(monos) * e, -1))
 
 
 def word_columns(letter: Callable[[int, int, np.ndarray], np.ndarray],
@@ -163,17 +163,15 @@ def word_columns(letter: Callable[[int, int, np.ndarray], np.ndarray],
 
 def kernel_from_columns(side: Side, n: Sequence[int], max_len: int,
                         cols: Mapping[MultiWord, np.ndarray]) -> ToeplitzKernel:
-    """Kernel table (V_s E)* (V_w E) of ``word_columns`` output, stored at
-    (s, w) on the left side and at the reversed pair (s~, w~) on the right."""
-    values: dict[KernelKey, np.ndarray] = {}
-    for s, cs in cols.items():
-        cs_h = cs.conj().T
-        for w, cw in cols.items():
-            v = cs_h @ cw
-            key = (s.reverse(), w.reverse()) if side == "right" else (s, w)
-            if np.max(np.abs(v)) > 0:
-                values[key] = v
-    return ToeplitzKernel(side, n, next(iter(cols.values())).shape[1], max_len, values)
+    """Kernel of ``word_columns`` output: (V_s E)* (V_w E) at (s, w) on the left
+    side and at (s~, w~) on the right.  Each Gram block is its own product of
+    the columns stacked in monomial order, all in one batched matmul."""
+    c = np.stack([cols[w] for w in multiwords_up_to_total(n, max_len)])
+    m, _, e = c.shape
+    blocks = np.matmul(c.conj().transpose(0, 2, 1)[:, None], c[None])
+    blocks[~blocks.any(axis=(2, 3))] = 0  # a zero block may hold -0.0; keep the Gram's +0
+    left = ToeplitzKernel("left", n, e, max_len, blocks.transpose(0, 2, 1, 3).reshape(m * e, -1))
+    return left.reversed() if side == "right" else left
 
 
 def kernel_from_isometries(side: Side, V: Sequence[Sequence[np.ndarray]],
@@ -284,9 +282,8 @@ def naimark_dilate(K: ToeplitzKernel, rank_tol: float = 1e-10) -> NaimarkDilatio
     e, monos, L = work.e_dim, work.monomials, work.max_len
     rank = frame.shape[0]
     dom = piv[: np.searchsorted(piv, sum(w.total_length < L for w in monos) * e)]
-    col_of = {mw: p for p, mw in enumerate(monos)}
     # per letter (i, j), the column of each window pivot's word with j prepended in factor i
-    shifted = np.array([[col_of[_prepend(monos[p // e], i, j)] * e + p % e for p in dom]
+    shifted = np.array([[work._position[_prepend(monos[p // e], i, j)] * e + p % e for p in dom]
                         for i, ni in enumerate(work.n) for j in range(1, ni + 1)], dtype=np.int64)
     # every letter's R[:, shifted] stacked, times T^-1 in one solve
     x = frame[:, shifted].transpose(1, 0, 2).reshape(-1, dom.size)
@@ -327,22 +324,18 @@ def dilation_verify(D: NaimarkDilation, K: ToeplitzKernel,
     """Reproduction, window isometry, cross-factor commutation, minimality.
 
     Everything is read from the columns V_w E.  Reproduction compares their
-    Gram over the window words with the kernel's (a right kernel's entry at
-    the reversed pair).  The isometry relations are checked on the span of
-    the window columns and the commutators on that of the words one shorter;
+    Gram over the window words, the leading monomials, with the leading
+    square of the kernel's Gram (of the reversed kernel on the right side).
+    The isometry relations are checked on the span of the window columns
+    and the commutators on that of the words one shorter;
     in the graded frame these spans are the coordinate prefixes holding the
     pivot rows of those columns.
     """
     L, e, V = D.window_len, D.e_dim, D.isometries
     cols = D.columns
-    window = [w for w in D.monomials if w.total_length <= L]
-    c = np.concatenate([cols[w] for w in window], axis=1)
-    pos = {w.reverse() if K.side == "right" else w: p for p, w in enumerate(window)}
-    want = np.zeros((len(window), e, len(window), e), dtype=complex)
-    for (s, w), v in K.values.items():
-        if s in pos and w in pos:
-            want[pos[s], :, pos[w]] = v
-    rep_err = float(np.abs(c.conj().T @ c - want.reshape(c.shape[1], -1)).max())
+    c = np.concatenate([cols[w] for w in D.monomials if w.total_length <= L], axis=1)
+    want = (K.reversed() if K.side == "right" else K).gram()[: c.shape[1], : c.shape[1]]
+    rep_err = float(np.abs(c.conj().T @ c - want).max())
 
     def prefix(length: int) -> int:
         ncols = sum(w.total_length <= length for w in D.monomials) * e

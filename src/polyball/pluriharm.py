@@ -55,10 +55,6 @@ class PluriharmonicFunction:
         g = identity_multiword(self.n)
         return self.symbol.coeff(g, g)
 
-    def imaginary_part_at_zero(self) -> np.ndarray:
-        a = self.constant_coefficient()
-        return (a - a.conj().T) / 2j
-
     @staticmethod
     def constant(n: Iterable[int], matrix) -> "PluriharmonicFunction":
         return PluriharmonicFunction(MultiToeplitzSymbol.constant(n, matrix))

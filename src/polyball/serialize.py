@@ -114,8 +114,11 @@ def point_from_json(data) -> PolyballPoint:
 
 
 def kernel_to_json(K: ToeplitzKernel) -> dict[str, Any]:
-    from .words import lambda_membership
-
+    """The generator: the nonzero entries at monomial pairs of disjoint supports."""
+    m, e = len(K.monomials), K.e_dim
+    support = np.array([[len(p) for p in w.parts] for w in K.monomials]) > 0
+    nonzero = K.gram().reshape(m, e, m, e).any(axis=(1, 3))
+    pairs = np.argwhere(nonzero & ~(support @ support.T))
     gen = [
         {
             "alpha": multiword_to_json(a),
@@ -123,7 +126,7 @@ def kernel_to_json(K: ToeplitzKernel) -> dict[str, Any]:
             "matrix": matrix_to_json(K.value(a, b)),
         }
         for (a, b) in sorted(
-            (k for k in K.values if lambda_membership(*k)),
+            ((K.monomials[p], K.monomials[q]) for p, q in pairs),
             key=lambda k: (multiword_to_json(k[0]), multiword_to_json(k[1])),
         )
     ]

@@ -68,9 +68,6 @@ class MultiToeplitzSymbol:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def support_total_length(self) -> int:
-        return max((a.total_length + b.total_length for a, b in self.coeffs), default=0)
-
     def scaled(self, r: float) -> "MultiToeplitzSymbol":
         """Coefficientwise r^(|a|+|b|) scaling: the symbol of the r-scaled
         function.  The only place the package computes this scaling."""

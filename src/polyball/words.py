@@ -83,9 +83,6 @@ class MultiWord:
     def is_identity(self) -> bool:
         return all(w.is_identity for w in self.parts)
 
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.parts)
-
     def reverse(self) -> "MultiWord":
         return MultiWord(tuple(w.reverse() for w in self.parts))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from polyball import verify
+from polyball import serialize, verify
 from polyball._linalg import opnorm
 from polyball.fock import FockTruncation, FockVector, apply_creation, creation_matrix
 from polyball.naimark import (
@@ -18,7 +18,13 @@ from polyball.naimark import (
     word_columns,
 )
 from polyball.sampling import random_non_psd_kernel, random_psd_kernel
-from polyball.words import identity_multiword, multiword, multiwords_up_to_total
+from polyball.words import (
+    ShapeMismatchError,
+    identity_multiword,
+    lambda_membership,
+    multiword,
+    multiwords_up_to_total,
+)
 
 
 def delta_generator(n, e=1):
@@ -248,6 +254,14 @@ def _assert_same_table(values, ref):
         np.testing.assert_array_equal(values[key], v)
 
 
+def _assert_kernel_is_table(k, ref):
+    """Every monomial pair's entry equals the table's, zero off the table."""
+    zero = np.zeros((k.e_dim, k.e_dim))
+    for s in k.monomials:
+        for w in k.monomials:
+            np.testing.assert_array_equal(k.value(s, w), ref.get((s, w), zero))
+
+
 @pytest.mark.parametrize("action", ["dense", "matrix-free"])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n", [(2, 1), (1, 1, 2)])
@@ -275,9 +289,9 @@ def test_word_columns_match_per_word_loop(n, side, action):
     k = kernel_from_columns(side, n, max_len, cols)
     assert (k.side, k.n, k.e_dim, k.max_len) == (side, n, 2, max_len)
     table = _table_by_word(side, ref)
-    _assert_same_table(k.values, table)
+    _assert_kernel_is_table(k, table)
     if action == "dense":
-        _assert_same_table(kernel_from_isometries(side, V, e_basis, max_len).values, table)
+        _assert_kernel_is_table(kernel_from_isometries(side, V, e_basis, max_len), table)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -299,7 +313,71 @@ def test_random_psd_kernel_matches_per_word_loop(n, side):
         return apply_creation(t, "left", i, j, False, FockVector(t, m)).amplitudes
 
     ref = _table_by_word(side, _columns_by_word(letter, e_basis, n, max_len))
-    _assert_same_table(k.values, ref)
+    _assert_kernel_is_table(k, ref)
+
+
+@pytest.mark.parametrize("source", ["generator", "columns"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gram_layout(rng, side, source):
+    """Block (p, q) of the Gram is the entry at (monomials[p], monomials[q]);
+    reversal moves it to the reversed words and undoes itself bit for bit."""
+    k = random_psd_kernel(rng, side, (2, 1), 2, 3)
+    if source == "generator":
+        k = serialize.kernel_from_json(serialize.kernel_to_json(k))
+    g, e, r = k.gram(), k.e_dim, k.reversed()
+    assert r.side != k.side
+    for p, s in enumerate(k.monomials):
+        for q, w in enumerate(k.monomials):
+            np.testing.assert_array_equal(g[p * e:(p + 1) * e, q * e:(q + 1) * e], k.value(s, w))
+            np.testing.assert_array_equal(r.value(s.reverse(), w.reverse()), k.value(s, w))
+    rr = r.reversed()
+    assert rr.side == k.side and rr.gram().tobytes() == g.tobytes()
+
+
+def test_value_is_zero_beyond_max_len():
+    k = kernel_from_generator("left", rho_generator(0.6, 2), 2)
+    g, w2, w3 = (multiword([[1] * m], [1]) for m in (0, 2, 3))
+    assert k.value(g, w2)[0, 0] == pytest.approx(0.36)
+    for s, w in ((w3, g), (g, w3), (w3, w3)):
+        np.testing.assert_array_equal(k.value(s, w), np.zeros((1, 1)))
+
+
+def test_max_difference_refuses_other_words():
+    """n=(2,) and n=(1,1) at max_len 1 have Grams of one size over different
+    words, so their difference means nothing."""
+    a = kernel_from_generator("left", delta_generator([2]), 1, default=np.zeros((1, 1)))
+    b = kernel_from_generator("left", delta_generator([1, 1]), 1, default=np.zeros((1, 1)))
+    assert a.gram().shape == b.gram().shape
+    with pytest.raises(ShapeMismatchError):
+        a.max_difference(b)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_kernel_to_json_lists_the_nonzero_lambda_blocks(side):
+    """The serialized generator is exactly the per-pair table's nonzero
+    entries at coefficient index pairs, in sorted order."""
+    n, max_len = (2, 1), 3
+    t = FockTruncation(n, [max_len + 2] * len(n))
+    V = [[creation_matrix(t, "left", i, j) for j in range(1, ni + 1)]
+         for i, ni in enumerate(n, start=1)]
+    low = [t.basis_index(w) for w in multiwords_up_to_total(n, 1)]
+    raw = np.zeros((t.dim, 2), dtype=complex)
+    raw[low] = np.random.default_rng(7).standard_normal((len(low), 2))
+    e_basis = np.linalg.qr(raw)[0]
+    table = _table_by_word(side, _columns_by_word(lambda i, j, m: V[i - 1][j - 1] @ m,
+                                                  e_basis, n, max_len))
+    k = kernel_from_isometries(side, V, e_basis, max_len)
+    gen = serialize.kernel_to_json(k)["generator"]
+    got = [(serialize.multiword_from_json(x["alpha"], n), serialize.multiword_from_json(x["beta"], n))
+           for x in gen]
+    want = [key for key in table if lambda_membership(*key)]
+    lambda_pairs = sum(lambda_membership(s, w) for s in k.monomials for w in k.monomials)
+    assert 0 < len(want) < lambda_pairs  # some coefficient index pairs hold zero
+    assert len(got) == len(want) and set(got) == set(want)
+    assert got == sorted(got, key=lambda ab: (serialize.multiword_to_json(ab[0]),
+                                              serialize.multiword_to_json(ab[1])))
+    for x, key in zip(gen, got):
+        np.testing.assert_array_equal(serialize.matrix_from_json(x["matrix"], 2), table[key])
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
