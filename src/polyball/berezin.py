@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg as la
-from .fock import FockOperator, FockTruncation, creation_matrix, poisson_pair_table
+from .fock import FockOperator, FockTruncation, creation_matrix, pair_operator
 from .words import MultiWord, Side, Word, lambda_pairs_within_degrees
 
 
@@ -111,12 +111,14 @@ class PolyballPoint:
 
 def creation_point(trunc: FockTruncation, r: float = 1.0, side: Side = "left") -> PolyballPoint:
     """The truncated creation tuple r*S (or r*R) as a polyball point."""
-    return PolyballPoint(
+    point = PolyballPoint(
         [
-            [r * creation_matrix(trunc, side, i, j) for j in range(1, ni + 1)]
+            [creation_matrix(trunc, side, i, j) for j in range(1, ni + 1)]
             for i, ni in enumerate(trunc.n, start=1)
         ]
     )
+    # scaling by 1 would only write every (untouched, zero) page of the letters
+    return point if r == 1.0 else point.scaled(r)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +431,8 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
         raise DivergenceError(
             f"tail bound {tail:.3e} exceeds requested tolerance {require_tail:.3e}"
         )
-    h = X.h_dim
     pairs = lambda_pairs_within_degrees(trunc.n, trunc.degrees)
     mono = {w: X.monomial(w) for w in set().union(*pairs)}
     xm = np.stack([mono[a] @ mono[b].conj().T for a, b in pairs])
-    pid, src, dst = poisson_pair_table(trunc, side)
-    out = np.zeros((trunc.dim * h, trunc.dim * h), dtype=complex)
-    out4 = out.reshape(trunc.dim, h, trunc.dim, h)
-    # one scatter: no cell repeats, and adding onto zeros keeps every bit
-    # (signed zeros included) of the pair-by-pair sum
-    out4[dst, :, src, :] += xm[pid]
-    op = FockOperator(trunc, out, coeff_dim=h)
+    op = pair_operator(trunc, side, np.arange(len(pairs)), xm)
     return PoissonKernelResult(op, tail, fact_bound)

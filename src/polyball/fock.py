@@ -15,12 +15,18 @@ over q < p and rank(w) reads the letters minus one as base-n_i digits, first
 letter most significant.  Stripping a head of length m is a divmod by
 n_i^(p - m), stripping a tail a divmod by n_i^m, and attaching a word at
 either end the matching multiply-add, so every index map is a few vectorized
-operations on the per-factor rank array.  The Poisson-kernel pairing at a
-coefficient index pair (a, b) is the monomial at (b~, a~), ~ the reversal.
+operations on the per-factor rank array.
+
+Sums over coefficient index pairs (a symbol's monomials, the Poisson
+kernel's pairings) scatter from one table per truncation and side,
+``FockTruncation.pair_table``: its pairing at the lambda pair (a, b) is the
+monomial at (b~, a~), ~ the reversal.  ``monomial_indices`` serves single
+word monomials, lambda pairs or not.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +77,7 @@ class FockTruncation:
         self._strides = tuple(
             int(np.prod(self.factor_dims[i + 1 :])) for i in range(self.k)
         )
+        self._pair_tables: dict[Side, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- indexing -----------------------------------------------------------
 
@@ -185,6 +192,51 @@ class FockTruncation:
             src_flat += grids[i].astype(np.int64) * self._strides[i]
         return src_flat[valid].ravel(), tgt_flat[valid].ravel()
 
+    # -- lambda-pair table -----------------------------------------------------
+
+    def pair_id(self, a: MultiWord, b: MultiWord) -> int:
+        """Position of the lambda pair (a, b) in ``lambda_pairs_within_degrees``;
+        -1 when a word is longer than its degree."""
+        pid = 0
+        for i, (ai, bi) in enumerate(zip(a.parts, b.parts)):
+            if not (ai.is_identity or bi.is_identity):
+                raise ValueError(f"({a!r}; {b!r}) is not a lambda pair")
+            if len(ai) > self.degrees[i] or len(bi) > self.degrees[i]:
+                return -1
+            # per factor: (w, e) at the index of w, then (e, w) for w nonempty
+            dim = self.factor_dims[i]
+            w, shift = (ai, 0) if bi.is_identity else (bi, dim - 1)
+            pid = pid * (2 * dim - 1) + int(self._offset[i][len(w)]) + _rank(w) + shift
+        return pid
+
+    def pair_table(self, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pair id, source, target) of every cell of the pairings: at the
+        lambda pair (a, b) the monomial at (b~, a~), ids in
+        ``lambda_pairs_within_degrees`` order.  Built on first use per side.
+
+        Per factor, one ``_shift_map`` per single-factor pair; a multiword
+        pair's cells are the product of its factors' cells, combined with the
+        strides.  No (target, source) cell occurs twice: per factor, source
+        and target determine the stripped and the attached word."""
+        if side in self._pair_tables:
+            return self._pair_tables[side]
+        pid = src = dst = np.zeros(1, dtype=np.int64)
+        for i, (ni, di, dim) in enumerate(zip(self.n, self.degrees, self.factor_dims), start=1):
+            cells = []
+            pairs = factor_lambda_pairs(ni, di)
+            for p, (a, b) in enumerate(pairs):
+                if side == "left":
+                    a, b = a.reverse(), b.reverse()
+                m = self._shift_map(i, a, b, side)
+                s = np.flatnonzero(m >= 0)
+                cells.append((np.full(s.size, p, dtype=np.int64), s, m[s]))
+            p_i, s_i, t_i = (np.concatenate(c) for c in zip(*cells))
+            pid = (pid[:, None] * len(pairs) + p_i).ravel()
+            src = (src[:, None] * dim + s_i).ravel()
+            dst = (dst[:, None] * dim + t_i).ravel()
+        self._pair_tables[side] = pid, src, dst
+        return pid, src, dst
+
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, degrees={self.degrees}, dim={self.dim})"
 
@@ -283,29 +335,25 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     return trunc.product_map(maps)
 
 
-def poisson_pair_table(trunc: FockTruncation,
-                       side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pair id, source, target) of every cell of the Poisson-kernel pairings,
-    the monomials at (b~, a~) over ``lambda_pairs_within_degrees``, ids in
-    that order.  Per factor, one ``_shift_map`` per single-factor pair; a
-    multiword pair's cells are the product of its factors' cells, combined
-    with the strides.  No (target, source) cell occurs twice: per factor,
-    source and target determine the stripped and the attached word."""
-    pid = src = dst = np.zeros(1, dtype=np.int64)
-    for i, (ni, di, dim) in enumerate(zip(trunc.n, trunc.degrees, trunc.factor_dims), start=1):
-        cells = []
-        pairs = factor_lambda_pairs(ni, di)
-        for p, (a, b) in enumerate(pairs):
-            if side == "left":
-                a, b = a.reverse(), b.reverse()
-            m = trunc._shift_map(i, a, b, side)
-            s = np.flatnonzero(m >= 0)
-            cells.append((np.full(s.size, p, dtype=np.int64), s, m[s]))
-        p_i, s_i, t_i = (np.concatenate(c) for c in zip(*cells))
-        pid = (pid[:, None] * len(pairs) + p_i).ravel()
-        src = (src[:, None] * dim + s_i).ravel()
-        dst = (dst[:, None] * dim + t_i).ravel()
-    return pid, src, dst
+def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
+                  blocks: np.ndarray) -> FockOperator:
+    """Sum of blocks[j] (x) the pairing at pair id pids[j], as an explicit
+    dense matrix; ids of -1 (pairs off the box) contribute nothing.
+
+    The ids must be distinct.  Then no cell is hit twice, so one scatter
+    onto zeros keeps every bit (signed zeros included) of the pair-by-pair
+    sum."""
+    e = blocks.shape[1]
+    slot = np.full(math.prod(2 * d - 1 for d in trunc.factor_dims), -1, dtype=np.int64)
+    keep = pids >= 0
+    slot[pids[keep]] = np.flatnonzero(keep)
+    pid, src, dst = trunc.pair_table(side)
+    cell_slot = slot[pid]
+    hit = cell_slot >= 0
+    out = np.zeros((trunc.dim * e, trunc.dim * e), dtype=complex)
+    out4 = out.reshape(trunc.dim, e, trunc.dim, e)
+    out4[dst[hit], :, src[hit], :] += blocks[cell_slot[hit]]
+    return FockOperator(trunc, out, coeff_dim=e)
 
 
 def word_operator(trunc: FockTruncation, a: MultiWord, b: MultiWord,

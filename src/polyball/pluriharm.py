@@ -222,12 +222,6 @@ class CbMapData:
     def to_symbol(self) -> MultiToeplitzSymbol:
         return MultiToeplitzSymbol(self.n, self.e_dim, self.values)
 
-    def selfadjoint_defect(self) -> float:
-        worst = 0.0
-        for (a, b), v in self.values.items():
-            worst = max(worst, float(np.max(np.abs(v - self.value(b, a).conj().T))))
-        return worst
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod

@@ -107,6 +107,17 @@ def random_hermitian_symbol(rng: np.random.Generator, n, e_dim: int,
     return sym
 
 
+def random_embedding(rng: np.random.Generator, trunc: FockTruncation,
+                     e_dim: int) -> np.ndarray:
+    """Random isometric embedding of C^e_dim into the span of the basis words
+    of total length <= 1: the Q factor of a random draw on those rows."""
+    low = [trunc.basis_index(w) for w in multiwords_up_to_total(trunc.n, 1)]
+    raw = np.zeros((trunc.dim, e_dim), dtype=complex)
+    raw[low, :] = _rand_complex(rng, len(low), e_dim)
+    q, _ = np.linalg.qr(raw)
+    return q[:, :e_dim]
+
+
 def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
                       max_len: int) -> ToeplitzKernel:
     """Genuinely PSD multi-Toeplitz kernel: compression of the left creation
@@ -117,11 +128,7 @@ def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
     n = tuple(n)
     depth = max_len + 2
     trunc = FockTruncation(n, [depth] * len(n))
-    low = [trunc.basis_index(w) for w in multiwords_up_to_total(n, 1)]
-    raw = np.zeros((trunc.dim, e_dim), dtype=complex)
-    raw[low, :] = _rand_complex(rng, len(low), e_dim)
-    q, _ = np.linalg.qr(raw)
-    e_basis = q[:, :e_dim]
+    e_basis = random_embedding(rng, trunc, e_dim)
 
     def letter(i: int, j: int, m: np.ndarray) -> np.ndarray:
         return apply_creation(trunc, "left", i, j, False, FockVector(trunc, m)).amplitudes

@@ -5,7 +5,8 @@ compressions by right-creation letters, factor by factor; it is determined by
 its Fourier symbol, a finitely supported matrix-valued map on the index pairs
 where per factor at least one word is the unit.  This module provides the
 membership test, coefficient extraction, and symbol evaluation both at
-polyball points and back at the truncated creation tuple.
+polyball points and back at the truncated creation tuple, where the symbol's
+monomials scatter from the truncation's lambda-pair table (``fock``).
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ import numpy as np
 
 from ._linalg import opnorm
 from .berezin import PolyballPoint
-from .fock import FockOperator, FockTruncation, monomial_indices
+from .fock import FockOperator, FockTruncation, pair_operator
 from .words import (
     MultiWord,
     Side,
-    Word,
-    _strip_prefix,
-    empty_word,
+    compare,
     identity_multiword,
     lambda_membership,
     lambda_pairs_up_to_total,
@@ -192,24 +191,17 @@ def evaluate_symbol(sym: MultiToeplitzSymbol, X: PolyballPoint) -> np.ndarray:
 def symbol_operator(sym: MultiToeplitzSymbol, trunc: FockTruncation,
                     r: float = 1.0, side: Side = "left") -> FockOperator:
     """Evaluate the symbol at the scaled truncated creation tuple, i.e. the
-    r-scaled symbol at the creations.
-
-    Assembled monomial by monomial as exact compressions, so the result is
-    the compression of the untruncated operator; equivalent to (but cheaper
-    than) evaluate_symbol at the creation point.
-    """
+    r-scaled symbol at the creations: the exact compression of the
+    untruncated operator, equivalent to (but cheaper than) evaluate_symbol at
+    the creation point.  The monomial at a key (a, b) is the pairing at the
+    lambda pair (b~, a~), so the sum is one scatter from the pair table."""
     if trunc.n != sym.n:
         raise ValueError(f"truncation shape {trunc.n} does not match symbol shape {sym.n}")
-    e = sym.e_dim
-    nmat = trunc.dim * e
-    out = np.zeros((nmat, nmat), dtype=complex)
-    out4 = out.reshape(trunc.dim, e, trunc.dim, e)
-    for (a, b), c in sym.scaled(r).items():
-        src, dst = monomial_indices(trunc, a, b, side)
-        if src.size == 0:
-            continue
-        out4[dst, :, src, :] += c[None, :, :]
-    return FockOperator(trunc, out, coeff_dim=e)
+    coeffs = sym.scaled(r).coeffs
+    pids = np.array([trunc.pair_id(b.reverse(), a.reverse()) for a, b in coeffs],
+                    dtype=np.int64)
+    blocks = np.array(list(coeffs.values())).reshape(len(coeffs), sym.e_dim, sym.e_dim)
+    return pair_operator(trunc, side, pids, blocks)
 
 
 def creation_pair_symbol(p: Mapping[MultiWord, complex],
@@ -226,26 +218,10 @@ def creation_pair_symbol(p: Mapping[MultiWord, complex],
     acc: dict[SymbolKey, complex] = {}
     for u, cu in p.items():
         for v, cv in q.items():
-            parts_a: list[Word] = []
-            parts_b: list[Word] = []
-            dead = False
-            for ui, vi in zip(u.parts, v.parts):
-                t = _strip_prefix(vi, ui)
-                if t is not None:
-                    parts_a.append(t)
-                    parts_b.append(empty_word(ui.n))
-                    continue
-                t = _strip_prefix(ui, vi)
-                if t is not None:
-                    parts_a.append(empty_word(ui.n))
-                    parts_b.append(t)
-                    continue
-                dead = True
-                break
-            if dead:
-                continue
-            key = (MultiWord(tuple(parts_a)), MultiWord(tuple(parts_b)))
-            acc[key] = acc.get(key, 0.0) + np.conj(cu) * cv
+            c = compare("left", v, u)
+            if c.comparable:
+                key = (c.c_plus, c.c_minus)
+                acc[key] = acc.get(key, 0.0) + np.conj(cu) * cv
     for (a, b), val in acc.items():
         if val != 0:
             sym[a, b] = np.array([[val]], dtype=complex)

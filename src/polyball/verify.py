@@ -8,6 +8,7 @@ configured seed, so reports are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .pluriharm import (
 )
 from .sampling import (
     random_creation_polynomial,
+    random_embedding,
     random_hermitian_symbol,
     random_nilpotent_point,
     random_non_psd_kernel,
@@ -78,8 +80,8 @@ class RunConfig:
             raise ValueError("each factor needs at least one generator")
         if any(d < 1 for d in self.degrees):
             raise ValueError("degenerate truncation: every degree must be >= 1")
-        if self.tol <= 0 or self.rank_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol, self.rank_tol)):
+            raise ValueError("tolerances must be finite and positive")
         if any(not (0.0 <= r < 1.0) for r in self.r_grid):
             raise ValueError("r grid must lie in [0, 1)")
         if self.max_len < 1:
@@ -337,10 +339,7 @@ def _id_berezin_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 def _id_berezin_factorization(cfg: RunConfig, rng) -> tuple[str, float, float]:
     trunc = FockTruncation(cfg.n, cfg.degrees)
-    rmats = [
-        [creation_matrix(trunc, "right", i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(trunc.n, 1)
-    ]
+    rmats = creation_point(trunc, side="right").X
     worst = 0.0
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.5)
@@ -414,15 +413,8 @@ def _id_schur(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 def _id_structure_positive(cfg: RunConfig, rng) -> tuple[str, float, float]:
     trunc = FockTruncation(cfg.n, [2 * cfg.max_len] * len(cfg.n))
-    v = [
-        [creation_matrix(trunc, "right", i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(trunc.n, 1)
-    ]
-    low = [trunc.basis_index(w) for w in multiwords_up_to_total(trunc.n, 1)]
-    raw = np.zeros((trunc.dim, 2), dtype=complex)
-    raw[low, :] = rng.standard_normal((len(low), 2)) + 1j * rng.standard_normal((len(low), 2))
-    q, _ = np.linalg.qr(raw)
-    f = from_row_isometries(v, q[:, :2], cfg.max_len)
+    v = creation_point(trunc, side="right").X
+    f = from_row_isometries(v, random_embedding(rng, trunc, 2), cfg.max_len)
     rep = schur_positivity(f, cfg.r_grid, cfg.max_len, cfg.tol)
     worst = 0.0 if (rep.positive and rep.all_agree) else 1.0
     worst = max(worst, max(-min(p.operator_min_eig, p.gram_min_eig) for p in rep.points))
@@ -434,15 +426,8 @@ def _id_poisson_transform_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
     cap = 2 * (h_dim - 1)  # point monomials vanish beyond the nilpotency index
     depth = cap + 1
     trunc = FockTruncation(cfg.n, [depth] * len(cfg.n))
-    v = [
-        [creation_matrix(trunc, "right", i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(trunc.n, 1)
-    ]
-    low = [trunc.basis_index(w) for w in multiwords_up_to_total(trunc.n, 1)]
-    raw = np.zeros((trunc.dim, 2), dtype=complex)
-    raw[low, :] = rng.standard_normal((len(low), 2)) + 1j * rng.standard_normal((len(low), 2))
-    w, _ = np.linalg.qr(raw)
-    w = w[:, :2]
+    v = creation_point(trunc, side="right").X
+    w = random_embedding(rng, trunc, 2)
     worst = 0.0
     for _ in range(2):
         x = random_nilpotent_point(rng, cfg.n, h_dim, 0.8)

@@ -160,6 +160,10 @@ def test_dilate_rejects_malformed_kernel(tmp_path, capsys, field, value):
     ("dilate", ["--tol", "0"]),
     ("dilate", ["--rank-tol", "-1e-10"]),
     ("transform", ["--r-grid", "0.5,1.0"]),
+    ("dilate", ["--tol", "inf"]),
+    ("dilate", ["--tol", "nan"]),
+    ("dilate", ["--rank-tol", "inf"]),
+    ("dilate", ["--rank-tol", "nan"]),
 ])
 def test_subcommand_rejects_unread_or_invalid_flags(tmp_path, command, flags):
     """Each subcommand accepts only the flags it reads, validated; the same
@@ -174,6 +178,17 @@ def test_subcommand_rejects_unread_or_invalid_flags(tmp_path, command, flags):
         argv = ["transform", str(inputs), "--kind", "poisson"]
     assert run(argv) == 0
     assert run(argv + flags) == 2
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_rejects_non_finite_tolerance(tmp_path, capsys, flag, value):
+    """A tolerance no error can exceed (or none can meet) is a configuration
+    error, not a pass or a failure."""
+    out = tmp_path / "report.json"
+    assert run(["verify", flag, value, "--output", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transform_rejects_non_finite_point(tmp_path, capsys):

@@ -10,7 +10,6 @@ from polyball.fock import (
     apply_creation,
     creation_matrix,
     monomial_indices,
-    poisson_pair_table,
     word_operator,
 )
 from polyball.words import (
@@ -278,12 +277,29 @@ def test_monomial_indices_match_word_reference(n, degrees, side):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n, degrees", [((2, 1), (5, 5)), ((3,), (6,)), ((1, 1, 2), (2, 2, 2))])
-def test_poisson_pair_table_cells_unique(n, degrees, side):
-    """No (target, source) cell is hit by two pairs, so the Poisson kernel's
-    single scatter equals the pair-by-pair sum."""
+def test_pair_table_cells_unique(n, degrees, side):
+    """No (target, source) cell is hit by two pairs, so a single scatter
+    over the pair table equals the pair-by-pair sum; the table is built once."""
     t = FockTruncation(n, degrees)
-    pid, src, dst = poisson_pair_table(t, side)
+    pid, src, dst = t.pair_table(side)
     assert pid.shape == src.shape == dst.shape
     cells = dst * t.dim + src
     assert np.unique(cells).size == cells.size
     assert pid.max() == len(lambda_pairs_within_degrees(n, degrees)) - 1
+    assert t.pair_table(side)[0] is pid
+
+
+@pytest.mark.parametrize("n, degrees", INDEX_SHAPES)
+def test_pair_id_is_position_in_box_order(n, degrees):
+    t = FockTruncation(n, degrees)
+    pairs = lambda_pairs_within_degrees(n, degrees)
+    assert [t.pair_id(a, b) for a, b in pairs] == list(range(len(pairs)))
+    off_box = [
+        (a, b) for a, b in lambda_pairs_up_to_total(n, max(degrees) + 1)
+        if any(len(w) > d for x in (a, b) for w, d in zip(x.parts, degrees))
+    ]
+    assert off_box
+    assert all(t.pair_id(a, b) == -1 for a, b in off_box)
+    w = multiword([[1]] + [[] for _ in n[1:]], n)
+    with pytest.raises(ValueError):
+        t.pair_id(w, w)

@@ -232,7 +232,7 @@ def test_mu_r_scale_limits():
     m0 = mu_r_scale(mu, 0.0)
     assert len(m0.values) == 1  # only the unit survives
     m1 = mu_r_scale(mu, 1.0)
-    assert m1.selfadjoint_defect() < 1e-14
+    assert m1.to_symbol().hermitian_defect() < 1e-14
     np.testing.assert_allclose(
         poisson_transform(m1, z).value, poisson_transform(mu, z).value
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyball.berezin import PolyballPoint, creation_point, poisson_kernel
-from polyball.fock import FockOperator, FockTruncation, word_operator
+from polyball.fock import FockOperator, FockTruncation, monomial_indices, word_operator
 from polyball.toeplitz import (
     MultiToeplitzSymbol,
     NotLambdaPairError,
@@ -223,3 +223,31 @@ def test_symbol_operator_is_scaled_symbol_at_creations(side, r):
     sym = random_hermitian_symbol(rng, (2, 1), 2, 3)
     got = symbol_operator(sym, t, r, side).dense()
     np.testing.assert_array_equal(got, symbol_operator(sym.scaled(r), t, side=side).dense())
+
+
+def _symbol_operator_by_keys(sym, trunc, r, side):
+    """Reference assembly: each key's monomial placed on its own cells."""
+    e = sym.e_dim
+    out = np.zeros((trunc.dim * e, trunc.dim * e), dtype=complex)
+    out4 = out.reshape(trunc.dim, e, trunc.dim, e)
+    for (a, b), c in sym.scaled(r).items():
+        src, dst = monomial_indices(trunc, a, b, side)
+        out4[dst, :, src, :] += c[None, :, :]
+    return out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("e_dim", [1, 2])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 2)), ((3,), (3,)), ((1, 1, 2), (2, 1, 2))])
+def test_symbol_operator_matches_per_key_assembly(n, degrees, e_dim, side):
+    """The pair-table scatter equals the per-key sum bit for bit (signed
+    zeros included), with keys beyond the box and r != 1."""
+    rng = np.random.default_rng(5)
+    t = FockTruncation(n, degrees)
+    sym = random_hermitian_symbol(rng, n, e_dim, max(degrees) + 2)
+    assert any(t.pair_id(b.reverse(), a.reverse()) == -1 for a, b in sym.coeffs)
+    g = identity_multiword(n)
+    sym[g, g] = np.full((e_dim, e_dim), -0.0)
+    for r in (1.0, 0.6):
+        got = symbol_operator(sym, t, r, side).dense()
+        assert got.tobytes() == _symbol_operator_by_keys(sym, t, r, side).tobytes()
