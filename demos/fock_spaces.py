@@ -8,7 +8,6 @@ import numpy as np
 
 from polyball import (
     FockTruncation,
-    FockVector,
     apply_creation,
     creation_matrix,
     identity_multiword,
@@ -21,23 +20,32 @@ t = FockTruncation(n=[2, 1], degrees=[3, 3])
 print(t)
 print("first basis words:", [t.basis_word(i) for i in range(6)])
 
+
+
+def basis_vector(mw):
+    """Amplitude column (dim, 1) of the basis word mw."""
+    v = np.zeros((t.dim, 1), dtype=complex)
+    v[t.basis_index(mw)] = 1.0
+    return v
+
+
 print("\n=== creation operators act by prepending (left) or appending (right) ===")
-vac = FockVector.basis_vector(t, identity_multiword(t.n))
+vac = basis_vector(identity_multiword(t.n))
 v = apply_creation(t, "left", 1, 2, False, vac)
-hit = int(np.flatnonzero(np.abs(v.amplitudes[:, 0]) > 0)[0])
+hit = int(np.flatnonzero(np.abs(v[:, 0]) > 0)[0])
 print("S_{1,2} vacuum =", t.basis_word(hit))
 v = apply_creation(t, "left", 1, 1, False, v)
-hit = int(np.flatnonzero(np.abs(v.amplitudes[:, 0]) > 0)[0])
+hit = int(np.flatnonzero(np.abs(v[:, 0]) > 0)[0])
 print("S_{1,1} S_{1,2} vacuum =", t.basis_word(hit), "(letters pile up in front)")
 
 w = apply_creation(t, "left", 1, 1, True, v)
-hit = int(np.flatnonzero(np.abs(w.amplitudes[:, 0]) > 0)[0])
+hit = int(np.flatnonzero(np.abs(w[:, 0]) > 0)[0])
 print("the adjoint strips the leading letter:", t.basis_word(hit))
 
 print("\n=== truncation compresses the top degree ===")
-top = FockVector.basis_vector(t, multiword([[1, 1, 1], []], t.n))
+top = basis_vector(multiword([[1, 1, 1], []], t.n))
 print("creating on a degree-3 word gives norm",
-      apply_creation(t, "left", 1, 1, False, top).norm())
+      float(np.linalg.norm(apply_creation(t, "left", 1, 1, False, top))))
 
 print("\n=== identities are exact on windows ===")
 win = t.window_mask([1, 1])

@@ -11,7 +11,6 @@ from polyball import (
     CbMapData,
     FockTruncation,
     MultiToeplitzSymbol,
-    PluriharmonicFunction,
     PolyballPoint,
     creation_matrix,
     fantappie_transform,
@@ -32,12 +31,11 @@ sym = MultiToeplitzSymbol(n1, 1)
 sym[g1, g1] = [[1.0]]
 sym[w1, g1] = [[-2.0]]
 sym[g1, w1] = [[-2.0]]
-f = PluriharmonicFunction(sym)
-rep = schur_positivity(f, [0.2, 0.9], 5)
+rep = schur_positivity(sym, [0.2, 0.9], 5)
 for p in rep.points:
     print(f"  r = {p.r}: operator min eig {p.operator_min_eig:+.4f}, "
           f"kernel Gram min eig {p.gram_min_eig:+.4f}, agree={p.agree}")
-gk = gamma_kernel(f, 0.9, 3)
+gk = gamma_kernel(sym, 0.9, 3)
 print("kernel entry at distance 1:", gk.value(w1, g1)[0, 0])
 
 print("\n=== positive functions from commuting row isometries ===")

@@ -26,7 +26,6 @@ from .words import (
 from .fock import (
     FockOperator,
     FockTruncation,
-    FockVector,
     TruncationError,
     apply_creation,
     creation_matrix,
@@ -78,7 +77,6 @@ from .naimark import (
 )
 from .pluriharm import (
     CbMapData,
-    PluriharmonicFunction,
     SchurReport,
     TransformResult,
     fantappie_transform,

@@ -29,18 +29,18 @@ def min_eig_hermitian(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
 
 
-def psd_sqrt(m: np.ndarray, clamp: float = 1e-12):
+def psd_sqrt(m: np.ndarray):
     """Square root of a PSD matrix via eigendecomposition.
 
-    Eigenvalues below ``clamp`` (relative to the largest) are set to zero,
-    so nearly-singular defect operators do not produce NaNs.  Returns
+    Eigenvalues at or below 1e-12 * max(largest, 1) are set to zero, so
+    nearly-singular defect operators do not produce NaNs.  Returns
     ``(root, factor, rank)`` where ``root = factor.conj().T @ factor`` is the
     full square root and ``factor`` has shape (rank, dim), i.e. only the
     numerically nonzero directions.
     """
     h = 0.5 * (m + m.conj().T)
     w, u = np.linalg.eigh(h)
-    cutoff = clamp * max(float(w[-1]), 1.0) if w.size else 0.0
+    cutoff = 1e-12 * max(float(w[-1]), 1.0) if w.size else 0.0
     keep = w > cutoff
     w = np.where(keep, w, 0.0)
     factor = (np.sqrt(w[keep])[:, None] * u[:, keep].conj().T)

@@ -99,14 +99,15 @@ class PolyballPoint:
                         worst = max(worst, float(np.max(np.abs(a @ b - b @ a))))
         return worst
 
-    def is_jointly_nilpotent(self, tol: float = 1e-300) -> bool:
-        """True when long enough products of entries all vanish."""
+    def is_jointly_nilpotent(self) -> bool:
+        """True when long enough products of entries all vanish (norm at
+        most 1e-300)."""
         y = np.eye(self.h_dim, dtype=complex)
         for _ in range(self.h_dim):
             y = sum(m @ y @ m.conj().T for row in self.X for m in row)
-            if la.opnorm(y) <= tol:
+            if la.opnorm(y) <= 1e-300:
                 return True
-        return la.opnorm(y) <= tol
+        return la.opnorm(y) <= 1e-300
 
 
 def creation_point(trunc: FockTruncation, r: float = 1.0, side: Side = "left") -> PolyballPoint:
@@ -146,12 +147,13 @@ class MembershipReport:
     commutation_defect: float
 
 
-def in_polyball(X: PolyballPoint, margin: float = 0.0,
-                commutation_tol: float = 1e-10) -> MembershipReport:
+def in_polyball(X: PolyballPoint, margin: float = 0.0) -> MembershipReport:
+    """Row norms below 1 - margin, defect above margin, and cross-factor
+    commutation up to 1e-10."""
     rn = X.row_norms()
     dmin = la.min_eig_hermitian(defect(X))
     cd = X.cross_commutation_defect()
-    member = all(r < 1.0 - margin for r in rn) and dmin > margin and cd <= commutation_tol
+    member = all(r < 1.0 - margin for r in rn) and dmin > margin and cd <= 1e-10
     return MembershipReport(member, rn, dmin, cd)
 
 
@@ -203,23 +205,23 @@ class BerezinKernelMatrix:
         return self.matrix.reshape(self.trunc.dim, self.defect_rank, self.h_dim)
 
 
+def _nilpotent_exact(X: PolyballPoint, trunc: FockTruncation) -> bool:
+    """The series over the box is the whole series: X is jointly nilpotent
+    and every degree covers the nilpotency index."""
+    return all(d + 1 >= X.h_dim for d in trunc.degrees) and X.is_jointly_nilpotent()
+
+
 def _kernel_tail_bound(X: PolyballPoint, trunc: FockTruncation, dnorm: float) -> float:
-    if X.is_jointly_nilpotent():
-        # finite series once degrees cover the nilpotency index
-        if all(d + 1 >= X.h_dim for d in trunc.degrees):
-            return 0.0
+    if _nilpotent_exact(X, trunc):
+        return 0.0
     rho2 = [r * r for r in X.row_norms()]
     if any(r2 >= 1.0 for r2 in rho2):
         raise DivergenceError(f"row norms {X.row_norms()} outside the open ball")
-    full = math.prod(1.0 / (1.0 - r2) for r2 in rho2)
-    kept = math.prod(
-        (1.0 - r2 ** (d + 1)) / (1.0 - r2) for r2, d in zip(rho2, trunc.degrees)
-    )
-    return math.sqrt(max(dnorm * (full - kept), 0.0))
+    dropped = dropped_shell_mass(rho2, pairs=False, box=trunc.degrees)
+    return math.sqrt(max(dnorm * dropped, 0.0))
 
 
-def berezin_kernel(X: PolyballPoint, trunc: FockTruncation,
-                   clamp: float = 1e-12) -> BerezinKernelMatrix:
+def berezin_kernel(X: PolyballPoint, trunc: FockTruncation) -> BerezinKernelMatrix:
     """K_X h = sum_b  e_b (x) Delta^(1/2) X_b* h, truncated at the box.
 
     The tail bound caps the norm of the dropped rows; it is zero for jointly
@@ -228,7 +230,7 @@ def berezin_kernel(X: PolyballPoint, trunc: FockTruncation,
     if X.n != trunc.n:
         raise ValueError("point and truncation have different factor shapes")
     delta = defect(X)
-    _, factor, rank = la.psd_sqrt(delta, clamp)
+    _, factor, rank = la.psd_sqrt(delta)
     rank = max(rank, 1)
     if factor.shape[0] == 0:
         factor = np.zeros((1, X.h_dim), dtype=complex)
@@ -309,7 +311,6 @@ def _nilpotent_series(a, x: np.ndarray) -> np.ndarray:
 
 
 def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
-                    singular_tol: float = 1e-12,
                     rhs: np.ndarray | None = None) -> CauchyResult:
     """(I (x) Delta_X(I)^(1/2)) prod_i (I - sum_j V_ij (x) X_ij*)^(-1) rhs.
 
@@ -322,8 +323,8 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     Neumann series of the sparse A_i, summed until a term is exactly zero:
     exact, with no truncation.  Any other V is resolved by dense LU solves.
     ``min_singular`` is the smallest singular value over the factors
-    I - A_i, whatever ``rhs`` is; a factor at or below ``singular_tol``
-    raises ``SingularResolventError``.
+    I - A_i, whatever ``rhs`` is; a factor at or below 1e-12 raises
+    ``SingularResolventError``.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
@@ -356,7 +357,7 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
             solve_h = partial(sla.lu_solve, lu_piv, trans=2)
         sv = _min_singular(factor, solve, solve_h)
         min_sv = min(min_sv, sv)
-        if sv <= singular_tol:
+        if sv <= 1e-12:
             raise SingularResolventError(sv)
         acc = solve(acc)
     root, _, _ = la.psd_sqrt(defect(X))
@@ -397,8 +398,7 @@ def dropped_shell_mass(q: Sequence[float], pairs: bool,
 
 
 def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
-                   side: Side = "right",
-                   require_tail: float | None = None) -> PoissonKernelResult:
+                   side: Side = "right") -> PoissonKernelResult:
     """Pluriharmonic Poisson kernel sum over index pairs within the box.
 
     The term at (a, b) pairs X_a X_b* with the universal-tuple monomial at
@@ -411,10 +411,7 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
         raise ValueError("point and truncation have different factor shapes")
     rho = X.row_norms()
     dnorm = la.opnorm(defect(X))
-    nilpotent_exact = X.is_jointly_nilpotent() and all(
-        d + 1 >= X.h_dim for d in trunc.degrees
-    )
-    if nilpotent_exact:
+    if _nilpotent_exact(X, trunc):
         # the index-pair sum is finite and fully inside the box
         tail = 0.0
     elif any(r >= 1.0 for r in rho):
@@ -427,10 +424,6 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
         fact_bound = tail + dnorm * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
     else:
         fact_bound = math.inf
-    if require_tail is not None and tail > require_tail:
-        raise DivergenceError(
-            f"tail bound {tail:.3e} exceeds requested tolerance {require_tail:.3e}"
-        )
     pairs = lambda_pairs_within_degrees(trunc.n, trunc.degrees)
     mono = {w: X.monomial(w) for w in set().union(*pairs)}
     xm = np.stack([mono[a] @ mono[b].conj().T for a, b in pairs])

@@ -22,6 +22,10 @@ kernel's pairings) scatter from one table per truncation and side,
 ``FockTruncation.pair_table``: its pairing at the lambda pair (a, b) is the
 monomial at (b~, a~), ~ the reversal.  ``monomial_indices`` serves single
 word monomials, lambda pairs or not.
+
+A vector is a plain (dim, c) amplitude array over (basis index, coefficient
+index); an operator is a ``FockOperator``, which carries its truncation and
+coefficient dimension.
 """
 
 from __future__ import annotations
@@ -241,34 +245,6 @@ class FockTruncation:
         return f"FockTruncation(n={self.n}, degrees={self.degrees}, dim={self.dim})"
 
 
-class FockVector:
-    """Amplitudes over (basis index, coefficient index)."""
-
-    def __init__(self, trunc: FockTruncation, amplitudes: np.ndarray):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.ndim == 1:
-            amplitudes = amplitudes[:, None]
-        if amplitudes.shape[0] != trunc.dim:
-            raise ValueError(
-                f"amplitude rows {amplitudes.shape[0]} != truncation dim {trunc.dim}"
-            )
-        self.trunc = trunc
-        self.amplitudes = amplitudes
-
-    @property
-    def coeff_dim(self) -> int:
-        return self.amplitudes.shape[1]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @staticmethod
-    def basis_vector(trunc: FockTruncation, mw: MultiWord, coeff_dim: int = 1, slot: int = 0):
-        amp = np.zeros((trunc.dim, coeff_dim), dtype=complex)
-        amp[trunc.basis_index(mw), slot] = 1.0
-        return FockVector(trunc, amp)
-
-
 class FockOperator:
     """Square matrix on (truncation x coefficient space), space index major."""
 
@@ -292,11 +268,12 @@ class FockOperator:
 
 
 def apply_creation(trunc: FockTruncation, side: Side, i: int, j: int,
-                   adjoint: bool, v: FockVector) -> FockVector:
-    """Matrix-free action of a truncated creation letter or its adjoint."""
+                   adjoint: bool, v: np.ndarray) -> np.ndarray:
+    """Matrix-free action of a truncated creation letter or its adjoint on
+    the (dim, c) amplitude array v; returns the (dim, c) image."""
     m = trunc.letter_map(side, i, j)
-    c = v.coeff_dim
-    a = v.amplitudes.reshape(*trunc.factor_dims, c)
+    c = v.shape[1]
+    a = v.reshape(*trunc.factor_dims, c)
     a = np.moveaxis(a, i - 1, 0)
     out = np.zeros_like(a)
     valid = m >= 0
@@ -304,8 +281,7 @@ def apply_creation(trunc: FockTruncation, side: Side, i: int, j: int,
         out[valid] = a[m[valid]]
     else:
         out[m[valid]] = a[valid]
-    out = np.moveaxis(out, 0, i - 1).reshape(trunc.dim, c)
-    return FockVector(trunc, out)
+    return np.moveaxis(out, 0, i - 1).reshape(trunc.dim, c)
 
 
 def creation_matrix(trunc: FockTruncation, side: Side, i: int, j: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .berezin import PolyballPoint, in_polyball
-from .fock import FockTruncation, FockVector, apply_creation
+from .fock import FockTruncation, apply_creation
 from .naimark import ToeplitzKernel, kernel_from_columns, kernel_from_generator, word_columns
 from .toeplitz import MultiToeplitzSymbol
 from .words import (
@@ -131,7 +131,7 @@ def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
     e_basis = random_embedding(rng, trunc, e_dim)
 
     def letter(i: int, j: int, m: np.ndarray) -> np.ndarray:
-        return apply_creation(trunc, "left", i, j, False, FockVector(trunc, m)).amplitudes
+        return apply_creation(trunc, "left", i, j, False, m)
 
     return kernel_from_columns(side, n, max_len, word_columns(letter, e_basis, n, max_len))
 

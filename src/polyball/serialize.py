@@ -66,7 +66,12 @@ def operator_from_json(data) -> FockOperator:
     size = trunc.dim * e
     m = np.zeros((size, size), dtype=complex)
     for row, col, re, im in data["entries"]:
-        m[int(row), int(col)] = re + 1j * im
+        r, c = int(row), int(col)
+        if (r, c) != (row, col) or not (0 <= r < size and 0 <= c < size):
+            raise ValueError(f"entry ({row}, {col}) is not an index of the {size}-dim operator")
+        m[r, c] = re + 1j * im
+    if not np.all(np.isfinite(m)):
+        raise ValueError("operator has a non-finite entry (NaN or infinity)")
     return FockOperator(trunc, m, e)
 
 
@@ -153,7 +158,7 @@ def kernel_from_json(data) -> ToeplitzKernel:
 
 
 def cbmap_to_json(mu: CbMapData) -> dict[str, Any]:
-    out = symbol_to_json(mu.to_symbol())
+    out = symbol_to_json(mu.symbol)
     out["unit"] = matrix_to_json(mu.unit)
     out["herglotz_class"] = mu.herglotz_class
     if mu.coeff_bound is not None:
@@ -166,13 +171,10 @@ def cbmap_to_json(mu: CbMapData) -> dict[str, Any]:
 
 def cbmap_from_json(data) -> CbMapData:
     sym = symbol_from_json(data)
-    e = sym.e_dim
     cap = data.get("per_factor_cap")
     return CbMapData(
-        sym.n,
-        e,
-        sym.coeffs,
-        unit=matrix_from_json(data["unit"], e),
+        sym,
+        unit=matrix_from_json(data["unit"], sym.e_dim),
         herglotz_class=bool(data.get("herglotz_class", False)),
         coeff_bound=data.get("coeff_bound"),
         max_total_len=data.get("max_total_len"),

@@ -162,16 +162,13 @@ def fourier_coefficient(T: FockOperator, a: MultiWord, b: MultiWord) -> np.ndarr
     return m[ia * e : (ia + 1) * e, ib * e : (ib + 1) * e].copy()
 
 
-def extract_symbol(T: FockOperator, max_total_len: int,
-                   drop_tol: float = 0.0) -> MultiToeplitzSymbol:
-    """All Fourier coefficients with |a| + |b| <= max_total_len.
-
-    Exactly zero blocks (or blocks below drop_tol) are not stored.
-    """
+def extract_symbol(T: FockOperator, max_total_len: int) -> MultiToeplitzSymbol:
+    """All Fourier coefficients with |a| + |b| <= max_total_len; exactly zero
+    blocks are not stored."""
     sym = MultiToeplitzSymbol(T.trunc.n, T.coeff_dim)
     for a, b in lambda_pairs_up_to_total(T.trunc.n, max_total_len):
         c = fourier_coefficient(T, a, b)
-        if np.max(np.abs(c)) > drop_tol or (drop_tol == 0.0 and np.any(c != 0)):
+        if np.any(c != 0):
             sym[a, b] = c
     return sym
 

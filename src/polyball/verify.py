@@ -24,11 +24,10 @@ from .berezin import (
     poisson_kernel,
     spectral_radius,
 )
-from .fock import FockTruncation, apply_creation, creation_matrix, FockVector, word_operator
+from .fock import FockTruncation, apply_creation, creation_matrix, word_operator
 from .naimark import KernelNotPSDError, dilation_verify, kernel_is_psd, naimark_dilate
 from .pluriharm import (
     CbMapData,
-    PluriharmonicFunction,
     from_row_isometries,
     herglotz_transform,
     mu_r_scale,
@@ -47,6 +46,7 @@ from .sampling import (
     random_psd_kernel,
 )
 from .toeplitz import (
+    MultiToeplitzSymbol,
     creation_pair_symbol,
     extract_symbol,
     is_k_multi_toeplitz,
@@ -216,9 +216,9 @@ def _id_fock_adjoint(cfg: RunConfig, rng) -> tuple[str, float, float]:
                 ma = creation_matrix(trunc, side, i, j, adjoint=True)
                 worst = max(worst, float(np.max(np.abs(ma - m.conj().T))))
                 # matrix-free application agrees with the matrix
-                v = FockVector(trunc, _randn_column(rng, trunc.dim))
+                v = _randn_column(rng, trunc.dim)
                 w = apply_creation(trunc, side, i, j, False, v)
-                worst = max(worst, float(np.max(np.abs(w.amplitudes[:, 0] - m @ v.amplitudes[:, 0]))))
+                worst = max(worst, float(np.max(np.abs(w[:, 0] - m @ v[:, 0]))))
     return "adjoint creation matrices are conjugate transposes; applications match matrices", worst, 1e-12
 
 
@@ -232,12 +232,13 @@ def _id_fock_cyclicity(cfg: RunConfig, rng) -> tuple[str, float, float]:
         for mw in frontier:
             for i, ni in enumerate(trunc.n, 1):
                 for j in range(1, ni + 1):
-                    v = FockVector.basis_vector(trunc, mw)
-                    w = apply_creation(trunc, "left", i, j, False, v)
-                    idx = np.flatnonzero(np.abs(w.amplitudes[:, 0]) > 0.5)
+                    v = np.zeros((trunc.dim, 1), dtype=complex)
+                    v[trunc.basis_index(mw)] = 1.0
+                    w = apply_creation(trunc, "left", i, j, False, v)[:, 0]
+                    idx = np.flatnonzero(np.abs(w) > 0.5)
                     if idx.size and int(idx[0]) not in seen:
                         seen.add(int(idx[0]))
-                        vecs.append(w.amplitudes[:, 0])
+                        vecs.append(w)
                         nxt.append(trunc.basis_word(int(idx[0])))
         frontier = nxt
     rank = np.linalg.matrix_rank(np.stack(vecs, axis=1))
@@ -403,7 +404,7 @@ def _id_schur(cfg: RunConfig, rng) -> tuple[str, float, float]:
     worst = 0.0
     for _ in range(5):
         sym = random_hermitian_symbol(rng, cfg.n, 2, min(3, cfg.max_len), density=0.5)
-        rep = schur_positivity(PluriharmonicFunction(sym), cfg.r_grid, cfg.max_len, cfg.tol)
+        rep = schur_positivity(sym, cfg.r_grid, cfg.max_len, cfg.tol)
         for p in rep.points:
             if not p.agree:
                 worst = max(worst, 1.0)
@@ -447,8 +448,6 @@ def _eh_to_he(m: np.ndarray, h: int, e: int) -> np.ndarray:
 
 
 def _id_herglotz_realpart(cfg: RunConfig, rng) -> tuple[str, float, float]:
-    from .toeplitz import MultiToeplitzSymbol
-
     g = identity_multiword(cfg.n)
     sym = MultiToeplitzSymbol(cfg.n, 2)
     sym[g, g] = np.eye(2)
@@ -469,20 +468,16 @@ def _id_nu_roundtrip(cfg: RunConfig, rng) -> tuple[str, float, float]:
     cap = min(cfg.max_len, min(cfg.degrees))
     trunc = FockTruncation(cfg.n, cfg.degrees)
     sym = random_hermitian_symbol(rng, cfg.n, 1, cap, density=0.6)
-    f = PluriharmonicFunction(sym)
-    mu = CbMapData(cfg.n, 1, sym.coeffs)
+    mu = CbMapData(sym)
+    g = identity_multiword(cfg.n)
     worst = 0.0
     for r in cfg.r_grid:
-        nu = nu_of(f, r)
-        mur = mu_r_scale(mu, r)
-        keys = set(nu.values) | set(mur.values)
-        for key in keys:
-            worst = max(worst, float(np.max(np.abs(nu.value(*key) - mur.value(*key)))))
-        g = identity_multiword(cfg.n)
+        nu = nu_of(sym, r)
+        worst = max(worst, nu.symbol.max_difference(mu_r_scale(mu, r).symbol))
         for a, b in sym.coeffs:
             if b.is_identity:
-                got = nu_trace_form(f, r, trunc, a)
-                worst = max(worst, float(np.max(np.abs(got - nu.value(a, g)))))
+                got = nu_trace_form(sym, r, trunc, a)
+                worst = max(worst, float(np.max(np.abs(got - nu.symbol.coeff(a, g)))))
     return "the radial-map data scales coefficientwise and matches the trace-form extraction", worst, 1e-10
 
 

@@ -24,7 +24,6 @@ from polyball.naimark import (
 )
 from polyball.pluriharm import (
     CbMapData,
-    PluriharmonicFunction,
     from_row_isometries,
     herglotz_transform,
     poisson_transform,
@@ -286,7 +285,7 @@ def test_criterion_8_schur_equivalence():
         e = 1 + trial % 2
         scale = 10.0 ** rng.uniform(-2, 1)
         sym = random_hermitian_symbol(rng, n, e, 3, density=0.5, scale=scale)
-        rep = schur_positivity(PluriharmonicFunction(sym), (0.3, 0.6, 0.9), 3, 1e-8)
+        rep = schur_positivity(sym, (0.3, 0.6, 0.9), 3, 1e-8)
         for p in rep.points:
             total += 1
             agree += p.agree
@@ -321,7 +320,7 @@ def test_criterion_9_herglotz_representation():
     holo = MultiToeplitzSymbol(n, 3)
     skew = 1j * np.array([[0.0, 0.25, 0.0], [-0.25, 0.0, 0.0], [0.0, 0.0, 0.0]])
     holo[g, g] = np.eye(3) + skew
-    for (a, b), c in f.symbol.items():
+    for (a, b), c in f.items():
         if b.is_identity and not a.is_identity:
             holo[a, g] = 2 * c
     muk = CbMapData.from_holomorphic(holo, scale=k)

@@ -482,3 +482,32 @@ def test_dropped_shell_mass_matches_old_formulas(pairs, kept, old):
     full = (1.0 + 0.5) / 0.5 if pairs else 1.0 / 0.5
     args = {"box": (0,)} if kept == "box" else {"cap": 0}
     assert dropped_shell_mass([0.5], pairs, **args) == full - 1.0
+
+
+def test_kernel_tail_matches_closed_form(rng):
+    """The kernel tail through the shared shell-mass helper agrees with the
+    closed form sqrt(||Delta|| (prod 1/(1-rho^2) - prod (1-rho^(2d+2))/(1-rho^2)))
+    to rounding."""
+    for n, degrees in [((2, 1), (3, 2)), ((1,), (5,)), ((1, 1, 1), (1, 2, 0))]:
+        x = random_point(rng, n, 2, 0.6)
+        k = berezin_kernel(x, FockTruncation(n, degrees))
+        rho2 = [r * r for r in x.row_norms()]
+        full = math.prod(1.0 / (1.0 - r2) for r2 in rho2)
+        kept = math.prod((1.0 - r2 ** (d + 1)) / (1.0 - r2) for r2, d in zip(rho2, degrees))
+        want = math.sqrt(np.linalg.norm(defect(x), 2) * (full - kept))
+        assert k.tail_bound > 0.0
+        assert k.tail_bound == pytest.approx(want, rel=1e-12)
+
+
+def test_nilpotent_exactness_needs_degrees_covering_the_index(rng):
+    """Both the kernel and the Poisson kernel drop their tails only when the
+    point is jointly nilpotent and every degree covers the nilpotency index
+    (d + 1 >= h)."""
+    x = random_nilpotent_point(rng, (2, 1), 3, 0.8)
+    for degrees, exact in [((2, 2), True), ((3, 2), True), ((2, 1), False), ((1, 4), False)]:
+        t = FockTruncation((2, 1), degrees)
+        tails = (berezin_kernel(x, t).tail_bound, poisson_kernel(x, t).tail_bound)
+        assert all((tail == 0.0) == exact for tail in tails), (degrees, tails)
+    y = random_point(rng, (2, 1), 3, 0.5)
+    t = FockTruncation((2, 1), (4, 4))
+    assert berezin_kernel(y, t).tail_bound > 0.0 and poisson_kernel(y, t).tail_bound > 0.0

@@ -287,3 +287,57 @@ def test_transform_rejects_outside_ball(tmp_path, capsys):
 
 def test_missing_file_is_config_error():
     assert run(["dilate", "/nonexistent/kernel.json"]) == 2
+
+
+def _set_entry(k, value):
+    def mutate(g):
+        g["entries"][0][k] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_entry(0, -1),
+    _set_entry(0, 99),
+    _set_entry(1, -1),
+    _set_entry(1, 9),
+    _set_entry(0, 1.5),
+    _set_entry(2, float("nan")),
+    _set_entry(3, float("inf")),
+], ids=["row-negative", "row-past-end", "col-negative", "col-past-end", "row-fraction",
+         "nan", "inf"])
+def test_transform_rejects_malformed_operator(tmp_path, capsys, mutate):
+    """Entries whose indices are not integers in [0, dim*e), or whose values
+    are not finite, exit 2 instead of wrapping around, being truncated,
+    failing as an internal error or passing through."""
+    from polyball.fock import FockOperator
+
+    t = FockTruncation([1, 1], [2, 2])
+    g = serialize.operator_to_json(FockOperator(t, np.eye(t.dim)))
+    mutate(g)
+    x = PolyballPoint.from_scalars([[0.2], [0.3]])
+    inputs = tmp_path / "inputs.json"
+    serialize.dump({"g": g, "X": serialize.point_to_json(x)}, str(inputs))
+    assert run(["transform", str(inputs), "--kind", "berezin"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("coeff_bound", float("nan")),
+    ("coeff_bound", float("inf")),
+    ("coeff_bound", -1.0),
+    ("coeff_bound", "abc"),
+    ("per_factor_cap", [-1, 2]),
+    ("max_total_len", -1),
+])
+@pytest.mark.parametrize("kind", ["poisson", "herglotz"])
+def test_transform_rejects_malformed_map_metadata(tmp_path, capsys, key, value, kind):
+    """A non-numeric, non-finite or negative coefficient bound and negative
+    caps exit 2 instead of reporting a NaN, infinite or negative tail bound
+    or failing as an internal error."""
+    mu = serialize.cbmap_to_json(CbMapData.point_mass([1.0, 1.0], 2))
+    mu[key] = value
+    x = PolyballPoint.from_scalars([[0.2], [0.3]])
+    inputs = tmp_path / "inputs.json"
+    serialize.dump({"mu": mu, "X": serialize.point_to_json(x)}, str(inputs))
+    assert run(["transform", str(inputs), "--kind", kind]) == 2
+    assert "configuration error" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from polyball import serialize, verify
 from polyball._linalg import opnorm
-from polyball.fock import FockTruncation, FockVector, apply_creation, creation_matrix
+from polyball.fock import FockTruncation, apply_creation, creation_matrix
 from polyball.naimark import (
     GeneratorError,
     KernelNotPSDError,
@@ -281,7 +281,7 @@ def test_word_columns_match_per_word_loop(n, side, action):
             return V[i - 1][j - 1] @ m
     else:
         def letter(i, j, m):
-            return apply_creation(t, "left", i, j, False, FockVector(t, m)).amplitudes
+            return apply_creation(t, "left", i, j, False, m)
 
     cols = word_columns(letter, e_basis, n, max_len)
     ref = _columns_by_word(letter, e_basis, n, max_len)
@@ -310,7 +310,7 @@ def test_random_psd_kernel_matches_per_word_loop(n, side):
     e_basis = np.linalg.qr(raw)[0][:, :e_dim]
 
     def letter(i, j, m):
-        return apply_creation(t, "left", i, j, False, FockVector(t, m)).amplitudes
+        return apply_creation(t, "left", i, j, False, m)
 
     ref = _table_by_word(side, _columns_by_word(letter, e_basis, n, max_len))
     _assert_kernel_is_table(k, ref)

@@ -5,7 +5,6 @@ from polyball.berezin import PolyballPoint, berezin_transform, cauchy_operator
 from polyball.fock import FockTruncation, creation_matrix, word_operator
 from polyball.pluriharm import (
     CbMapData,
-    PluriharmonicFunction,
     fantappie_transform,
     from_row_isometries,
     gamma_kernel,
@@ -29,11 +28,11 @@ def tridiagonal_symbol(c):
     sym[g, g] = [[1.0]]
     sym[w, g] = [[c]]
     sym[g, w] = [[np.conj(c)]]
-    return PluriharmonicFunction(sym)
+    return sym
 
 
 def test_gamma_kernel_constant():
-    f = PluriharmonicFunction.constant([2, 1], np.eye(1))
+    f = MultiToeplitzSymbol.constant([2, 1], np.eye(1))
     k = gamma_kernel(f, 0.5, 2)
     for s in multiwords_up_to_total((2, 1), 2):
         assert k.value(s, s)[0, 0] == 1.0
@@ -57,12 +56,11 @@ def test_gamma_matches_matrix_entries(rng):
     scaled creations; dense comparison on a two-factor shape."""
     n = (2, 1)
     sym = random_hermitian_symbol(rng, n, 2, 3, density=0.6)
-    f = PluriharmonicFunction(sym)
     r = 0.7
     max_len = 3
     trunc = FockTruncation(n, [max_len] * 2)
-    m = f.at_creations(trunc, r).dense()
-    k = gamma_kernel(f, r, max_len)
+    m = symbol_operator(sym, trunc, r).dense()
+    k = gamma_kernel(sym, r, max_len)
     e = 2
     for s in multiwords_up_to_total(n, max_len):
         for w in multiwords_up_to_total(n, max_len):
@@ -72,7 +70,7 @@ def test_gamma_matches_matrix_entries(rng):
 
 
 def test_schur_identity_function():
-    rep = schur_positivity(PluriharmonicFunction.constant([2], np.eye(1)),
+    rep = schur_positivity(MultiToeplitzSymbol.constant([2], np.eye(1)),
                            [0.3, 0.6, 0.9], 3)
     assert rep.all_agree and rep.positive
 
@@ -94,7 +92,7 @@ def test_schur_tridiagonal_negative():
 def test_schur_agreement_random(rng):
     for _ in range(10):
         sym = random_hermitian_symbol(rng, (2, 1), 2, 3, density=0.5)
-        rep = schur_positivity(PluriharmonicFunction(sym), [0.3, 0.6, 0.9], 3)
+        rep = schur_positivity(sym, [0.3, 0.6, 0.9], 3)
         assert rep.all_agree
         for p in rep.points:
             assert abs(p.operator_min_eig - p.gram_min_eig) < 1e-9
@@ -109,15 +107,16 @@ def test_from_row_isometries_vacuum_is_delta():
     e = np.zeros((t.dim, 1))
     e[0, 0] = 1.0
     f = from_row_isometries(v, e, 3)
-    assert len(f.symbol) == 1
-    np.testing.assert_allclose(f.constant_coefficient(), np.eye(1))
+    assert len(f) == 1
+    g = identity_multiword(t.n)
+    np.testing.assert_allclose(f.coeff(g, g), np.eye(1))
 
 
 def test_from_scalar_units_all_ones():
     v = [[np.eye(1)], [np.eye(1)]]
     f = from_row_isometries(v, np.eye(1), 3)
-    assert len(f.symbol) == len(lambda_pairs_up_to_total([1, 1], 3))
-    for _, c in f.symbol.items():
+    assert len(f) == len(lambda_pairs_up_to_total([1, 1], 3))
+    for _, c in f.items():
         assert abs(c[0, 0] - 1.0) < 1e-14
 
 
@@ -187,9 +186,9 @@ def test_from_row_isometries_matches_per_word_loop(n):
         c = col(a).conj().T @ col(b)
         if np.max(np.abs(c)) > 0:
             want[(a, b)] = c
-    assert list(f.symbol.coeffs) == list(want)
+    assert list(f.coeffs) == list(want)
     for key, c in want.items():
-        np.testing.assert_array_equal(f.symbol.coeffs[key], c)
+        np.testing.assert_array_equal(f.coeffs[key], c)
 
 
 def test_from_row_isometries_commutation_guard(rng):
@@ -230,9 +229,9 @@ def test_mu_r_scale_limits():
     mu = CbMapData.point_mass([1.0], 6)
     z = PolyballPoint.from_scalars([[0.4]])
     m0 = mu_r_scale(mu, 0.0)
-    assert len(m0.values) == 1  # only the unit survives
+    assert len(m0.symbol) == 1  # only the unit survives
     m1 = mu_r_scale(mu, 1.0)
-    assert m1.to_symbol().hermitian_defect() < 1e-14
+    assert m1.symbol.hermitian_defect() < 1e-14
     np.testing.assert_allclose(
         poisson_transform(m1, z).value, poisson_transform(mu, z).value
     )
@@ -246,13 +245,11 @@ def test_mu_r_scale_limits():
 
 def test_nu_roundtrip_and_scaling():
     mu = CbMapData.point_mass([np.exp(0.3j), 1.0], 4)
-    f = PluriharmonicFunction(mu.to_symbol())
     for r in (0.0, 0.5, 1.0):
-        nu = nu_of(f, r)
+        nu = nu_of(mu.symbol, r)
         mur = mu_r_scale(mu, r)
-        keys = set(nu.values) | set(mur.values)
-        for k in keys:
-            assert np.abs(nu.value(*k) - mur.value(*k)).max() < 1e-14
+        assert set(nu.symbol.coeffs) == set(mur.symbol.coeffs)
+        assert nu.symbol.max_difference(mur.symbol) < 1e-14
     # single-coefficient scaling arithmetic
     n = (2, 1)
     g = identity_multiword(n)
@@ -261,22 +258,21 @@ def test_nu_roundtrip_and_scaling():
     sym[g, g] = [[1.0]]
     sym[a, g] = [[1.0]]
     sym[g, a] = [[1.0]]
-    nu = nu_of(PluriharmonicFunction(sym), 0.5)
-    assert abs(nu.value(a, g)[0, 0] - 0.125) < 1e-15
+    nu = nu_of(sym, 0.5)
+    assert abs(nu.symbol.coeff(a, g)[0, 0] - 0.125) < 1e-15
 
 
 def test_nu_trace_form(rng):
     n = (2, 1)
     trunc = FockTruncation(n, [3, 3])
     sym = random_hermitian_symbol(rng, n, 2, 3, density=0.5)
-    f = PluriharmonicFunction(sym)
     g = identity_multiword(n)
     for r in (0.3, 0.8):
-        nu = nu_of(f, r)
+        nu = nu_of(sym, r)
         for a, b in sym.coeffs:
             if b.is_identity:
-                got = nu_trace_form(f, r, trunc, a)
-                assert np.abs(got - nu.value(a, g)).max() < 1e-12
+                got = nu_trace_form(sym, r, trunc, a)
+                assert np.abs(got - nu.symbol.coeff(a, g)).max() < 1e-12
 
 
 def test_nu_trace_form_reads_the_kron_product_block(rng):
@@ -287,13 +283,12 @@ def test_nu_trace_form_reads_the_kron_product_block(rng):
     trunc = FockTruncation(n, [2, 2])
     g = identity_multiword(n)
     sym = random_hermitian_symbol(rng, n, 2, 2, density=0.6)
-    f = PluriharmonicFunction(sym)
     words = multiwords_up_to_total(n, 3)
     v = trunc.vacuum_index
     for r in (0.4, 0.9):
         phi = symbol_operator(sym, trunc, r, side="right").dense()
         for a in words:
-            got = nu_trace_form(f, r, trunc, a)
+            got = nu_trace_form(sym, r, trunc, a)
             if trunc.admits(a):
                 ra = word_operator(trunc, a, g, side="right").dense()
                 big = np.kron(ra.conj().T, np.eye(2)) @ phi
@@ -307,7 +302,7 @@ def test_fantappie_geometric():
     n = [1]
     g = identity_multiword(n)
     vals = {(multiword([[1] * m], n), g): np.eye(1) for m in range(50)}
-    mu = CbMapData(n, 1, vals, coeff_bound=1.0)
+    mu = CbMapData(MultiToeplitzSymbol(n, 1, vals), coeff_bound=1.0)
     z = PolyballPoint.from_scalars([[0.5]])
     res = fantappie_transform(mu, z)
     assert abs(res.value[0, 0] - 2.0) < 1e-12
@@ -321,7 +316,7 @@ def test_fantappie_vs_resolvent_blocks(rng):
     g = identity_multiword(n)
     vals = {k: v for k, v in sym.coeffs.items() if k[1].is_identity}
     vals[(g, g)] = np.eye(1)
-    mu = CbMapData(n, 1, vals)
+    mu = CbMapData(MultiToeplitzSymbol(n, 1, vals))
     x = random_nilpotent_point(rng, n, 3, 0.7)
     res = fantappie_transform(mu, x)
     dim = trunc.dim
@@ -334,7 +329,7 @@ def test_fantappie_vs_resolvent_blocks(rng):
         acc = np.linalg.solve(np.eye(dim * x.h_dim) - a, acc)
     acc4 = acc.reshape(dim, x.h_dim, dim, x.h_dim)
     oracle = np.zeros_like(res.value)
-    for (a, b), v in mu.values.items():
+    for (a, b), v in mu.symbol.items():
         block = acc4[trunc.vacuum_index, :, trunc.basis_index(a), :]
         oracle += np.kron(block, np.zeros((1, 1)) + 1.0) * v[0, 0]
     assert np.abs(res.value - oracle).max() < 1e-8
@@ -371,7 +366,8 @@ def test_herglotz_class_zero_pattern_validated():
     a = multiword([[1], []], n)
     b = multiword([[], [1]], n)
     with pytest.raises(ValueError):
-        CbMapData(n, 1, {(a, b): np.eye(1)}, unit=np.eye(1), herglotz_class=True)
+        CbMapData(MultiToeplitzSymbol(n, 1, {(a, b): np.eye(1)}), unit=np.eye(1),
+                  herglotz_class=True)
 
 
 def test_herglotz_scaling_identity(rng):
@@ -390,14 +386,14 @@ def test_herglotz_scaling_identity(rng):
     e[t.basis_index(multiword([[1], [1]], n)), 2] = 1.0
     f = from_row_isometries(v, e, 3)
     # the staircase subspace kills the cross-factor coefficients
-    for (a, b), c in f.symbol.items():
+    for (a, b), c in f.items():
         if not a.is_identity and not b.is_identity:
             assert np.abs(c).max() < 1e-14
     g = identity_multiword(n)
     holo = MultiToeplitzSymbol(n, 3)
     skew = 1j * np.array([[0.0, 0.2, 0.0], [-0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
     holo[g, g] = np.eye(3) + skew
-    for (a, b), c in f.symbol.items():
+    for (a, b), c in f.items():
         if b.is_identity and not a.is_identity:
             holo[a, g] = 2 * c
     mu = CbMapData.from_holomorphic(holo, scale=k)
@@ -447,3 +443,49 @@ def test_bounded_correspondence_window_exact(rng):
     lhs = evaluate_symbol(sym, x)
     rhs = berezin_transform(top, x)
     assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def test_cbmap_keeps_nonzero_values_and_the_given_unit():
+    """The map's symbol drops zero coefficients but keeps the unit when one
+    is given, zero or not; a key that is not a quotient index pair is
+    refused by the symbol."""
+    n = (2, 1)
+    g = identity_multiword(n)
+    a = multiword([[1], []], n)
+    b = multiword([[], [1]], n)
+    sym = MultiToeplitzSymbol(n, 1, {(a, g): np.zeros((1, 1)), (g, a): [[0.5]], (b, g): [[0.0]]})
+    mu = CbMapData(sym)
+    assert list(mu.symbol.coeffs) == [(g, a)]
+    assert len(sym) == 3  # the given symbol is left as it is
+    np.testing.assert_array_equal(mu.unit, np.zeros((1, 1)))
+    mu = CbMapData(sym, unit=np.zeros((1, 1)))
+    assert list(mu.symbol.coeffs) == [(g, a), (g, g)]
+    np.testing.assert_array_equal(mu.symbol.coeff(g, g), np.zeros((1, 1)))
+    assert (mu.n, mu.e_dim, mu.max_total_len) == (n, 1, 1)
+    with pytest.raises(ValueError):
+        CbMapData(MultiToeplitzSymbol(n, 1, {(a, a): [[1.0]]}))
+    with pytest.raises(ValueError):
+        CbMapData(sym, unit=np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [
+    {"coeff_bound": float("nan")},
+    {"coeff_bound": float("inf")},
+    {"coeff_bound": -1.0},
+    {"per_factor_cap": (-1, 2)},
+    {"per_factor_cap": (2,)},
+    {"max_total_len": -1},
+])
+def test_cbmap_rejects_bad_metadata(bad):
+    sym = MultiToeplitzSymbol.constant((2, 1), np.eye(1))
+    with pytest.raises(ValueError):
+        CbMapData(sym, **bad)
+
+
+def test_poisson_transform_is_the_symbol_at_the_point(rng):
+    """The Poisson transform evaluates the map's symbol at the point, bit for
+    bit."""
+    n = (2, 1)
+    mu = CbMapData(random_hermitian_symbol(rng, n, 2, 3, density=0.6), coeff_bound=1.0)
+    x = random_point(rng, n, 2, 0.3)
+    np.testing.assert_array_equal(poisson_transform(mu, x).value, evaluate_symbol(mu.symbol, x))
