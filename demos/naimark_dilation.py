@@ -1,6 +1,7 @@
 """Constructive Naimark dilations of PSD multi-Toeplitz kernels.
 
-Builds kernels from generators, checks positivity, dilates to commuting row
+Builds kernels from generators (Hermitian symbols; absent coefficients read
+as zero), checks positivity, dilates to commuting row
 isometries, and verifies reproduction, isometry defects, commutation, and
 minimality on the stated window.
 """
@@ -9,6 +10,7 @@ import numpy as np
 
 from polyball import (
     KernelNotPSDError,
+    MultiToeplitzSymbol,
     dilation_verify,
     identity_multiword,
     kernel_from_generator,
@@ -20,7 +22,7 @@ from polyball import (
 print("=== the geometric kernel on one free generator ===")
 rho, L = 0.6, 5
 g = identity_multiword([1])
-gen = {}
+gen = MultiToeplitzSymbol([1], 1)
 for m in range(2 * L + 1):
     w = multiword([[1] * m], [1])
     gen[(w, g)] = np.array([[rho ** m]])
@@ -41,13 +43,12 @@ print(f"reproduction error {ver.reproduction_error:.2e}, "
 print("\n=== two commuting generators: the product kernel ===")
 from polyball import lambda_pairs_up_to_total
 
-g2 = identity_multiword([1, 1])
-gen2 = {}
+gen2 = MultiToeplitzSymbol([1, 1], 1)
 for a, b in lambda_pairs_up_to_total([1, 1], 6):
     # per coordinate one of the words is trivial, so this generator encodes
     # rho^|m1 - m1'| * rho^|m2 - m2'|
     gen2[(a, b)] = np.array([[0.5 ** (a.total_length + b.total_length)]])
-kernel2 = kernel_from_generator("left", gen2, 3, default=np.zeros((1, 1)))
+kernel2 = kernel_from_generator("left", gen2, 3)
 print("PSD:", kernel_is_psd(kernel2).psd)
 dil2 = naimark_dilate(kernel2)
 ver2 = dilation_verify(dil2, kernel2)
@@ -56,12 +57,8 @@ print(f"space dim {dil2.space_dim}, reproduction {ver2.reproduction_error:.2e}, 
 
 print("\n=== kernels that are not PSD are refused ===")
 w1 = multiword([[1]], [1])
-bad = kernel_from_generator(
-    "left",
-    {(g, g): np.eye(1), (w1, g): [[2.0]], (g, w1): [[2.0]]},
-    2,
-    default=np.zeros((1, 1)),
-)
+bad_gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1), (w1, g): [[2.0]], (g, w1): [[2.0]]})
+bad = kernel_from_generator("left", bad_gen, 2)
 print("min eigenvalue:", kernel_is_psd(bad).min_eig)
 try:
     naimark_dilate(bad)

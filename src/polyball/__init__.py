@@ -8,7 +8,6 @@ tail bounds.
 """
 
 from .words import (
-    ComparabilityResult,
     MultiWord,
     ShapeMismatchError,
     Word,
@@ -35,7 +34,6 @@ from .fock import (
 from .toeplitz import (
     MultiToeplitzSymbol,
     NotLambdaPairError,
-    ToeplitzReport,
     creation_pair_symbol,
     evaluate_symbol,
     extract_symbol,
@@ -46,13 +44,9 @@ from .toeplitz import (
 )
 from .berezin import (
     BerezinKernelMatrix,
-    CauchyResult,
     DivergenceError,
-    MembershipReport,
-    PoissonKernelResult,
     PolyballPoint,
     SingularResolventError,
-    SpectralRadiusReport,
     berezin_kernel,
     berezin_transform,
     cauchy_operator,
@@ -63,11 +57,9 @@ from .berezin import (
     spectral_radius,
 )
 from .naimark import (
-    DilationReport,
     GeneratorError,
     KernelNotPSDError,
     NaimarkDilation,
-    PsdReport,
     ToeplitzKernel,
     dilation_verify,
     kernel_from_generator,
@@ -77,8 +69,6 @@ from .naimark import (
 )
 from .pluriharm import (
     CbMapData,
-    SchurReport,
-    TransformResult,
     fantappie_transform,
     from_row_isometries,
     gamma_kernel,

@@ -29,6 +29,15 @@ def min_eig_hermitian(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
 
 
+def psd_verdict(m: np.ndarray) -> tuple[bool, float, float]:
+    """The package's one PSD criterion, on the Hermitian part of ``m``:
+    ``(psd, smallest eigenvalue, scale)`` with scale = max(largest eigenvalue,
+    1); PSD when the smallest eigenvalue is at least -1e-8 * scale."""
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    scale = max(float(w[-1]), 1.0)
+    return float(w[0]) >= -1e-8 * scale, float(w[0]), scale
+
+
 def psd_sqrt(m: np.ndarray):
     """Square root of a PSD matrix via eigendecomposition.
 

@@ -99,15 +99,17 @@ class PolyballPoint:
                         worst = max(worst, float(np.max(np.abs(a @ b - b @ a))))
         return worst
 
-    def is_jointly_nilpotent(self) -> bool:
-        """True when long enough products of entries all vanish (norm at
-        most 1e-300)."""
-        y = np.eye(self.h_dim, dtype=complex)
-        for _ in range(self.h_dim):
-            y = sum(m @ y @ m.conj().T for row in self.X for m in row)
-            if la.opnorm(y) <= 1e-300:
-                return True
-        return la.opnorm(y) <= 1e-300
+    def nilpotency_indices(self) -> list[float]:
+        """Per factor, the first p with Phi_i^p(I) = 0 (norm <= 1e-300): all its
+        words of length p vanish; infinity if none (the index is at most h)."""
+        def index(row) -> float:
+            y = np.eye(self.h_dim, dtype=complex)
+            for p in range(1, self.h_dim + 1):
+                y = phi_map(row, y)
+                if la.opnorm(y) <= 1e-300:
+                    return p
+            return math.inf
+        return [index(row) for row in self.X]
 
 
 def creation_point(trunc: FockTruncation, r: float = 1.0, side: Side = "left") -> PolyballPoint:
@@ -206,9 +208,9 @@ class BerezinKernelMatrix:
 
 
 def _nilpotent_exact(X: PolyballPoint, trunc: FockTruncation) -> bool:
-    """The series over the box is the whole series: X is jointly nilpotent
-    and every degree covers the nilpotency index."""
-    return all(d + 1 >= X.h_dim for d in trunc.degrees) and X.is_jointly_nilpotent()
+    """The series over the box is the whole series: in each factor the words
+    longer than the degree vanish, d_i + 1 >= p_i for the nilpotency index."""
+    return all(d + 1 >= p for d, p in zip(trunc.degrees, X.nilpotency_indices()))
 
 
 def _kernel_tail_bound(X: PolyballPoint, trunc: FockTruncation, dnorm: float) -> float:

@@ -2,7 +2,9 @@
 semigroups and their constructive Naimark dilations at finite word length.
 
 A kernel is held as its Gram matrix over all multiwords of total length <= L,
-in graded monomial order.  A left kernel is constant along left-comparability
+in graded monomial order, and generated by a Hermitian ``MultiToeplitzSymbol``
+on the quotient index pairs (absent pairs read as zero); ``_linalg.psd_verdict``
+decides whether it is PSD.  A left kernel is constant along left-comparability
 quotients; its Gram matrix is Cholesky-factored in that order, a numerically
 dependent word column adding no row, and the row isometries act by prepending
 a generator to the indexing word.  Since shorter words come first, the window
@@ -24,7 +26,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import min_eig_hermitian, opnorm
+from ._linalg import opnorm, psd_verdict
+from .toeplitz import MultiToeplitzSymbol
 from .words import (
     MultiWord,
     ShapeMismatchError,
@@ -32,7 +35,6 @@ from .words import (
     Word,
     compare,
     identity_multiword,
-    lambda_membership,
     multiwords_up_to_total,
 )
 
@@ -88,54 +90,30 @@ class ToeplitzKernel:
         return float(np.max(np.abs(self._gram - other._gram)))
 
 
-def kernel_from_generator(side: Side, gen: Mapping[tuple[MultiWord, MultiWord], np.ndarray],
-                          max_len: int,
-                          default: np.ndarray | None = None,
+def kernel_from_generator(side: Side, gen: MultiToeplitzSymbol, max_len: int,
                           require_unit: bool = True) -> ToeplitzKernel:
-    """Fill the kernel's Gram from values on the quotient index pairs.
-
-    ``gen`` maps coefficient index pairs (both-sided words, per factor one of
-    them the unit) to matrices; the entry at (s, w) is the generator
-    value at the comparability quotients, zero when incomparable.  The unit
-    value must be the identity (unless ``require_unit`` is off, for kernels
-    attached to functions whose constant coefficient is not normalized) and
-    the generator must be Hermitian (gen[b, a] == gen[a, b]*).  Missing
-    values raise unless a default matrix is supplied.  The side must be
-    "left" or "right" and max_len at least 1.
-    """
+    """Fill the kernel's Gram from its generator symbol: the entry at (s, w)
+    is the coefficient at the comparability quotients, zero when incomparable
+    or absent.  The symbol must be Hermitian and its unit value the identity
+    (unless ``require_unit`` is off, for functions whose constant coefficient
+    is not normalized); the side is "left" or "right", max_len at least 1."""
     if side not in ("left", "right"):
         raise GeneratorError(f"kernel side must be 'left' or 'right', got {side!r}")
     if max_len < 1:
         raise GeneratorError(f"kernel max_len must be >= 1, got {max_len}")
-    if not gen:
-        raise GeneratorError("empty generator")
-    gen = {k: np.asarray(v, dtype=complex) for k, v in gen.items()}
-    first = next(iter(gen))
-    n, e = first[0].n, gen[first].shape[0]
+    n, e = gen.n, gen.e_dim
     gident = identity_multiword(n)
-    unit = gen.get((gident, gident))
-    if require_unit and (unit is None or np.max(np.abs(unit - np.eye(e))) > 1e-10):
+    if require_unit and np.max(np.abs(gen.coeff(gident, gident) - np.eye(e))) > 1e-10:
         raise GeneratorError("generator value at the unit pair must be the identity")
-    for (a, b), v in gen.items():
-        if not lambda_membership(a, b):
-            raise GeneratorError(f"generator key ({a!r}; {b!r}) is not a quotient index pair")
-        partner = gen.get((b, a))
-        if partner is None:
-            raise GeneratorError(f"generator missing the adjoint partner of ({a!r}; {b!r})")
-        if np.max(np.abs(partner - v.conj().T)) > 1e-10:
-            raise GeneratorError(f"generator is not Hermitian at ({a!r}; {b!r})")
+    if (defect := gen.hermitian_defect()) > 1e-10:
+        raise GeneratorError(f"generator is not Hermitian (defect {defect:.3e})")
     monos = multiwords_up_to_total(n, max_len)
     g = np.zeros((len(monos), e, len(monos), e), dtype=complex)
     for p, s in enumerate(monos):
         for q, w in enumerate(monos):
             c = compare(side, s, w)
-            if not c.comparable:
-                continue
-            key = (c.c_plus, c.c_minus)
-            v = gen.get(key, default)
-            if v is None:
-                raise GeneratorError(f"missing generator value at {key!r}")
-            if np.any(v != 0):
+            v = gen.coeffs.get((c.c_plus, c.c_minus)) if c.comparable else None
+            if v is not None and np.any(v != 0):
                 g[p, :, q] = v
     return ToeplitzKernel(side, n, e, max_len, g.reshape(len(monos) * e, -1))
 
@@ -193,12 +171,11 @@ def kernel_from_isometries(side: Side, V: Sequence[Sequence[np.ndarray]],
 class PsdReport:
     psd: bool
     min_eig: float
-    tol: float
 
 
-def kernel_is_psd(K: ToeplitzKernel, tol: float = 1e-10) -> PsdReport:
-    w = min_eig_hermitian(K.gram())
-    return PsdReport(w >= -tol, w, tol)
+def kernel_is_psd(K: ToeplitzKernel) -> PsdReport:
+    """The package's PSD verdict (``_linalg.psd_verdict``) on the Gram."""
+    return PsdReport(*psd_verdict(K.gram())[:2])
 
 
 @dataclass
@@ -224,9 +201,6 @@ class NaimarkDilation:
         """P_E V_s* V_w |_E, which matches the kernel on the window (for a
         right kernel, the table entry at the reversed pair)."""
         return self.columns[s].conj().T @ self.columns[w]
-
-
-_PSD_TOL = 1e-8  # relative to max(lambda_max, 1)
 
 
 def _graded_cholesky(g: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -272,13 +246,12 @@ def naimark_dilate(K: ToeplitzKernel, rank_tol: float = 1e-10) -> NaimarkDilatio
     work = K.reversed() if K.side == "right" else K
     g = work.gram()
     g = 0.5 * (g + g.conj().T)
-    lam = np.linalg.eigvalsh(g)
-    scale = max(float(lam[-1]), 1.0)
-    if float(lam[0]) < -_PSD_TOL * scale:
-        raise KernelNotPSDError(float(lam[0]))
+    psd, min_eig, scale = psd_verdict(g)
+    if not psd:
+        raise KernelNotPSDError(min_eig)
     frame, piv = _graded_cholesky(g, rank_tol * scale)
     if not piv.size:
-        raise KernelNotPSDError(float(lam[0]))
+        raise KernelNotPSDError(min_eig)
     e, monos, L = work.e_dim, work.monomials, work.max_len
     rank = frame.shape[0]
     dom = piv[: np.searchsorted(piv, sum(w.total_length < L for w in monos) * e)]

@@ -22,8 +22,8 @@ import numpy as np
 from ._linalg import min_eig_hermitian
 from .berezin import DivergenceError, PolyballPoint, dropped_shell_mass
 from .fock import FockTruncation, monomial_indices
-from .naimark import ToeplitzKernel, kernel_from_generator, kernel_is_psd, word_columns
-from .toeplitz import MultiToeplitzSymbol, SymbolKey, evaluate_symbol, symbol_operator
+from .naimark import ToeplitzKernel, kernel_from_generator, word_columns
+from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator
 from .words import (
     MultiWord,
     identity_multiword,
@@ -66,16 +66,9 @@ def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
 
 
 def gamma_kernel(F: MultiToeplitzSymbol, r: float, max_len: int) -> ToeplitzKernel:
-    """Right kernel of the r-scaled function: the entry at a comparable pair
-    is the r-scaled coefficient at the comparability quotients."""
-    if not F.is_hermitian_symmetric(1e-9):
-        raise ValueError("gamma kernel requires a Hermitian-symmetric symbol")
-    gen: dict[SymbolKey, np.ndarray] = {}
-    scaled = F.scaled(r)
-    for a, b in lambda_pairs_up_to_total(F.n, 2 * max_len):
-        if a.total_length <= max_len and b.total_length <= max_len:
-            gen[(a, b)] = scaled.coeff(a, b)
-    return kernel_from_generator("right", gen, max_len, require_unit=False)
+    """Right kernel generated by the r-scaled function, which must be Hermitian:
+    the entry at a comparable pair is its coefficient at the quotients."""
+    return kernel_from_generator("right", F.scaled(r), max_len, require_unit=False)
 
 
 @dataclass
@@ -125,7 +118,7 @@ def schur_positivity(F: MultiToeplitzSymbol, r_grid: Iterable[float],
         m = symbol_operator(F, trunc, r).dense()
         mw = m[np.ix_(blk, blk)]
         op_min = min_eig_hermitian(mw)
-        gram_min = kernel_is_psd(gamma_kernel(F, r, max_len), tol).min_eig
+        gram_min = min_eig_hermitian(gamma_kernel(F, r, max_len).gram())
         points.append(
             SchurPoint(r, op_min, gram_min, op_min >= -tol, gram_min >= -tol)
         )

@@ -143,9 +143,8 @@ def random_non_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
     g = identity_multiword(n)
     w = multiword([[1]] + [[] for _ in n[1:]], n)
     big = (2.0 + rng.uniform()) * np.eye(e_dim)
-    gen = {(g, g): np.eye(e_dim), (w, g): big, (g, w): big.conj().T}
-    return kernel_from_generator(side, gen, max_len,
-                                 default=np.zeros((e_dim, e_dim)))
+    gen = MultiToeplitzSymbol(n, e_dim, {(g, g): np.eye(e_dim), (w, g): big, (g, w): big.conj().T})
+    return kernel_from_generator(side, gen, max_len)
 
 
 def random_creation_polynomial(rng: np.random.Generator, n, max_deg: int,

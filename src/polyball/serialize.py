@@ -19,6 +19,17 @@ from .toeplitz import MultiToeplitzSymbol
 from .words import MultiWord, multiword
 
 
+_JSON_TYPES = {int: "integer", bool: "boolean", list: "array"}
+
+
+def _json_typed(value, field: str, kind: type = int):
+    """``value`` if it is a JSON value of that kind: a float, a string or a
+    boolean is not an integer."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def multiword_to_json(mw: MultiWord) -> list[list[int]]:
     return [list(w.letters) for w in mw.parts]
 
@@ -62,7 +73,7 @@ def operator_to_json(op: FockOperator) -> dict[str, Any]:
 
 def operator_from_json(data) -> FockOperator:
     trunc = FockTruncation(data["n"], data["degrees"])
-    e = int(data["coeff_dim"])
+    e = _json_typed(data["coeff_dim"], "coeff_dim")
     size = trunc.dim * e
     m = np.zeros((size, size), dtype=complex)
     for row, col, re, im in data["entries"]:
@@ -94,7 +105,7 @@ def symbol_to_json(sym: MultiToeplitzSymbol) -> dict[str, Any]:
 
 def symbol_from_json(data) -> MultiToeplitzSymbol:
     n = list(data["n"])
-    e = int(data["e_dim"])
+    e = _json_typed(data["e_dim"], "e_dim")
     sym = MultiToeplitzSymbol(n, e)
     for item in data["coeffs"]:
         a = multiword_from_json(item["alpha"], n)
@@ -112,49 +123,33 @@ def point_to_json(X: PolyballPoint) -> dict[str, Any]:
 
 
 def point_from_json(data) -> PolyballPoint:
-    h = int(data["h_dim"])
+    h = _json_typed(data["h_dim"], "h_dim")
     return PolyballPoint(
         [[matrix_from_json(m, h) for m in row] for row in data["X"]]
     )
 
 
 def kernel_to_json(K: ToeplitzKernel) -> dict[str, Any]:
-    """The generator: the nonzero entries at monomial pairs of disjoint supports."""
+    """The generator: the symbol of the nonzero blocks at disjoint-support monomial pairs."""
     m, e = len(K.monomials), K.e_dim
     support = np.array([[len(p) for p in w.parts] for w in K.monomials]) > 0
     nonzero = K.gram().reshape(m, e, m, e).any(axis=(1, 3))
-    pairs = np.argwhere(nonzero & ~(support @ support.T))
-    gen = [
-        {
-            "alpha": multiword_to_json(a),
-            "beta": multiword_to_json(b),
-            "matrix": matrix_to_json(K.value(a, b)),
-        }
-        for (a, b) in sorted(
-            ((K.monomials[p], K.monomials[q]) for p, q in pairs),
-            key=lambda k: (multiword_to_json(k[0]), multiword_to_json(k[1])),
-        )
-    ]
+    gen = MultiToeplitzSymbol(K.n, e, {
+        (K.monomials[p], K.monomials[q]): K.value(K.monomials[p], K.monomials[q])
+        for p, q in np.argwhere(nonzero & ~(support @ support.T))
+    })
     return {
         "side": K.side,
         "n": list(K.n),
         "e_dim": K.e_dim,
         "max_len": K.max_len,
-        "generator": gen,
+        "generator": symbol_to_json(gen)["coeffs"],
     }
 
 
 def kernel_from_json(data) -> ToeplitzKernel:
-    n = list(data["n"])
-    e = int(data["e_dim"])
-    gen = {}
-    for item in data["generator"]:
-        a = multiword_from_json(item["alpha"], n)
-        b = multiword_from_json(item["beta"], n)
-        gen[(a, b)] = matrix_from_json(item["matrix"], e)
-    return kernel_from_generator(
-        data["side"], gen, int(data["max_len"]), default=np.zeros((e, e))
-    )
+    gen = symbol_from_json({**data, "coeffs": data["generator"]})
+    return kernel_from_generator(data["side"], gen, _json_typed(data["max_len"], "max_len"))
 
 
 def cbmap_to_json(mu: CbMapData) -> dict[str, Any]:
@@ -171,14 +166,15 @@ def cbmap_to_json(mu: CbMapData) -> dict[str, Any]:
 
 def cbmap_from_json(data) -> CbMapData:
     sym = symbol_from_json(data)
-    cap = data.get("per_factor_cap")
+    cap, total = data.get("per_factor_cap"), data.get("max_total_len")
     return CbMapData(
         sym,
         unit=matrix_from_json(data["unit"], sym.e_dim),
-        herglotz_class=bool(data.get("herglotz_class", False)),
+        herglotz_class=_json_typed(data.get("herglotz_class", False), "herglotz_class", bool),
         coeff_bound=data.get("coeff_bound"),
-        max_total_len=data.get("max_total_len"),
-        per_factor_cap=tuple(cap) if cap is not None else None,
+        max_total_len=None if total is None else _json_typed(total, "max_total_len"),
+        per_factor_cap=None if cap is None else tuple(
+            _json_typed(c, "per_factor_cap") for c in _json_typed(cap, "per_factor_cap", list)),
     )
 
 

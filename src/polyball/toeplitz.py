@@ -83,9 +83,6 @@ class MultiToeplitzSymbol:
             worst = max(worst, float(np.max(np.abs(m - self.coeff(b, a).conj().T))))
         return worst
 
-    def is_hermitian_symmetric(self, tol: float = 1e-12) -> bool:
-        return self.hermitian_defect() <= tol
-
     def max_difference(self, other: "MultiToeplitzSymbol") -> float:
         keys = set(self.coeffs) | set(other.coeffs)
         return max(

@@ -19,7 +19,8 @@ from polyball.berezin import (
     spectral_radius,
 )
 from polyball.fock import FockTruncation, creation_matrix, word_operator
-from polyball.sampling import random_nilpotent_point, random_point
+from polyball.sampling import random_hermitian_symbol, random_nilpotent_point, random_point
+from polyball.toeplitz import symbol_operator
 from polyball.words import (
     MultiWord,
     Word,
@@ -500,9 +501,8 @@ def test_kernel_tail_matches_closed_form(rng):
 
 
 def test_nilpotent_exactness_needs_degrees_covering_the_index(rng):
-    """Both the kernel and the Poisson kernel drop their tails only when the
-    point is jointly nilpotent and every degree covers the nilpotency index
-    (d + 1 >= h)."""
+    """Both the kernel and the Poisson kernel drop their tails only when
+    every degree covers its factor's nilpotency index (d_i + 1 >= p_i)."""
     x = random_nilpotent_point(rng, (2, 1), 3, 0.8)
     for degrees, exact in [((2, 2), True), ((3, 2), True), ((2, 1), False), ((1, 4), False)]:
         t = FockTruncation((2, 1), degrees)
@@ -511,3 +511,31 @@ def test_nilpotent_exactness_needs_degrees_covering_the_index(rng):
     y = random_point(rng, (2, 1), 3, 0.5)
     t = FockTruncation((2, 1), (4, 4))
     assert berezin_kernel(y, t).tail_bound > 0.0 and poisson_kernel(y, t).tail_bound > 0.0
+
+
+@pytest.mark.parametrize("e_dim", [1, 2])
+@pytest.mark.parametrize("r", [0.3, 0.9, 1 - 1e-6])
+def test_nilpotency_index_is_per_factor_not_h_dim(r, e_dim):
+    """r times the left creations on (2,1)@(2,2): h = 21, yet every word of
+    length 3 vanishes in each factor, so the (3,3) box holds the whole
+    series.  Both tails are 0 (they were 0.0126, 4.33 and 5.0e5 for the
+    Berezin kernel when h was taken as the index), and the Berezin transform
+    of a symbol's operator is the r-scaled symbol at the creations."""
+    small, box = FockTruncation((2, 1), (2, 2)), FockTruncation((2, 1), (3, 3))
+    x = creation_point(small, r)
+    assert x.h_dim == 21 and x.nilpotency_indices() == [3, 3]
+    assert berezin_kernel(x, box).tail_bound == 0.0
+    assert poisson_kernel(x, box).tail_bound == 0.0
+    sym = random_hermitian_symbol(np.random.default_rng(4), (2, 1), e_dim, 3)
+    got = berezin_transform(symbol_operator(sym, box), x)
+    assert np.abs(got - symbol_operator(sym, small, r).dense()).max() <= 1e-15
+
+
+def test_nilpotency_indices():
+    """The first p with Phi_i^p(I) = 0, factor by factor; infinity for a
+    factor that is not nilpotent."""
+    shift = np.diag([1.0, 1.0], -1)
+    x = PolyballPoint([[shift, np.zeros((3, 3))], [shift @ shift]])
+    assert x.nilpotency_indices() == [3, 2]
+    y = PolyballPoint([[shift], [0.5 * np.eye(3)]])
+    assert y.nilpotency_indices() == [3, math.inf]

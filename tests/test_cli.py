@@ -9,6 +9,7 @@ from polyball.cli import main
 from polyball.fock import FockTruncation
 from polyball.naimark import kernel_from_generator
 from polyball.pluriharm import CbMapData
+from polyball.toeplitz import MultiToeplitzSymbol
 from polyball.words import identity_multiword, multiword
 
 
@@ -55,8 +56,8 @@ def test_verify_deterministic(tmp_path):
 
 def test_dilate_delta_kernel(tmp_path):
     g = identity_multiword([1])
-    gen = {(g, g): np.eye(1)}
-    k = kernel_from_generator("left", gen, 4, default=np.zeros((1, 1)))
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)})
+    k = kernel_from_generator("left", gen, 4)
     kfile = tmp_path / "kernel.json"
     serialize.dump(serialize.kernel_to_json(k), str(kfile))
     out = tmp_path / "dilation.json"
@@ -71,7 +72,7 @@ def test_dilate_delta_kernel(tmp_path):
 
 def _rho_kernel_file(tmp_path):
     g = identity_multiword([1])
-    gen = {(g, g): np.eye(1)}
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)})
     for m in range(1, 11):
         w = multiword([[1] * m], [1])
         gen[(w, g)] = np.array([[0.6 ** m]])
@@ -110,7 +111,7 @@ def test_dilate_singular_psd_kernel_at_tight_tolerance(tmp_path, capsys):
     refused as non-PSD however tight --tol is; only the dilation's own
     relative criterion can refuse a kernel."""
     g = identity_multiword([1])
-    gen = {(g, g): np.eye(1)}
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)})
     for m in range(1, 4):
         w = multiword([[1] * m], [1])
         gen[(w, g)] = np.eye(1)
@@ -129,8 +130,8 @@ def test_dilate_singular_psd_kernel_at_tight_tolerance(tmp_path, capsys):
 def test_dilate_rejects_non_psd(tmp_path, capsys):
     g = identity_multiword([1])
     w = multiword([[1]], [1])
-    gen = {(g, g): np.eye(1), (w, g): [[2.0]], (g, w): [[2.0]]}
-    k = kernel_from_generator("left", gen, 2, default=np.zeros((1, 1)))
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1), (w, g): [[2.0]], (g, w): [[2.0]]})
+    k = kernel_from_generator("left", gen, 2)
     kfile = tmp_path / "kernel.json"
     serialize.dump(serialize.kernel_to_json(k), str(kfile))
     assert run(["dilate", str(kfile)]) == 3
@@ -139,10 +140,11 @@ def test_dilate_rejects_non_psd(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("side", "diagonal"), ("max_len", 0), ("max_len", -1),
+    ("max_len", 2.5), ("max_len", "3"), ("max_len", True), ("e_dim", 1.5),
 ])
 def test_dilate_rejects_malformed_kernel(tmp_path, capsys, field, value):
     g = identity_multiword([1])
-    k = kernel_from_generator("left", {(g, g): np.eye(1)}, 2, default=np.zeros((1, 1)))
+    k = kernel_from_generator("left", MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)}), 2)
     data = serialize.kernel_to_json(k)
     data[field] = value
     kfile = tmp_path / "kernel.json"
@@ -204,9 +206,8 @@ def test_transform_rejects_non_finite_point(tmp_path, capsys):
 def test_dilate_rejects_non_finite_kernel(tmp_path, capsys):
     g = identity_multiword([1])
     w = multiword([[1]], [1])
-    gen = {(g, g): np.eye(1), (w, g): [[0.5]], (g, w): [[0.5]]}
-    data = serialize.kernel_to_json(
-        kernel_from_generator("left", gen, 2, default=np.zeros((1, 1))))
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1), (w, g): [[0.5]], (g, w): [[0.5]]})
+    data = serialize.kernel_to_json(kernel_from_generator("left", gen, 2))
     for item in data["generator"]:
         if item["alpha"] != item["beta"]:
             item["matrix"][0] = float("nan")
@@ -341,3 +342,29 @@ def test_transform_rejects_malformed_map_metadata(tmp_path, capsys, key, value, 
     serialize.dump({"mu": mu, "X": serialize.point_to_json(x)}, str(inputs))
     assert run(["transform", str(inputs), "--kind", kind]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("per_factor_cap", ["2", "2"]),
+    ("per_factor_cap", [2.5, 2]),
+    ("per_factor_cap", [True, 2]),
+    ("per_factor_cap", 2),
+    ("max_total_len", "3"),
+    ("max_total_len", 2.5),
+    ("herglotz_class", "false"),
+    ("herglotz_class", 0),
+    ("e_dim", 1.5),
+])
+@pytest.mark.parametrize("kind", ["poisson", "herglotz"])
+def test_transform_rejects_non_integer_map_fields(tmp_path, capsys, key, value, kind):
+    """Caps and dimensions must be JSON integers and the Herglotz flag a JSON
+    boolean; anything else exits 2 naming the field, instead of being
+    truncated, read as true or failing as an internal error."""
+    mu = serialize.cbmap_to_json(CbMapData.point_mass([1.0, 1.0], 2))
+    mu[key] = value
+    x = PolyballPoint.from_scalars([[0.2], [0.3]])
+    inputs = tmp_path / "inputs.json"
+    serialize.dump({"mu": mu, "X": serialize.point_to_json(x)}, str(inputs))
+    assert run(["transform", str(inputs), "--kind", kind]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err

@@ -9,6 +9,7 @@ from polyball.naimark import (
     GeneratorError,
     KernelNotPSDError,
     NaimarkDilation,
+    ToeplitzKernel,
     dilation_verify,
     kernel_from_columns,
     kernel_from_generator,
@@ -18,6 +19,7 @@ from polyball.naimark import (
     word_columns,
 )
 from polyball.sampling import random_non_psd_kernel, random_psd_kernel
+from polyball.toeplitz import MultiToeplitzSymbol, NotLambdaPairError
 from polyball.words import (
     ShapeMismatchError,
     identity_multiword,
@@ -29,12 +31,12 @@ from polyball.words import (
 
 def delta_generator(n, e=1):
     g = identity_multiword(n)
-    return {(g, g): np.eye(e)}
+    return MultiToeplitzSymbol(n, e, {(g, g): np.eye(e)})
 
 
 def rho_generator(rho, max_len):
     g = identity_multiword([1])
-    gen = {}
+    gen = MultiToeplitzSymbol([1], 1)
     for m in range(2 * max_len + 1):
         w = multiword([[1] * m], [1])
         gen[(w, g)] = np.array([[rho ** m]])
@@ -43,8 +45,7 @@ def rho_generator(rho, max_len):
 
 
 def test_delta_kernel_table():
-    k = kernel_from_generator("left", delta_generator([1]), 4,
-                              default=np.zeros((1, 1)))
+    k = kernel_from_generator("left", delta_generator([1]), 4)
     for m in range(5):
         for m2 in range(5):
             got = k.value(multiword([[1] * m], [1]), multiword([[1] * m2], [1]))[0, 0]
@@ -62,29 +63,41 @@ def test_rho_kernel_structure():
 def test_generator_validation():
     g = identity_multiword([1])
     w = multiword([[1]], [1])
+
+    def sym(coeffs):
+        return MultiToeplitzSymbol([1], 1, coeffs)
+
     with pytest.raises(GeneratorError):
-        kernel_from_generator("left", {(g, g): 2 * np.eye(1)}, 2,
-                              default=np.zeros((1, 1)))
-    with pytest.raises(GeneratorError):
-        # missing adjoint partner
-        kernel_from_generator("left", {(g, g): np.eye(1), (w, g): np.eye(1)}, 2,
-                              default=np.zeros((1, 1)))
+        kernel_from_generator("left", sym({(g, g): 2 * np.eye(1)}), 2)
     with pytest.raises(GeneratorError):
         # non-Hermitian pairing
-        kernel_from_generator(
-            "left",
-            {(g, g): np.eye(1), (w, g): [[1.0j]], (g, w): [[1.0j]]},
-            2,
-            default=np.zeros((1, 1)),
-        )
-    with pytest.raises(GeneratorError):
-        # missing value without a default
-        kernel_from_generator("left", delta_generator([1]), 2)
+        kernel_from_generator("left", sym({(g, g): np.eye(1), (w, g): [[1.0j]],
+                                           (g, w): [[1.0j]]}), 2)
+
+
+def test_generator_missing_adjoint_partner_raises():
+    """An absent coefficient reads as zero, so a value without its adjoint
+    partner is a Hermitian defect of its own size."""
+    g = identity_multiword([1])
+    w = multiword([[1]], [1])
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1), (w, g): [[0.25]]})
+    with pytest.raises(GeneratorError, match="not Hermitian"):
+        kernel_from_generator("left", gen, 2)
+    gen[g, w] = [[0.25]]
+    assert kernel_from_generator("left", gen, 2).value(w, g)[0, 0] == 0.25
+
+
+def test_generator_refuses_non_lambda_key():
+    """A key with both words nontrivial in one factor is refused when the
+    generator symbol is built, before any kernel is filled."""
+    g = identity_multiword([1])
+    w = multiword([[1]], [1])
+    with pytest.raises(NotLambdaPairError):
+        MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1), (w, w): np.eye(1)})
 
 
 def test_psd_reports():
-    k = kernel_from_generator("left", delta_generator([1]), 4,
-                              default=np.zeros((1, 1)))
+    k = kernel_from_generator("left", delta_generator([1]), 4)
     rep = kernel_is_psd(k)
     assert rep.psd and abs(rep.min_eig - 1.0) < 1e-14
 
@@ -94,15 +107,30 @@ def test_psd_reports():
     # contractivity violation: the principal 2x2 block [[1, 2], [2, 1]]
     g = identity_multiword([1])
     w = multiword([[1]], [1])
-    gen = {(g, g): np.eye(1), (w, g): [[2.0]], (g, w): [[2.0]]}
-    k = kernel_from_generator("left", gen, 2, default=np.zeros((1, 1)))
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1), (w, g): [[2.0]], (g, w): [[2.0]]})
+    k = kernel_from_generator("left", gen, 2)
     rep = kernel_is_psd(k)
     assert not rep.psd and rep.min_eig <= -1.0 + 1e-12
 
 
+@pytest.mark.parametrize("delta, psd", [(1e-9, True), (1e-7, False)])
+def test_psd_verdict_is_the_dilation_criterion(delta, psd):
+    """kernel_is_psd and naimark_dilate share one relative criterion: a Gram
+    with smallest eigenvalue -delta against largest 2 + delta is PSD for
+    both at delta = 1e-9 (the absolute 1e-10 test said no) and refused by
+    both at 1e-7."""
+    k = ToeplitzKernel("left", (1,), 1, 1, [[1.0, 1.0 + delta], [1.0 + delta, 1.0]])
+    rep = kernel_is_psd(k)
+    assert rep.psd == psd and rep.min_eig == pytest.approx(-delta, abs=1e-12)
+    if psd:
+        assert naimark_dilate(k).space_dim == 1
+    else:
+        with pytest.raises(KernelNotPSDError):
+            naimark_dilate(k)
+
+
 def test_delta_dilation_is_truncated_shift():
-    k = kernel_from_generator("left", delta_generator([1]), 4,
-                              default=np.zeros((1, 1)))
+    k = kernel_from_generator("left", delta_generator([1]), 4)
     d = naimark_dilate(k)
     assert d.space_dim == 5
     assert d.window_len == 3
@@ -135,8 +163,7 @@ def test_commuting_shifts_dilation():
     e[0, 0] = 1.0
     k = kernel_from_isometries("left", v, e, 3)
     # vacuum compression of commuting shifts is the delta kernel
-    kd = kernel_from_generator("left", delta_generator([1, 1]), 3,
-                               default=np.zeros((1, 1)))
+    kd = kernel_from_generator("left", delta_generator([1, 1]), 3)
     assert k.max_difference(kd) < 1e-14
     d = naimark_dilate(k)
     rep = dilation_verify(d, k)
@@ -184,8 +211,7 @@ def test_right_kernel_duality(rng):
 
 
 def test_nonminimal_dilation_detected():
-    k = kernel_from_generator("left", delta_generator([1]), 3,
-                              default=np.zeros((1, 1)))
+    k = kernel_from_generator("left", delta_generator([1]), 3)
     d = naimark_dilate(k)
     pad = d.space_dim + 1
     grown = NaimarkDilation(
@@ -345,8 +371,8 @@ def test_value_is_zero_beyond_max_len():
 def test_max_difference_refuses_other_words():
     """n=(2,) and n=(1,1) at max_len 1 have Grams of one size over different
     words, so their difference means nothing."""
-    a = kernel_from_generator("left", delta_generator([2]), 1, default=np.zeros((1, 1)))
-    b = kernel_from_generator("left", delta_generator([1, 1]), 1, default=np.zeros((1, 1)))
+    a = kernel_from_generator("left", delta_generator([2]), 1)
+    b = kernel_from_generator("left", delta_generator([1, 1]), 1)
     assert a.gram().shape == b.gram().shape
     with pytest.raises(ShapeMismatchError):
         a.max_difference(b)

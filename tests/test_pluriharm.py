@@ -3,6 +3,7 @@ import pytest
 
 from polyball.berezin import PolyballPoint, berezin_transform, cauchy_operator
 from polyball.fock import FockTruncation, creation_matrix, word_operator
+from polyball.naimark import GeneratorError
 from polyball.pluriharm import (
     CbMapData,
     fantappie_transform,
@@ -17,7 +18,13 @@ from polyball.pluriharm import (
 )
 from polyball.sampling import random_hermitian_symbol, random_nilpotent_point, random_point
 from polyball.toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator
-from polyball.words import identity_multiword, lambda_pairs_up_to_total, multiword, multiwords_up_to_total
+from polyball.words import (
+    compare,
+    identity_multiword,
+    lambda_pairs_up_to_total,
+    multiword,
+    multiwords_up_to_total,
+)
 
 
 def tridiagonal_symbol(c):
@@ -67,6 +74,56 @@ def test_gamma_matches_matrix_entries(rng):
             si, wi = trunc.basis_index(s), trunc.basis_index(w)
             block = m[si * e : si * e + e, wi * e : wi * e + e]
             np.testing.assert_allclose(block, k.value(s, w), atol=1e-12)
+
+
+def _gamma_gram_by_pair_fill(F, r, max_len):
+    """The former gamma kernel, kept as the oracle: a generator dict filled
+    over every lambda-pair up to total length 2L, then the Gram filled pair
+    by pair from it (a missing quotient is a KeyError)."""
+    scaled = F.scaled(r)
+    gen = {(a, b): scaled.coeff(a, b) for a, b in lambda_pairs_up_to_total(F.n, 2 * max_len)
+           if a.total_length <= max_len and b.total_length <= max_len}
+    monos, e = multiwords_up_to_total(F.n, max_len), F.e_dim
+    g = np.zeros((len(monos), e, len(monos), e), dtype=complex)
+    for p, s in enumerate(monos):
+        for q, w in enumerate(monos):
+            c = compare("right", s, w)
+            if c.comparable and np.any(gen[(c.c_plus, c.c_minus)] != 0):
+                g[p, :, q] = gen[(c.c_plus, c.c_minus)]
+    return g.reshape(len(monos) * e, -1)
+
+
+@pytest.mark.parametrize("shape", ["small", "verify-small", "verify-small-structure"])
+def test_gamma_kernel_matches_pair_fill(shape):
+    """gamma_kernel reads the scaled symbol directly; its Gram is bitwise the
+    one of the former explicit fill, at a small shape and at the shapes of
+    the verify-small Schur and structure items (n=(2,1), L=3, e=2)."""
+    rng = np.random.default_rng(8)
+    n = (2, 1)
+    if shape == "small":
+        syms, max_len = [random_hermitian_symbol(rng, n, 2, 2)], 2
+    elif shape == "verify-small":
+        syms = [random_hermitian_symbol(rng, n, 2, 3, density=0.5) for _ in range(3)]
+        max_len = 3
+    else:
+        t = FockTruncation(n, [6, 6])
+        v = [[creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
+             for i, ni in enumerate(n, start=1)]
+        e_basis = np.linalg.qr(rng.standard_normal((t.dim, 2)))[0]
+        syms, max_len = [from_row_isometries(v, e_basis, 3)], 3
+    for sym in syms:
+        for r in (0.3, 0.6, 0.9, 1.0):
+            got = gamma_kernel(sym, r, max_len).gram()
+            assert got.tobytes() == _gamma_gram_by_pair_fill(sym, r, max_len).tobytes()
+
+
+def test_gamma_kernel_refuses_non_hermitian_symbol():
+    """The generator check covers the whole scaled symbol: a coefficient
+    without its adjoint partner is refused."""
+    f = tridiagonal_symbol(0.5)
+    f.coeffs.pop((identity_multiword([1]), multiword([[1]], [1])))
+    with pytest.raises(GeneratorError, match="not Hermitian"):
+        gamma_kernel(f, 0.5, 2)
 
 
 def test_schur_identity_function():

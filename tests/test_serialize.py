@@ -7,6 +7,7 @@ from polyball.fock import FockTruncation, word_operator
 from polyball.naimark import kernel_from_generator
 from polyball.pluriharm import CbMapData
 from polyball.sampling import random_hermitian_symbol, random_point
+from polyball.toeplitz import MultiToeplitzSymbol
 from polyball.words import identity_multiword, multiword
 
 
@@ -59,7 +60,7 @@ def test_point_roundtrip(rng):
 
 def test_kernel_roundtrip():
     g = identity_multiword([1])
-    gen = {(g, g): np.eye(1)}
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)})
     for m in range(1, 7):
         w = multiword([[1] * m], [1])
         gen[(w, g)] = np.array([[0.6 ** m]])
