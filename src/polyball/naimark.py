@@ -2,16 +2,16 @@
 semigroups and their constructive Naimark dilations at finite word length.
 
 A kernel is held as its Gram matrix over all multiwords of total length <= L,
-in graded monomial order, and generated by a Hermitian ``MultiToeplitzSymbol``
-on the quotient index pairs (absent pairs read as zero); ``_linalg.psd_verdict``
-decides whether it is PSD.  A left kernel is constant along left-comparability
-quotients; its Gram matrix is Cholesky-factored in that order, a numerically
-dependent word column adding no row, and the row isometries act by prepending
-a generator to the indexing word.  Since shorter words come first, the window
-words span a coordinate prefix of the factor space, on which the isometries
-are one triangular solve.  Right kernels are dilated through the reversal
-reduction.  All dilation identities carry a window qualifier: they are exact
-on words of total length <= L - 1.
+in graded monomial order, filled per quotient (no word pairs are compared) from
+a Hermitian ``MultiToeplitzSymbol`` on the quotient index pairs (absent pairs
+read as zero); ``_linalg.psd_verdict`` decides whether it is PSD.  A left
+kernel is constant along left-comparability quotients; its Gram matrix is
+Cholesky-factored in that order, a numerically dependent word column adding no
+row, and the row isometries act by prepending a generator to the indexing word.
+Since shorter words come first, the window words span a coordinate prefix of
+the factor space, on which the isometries are one triangular solve.  Right
+kernels are dilated through the reversal reduction.  All dilation identities
+carry a window qualifier: they are exact on words of total length <= L - 1.
 
 The kernel of commuting row isometries V compressed to a subspace E is read
 off the columns V_w E; ``word_columns`` builds them, for dense matrices and
@@ -20,6 +20,7 @@ matrix-free actions alike, and ``kernel_from_columns`` forms the kernel's Gram.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -33,7 +34,6 @@ from .words import (
     ShapeMismatchError,
     Side,
     Word,
-    compare,
     identity_multiword,
     multiwords_up_to_total,
 )
@@ -92,30 +92,31 @@ class ToeplitzKernel:
 
 def kernel_from_generator(side: Side, gen: MultiToeplitzSymbol, max_len: int,
                           require_unit: bool = True) -> ToeplitzKernel:
-    """Fill the kernel's Gram from its generator symbol: the entry at (s, w)
-    is the coefficient at the comparability quotients, zero when incomparable
-    or absent.  The symbol must be Hermitian and its unit value the identity
-    (unless ``require_unit`` is off, for functions whose constant coefficient
-    is not normalized); the side is "left" or "right", max_len at least 1."""
+    """Fill the kernel's Gram from its generator symbol, per quotient: a pair
+    (a, b) and a tail t with max(|a|, |b|) + |t| <= L make the comparable
+    pair (a.t, b.t) of a right kernel, (t.a, t.b) of a left one.  The symbol
+    must be Hermitian and its unit value the identity (unless ``require_unit``
+    is off); the side is "left" or "right", max_len at least 1."""
     if side not in ("left", "right"):
         raise GeneratorError(f"kernel side must be 'left' or 'right', got {side!r}")
     if max_len < 1:
         raise GeneratorError(f"kernel max_len must be >= 1, got {max_len}")
-    n, e = gen.n, gen.e_dim
-    gident = identity_multiword(n)
-    if require_unit and np.max(np.abs(gen.coeff(gident, gident) - np.eye(e))) > 1e-10:
+    n, e, unit = gen.n, gen.e_dim, identity_multiword(gen.n)
+    if require_unit and np.max(np.abs(gen.coeff(unit, unit) - np.eye(e))) > 1e-10:
         raise GeneratorError("generator value at the unit pair must be the identity")
     if (defect := gen.hermitian_defect()) > 1e-10:
         raise GeneratorError(f"generator is not Hermitian (defect {defect:.3e})")
-    monos = multiwords_up_to_total(n, max_len)
-    g = np.zeros((len(monos), e, len(monos), e), dtype=complex)
-    for p, s in enumerate(monos):
-        for q, w in enumerate(monos):
-            c = compare(side, s, w)
-            v = gen.coeffs.get((c.c_plus, c.c_minus)) if c.comparable else None
-            if v is not None and np.any(v != 0):
-                g[p, :, q] = v
-    return ToeplitzKernel(side, n, e, max_len, g.reshape(len(monos) * e, -1))
+    m = len(multiwords_up_to_total(n, max_len))
+    k = ToeplitzKernel(side, n, e, max_len, np.zeros((m * e, m * e), dtype=complex))
+    g, pos = k.gram().reshape(m, e, m, e), k._position  # a view: the held Gram is filled in place
+    lengths = [t.total_length for t in k.monomials]  # graded: a length bound cuts a prefix
+    keys = [(a, b, v) for (a, b), v in gen.items() if np.any(v != 0)]
+    tailed = {x: [pos[x.concat(t) if side == "right" else t.concat(x)]  # x.t, or t.x on the left
+                  for t in k.monomials[: bisect.bisect_right(lengths, max_len - x.total_length)]]
+              for x in {x for a, b, _ in keys for x in (a, b)}}
+    for a, b, v in keys:  # both cut to the tails with max(|a|, |b|) + |t| <= L
+        g[tailed[a][: len(tailed[b])], :, tailed[b][: len(tailed[a])]] = v
+    return k
 
 
 def word_columns(letter: Callable[[int, int, np.ndarray], np.ndarray],

@@ -13,6 +13,7 @@ declared zero-pattern validated at construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -35,24 +36,22 @@ from .words import (
 def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
                         max_total_len: int) -> MultiToeplitzSymbol:
     """Symbol with coefficients P_E V_{a~}* V_{b~} |_E over index pairs of
-    total length <= max_total_len.
-
-    V must be a tuple of cross-factor commuting row operators; a commutation
-    defect above 1e-8 raises ``ValueError``.  The columns V_w E come from
-    ``naimark.word_columns``, as for the kernels of isometries.
+    total length <= max_total_len, read off the columns V_w E of
+    ``naimark.word_columns``.  Cross-factor letters of V must commute on the
+    columns with |w| <= max_total_len - 2, the only swaps that can change a
+    column the coefficients read; a defect above 1e-8 raises ``ValueError``.
     """
     e_basis = np.asarray(e_basis, dtype=complex)
     n = tuple(len(row) for row in V)
-    for i in range(len(V)):
-        for i2 in range(i + 1, len(V)):
-            for a in V[i]:
-                for b in V[i2]:
-                    d = float(np.max(np.abs(a @ b - b @ a)))
-                    if d > 1e-8:
-                        raise ValueError(
-                            f"factors {i + 1} and {i2 + 1} do not commute (defect {d:.3e})"
-                        )
     cols = word_columns(lambda i, j, m: V[i - 1][j - 1] @ m, e_basis, n, max_total_len)
+    inner = np.concatenate([e_basis[:, :0]] + [
+        c for w, c in cols.items() if w.total_length <= max_total_len - 2], axis=1)
+    vc = [[a @ inner for a in row] for row in V]
+    for i, i2 in itertools.combinations(range(len(V)), 2):
+        d = max(float(np.max(np.abs(a @ bc - b @ ac), initial=0.0))
+                for a, ac in zip(V[i], vc[i]) for b, bc in zip(V[i2], vc[i2]))
+        if d > 1e-8:
+            raise ValueError(f"factors {i + 1} and {i2 + 1} do not commute (defect {d:.3e})")
     sym = MultiToeplitzSymbol(n, e_basis.shape[1])
     for a, b in lambda_pairs_up_to_total(n, max_total_len):
         c = cols[a.reverse()].conj().T @ cols[b.reverse()]

@@ -19,13 +19,13 @@ from .toeplitz import MultiToeplitzSymbol
 from .words import MultiWord, multiword
 
 
-_JSON_TYPES = {int: "integer", bool: "boolean", list: "array"}
+_JSON_TYPES = {int: "integer", bool: "boolean", list: "array of integers"}
 
 
 def _json_typed(value, field: str, kind: type = int):
-    """``value`` if it is a JSON value of that kind: a float, a string or a
-    boolean is not an integer."""
-    if type(value) is not kind:
+    """``value`` if it is a JSON value of that kind, ``list`` being an array of
+    integers: a float, a string or a boolean is not an integer."""
+    if type(value) is not kind or (kind is list and any(type(v) is not int for v in value)):
         raise ValueError(f"{field} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
@@ -35,7 +35,7 @@ def multiword_to_json(mw: MultiWord) -> list[list[int]]:
 
 
 def multiword_from_json(data, n) -> MultiWord:
-    return multiword([list(part) for part in data], n)
+    return multiword([_json_typed(part, "multiword letters", list) for part in data], n)
 
 
 def matrix_to_json(m: np.ndarray) -> list[float]:
@@ -72,7 +72,7 @@ def operator_to_json(op: FockOperator) -> dict[str, Any]:
 
 
 def operator_from_json(data) -> FockOperator:
-    trunc = FockTruncation(data["n"], data["degrees"])
+    trunc = FockTruncation(*(_json_typed(data[f], f, list) for f in ("n", "degrees")))
     e = _json_typed(data["coeff_dim"], "coeff_dim")
     size = trunc.dim * e
     m = np.zeros((size, size), dtype=complex)
@@ -104,7 +104,7 @@ def symbol_to_json(sym: MultiToeplitzSymbol) -> dict[str, Any]:
 
 
 def symbol_from_json(data) -> MultiToeplitzSymbol:
-    n = list(data["n"])
+    n = _json_typed(data["n"], "n", list)
     e = _json_typed(data["e_dim"], "e_dim")
     sym = MultiToeplitzSymbol(n, e)
     for item in data["coeffs"]:
@@ -173,8 +173,7 @@ def cbmap_from_json(data) -> CbMapData:
         herglotz_class=_json_typed(data.get("herglotz_class", False), "herglotz_class", bool),
         coeff_bound=data.get("coeff_bound"),
         max_total_len=None if total is None else _json_typed(total, "max_total_len"),
-        per_factor_cap=None if cap is None else tuple(
-            _json_typed(c, "per_factor_cap") for c in _json_typed(cap, "per_factor_cap", list)),
+        per_factor_cap=cap if cap is None else tuple(_json_typed(cap, "per_factor_cap", list)),
     )
 
 

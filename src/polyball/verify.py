@@ -429,10 +429,10 @@ def _id_poisson_transform_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
     trunc = FockTruncation(cfg.n, [depth] * len(cfg.n))
     v = creation_point(trunc, side="right").X
     w = random_embedding(rng, trunc, 2)
+    mu = CbMapData.from_isometries(v, w, cap)
     worst = 0.0
     for _ in range(2):
         x = random_nilpotent_point(rng, cfg.n, h_dim, 0.8)
-        mu = CbMapData.from_isometries(v, w, cap)
         val = poisson_transform(mu, x).value
         worst = max(worst, -la.min_eig_hermitian(val))
         # the resolvent lives on V (x) H; only its columns on W (x) H are read

@@ -153,6 +153,32 @@ def test_dilate_rejects_malformed_kernel(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["dilate", "transform"])
+def test_multiword_letters_must_be_json_integers(tmp_path, capsys, command):
+    """A generator letter 1.5 in a two-letter factor is in range but names no
+    word: it exits 2 instead of being dropped from a kernel (exit 0) or
+    failing a transform as an internal error (exit 1)."""
+    n = (2, 1)
+    g, a = identity_multiword(n), multiword([[2], []], n)
+    sym = MultiToeplitzSymbol(n, 1, {(g, g): np.eye(1), (a, g): [[0.5]], (g, a): [[0.5]]})
+    if command == "dilate":
+        data = serialize.kernel_to_json(kernel_from_generator("left", sym, 2))
+        coeffs = data["generator"]
+    else:
+        x = PolyballPoint.from_scalars([[0.2, 0.1], [0.3]])
+        data = {"mu": serialize.cbmap_to_json(CbMapData(sym)), "X": serialize.point_to_json(x)}
+        coeffs = data["mu"]["coeffs"]
+    for item in coeffs:
+        for key in ("alpha", "beta"):
+            if item[key] == [[2], []]:
+                item[key] = [[1.5], []]
+    infile = tmp_path / "inputs.json"
+    serialize.dump(data, str(infile))
+    assert run([command, str(infile)] + ([] if command == "dilate" else ["--kind", "poisson"])) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "multiword letters" in err
+
+
 @pytest.mark.parametrize("command, flags", [
     ("dilate", ["--n", "2,1"]),
     ("dilate", ["--max-len", "4"]),
@@ -296,6 +322,12 @@ def _set_entry(k, value):
     return mutate
 
 
+def _set_field(key, value):
+    def mutate(g):
+        g[key] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     _set_entry(0, -1),
     _set_entry(0, 99),
@@ -304,12 +336,15 @@ def _set_entry(k, value):
     _set_entry(0, 1.5),
     _set_entry(2, float("nan")),
     _set_entry(3, float("inf")),
+    _set_field("degrees", [2.5, 2]),
+    _set_field("degrees", ["2", "2"]),
 ], ids=["row-negative", "row-past-end", "col-negative", "col-past-end", "row-fraction",
-         "nan", "inf"])
+         "nan", "inf", "degrees-fraction", "degrees-strings"])
 def test_transform_rejects_malformed_operator(tmp_path, capsys, mutate):
-    """Entries whose indices are not integers in [0, dim*e), or whose values
-    are not finite, exit 2 instead of wrapping around, being truncated,
-    failing as an internal error or passing through."""
+    """Entries whose indices are not integers in [0, dim*e), entries whose
+    values are not finite, and degrees that are not JSON integers exit 2
+    instead of wrapping around, being truncated, failing as an internal error
+    or passing through."""
     from polyball.fock import FockOperator
 
     t = FockTruncation([1, 1], [2, 2])
@@ -354,6 +389,7 @@ def test_transform_rejects_malformed_map_metadata(tmp_path, capsys, key, value, 
     ("herglotz_class", "false"),
     ("herglotz_class", 0),
     ("e_dim", 1.5),
+    ("n", ["1", "1"]),
 ])
 @pytest.mark.parametrize("kind", ["poisson", "herglotz"])
 def test_transform_rejects_non_integer_map_fields(tmp_path, capsys, key, value, kind):

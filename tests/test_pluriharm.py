@@ -3,7 +3,7 @@ import pytest
 
 from polyball.berezin import PolyballPoint, berezin_transform, cauchy_operator
 from polyball.fock import FockTruncation, creation_matrix, word_operator
-from polyball.naimark import GeneratorError
+from polyball.naimark import GeneratorError, kernel_from_generator, naimark_dilate
 from polyball.pluriharm import (
     CbMapData,
     fantappie_transform,
@@ -16,7 +16,12 @@ from polyball.pluriharm import (
     poisson_transform,
     schur_positivity,
 )
-from polyball.sampling import random_hermitian_symbol, random_nilpotent_point, random_point
+from polyball.sampling import (
+    random_hermitian_symbol,
+    random_nilpotent_point,
+    random_point,
+    random_psd_kernel,
+)
 from polyball.toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator
 from polyball.words import (
     compare,
@@ -76,10 +81,10 @@ def test_gamma_matches_matrix_entries(rng):
             np.testing.assert_allclose(block, k.value(s, w), atol=1e-12)
 
 
-def _gamma_gram_by_pair_fill(F, r, max_len):
+def _gamma_gram_by_pair_fill(F, r, max_len, side="right"):
     """The former gamma kernel, kept as the oracle: a generator dict filled
     over every lambda-pair up to total length 2L, then the Gram filled pair
-    by pair from it (a missing quotient is a KeyError)."""
+    by pair from it with ``compare`` (a missing quotient is a KeyError)."""
     scaled = F.scaled(r)
     gen = {(a, b): scaled.coeff(a, b) for a, b in lambda_pairs_up_to_total(F.n, 2 * max_len)
            if a.total_length <= max_len and b.total_length <= max_len}
@@ -87,34 +92,52 @@ def _gamma_gram_by_pair_fill(F, r, max_len):
     g = np.zeros((len(monos), e, len(monos), e), dtype=complex)
     for p, s in enumerate(monos):
         for q, w in enumerate(monos):
-            c = compare("right", s, w)
+            c = compare(side, s, w)
             if c.comparable and np.any(gen[(c.c_plus, c.c_minus)] != 0):
                 g[p, :, q] = gen[(c.c_plus, c.c_minus)]
     return g.reshape(len(monos) * e, -1)
 
 
-@pytest.mark.parametrize("shape", ["small", "verify-small", "verify-small-structure"])
+@pytest.mark.parametrize("shape", ["small", "verify-small", "verify-small-structure",
+                                   "left", "n=(1,1,2)", "e=1", "zero-block"])
 def test_gamma_kernel_matches_pair_fill(shape):
-    """gamma_kernel reads the scaled symbol directly; its Gram is bitwise the
-    one of the former explicit fill, at a small shape and at the shapes of
-    the verify-small Schur and structure items (n=(2,1), L=3, e=2)."""
+    """The Gram filled per quotient is bitwise the one of the per-pair
+    ``compare`` fill: at a small shape, at the shapes of the verify-small
+    Schur and structure items (n=(2,1), L=3, e=2), on the left side, with
+    three factors, with scalar coefficients, and with an explicitly zero
+    coefficient block (of -0.0 entries), which must leave +0.0 in the Gram.
+    On the right side the kernel is ``gamma_kernel``."""
     rng = np.random.default_rng(8)
-    n = (2, 1)
-    if shape == "small":
+    n, side = (2, 1), "left" if shape == "left" else "right"
+    if shape in ("small", "left"):
         syms, max_len = [random_hermitian_symbol(rng, n, 2, 2)], 2
     elif shape == "verify-small":
         syms = [random_hermitian_symbol(rng, n, 2, 3, density=0.5) for _ in range(3)]
         max_len = 3
-    else:
+    elif shape == "verify-small-structure":
         t = FockTruncation(n, [6, 6])
         v = [[creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
              for i, ni in enumerate(n, start=1)]
         e_basis = np.linalg.qr(rng.standard_normal((t.dim, 2)))[0]
         syms, max_len = [from_row_isometries(v, e_basis, 3)], 3
+    elif shape == "n=(1,1,2)":
+        syms, max_len = [random_hermitian_symbol(rng, (1, 1, 2), 2, 3, density=0.6)], 3
+    elif shape == "e=1":
+        syms, max_len = [random_hermitian_symbol(rng, n, 1, 3, density=0.6)], 3
+    else:
+        sym = random_hermitian_symbol(rng, n, 2, 2)
+        a, g = multiword([[2], [1]], n), identity_multiword(n)
+        sym[a, g] = sym[g, a] = np.full((2, 2), complex(-0.0, -0.0))
+        syms, max_len = [sym], 3
     for sym in syms:
         for r in (0.3, 0.6, 0.9, 1.0):
-            got = gamma_kernel(sym, r, max_len).gram()
-            assert got.tobytes() == _gamma_gram_by_pair_fill(sym, r, max_len).tobytes()
+            k = (gamma_kernel(sym, r, max_len) if side == "right" else
+                 kernel_from_generator(side, sym.scaled(r), max_len, require_unit=False))
+            got = k.gram()
+            assert got.tobytes() == _gamma_gram_by_pair_fill(sym, r, max_len, side).tobytes()
+    if shape == "zero-block":
+        block = k.value(a, g)
+        assert not block.any() and not np.signbit(block.view(float)).any()
 
 
 def test_gamma_kernel_refuses_non_hermitian_symbol():
@@ -253,6 +276,30 @@ def test_from_row_isometries_commutation_guard(rng):
     b = rng.standard_normal((3, 3))
     with pytest.raises(ValueError):
         from_row_isometries([[a], [b]], np.eye(3)[:, :1], 2)
+
+
+def test_from_row_isometries_accepts_a_naimark_dilation():
+    """A dilation commutes on its window only; the coefficients read no more,
+    so its output is accepted and gives back the kernel (the dense check
+    refused it with defect 2.06e-1)."""
+    k = random_psd_kernel(np.random.default_rng(3), "left", (2, 1), 2, 3)
+    d = naimark_dilate(k)
+    f = from_row_isometries(d.isometries, d.embedding, d.window_len)
+    for a, b in lambda_pairs_up_to_total(k.n, d.window_len):
+        np.testing.assert_allclose(f.coeff(a, b), k.value(a.reverse(), b.reverse()),
+                                   rtol=0, atol=1e-12)
+
+
+def test_from_row_isometries_commutation_scope():
+    """Commutation is checked on the columns V_w E with |w| <= L - 2: here
+    ab = ba on E = span(e0) but not on V_g E = span(e1) (ab e1 = e0, ba e1 = 0),
+    so the tuple is accepted at L = 2 and refused at L = 3."""
+    a = np.roll(np.eye(3), 1, axis=0)  # e0 -> e1 -> e2 -> e0
+    b = np.diag([1.0, 1.0], -1)         # e0 -> e1 -> e2 -> 0
+    e = np.eye(3)[:, :1]
+    from_row_isometries([[a], [b]], e, 2)
+    with pytest.raises(ValueError, match=r"factors 1 and 2 do not commute \(defect 1\.000e\+00\)"):
+        from_row_isometries([[a], [b]], e, 3)
 
 
 def test_poisson_transform_vacuum_state():

@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 
-from polyball import serialize
+from polyball import serialize, words
 from polyball.fock import FockTruncation, word_operator
 from polyball.naimark import kernel_from_generator
 from polyball.pluriharm import CbMapData
-from polyball.sampling import random_hermitian_symbol, random_point
+from polyball.sampling import random_hermitian_symbol, random_point, random_psd_kernel
 from polyball.toeplitz import MultiToeplitzSymbol
 from polyball.words import identity_multiword, multiword
 
@@ -69,6 +69,22 @@ def test_kernel_roundtrip():
     back = serialize.kernel_from_json(serialize.kernel_to_json(k))
     assert back.max_difference(k) < 1e-15
     assert back.side == "left" and back.max_len == 3
+
+
+def test_kernel_from_json_compares_no_word_pairs(monkeypatch):
+    """Reading a kernel fills its Gram per quotient, not by testing every
+    monomial pair: with the single-factor comparison behind every
+    ``words.compare`` call made to raise, the Gram read back is unchanged."""
+    k = random_psd_kernel(np.random.default_rng(5), "left", (2, 1), 2, 4)
+    data = json.loads(json.dumps(serialize.kernel_to_json(k)))
+    want = serialize.kernel_from_json(data).gram()
+    np.testing.assert_allclose(want, k.gram(), rtol=0, atol=1e-12)
+
+    def boom(*args):
+        raise AssertionError("kernel_from_json compared a word pair")
+
+    monkeypatch.setattr(words, "_compare_words", boom)
+    assert serialize.kernel_from_json(data).gram().tobytes() == want.tobytes()
 
 
 def test_cbmap_roundtrip():
