@@ -1,4 +1,4 @@
-"""Small dense linear-algebra helpers shared across the package."""
+"""Small linear-algebra helpers shared across the package."""
 
 from __future__ import annotations
 
@@ -12,13 +12,39 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.atleast_2d(m), 2))
 
 
-def hermitian_norm(m: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix: the largest |eigenvalue|.  Exact,
-    like ``opnorm``, at about half the cost of an SVD; only the lower
-    triangle is read."""
-    if m.size == 0:
+EXACT_DIM = 600
+"""Largest dimension at which spectral values are taken exactly by dense
+LAPACK; above it they come from ``lanczos_top``."""
+
+
+def lanczos_top(op) -> float:
+    """The eigenvalue of largest modulus of the Hermitian square ``op`` (an
+    ndarray, a SciPy sparse matrix or a ``LinearOperator``), by Lanczos
+    (``eigsh``, k=1) converged to a relative tolerance of 1e-12.  A fixed
+    start vector keeps the value reproducible run to run."""
+    from scipy.sparse.linalg import eigsh
+
+    dim = op.shape[0]
+    v0 = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim)
+    lam = eigsh(op, k=1, which="LM", v0=v0, tol=1e-12, return_eigenvectors=False)
+    return float(lam[0].real)
+
+
+def hermitian_norm(m) -> float:
+    """Operator norm of a Hermitian matrix, dense or SciPy-sparse: the
+    largest |eigenvalue|.  Up to ``EXACT_DIM`` it is exact (``eigvalsh``,
+    about half the cost of an SVD; only the lower triangle is read); above
+    it, ``lanczos_top`` on the matrix as given.  A matrix with no nonzero
+    entry has norm 0 and skips Lanczos, whose start vector it would map
+    to zero."""
+    if m.shape[0] == 0:
         return 0.0
-    w = np.linalg.eigvalsh(m)
+    sparse = hasattr(m, "toarray")
+    if not (m.count_nonzero() if sparse else m.any()):
+        return 0.0
+    if m.shape[0] > EXACT_DIM:
+        return abs(lanczos_top(m))
+    w = np.linalg.eigvalsh(m.toarray() if sparse else m)
     return float(max(-w[0], w[-1]))
 
 

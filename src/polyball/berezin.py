@@ -280,35 +280,30 @@ class CauchyResult:
 
 
 def _min_singular(factor, solve, solve_h) -> float:
-    """Smallest singular value of the square ``factor`` (dense or sparse);
-    an exact SVD for small matrices, otherwise Lanczos (``eigsh``) for the
-    largest eigenvalue 1/sigma_min^2 of the Hermitian (factor factor^H)^-1,
-    applied as ``solve`` (x -> factor^-1 x) then ``solve_h`` (x -> factor^-H
-    x), converged to a relative tolerance of 1e-12."""
+    """Smallest singular value of the square ``factor`` (dense or sparse):
+    an exact SVD up to ``_linalg.EXACT_DIM``, above it 1/sqrt of
+    ``_linalg.lanczos_top`` on the Hermitian (factor factor^H)^-1, applied
+    as ``solve`` (x -> factor^-1 x) then ``solve_h`` (x -> factor^-H x)."""
     dim = factor.shape[0]
-    if dim <= 600:
+    if dim <= la.EXACT_DIM:
         dense = factor.toarray() if hasattr(factor, "toarray") else factor
         return float(np.linalg.svd(dense, compute_uv=False)[-1])
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    from scipy.sparse.linalg import LinearOperator
 
     op = LinearOperator((dim, dim), matvec=lambda x: solve_h(solve(x)), dtype=complex)
-    # a fixed start vector keeps the value reproducible run to run
-    v0 = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim)
-    lam = eigsh(op, k=1, which="LM", v0=v0, tol=1e-12, return_eigenvectors=False)
-    return float(lam[0].real) ** -0.5
+    return la.lanczos_top(op) ** -0.5
 
 
-def _nilpotent_series(a, x: np.ndarray) -> np.ndarray:
-    """(I - a)^(-1) x = sum_p a^p x for a strictly triangular sparse ``a``.
-    Its powers vanish exactly, so the sum stops at the first term that is
-    exactly zero and is exact, not truncated."""
-    total = x.copy()
-    term = x
+def _nilpotent_series(a, x):
+    """(I - a)^(-1) x = sum_p a^p x for a strictly triangular sparse ``a``
+    and a dense or CSR ``x``.  Its powers vanish exactly, so the sum stops
+    at the first term that is exactly zero and is exact, not truncated."""
+    total = term = x
     for _ in range(a.shape[0]):
         term = a @ term
-        if not term.any():
+        if not (term.count_nonzero() if hasattr(term, "toarray") else term.any()):
             break
-        total += term
+        total = total + term
     return total
 
 
@@ -323,7 +318,10 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     truncated left and right creations are in graded-lex order, each
     A_i = sum_j V_ij (x) X_ij* is nilpotent and its resolvent is the finite
     Neumann series of the sparse A_i, summed until a term is exactly zero:
-    exact, with no truncation.  Any other V is resolved by dense LU solves.
+    exact, with no truncation.  For the full operator the series runs on a
+    CSR identity, since the resolvent is supported on comparable word pairs,
+    and is densified once before the defect root; ``matrix`` is always a
+    dense ndarray.  Any other V is resolved by dense LU solves.
     ``min_singular`` is the smallest singular value over the factors
     I - A_i, whatever ``rhs`` is; a factor at or below 1e-12 raises
     ``SingularResolventError``.
@@ -338,7 +336,12 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     h = X.h_dim
     dim = m * h
     graded = not any(np.triu(v).any() for row in V for v in row)
-    acc = np.eye(dim, dtype=complex) if rhs is None else np.asarray(rhs, dtype=complex)
+    if rhs is not None:
+        acc = np.asarray(rhs, dtype=complex)
+    elif graded:
+        acc = sp.eye(dim, dtype=complex, format="csr")
+    else:
+        acc = np.eye(dim, dtype=complex)
     if acc.ndim != 2 or acc.shape[0] != dim:
         raise ValueError(f"rhs needs shape ({dim}, c), got {acc.shape}")
     min_sv = math.inf
@@ -362,6 +365,8 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
         if sv <= 1e-12:
             raise SingularResolventError(sv)
         acc = solve(acc)
+    if sp.issparse(acc):
+        acc = acc.toarray()
     root, _, _ = la.psd_sqrt(defect(X))
     out = (root @ acc.reshape(m, h, -1)).reshape(acc.shape)
     return CauchyResult(out, min_sv)

@@ -40,6 +40,8 @@ def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
     ``naimark.word_columns``.  Cross-factor letters of V must commute on the
     columns with |w| <= max_total_len - 2, the only swaps that can change a
     column the coefficients read; a defect above 1e-8 raises ``ValueError``.
+    The entries of V may be dense or SciPy-sparse: they are only applied
+    with ``@`` to dense columns.
     """
     e_basis = np.asarray(e_basis, dtype=complex)
     n = tuple(len(row) for row in V)
@@ -246,22 +248,24 @@ def nu_of(F: MultiToeplitzSymbol, r: float) -> CbMapData:
 
 
 def nu_trace_form(F: MultiToeplitzSymbol, r: float, trunc: FockTruncation,
-                  a: MultiWord) -> np.ndarray:
-    """Radial-function extraction of the annihilation-monomial value: pair
-    the function at the scaled right creations against the vacuum state after
-    multiplying by the adjoint creation word.  R_a* maps the basis vector
-    R_a e_vac to the vacuum and every other one off it, so the value is the
-    block of the function at (R_a e_vac, vacuum), read directly; zero when a
-    does not fit the truncation."""
+                  words: Sequence[MultiWord]) -> list[np.ndarray]:
+    """Radial-function extraction of the annihilation-monomial values, one
+    block per word: pair the function at the scaled right creations against
+    the vacuum state after multiplying by the adjoint creation word.  R_a*
+    maps the basis vector R_a e_vac to the vacuum and every other one off it,
+    so the value at a is the block of the function at (R_a e_vac, vacuum),
+    read directly from one operator; zero when a does not fit the
+    truncation."""
     g = identity_multiword(F.n)
     e = F.e_dim
     v = trunc.vacuum_index
-    src, dst = monomial_indices(trunc, a, g, side="right")
-    hit = dst[src == v]
-    if hit.size == 0:
-        return np.zeros((e, e), dtype=complex)
-    phi = symbol_operator(F, trunc, r, side="right").dense()
-    return phi.reshape(trunc.dim, e, trunc.dim, e)[hit[0], :, v, :].copy()
+    phi = symbol_operator(F, trunc, r, side="right").dense().reshape(trunc.dim, e, trunc.dim, e)
+    out = []
+    for a in words:
+        src, dst = monomial_indices(trunc, a, g, side="right")
+        hit = dst[src == v]
+        out.append(phi[hit[0], :, v, :].copy() if hit.size else np.zeros((e, e), dtype=complex))
+    return out
 
 
 # ---------------------------------------------------------------------------

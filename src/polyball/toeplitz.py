@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._linalg import opnorm
+from ._linalg import hermitian_norm, opnorm
 from .berezin import PolyballPoint
 from .fock import FockOperator, FockTruncation, pair_operator
 from .words import (
@@ -224,5 +224,8 @@ def creation_pair_symbol(p: Mapping[MultiWord, complex],
 
 def norm_on_grid(sym: MultiToeplitzSymbol, trunc: FockTruncation,
                  r_grid: Iterable[float]) -> list[float]:
-    """Operator norms of the symbol at r-scaled truncated creations."""
-    return [opnorm(symbol_operator(sym, trunc, r).dense()) for r in r_grid]
+    """Operator norms of the symbol at r-scaled truncated creations.  A
+    symbol with zero Hermitian defect gives exactly Hermitian operators,
+    whose norm ``hermitian_norm`` takes; any other symbol's, ``opnorm``."""
+    norm = hermitian_norm if sym.hermitian_defect() == 0 else opnorm
+    return [norm(symbol_operator(sym, trunc, r).dense()) for r in r_grid]

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
+from polyball._linalg import EXACT_DIM, hermitian_norm, psd_sqrt
 from polyball.berezin import (
     DivergenceError,
     PolyballPoint,
@@ -237,6 +239,45 @@ def test_cauchy_graded_inverse_iteration_branch(rng, monkeypatch, side):
     assert c.min_singular == pytest.approx(ref_sv, rel=1e-8)
 
 
+def _dense_identity_series(V, X):
+    """The graded resolvent as the exact Neumann series run on a dense
+    identity, factor by factor, then the defect root."""
+    m = V[0][0].shape[0]
+    acc = np.eye(m * X.h_dim, dtype=complex)
+    for i in reversed(range(X.k)):
+        a = sum(scipy.sparse.kron(scipy.sparse.csr_matrix(v), x.conj().T, format="csr")
+                for v, x in zip(V[i], X.X[i]))
+        total = acc.copy()
+        term = acc
+        while True:
+            term = a @ term
+            if not term.any():
+                break
+            total += term
+        acc = total
+    root, _, _ = psd_sqrt(defect(X))
+    return (root @ acc.reshape(m, X.h_dim, -1)).reshape(acc.shape)
+
+
+@pytest.mark.parametrize("kind", ["nilpotent", "inside", "outside"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((2, 1), (5, 5)), ((1, 1, 2), (2, 2, 2))])
+def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side, kind):
+    """The full operator, whose series runs on a CSR identity, equals the
+    series on a dense identity bit for bit."""
+    t = FockTruncation(n, degrees)
+    V = [
+        [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
+        for i, ni in enumerate(n, 1)
+    ]
+    X = _oracle_point(rng, kind, n, 2)
+    c = cauchy_operator(V, X)
+    want = _dense_identity_series(V, X)
+    assert isinstance(c.matrix, np.ndarray)
+    assert c.matrix.dtype == want.dtype and c.matrix.shape == want.shape
+    assert c.matrix.tobytes() == want.tobytes()
+
+
 def _random_row_contraction(rng, m=5):
     """A random non-triangular row contraction V of shape (2, 1), m x m
     entries: the LU path of ``cauchy_operator``."""
@@ -332,6 +373,21 @@ def test_factorization_random(rng):
         c = cauchy_operator(rmats, x)
         diff = np.linalg.norm(pk.op.dense() - c.matrix.conj().T @ c.matrix, 2)
         assert diff <= pk.factorization_bound
+
+
+def test_factorization_sparse_difference_norm(rng):
+    """At (2,1)@(5,5) (dim 756, above EXACT_DIM) the Lanczos norm of the
+    CSR difference P - C^H C matches eigvalsh of the dense difference."""
+    t = FockTruncation([2, 1], [5, 5])
+    rmats = creation_point(t, side="right").X
+    x = random_point(rng, (2, 1), 2, 0.5)
+    p = poisson_kernel(x, t).op.dense()
+    c = cauchy_operator(rmats, x).matrix
+    cs = scipy.sparse.csr_matrix(c)
+    d = scipy.sparse.csr_matrix(p) - cs.conj().T @ cs
+    assert d.shape[0] > EXACT_DIM
+    w = np.linalg.eigvalsh(p - c.conj().T @ c)
+    assert hermitian_norm(d) == pytest.approx(max(-w[0], w[-1]), rel=1e-12)
 
 
 def test_factorization_window_exact_nilpotent(rng):

@@ -39,11 +39,13 @@ def test_verify_rejects_bad_grid():
     assert run(["verify", "--r-grid", "0.5,1.5"]) == 2
 
 
-def test_verify_deterministic(tmp_path):
+@pytest.mark.parametrize("degrees", ["2,2", "5,5"])
+def test_verify_deterministic(tmp_path, degrees):
     """Two in-process runs with one seed write the same report, byte for
-    byte apart from the timestamp line."""
+    byte apart from the timestamp line; at (5,5) the resolvent and the
+    factorization norm run Lanczos."""
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["verify", "--n", "2,1", "--degrees", "2,2", "--max-len", "2",
+    args = ["verify", "--n", "2,1", "--degrees", degrees, "--max-len", "2",
             "--seed", "11"]
     assert run(args + ["--output", str(out1)]) == 0
     assert run(args + ["--output", str(out2)]) == 0

@@ -371,12 +371,13 @@ def test_nu_trace_form(rng):
     trunc = FockTruncation(n, [3, 3])
     sym = random_hermitian_symbol(rng, n, 2, 3, density=0.5)
     g = identity_multiword(n)
+    words = [a for a, b in sym.coeffs if b.is_identity]
     for r in (0.3, 0.8):
         nu = nu_of(sym, r)
-        for a, b in sym.coeffs:
-            if b.is_identity:
-                got = nu_trace_form(sym, r, trunc, a)
-                assert np.abs(got - nu.symbol.coeff(a, g)).max() < 1e-12
+        blocks = nu_trace_form(sym, r, trunc, words)
+        assert len(blocks) == len(words)
+        for a, got in zip(words, blocks):
+            assert np.abs(got - nu.symbol.coeff(a, g)).max() < 1e-12
 
 
 def test_nu_trace_form_reads_the_kron_product_block(rng):
@@ -391,8 +392,7 @@ def test_nu_trace_form_reads_the_kron_product_block(rng):
     v = trunc.vacuum_index
     for r in (0.4, 0.9):
         phi = symbol_operator(sym, trunc, r, side="right").dense()
-        for a in words:
-            got = nu_trace_form(sym, r, trunc, a)
+        for a, got in zip(words, nu_trace_form(sym, r, trunc, words)):
             if trunc.admits(a):
                 ra = word_operator(trunc, a, g, side="right").dense()
                 big = np.kron(ra.conj().T, np.eye(2)) @ phi

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyball._linalg import opnorm
 from polyball.berezin import PolyballPoint, creation_point, poisson_kernel
 from polyball.fock import FockOperator, FockTruncation, monomial_indices, word_operator
 from polyball.toeplitz import (
@@ -201,6 +202,21 @@ def test_norm_monotone_on_grid(rng):
     norms = norm_on_grid(sym, t, [0.1 * i for i in range(1, 10)])
     for lo, hi in zip(norms, norms[1:]):
         assert lo <= hi + 1e-9
+
+
+def test_norm_on_grid_matches_opnorm_on_both_branches(rng):
+    """A Hermitian symbol (zero defect) takes the Hermitian norm, any other
+    symbol the SVD norm; both agree with opnorm."""
+    t = FockTruncation([2, 1], [3, 3])
+    herm = random_hermitian_symbol(rng, [2, 1], 2, 3)
+    g = identity_multiword([2, 1])
+    skew = MultiToeplitzSymbol([2, 1], 2, {(g, g): np.eye(2)})
+    skew[multiword([[1], [1]], [2, 1]), g] = rng.standard_normal((2, 2)) + 0j
+    assert herm.hermitian_defect() == 0 and skew.hermitian_defect() > 0
+    grid = [0.1, 0.5, 0.9]
+    for sym in (herm, skew):
+        want = [opnorm(symbol_operator(sym, t, r).dense()) for r in grid]
+        assert norm_on_grid(sym, t, grid) == pytest.approx(want, rel=1e-12)
 
 
 def test_hermitian_symmetry_detection():
