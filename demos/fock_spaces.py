@@ -51,10 +51,10 @@ print("\n=== identities are exact on windows ===")
 win = t.window_mask([1, 1])
 s1 = creation_matrix(t, "left", 1, 1)
 s2 = creation_matrix(t, "left", 1, 2)
-gram = s1.conj().T @ s2
+gram = (s1.conj().T @ s2).toarray()
 sel = np.ix_(win, win)
 print("max |S_{1,1}* S_{1,2}| on the budget-1 window:", np.abs(gram[sel]).max())
-gram = s1.conj().T @ s1 - np.eye(t.dim)
+gram = (s1.conj().T @ s1).toarray() - np.eye(t.dim)
 print("max |S_{1,1}* S_{1,1} - I| on the same window:", np.abs(gram[sel]).max())
 
 print("\n=== word monomials are assembled as exact compressions ===")

@@ -28,6 +28,7 @@ from .fock import (
     TruncationError,
     apply_creation,
     creation_matrix,
+    creation_tuple,
     monomial_indices,
     word_operator,
 )

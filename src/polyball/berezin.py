@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg as la
-from .fock import FockOperator, FockTruncation, creation_matrix, pair_operator
+from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator
 from .words import MultiWord, Side, Word, lambda_pairs_within_degrees
 
 
@@ -113,13 +113,9 @@ class PolyballPoint:
 
 
 def creation_point(trunc: FockTruncation, r: float = 1.0, side: Side = "left") -> PolyballPoint:
-    """The truncated creation tuple r*S (or r*R) as a polyball point."""
-    point = PolyballPoint(
-        [
-            [creation_matrix(trunc, side, i, j) for j in range(1, ni + 1)]
-            for i, ni in enumerate(trunc.n, start=1)
-        ]
-    )
+    """The truncated creation tuple r*S (or r*R) as a polyball point, its
+    letters dense copies of ``fock.creation_tuple``."""
+    point = PolyballPoint([[m.toarray() for m in row] for row in creation_tuple(trunc, side)])
     # scaling by 1 would only write every (untouched, zero) page of the letters
     return point if r == 1.0 else point.scaled(r)
 
@@ -314,6 +310,7 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     ``rhs`` is an (m*h, c) matrix on V's space (x) C^h, main index major; it
     defaults to the identity, which gives the full operator.  It enters
     before the solves, so a thin ``rhs`` costs c columns, not m*h.
+    The letters V_ij, dense or SciPy-sparse, are held as CSR.
     When every V_ij is strictly lower-triangular in the basis order, as the
     truncated left and right creations are in graded-lex order, each
     A_i = sum_j V_ij (x) X_ij* is nilpotent and its resolvent is the finite
@@ -331,11 +328,11 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
 
     if len(V) != X.k or any(len(row) != ni for row, ni in zip(V, X.n)):
         raise ValueError("V and X have different factor shapes")
-    V = [[np.asarray(v, dtype=complex) for v in row] for row in V]
+    V = [[sp.csr_matrix(v, dtype=complex) for v in row] for row in V]
     m = V[0][0].shape[0]
     h = X.h_dim
     dim = m * h
-    graded = not any(np.triu(v).any() for row in V for v in row)
+    graded = not any(sp.triu(v).count_nonzero() for row in V for v in row)
     if rhs is not None:
         acc = np.asarray(rhs, dtype=complex)
     elif graded:
@@ -348,12 +345,12 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     for i in reversed(range(X.k)):
         terms = [(v, xij.conj().T) for v, xij in zip(V[i], X.X[i])]
         if graded:
-            a = sum(sp.kron(sp.csr_matrix(v), xs, format="csr") for v, xs in terms)
+            a = sum(sp.kron(v, xs, format="csr") for v, xs in terms)
             factor = sp.eye(dim, dtype=complex, format="csr") - a
             solve = partial(_nilpotent_series, a)
             solve_h = partial(_nilpotent_series, a.conj().T.tocsr())
         else:
-            factor = np.eye(dim, dtype=complex) - sum(np.kron(v, xs) for v, xs in terms)
+            factor = np.eye(dim, dtype=complex) - sum(np.kron(v.toarray(), xs) for v, xs in terms)
             try:
                 lu_piv = sla.lu_factor(factor)
             except np.linalg.LinAlgError:
@@ -433,6 +430,7 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
         fact_bound = math.inf
     pairs = lambda_pairs_within_degrees(trunc.n, trunc.degrees)
     mono = {w: X.monomial(w) for w in set().union(*pairs)}
-    xm = np.stack([mono[a] @ mono[b].conj().T for a, b in pairs])
+    xa, xb = (np.stack([mono[w] for w in words]) for words in zip(*pairs))
+    xm = xa @ xb.conj().transpose(0, 2, 1)  # X_a X_b* per pair, one batched matmul
     op = pair_operator(trunc, side, np.arange(len(pairs)), xm)
     return PoissonKernelResult(op, tail, fact_bound)

@@ -23,9 +23,14 @@ kernel's pairings) scatter from one table per truncation and side,
 monomial at (b~, a~), ~ the reversal.  ``monomial_indices`` serves single
 word monomials, lambda pairs or not.
 
+The creation letters are CSR matrices with entries 1 (``creation_matrix``,
+the tuple ``creation_tuple``): each sends a basis vector to a basis vector or
+to zero, and every module applies them with ``@``.  ``apply_creation`` is
+their matrix-free action, the oracle the letters are checked against.
+
 A vector is a plain (dim, c) amplitude array over (basis index, coefficient
-index); an operator is a ``FockOperator``, which carries its truncation and
-coefficient dimension.
+index); any other operator is a dense ``FockOperator``, which carries its
+truncation and coefficient dimension.
 """
 
 from __future__ import annotations
@@ -285,16 +290,29 @@ def apply_creation(trunc: FockTruncation, side: Side, i: int, j: int,
 
 
 def creation_matrix(trunc: FockTruncation, side: Side, i: int, j: int,
-                    adjoint: bool = False) -> np.ndarray:
-    maps = [np.arange(d, dtype=np.int64) for d in trunc.factor_dims]
-    maps[i - 1] = trunc.letter_map(side, i, j)
-    src, dst = trunc.product_map(maps)
-    m = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    if adjoint:
-        m[src, dst] = 1.0
-    else:
-        m[dst, src] = 1.0
-    return m
+                    adjoint: bool = False):
+    """The truncated creation letter (or its adjoint) as a CSR matrix with
+    entries 1: it sends each basis vector to a basis vector or to zero."""
+    import scipy.sparse as sp
+
+    image = trunc.letter_map(side, i, j)
+    stride = trunc._strides[i - 1]
+    word = np.arange(trunc.dim) // stride % trunc.factor_dims[i - 1]
+    src = np.flatnonzero(image[word] >= 0)
+    dst = src + (image[word[src]] - word[src]) * stride
+    # attaching a letter keeps the graded-lex order, so dst increases with src
+    # and either one is the sorted row index of a CSR matrix with <= 1 entry per row
+    rows, cols = (src, dst) if adjoint else (dst, src)
+    indptr = np.searchsorted(rows, np.arange(trunc.dim + 1))
+    return sp.csr_matrix((np.ones(src.size, dtype=complex), cols, indptr),
+                         shape=(trunc.dim, trunc.dim))
+
+
+def creation_tuple(trunc: FockTruncation, side: Side = "left") -> list[list]:
+    """The truncated creation tuple [[S_i1 ... S_in_i] ...] (R on the right
+    side), its letters CSR as ``creation_matrix`` builds them."""
+    return [[creation_matrix(trunc, side, i, j) for j in range(1, ni + 1)]
+            for i, ni in enumerate(trunc.n, start=1)]
 
 
 def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,

@@ -14,8 +14,8 @@ kernels are dilated through the reversal reduction.  All dilation identities
 carry a window qualifier: they are exact on words of total length <= L - 1.
 
 The kernel of commuting row isometries V compressed to a subspace E is read
-off the columns V_w E; ``word_columns`` builds them, for dense matrices and
-matrix-free actions alike, and ``kernel_from_columns`` forms the kernel's Gram.
+off the columns V_w E; ``word_columns`` builds them, for dense and sparse
+letters alike, and ``kernel_from_columns`` forms the kernel's Gram.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -119,24 +119,22 @@ def kernel_from_generator(side: Side, gen: MultiToeplitzSymbol, max_len: int,
     return k
 
 
-def word_columns(letter: Callable[[int, int, np.ndarray], np.ndarray],
-                 e_basis: np.ndarray, n: Sequence[int],
+def word_columns(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
                  max_len: int) -> dict[MultiWord, np.ndarray]:
     """{w: V_w E} over the multiwords of total length <= max_len.
 
-    ``letter(i, j, m)`` applies the letter V_{i,j} (1-based factor and
-    generator) to the columns m, so V may be dense or matrix-free.  V_w is
-    V_{1,w_1} ... V_{k,w_k}; the columns are built by prefix,
+    The letters V_{i,j}, dense or SciPy-sparse, are applied with ``@``.
+    V_w is V_{1,w_1} ... V_{k,w_k}; the columns are built by prefix,
     V_{g.w} E = V_g (V_w E) with g the first letter of the first nonempty
     factor, in the graded word order.
     """
-    words = multiwords_up_to_total(n, max_len)
+    words = multiwords_up_to_total(tuple(len(row) for row in V), max_len)
     cols = {words[0]: e_basis}  # the unit word comes first
     for w in words[1:]:
         i = next(i for i, p in enumerate(w.parts) if p.letters)
         p = w.parts[i]
         rest = MultiWord(w.parts[:i] + (Word(p.letters[1:], p.n),) + w.parts[i + 1:])
-        cols[w] = letter(i + 1, p.letters[0], cols[rest])
+        cols[w] = V[i][p.letters[0] - 1] @ cols[rest]
     return cols
 
 
@@ -162,9 +160,8 @@ def kernel_from_isometries(side: Side, V: Sequence[Sequence[np.ndarray]],
     Always positive semi-definite and multi-Toeplitz when V genuinely
     consists of commuting row isometries on the spanned subspace.
     """
-    e_basis = np.asarray(e_basis, dtype=complex)
     n = tuple(len(row) for row in V)
-    cols = word_columns(lambda i, j, m: V[i - 1][j - 1] @ m, e_basis, n, max_len)
+    cols = word_columns(V, np.asarray(e_basis, dtype=complex), max_len)
     return kernel_from_columns(side, n, max_len, cols)
 
 
@@ -194,9 +191,7 @@ class NaimarkDilation:
     @cached_property
     def columns(self) -> dict[MultiWord, np.ndarray]:
         """{w: V_w E} over the monomials, by ``word_columns``."""
-        V = self.isometries
-        return word_columns(lambda i, j, m: V[i - 1][j - 1] @ m, self.embedding,
-                            self.n, self.window_len + 1)
+        return word_columns(self.isometries, self.embedding, self.window_len + 1)
 
     def reproduce(self, s: MultiWord, w: MultiWord) -> np.ndarray:
         """P_E V_s* V_w |_E, which matches the kernel on the window (for a

@@ -45,7 +45,7 @@ def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
     """
     e_basis = np.asarray(e_basis, dtype=complex)
     n = tuple(len(row) for row in V)
-    cols = word_columns(lambda i, j, m: V[i - 1][j - 1] @ m, e_basis, n, max_total_len)
+    cols = word_columns(V, e_basis, max_total_len)
     inner = np.concatenate([e_basis[:, :0]] + [
         c for w, c in cols.items() if w.total_length <= max_total_len - 2], axis=1)
     vc = [[a @ inner for a in row] for row in V]

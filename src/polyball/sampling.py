@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .berezin import PolyballPoint, in_polyball
-from .fock import FockTruncation, apply_creation
+from .fock import FockTruncation, creation_tuple
 from .naimark import ToeplitzKernel, kernel_from_columns, kernel_from_generator, word_columns
 from .toeplitz import MultiToeplitzSymbol
 from .words import (
@@ -123,17 +123,14 @@ def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
     """Genuinely PSD multi-Toeplitz kernel: compression of the left creation
     tuple on a deep enough truncation to a random low-degree subspace.
 
-    Columns are built matrix-free, so deep truncations stay cheap.
+    The letters are CSR, so deep truncations stay cheap.
     """
     n = tuple(n)
     depth = max_len + 2
     trunc = FockTruncation(n, [depth] * len(n))
     e_basis = random_embedding(rng, trunc, e_dim)
-
-    def letter(i: int, j: int, m: np.ndarray) -> np.ndarray:
-        return apply_creation(trunc, "left", i, j, False, m)
-
-    return kernel_from_columns(side, n, max_len, word_columns(letter, e_basis, n, max_len))
+    return kernel_from_columns(side, n, max_len,
+                               word_columns(creation_tuple(trunc), e_basis, max_len))
 
 
 def random_non_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,

@@ -19,13 +19,15 @@ from .toeplitz import MultiToeplitzSymbol
 from .words import MultiWord, multiword
 
 
-_JSON_TYPES = {int: "integer", bool: "boolean", list: "array of integers"}
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", list: "array of integers"}
 
 
 def _json_typed(value, field: str, kind: type = int):
-    """``value`` if it is a JSON value of that kind, ``list`` being an array of
-    integers: a float, a string or a boolean is not an integer."""
-    if type(value) is not kind or (kind is list and any(type(v) is not int for v in value)):
+    """``value`` if it is a JSON value of that kind, ``float`` being any number
+    and ``list`` an array of integers: a float, a string or a boolean is not an
+    integer, and a string, a boolean or null is not a number."""
+    ok = type(value) in (int, float) if kind is float else type(value) is kind
+    if not ok or (kind is list and any(type(v) is not int for v in value)):
         raise ValueError(f"{field} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
@@ -48,7 +50,10 @@ def matrix_to_json(m: np.ndarray) -> list[float]:
 
 def matrix_from_json(data, rows: int, cols: int | None = None) -> np.ndarray:
     cols = rows if cols is None else cols
-    arr = np.asarray(data, dtype=float).reshape(rows * cols, 2)
+    if type(data) is not list:
+        raise ValueError(f"matrix must be a JSON array of numbers, got {data!r}")
+    arr = np.array([_json_typed(v, "matrix entry", float) for v in data],
+                   dtype=float).reshape(rows * cols, 2)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has a non-finite entry (NaN or infinity)")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
@@ -77,10 +82,10 @@ def operator_from_json(data) -> FockOperator:
     size = trunc.dim * e
     m = np.zeros((size, size), dtype=complex)
     for row, col, re, im in data["entries"]:
-        r, c = int(row), int(col)
-        if (r, c) != (row, col) or not (0 <= r < size and 0 <= c < size):
+        r, c = _json_typed(row, "entry row"), _json_typed(col, "entry column")
+        if not (0 <= r < size and 0 <= c < size):
             raise ValueError(f"entry ({row}, {col}) is not an index of the {size}-dim operator")
-        m[r, c] = re + 1j * im
+        m[r, c] = _json_typed(re, "entry value", float) + 1j * _json_typed(im, "entry value", float)
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has a non-finite entry (NaN or infinity)")
     return FockOperator(trunc, m, e)

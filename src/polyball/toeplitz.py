@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import hermitian_norm, opnorm
 from .berezin import PolyballPoint
-from .fock import FockOperator, FockTruncation, pair_operator
+from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator
 from .words import (
     MultiWord,
     Side,
@@ -108,39 +108,32 @@ class ToeplitzReport:
 
 
 def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
-    """Check the right-compression invariance, factor by factor.
+    """Check the right-compression invariance, factor by factor:
+    (R_s (x) I)* T (R_t (x) I) = delta_st T for the letters of each factor.
 
     Both sides are compressed to the budget-1 exact window, where the
     truncated check agrees exactly with the untruncated one provided T is the
-    exact compression of an operator on the full space.
+    exact compression of an operator on the full space.  On the window each
+    column of a CSR letter holds a single 1, at the row of the word it maps
+    to, so the compressed products are the blocks of T at those rows.
     """
-    trunc = T.trunc
-    e = T.coeff_dim
-    m = T.dense()
-    wmask = trunc.window_mask([1] * trunc.k)
-    widx = np.flatnonzero(wmask)
-    wblk = (widx[:, None] * e + np.arange(e)[None, :]).ravel()
-    base = m[np.ix_(wblk, wblk)]
+    trunc, e = T.trunc, T.coeff_dim
+    m4 = T.dense().reshape(trunc.dim, e, trunc.dim, e)
+    widx = np.flatnonzero(trunc.window_mask([1] * trunc.k))
+
+    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # one gather of the (rows, cols, e, e) blocks, no row-band copy of T
+        return m4[rows[:, None], :, cols].transpose(0, 2, 1, 3).reshape(rows.size * e, -1)
+
+    base = block(widx, widx)
     worst = 0.0
-    for i in range(1, trunc.k + 1):
-        amaps = []
-        for j in range(1, trunc.n[i - 1] + 1):
-            fmaps = [np.arange(d, dtype=np.int64) for d in trunc.factor_dims]
-            fmaps[i - 1] = trunc.letter_map("right", i, j)
-            src, dst = trunc.product_map(fmaps)
-            full = np.full(trunc.dim, -1, dtype=np.int64)
-            full[src] = dst
-            amaps.append(full)
-        for s in range(trunc.n[i - 1]):
-            for t in range(trunc.n[i - 1]):
-                rows = amaps[s][widx]
-                cols = amaps[t][widx]
-                assert (rows >= 0).all() and (cols >= 0).all()
-                rblk = (rows[:, None] * e + np.arange(e)[None, :]).ravel()
-                cblk = (cols[:, None] * e + np.arange(e)[None, :]).ravel()
-                lhs = m[np.ix_(rblk, cblk)]
-                rhs = base if s == t else np.zeros_like(base)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
+    for row in creation_tuple(trunc, "right"):
+        csc = [r.tocsc() for r in row]
+        images = [c.indices[c.indptr[widx]] for c in csc]  # the row of each window column's 1
+        for s, rows in enumerate(images):
+            for t, cols in enumerate(images):
+                d = block(rows, cols) - (base if s == t else 0)
+                worst = max(worst, float(np.max(np.abs(d), initial=0.0)))
     return ToeplitzReport(worst <= tol, worst, tol)
 
 

@@ -24,7 +24,7 @@ from .berezin import (
     poisson_kernel,
     spectral_radius,
 )
-from .fock import FockTruncation, apply_creation, creation_matrix, word_operator
+from .fock import FockTruncation, apply_creation, creation_matrix, creation_tuple, word_operator
 from .naimark import KernelNotPSDError, dilation_verify, kernel_is_psd, naimark_dilate
 from .pluriharm import (
     CbMapData,
@@ -163,33 +163,35 @@ def _id_words_lambda(cfg: RunConfig, rng) -> tuple[str, float, float]:
     return "index-pair membership is reversal invariant and a comparability fixed point", worst, 0.0
 
 
+def _window_max(m, window: np.ndarray) -> float:
+    """Largest |entry| of the sparse m on window x window."""
+    c = m.tocoo()
+    inside = window[c.row] & window[c.col]
+    return float(np.max(np.abs(c.data[inside]), initial=0.0))
+
+
 def _id_fock_isometry(cfg: RunConfig, rng) -> tuple[str, float, float]:
-    trunc = FockTruncation(cfg.n, cfg.degrees)
-    mask = trunc.window_mask([1] * trunc.k)
-    worst = 0.0
-    for i, ni in enumerate(trunc.n, start=1):
-        mats = [creation_matrix(trunc, "left", i, j) for j in range(1, ni + 1)]
-        for s, t in itertools.product(range(ni), repeat=2):
-            m = mats[s].conj().T @ mats[t] - (1.0 if s == t else 0.0) * np.eye(trunc.dim)
-            worst = max(worst, float(np.max(np.abs(m[np.ix_(mask, mask)]))))
-    return "creation letters are isometries with orthogonal ranges on the window", worst, 1e-12
-
-
-def _id_fock_commutation(cfg: RunConfig, rng) -> tuple[str, float, float]:
     import scipy.sparse as sp
 
     trunc = FockTruncation(cfg.n, cfg.degrees)
     mask = trunc.window_mask([1] * trunc.k)
-    smats = {(i, j): sp.csr_matrix(creation_matrix(trunc, "left", i, j))
-             for i, ni in enumerate(trunc.n, 1) for j in range(1, ni + 1)}
-    rmats = {(i, j): sp.csr_matrix(creation_matrix(trunc, "right", i, j))
-             for i, ni in enumerate(trunc.n, 1) for j in range(1, ni + 1)}
+    eye = sp.eye(trunc.dim, dtype=complex, format="csr")
+    worst = 0.0
+    for row in creation_tuple(trunc):
+        for (s, a), (t, b) in itertools.product(enumerate(row), repeat=2):
+            m = a.conj().T @ b
+            worst = max(worst, _window_max(m - eye if s == t else m, mask))
+    return "creation letters are isometries with orthogonal ranges on the window", worst, 1e-12
+
+
+def _id_fock_commutation(cfg: RunConfig, rng) -> tuple[str, float, float]:
+    trunc = FockTruncation(cfg.n, cfg.degrees)
+    mask = trunc.window_mask([1] * trunc.k)
+    smats, rmats = ({(i, j): m for i, row in enumerate(creation_tuple(trunc, side), 1)
+                     for j, m in enumerate(row, 1)} for side in ("left", "right"))
 
     def commutator_max(a, b, window):
-        # largest |entry| of the commutator on window x window
-        c = (a @ b - b @ a).tocoo()
-        inside = window[c.row] & window[c.col]
-        return float(np.max(np.abs(c.data[inside]), initial=0.0))
+        return _window_max(a @ b - b @ a, window)
 
     worst = 0.0
     for (i, j), (i2, j2) in itertools.product(smats, repeat=2):
@@ -214,7 +216,7 @@ def _id_fock_adjoint(cfg: RunConfig, rng) -> tuple[str, float, float]:
             for j in range(1, ni + 1):
                 m = creation_matrix(trunc, side, i, j)
                 ma = creation_matrix(trunc, side, i, j, adjoint=True)
-                worst = max(worst, float(np.max(np.abs(ma - m.conj().T))))
+                worst = max(worst, float(abs(ma - m.conj().T).max()))
                 # matrix-free application agrees with the matrix
                 v = _randn_column(rng, trunc.dim)
                 w = apply_creation(trunc, side, i, j, False, v)
@@ -296,16 +298,15 @@ def _id_berezin_isometry(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 def _id_berezin_intertwining(cfg: RunConfig, rng) -> tuple[str, float, float]:
     trunc = FockTruncation(cfg.n, [max(d, 3) for d in cfg.degrees])
+    letters = creation_tuple(trunc)
     worst = 0.0
     for _ in range(3):
         x = random_nilpotent_point(rng, cfg.n, 3, 0.9)
         k = berezin_kernel(x, trunc)
-        k3 = k.as_tensor()
-        for i, ni in enumerate(trunc.n, 1):
-            for j in range(1, ni + 1):
+        for i, row in enumerate(letters, 1):
+            for j, sm in enumerate(row, 1):
                 lhs = k.matrix @ x.entry(i, j).conj().T
-                sm = creation_matrix(trunc, "left", i, j)
-                rhs = np.einsum("gf,gdh->fdh", sm.conj(), k3).reshape(k.matrix.shape)
+                rhs = (sm.conj().T @ k.matrix.reshape(trunc.dim, -1)).reshape(k.matrix.shape)
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return "the kernel intertwines adjoint creations with the point adjoints", worst, 1e-10
 
@@ -342,7 +343,7 @@ def _id_berezin_factorization(cfg: RunConfig, rng) -> tuple[str, float, float]:
     import scipy.sparse as sp
 
     trunc = FockTruncation(cfg.n, cfg.degrees)
-    rmats = creation_point(trunc, side="right").X
+    rmats = creation_tuple(trunc, side="right")
     worst = 0.0
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.5)
@@ -415,17 +416,9 @@ def _id_schur(cfg: RunConfig, rng) -> tuple[str, float, float]:
     return "the operator and kernel positivity verdicts agree on matched truncations", worst, 1e-9
 
 
-def _csr_rows(V):
-    """Creation matrices as CSR: each maps basis vectors to basis vectors,
-    so their products with the columns V_w E need no dense GEMM."""
-    import scipy.sparse as sp
-
-    return [[sp.csr_matrix(m) for m in row] for row in V]
-
-
 def _id_structure_positive(cfg: RunConfig, rng) -> tuple[str, float, float]:
     trunc = FockTruncation(cfg.n, [2 * cfg.max_len] * len(cfg.n))
-    v = _csr_rows(creation_point(trunc, side="right").X)
+    v = creation_tuple(trunc, side="right")
     f = from_row_isometries(v, random_embedding(rng, trunc, 2), cfg.max_len)
     rep = schur_positivity(f, cfg.r_grid, cfg.max_len, cfg.tol)
     worst = 0.0 if (rep.positive and rep.all_agree) else 1.0
@@ -438,9 +431,9 @@ def _id_poisson_transform_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
     cap = 2 * (h_dim - 1)  # point monomials vanish beyond the nilpotency index
     depth = cap + 1
     trunc = FockTruncation(cfg.n, [depth] * len(cfg.n))
-    v = creation_point(trunc, side="right").X
+    v = creation_tuple(trunc, side="right")
     w = random_embedding(rng, trunc, 2)
-    mu = CbMapData.from_isometries(_csr_rows(v), w, cap)
+    mu = CbMapData.from_isometries(v, w, cap)
     worst = 0.0
     for _ in range(2):
         x = random_nilpotent_point(rng, cfg.n, h_dim, 0.8)

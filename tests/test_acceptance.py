@@ -103,7 +103,7 @@ def test_criterion_2_kernel_isometry_intertwining():
         for i, ni in enumerate(n, 1):
             for j in range(1, ni + 1):
                 lhs = k.matrix @ x.entry(i, j).conj().T
-                s = creation_matrix(trunc, "left", i, j)
+                s = creation_matrix(trunc, "left", i, j).toarray()
                 rhs = np.einsum("gf,gdh->fdh", s.conj(), k3).reshape(k.matrix.shape)
                 worst_int = max(worst_int, np.linalg.norm(lhs - rhs, 2))
     ok = worst_iso <= 1e-10 and worst_int <= 1e-10

@@ -20,7 +20,7 @@ from polyball.berezin import (
     poisson_kernel,
     spectral_radius,
 )
-from polyball.fock import FockTruncation, creation_matrix, word_operator
+from polyball.fock import FockTruncation, creation_matrix, creation_tuple, pair_operator, word_operator
 from polyball.sampling import random_hermitian_symbol, random_nilpotent_point, random_point
 from polyball.toeplitz import symbol_operator
 from polyball.words import (
@@ -115,7 +115,7 @@ def test_kernel_intertwining(rng):
     for i, ni in enumerate(t.n, 1):
         for j in range(1, ni + 1):
             lhs = k.matrix @ x.entry(i, j).conj().T
-            s = creation_matrix(t, "left", i, j)
+            s = creation_matrix(t, "left", i, j).toarray()
             rhs = np.einsum("gf,gdh->fdh", s.conj(), k3).reshape(k.matrix.shape)
             assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -155,7 +155,7 @@ def test_cauchy_neumann_oracle():
     x = PolyballPoint.from_scalars([[0.5]])
     c = cauchy_operator([[r]], x)
     neumann = np.sqrt(0.75) * sum(
-        0.5 ** p * np.linalg.matrix_power(r, p) for p in range(7)
+        0.5 ** p * np.linalg.matrix_power(r.toarray(), p) for p in range(7)
     )
     np.testing.assert_allclose(c.matrix, neumann, atol=1e-13)
     assert c.min_singular > 0.4
@@ -176,7 +176,8 @@ def _cauchy_oracle(V, X):
     min_sv = math.inf
     for i in reversed(range(X.k)):
         factor = np.eye(dim, dtype=complex) - sum(
-            np.kron(v, x.conj().T) for v, x in zip(V[i], X.X[i])
+            np.kron(scipy.sparse.csr_matrix(v).toarray(), x.conj().T)
+            for v, x in zip(V[i], X.X[i])
         )
         min_sv = min(min_sv, np.linalg.svd(factor, compute_uv=False)[-1])
         acc = np.linalg.solve(factor, acc)
@@ -323,6 +324,23 @@ def test_cauchy_rhs_is_matrix_times_rhs(rng, path):
     assert thin.matrix.shape == rhs.shape
     assert np.abs(thin.matrix - want).max() <= 1e-12 * np.abs(want).max()
     assert thin.min_singular == full.min_singular
+
+
+@pytest.mark.parametrize("path", ["left", "right", "lu"])
+def test_cauchy_dense_and_csr_letters_agree_bitwise(rng, path):
+    """V is held as CSR whatever its input: dense and CSR letters give the
+    same bytes of ``matrix`` and the same ``min_singular``, on the graded
+    path (the creations at (2,1)@(3,3)) and on the LU path."""
+    if path == "lu":
+        dense = _random_row_contraction(rng)
+        csr = [[scipy.sparse.csr_matrix(v) for v in row] for row in dense]
+    else:
+        csr = creation_tuple(FockTruncation((2, 1), (3, 3)), path)
+        dense = [[v.toarray() for v in row] for row in csr]
+    X = random_point(rng, (2, 1), 2, 0.6)
+    a, b = cauchy_operator(dense, X), cauchy_operator(csr, X)
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert a.min_singular == b.min_singular
 
 
 def test_cauchy_rhs_shape_checked():
@@ -477,6 +495,21 @@ def test_poisson_kernel_matches_word_reference(rng, n, degrees, kind, side):
     want = _poisson_kernel_by_words(x, t, side)
     # bit for bit, signed zeros of the nilpotent monomials included
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind, h", [("inside", 2), ("inside", 3), ("nilpotent", 3)])
+def test_poisson_kernel_batched_products_match_per_pair_loop(rng, kind, h, side):
+    """The X_a X_b* of all lambda pairs come from one batched matmul; the
+    per-pair 2-D products, scattered the same way, give the same bytes."""
+    n, degrees = (2, 1), (3, 3)
+    t = FockTruncation(n, degrees)
+    x = random_point(rng, n, h, 0.5) if kind == "inside" else random_nilpotent_point(rng, n, h, 0.8)
+    pairs = lambda_pairs_within_degrees(n, degrees)
+    xm = np.stack([x.monomial(a) @ x.monomial(b).conj().T for a, b in pairs])
+    want = pair_operator(t, side, np.arange(len(pairs)), xm).dense()
+    got = poisson_kernel(x, t, side=side).op.dense()
+    assert got.tobytes() == want.tobytes()
 
 
 def _old_pair_box(q, box):

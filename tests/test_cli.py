@@ -231,6 +231,18 @@ def test_transform_rejects_non_finite_point(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_transform_rejects_string_point_entries(tmp_path, capsys):
+    """Point matrix entries must be JSON numbers: strings exit 2 instead of
+    being parsed as numbers."""
+    tau = CbMapData.vacuum_state([1])
+    point = serialize.point_to_json(PolyballPoint.from_scalars([[0.3]]))
+    point["X"][0][0] = ["0.3", "0"]
+    inputs = tmp_path / "inputs.json"
+    serialize.dump({"mu": serialize.cbmap_to_json(tau), "X": point}, str(inputs))
+    assert run(["transform", str(inputs), "--kind", "poisson"]) == 2
+    assert "matrix entry" in capsys.readouterr().err
+
+
 def test_dilate_rejects_non_finite_kernel(tmp_path, capsys):
     g = identity_multiword([1])
     w = multiword([[1]], [1])
@@ -340,13 +352,17 @@ def _set_field(key, value):
     _set_entry(3, float("inf")),
     _set_field("degrees", [2.5, 2]),
     _set_field("degrees", ["2", "2"]),
+    _set_entry(2, "1"),
+    _set_entry(2, None),
+    _set_entry(0, True),
 ], ids=["row-negative", "row-past-end", "col-negative", "col-past-end", "row-fraction",
-         "nan", "inf", "degrees-fraction", "degrees-strings"])
+         "nan", "inf", "degrees-fraction", "degrees-strings", "value-string", "value-null",
+         "row-boolean"])
 def test_transform_rejects_malformed_operator(tmp_path, capsys, mutate):
-    """Entries whose indices are not integers in [0, dim*e), entries whose
-    values are not finite, and degrees that are not JSON integers exit 2
-    instead of wrapping around, being truncated, failing as an internal error
-    or passing through."""
+    """Entries whose indices are not JSON integers in [0, dim*e), entries
+    whose values are not finite JSON numbers, and degrees that are not JSON
+    integers exit 2 instead of wrapping around, being truncated or read as an
+    index, failing as an internal error or passing through."""
     from polyball.fock import FockOperator
 
     t = FockTruncation([1, 1], [2, 2])

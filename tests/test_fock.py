@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from polyball.fock import (
     FockTruncation,
     TruncationError,
     apply_creation,
     creation_matrix,
+    creation_tuple,
     monomial_indices,
     word_operator,
 )
@@ -101,13 +103,34 @@ def test_apply_creation_matches_matrix_on_columns(side, adjoint):
             np.testing.assert_array_equal(got, creation_matrix(t, side, i, j, adjoint) @ v)
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((1, 1, 2), (2, 2, 2)), ((3,), (4,))])
+def test_creation_matrix_is_apply_creation_on_identity(n, degrees, side, adjoint):
+    """Every letter is a complex CSR matrix with entries 1 whose dense copy is
+    the matrix-free action on the identity's columns, bit for bit;
+    ``creation_tuple`` holds the same letters."""
+    t = FockTruncation(n, degrees)
+    eye = np.eye(t.dim, dtype=complex)
+    letters = creation_tuple(t, side)
+    assert [len(row) for row in letters] == list(n)
+    for i, ni in enumerate(n, 1):
+        for j in range(1, ni + 1):
+            m = creation_matrix(t, side, i, j, adjoint)
+            assert isinstance(m, scipy.sparse.csr_matrix) and m.dtype == complex
+            assert np.all(m.data == 1)
+            assert m.toarray().tobytes() == apply_creation(t, side, i, j, adjoint, eye).tobytes()
+            if not adjoint:
+                assert (letters[i - 1][j - 1] != m).nnz == 0
+
+
 def test_adjoint_matrices_are_conjugate_transposes():
     t = FockTruncation([2, 2], [2, 2])
     for side in ("left", "right"):
         for i in (1, 2):
             for j in (1, 2):
-                m = creation_matrix(t, side, i, j)
-                ma = creation_matrix(t, side, i, j, adjoint=True)
+                m = creation_matrix(t, side, i, j).toarray()
+                ma = creation_matrix(t, side, i, j, adjoint=True).toarray()
                 np.testing.assert_allclose(ma, m.conj().T)
 
 

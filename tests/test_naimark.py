@@ -4,7 +4,7 @@ import scipy.linalg
 
 from polyball import serialize, verify
 from polyball._linalg import opnorm
-from polyball.fock import FockTruncation, apply_creation, creation_matrix
+from polyball.fock import FockTruncation, apply_creation, creation_matrix, creation_tuple
 from polyball.naimark import (
     GeneratorError,
     KernelNotPSDError,
@@ -288,20 +288,21 @@ def _assert_kernel_is_table(k, ref):
             np.testing.assert_array_equal(k.value(s, w), ref.get((s, w), zero))
 
 
-@pytest.mark.parametrize("action", ["dense", "matrix-free"])
+@pytest.mark.parametrize("action", ["dense", "csr"])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n", [(2, 1), (1, 1, 2)])
 def test_word_columns_match_per_word_loop(n, side, action):
     """The prefix-built columns and their kernel table equal the per-word
-    loop exactly, for dense isometries and matrix-free creations."""
+    loop exactly, for dense isometries and the CSR creations; the loop
+    applies the CSR creations matrix-free."""
     rng = np.random.default_rng(3)
     max_len = 3
     t = FockTruncation(n, [max_len + 1] * len(n))
     raw = rng.standard_normal((t.dim, 2)) + 1j * rng.standard_normal((t.dim, 2))
     e_basis = np.linalg.qr(raw)[0]
+    V = creation_tuple(t)
     if action == "dense":
-        V = [[creation_matrix(t, "left", i, j) for j in range(1, ni + 1)]
-             for i, ni in enumerate(n, start=1)]
+        V = [[m.toarray() for m in row] for row in V]
 
         def letter(i, j, m):
             return V[i - 1][j - 1] @ m
@@ -309,15 +310,14 @@ def test_word_columns_match_per_word_loop(n, side, action):
         def letter(i, j, m):
             return apply_creation(t, "left", i, j, False, m)
 
-    cols = word_columns(letter, e_basis, n, max_len)
+    cols = word_columns(V, e_basis, max_len)
     ref = _columns_by_word(letter, e_basis, n, max_len)
     _assert_same_table(cols, ref)
     k = kernel_from_columns(side, n, max_len, cols)
     assert (k.side, k.n, k.e_dim, k.max_len) == (side, n, 2, max_len)
     table = _table_by_word(side, ref)
     _assert_kernel_is_table(k, table)
-    if action == "dense":
-        _assert_kernel_is_table(kernel_from_isometries(side, V, e_basis, max_len), table)
+    _assert_kernel_is_table(kernel_from_isometries(side, V, e_basis, max_len), table)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -427,7 +427,7 @@ def test_fantappie_vs_resolvent_blocks(rng):
     acc = np.eye(dim * x.h_dim, dtype=complex)
     for i in reversed(range(len(n))):
         a = sum(
-            np.kron(creation_matrix(trunc, "right", i + 1, j + 1).conj().T, x.X[i][j])
+            np.kron(creation_matrix(trunc, "right", i + 1, j + 1).toarray().conj().T, x.X[i][j])
             for j in range(n[i])
         )
         acc = np.linalg.solve(np.eye(dim * x.h_dim) - a, acc)
@@ -593,3 +593,27 @@ def test_poisson_transform_is_the_symbol_at_the_point(rng):
     mu = CbMapData(random_hermitian_symbol(rng, n, 2, 3, density=0.6), coeff_bound=1.0)
     x = random_point(rng, n, 2, 0.3)
     np.testing.assert_array_equal(poisson_transform(mu, x).value, evaluate_symbol(mu.symbol, x))
+
+
+@pytest.mark.parametrize("item", ["pluriharm.structure_positivity",
+                                  "pluriharm.poisson_transform_cp"])
+def test_structure_items_keep_the_letters_sparse(item):
+    """verify-small (--degrees 3,3 --max-len 3) at seed 23: each item peaks
+    below 8 MB under tracemalloc.  Dense N x N creation letters would not fit:
+    they took the peaks to 63.3 and 11.4 MB."""
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401  first imports are not the item's memory
+    import scipy.sparse.linalg  # noqa: F401
+
+    from polyball import verify
+
+    cfg = verify.RunConfig(n=(2, 1), degrees=(3, 3), max_len=3, seed=23)
+    idx, fn = next((i, fn) for i, (name, fn) in enumerate(verify._IDENTITIES) if name == item)
+    tracemalloc.start()
+    try:
+        fn(cfg, verify._rng(cfg, idx))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -26,6 +26,21 @@ def test_word_operators_are_toeplitz():
         assert rep.passed and rep.max_violation == 0.0
 
 
+def test_membership_keeps_the_coefficient_blocks(rng):
+    """With a coefficient space (e = 2) a Hermitian symbol's operator passes,
+    and coefficient (x) S_1 S_1* fails by max|coefficient| times the scalar
+    operator's violation: each e x e block is read in place."""
+    t = FockTruncation([2, 1], [3, 3])
+    sym = random_hermitian_symbol(rng, t.n, 2, 3, density=0.5)
+    assert is_k_multi_toeplitz(symbol_operator(sym, t), tol=1e-12).max_violation == 0.0
+    w1 = multiword([[1], []], t.n)
+    c = np.array([[1.0, -2.0], [3.0, 0.5j]])
+    scalar = is_k_multi_toeplitz(word_operator(t, w1, w1)).max_violation
+    assert scalar > 0
+    rep = is_k_multi_toeplitz(word_operator(t, w1, w1, coefficient=c))
+    assert not rep.passed and rep.max_violation == 3.0 * scalar
+
+
 def test_single_creation_is_toeplitz():
     t = FockTruncation([2], [3])
     op = word_operator(t, multiword([[1]], [2]), identity_multiword([2]))
