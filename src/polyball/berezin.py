@@ -6,6 +6,15 @@ X[i][n_i]) on a common space of dimension h; entries of different rows must
 commute.  All operators on tensor products are laid out with the main space
 major and the coefficient space minor, matching ``fock.FockOperator``.
 
+Both kernels are sums over basis words, so a point keeps its word operators
+as one graded table: per factor, level p stacks the X_{i,w} with |w| = p in
+rank order, and level p+1 is X_{i,j} @ (level p) over the letters j.
+``monomial_table`` combines the levels into X_b for every basis word b of a
+truncation, bit for bit the per-word ``monomial``.  ``berezin_kernel`` is one
+batched product with it, ``poisson_kernel`` gathers X_a X_b* from it by pair
+basis indices, and ``berezin_transform`` applies a dense or SciPy-sparse g
+once, to the kernel's columns.
+
 Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
 bounds collapse to zero.
@@ -21,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg as la
-from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator
-from .words import MultiWord, Side, Word, lambda_pairs_within_degrees
+from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator, word_rank
+from .words import MultiWord, Side, Word
 
 
 class DivergenceError(ValueError):
@@ -50,8 +59,9 @@ class PolyballPoint:
         self.h_dim = h
         self.k = len(self.X)
         self.n = tuple(len(row) for row in self.X)
-        self._word_cache: list[dict[tuple[int, ...], np.ndarray]] = [
-            {(): np.eye(h, dtype=complex)} for _ in range(self.k)
+        # _levels[i][p]: the (n_i^p, h, h) level p of factor i, see the module doc
+        self._levels: list[list[np.ndarray]] = [
+            [np.eye(h, dtype=complex)[None]] for _ in range(self.k)
         ]
 
     @classmethod
@@ -64,15 +74,17 @@ class PolyballPoint:
     def scaled(self, r: float) -> "PolyballPoint":
         return PolyballPoint([[r * m for m in row] for row in self.X])
 
+    def _factor_levels(self, i: int, d: int) -> list[np.ndarray]:
+        """Levels 0..d of factor i, built on first use; the first letter is
+        the most significant, as in the base-n_i rank."""
+        levels = self._levels[i - 1]
+        while len(levels) <= d:
+            levels.append(np.concatenate([m @ levels[-1] for m in self.X[i - 1]]))
+        return levels[: d + 1]
+
     def factor_word(self, i: int, w: Word) -> np.ndarray:
-        """X_{i,w} = X_{i,j1} ... X_{i,jp}, cached."""
-        cache = self._word_cache[i - 1]
-        letters = w.letters
-        if letters not in cache:
-            cache[letters] = self.entry(i, letters[0]) @ self.factor_word(
-                i, Word(letters[1:], w.n)
-            )
-        return cache[letters]
+        """X_{i,w} = X_{i,j1} (X_{i,j2} (... (X_{i,jp} I))), read from the levels."""
+        return self._factor_levels(i, len(w))[len(w)][word_rank(w)]
 
     def monomial(self, mw: MultiWord) -> np.ndarray:
         """X_mw: product of the per-factor word operators, factor order."""
@@ -83,6 +95,23 @@ class PolyballPoint:
             if not w.is_identity:
                 out = out @ self.factor_word(i, w)
         return out
+
+    def monomial_table(self, trunc: FockTruncation) -> np.ndarray:
+        """X_b for every basis word b of ``trunc``, a (dim, h, h) array in
+        basis order.  One broadcast matmul per factor multiplies only the
+        nonempty factor words, as ``monomial`` does, so entry f has the bits
+        of ``monomial(trunc.basis_word(f))``, signed zeros included."""
+        if trunc.n != self.n:
+            raise ValueError(f"truncation shape {trunc.n} does not match point shape {self.n}")
+        h = self.h_dim
+        table = np.eye(h, dtype=complex)[None]
+        for i, d in enumerate(trunc.degrees, start=1):
+            words = np.concatenate(self._factor_levels(i, d))
+            out = np.empty((len(table), len(words), h, h), dtype=complex)
+            out[:, 0] = table
+            np.matmul(table[:, None], words[None, 1:], out=out[:, 1:])
+            table = out.reshape(-1, h, h)
+        return table
 
     def row_norms(self) -> list[float]:
         return [
@@ -233,36 +262,33 @@ def berezin_kernel(X: PolyballPoint, trunc: FockTruncation) -> BerezinKernelMatr
     if factor.shape[0] == 0:
         factor = np.zeros((1, X.h_dim), dtype=complex)
     tail = _kernel_tail_bound(X, trunc, la.opnorm(delta))
-    mat = np.zeros((trunc.dim * rank, X.h_dim), dtype=complex)
-    for f in range(trunc.dim):
-        b = trunc.basis_word(f)
-        mat[f * rank : (f + 1) * rank, :] = factor @ X.monomial(b).conj().T
-    return BerezinKernelMatrix(mat, trunc, rank, X.h_dim, tail)
+    mat = factor @ X.monomial_table(trunc).conj().transpose(0, 2, 1)
+    return BerezinKernelMatrix(mat.reshape(trunc.dim * rank, X.h_dim), trunc, rank, X.h_dim, tail)
 
 
-def berezin_transform(g: FockOperator | np.ndarray, X: PolyballPoint,
-                      trunc: FockTruncation | None = None,
+def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
                       kernel: BerezinKernelMatrix | None = None) -> np.ndarray:
     """K_X* (g (x) I) K_X; the extended form when g carries a coefficient
-    space (output is then laid out h-major, coefficient minor)."""
+    space (output is then laid out h-major, coefficient minor).
+
+    ``g`` is a ``FockOperator`` or a dense or SciPy-sparse matrix on the
+    truncation (x) C^e.  It is applied once, to the kernel's columns (each
+    amplified by I_e), and the result is reduced against K_X*."""
     if isinstance(g, FockOperator):
-        trunc = g.trunc
-        e = g.coeff_dim
-        gm = g.dense()
-    else:
-        if trunc is None:
-            raise ValueError("trunc required when g is a plain matrix")
-        gm = np.asarray(g, dtype=complex)
-        e = gm.shape[0] // trunc.dim
+        trunc, g = g.trunc, g.matrix
+    elif trunc is None:
+        raise ValueError("trunc required when g is a plain matrix")
+    if not hasattr(g, "toarray"):
+        g = np.asarray(g, dtype=complex)
+    e = g.shape[0] // trunc.dim
     if kernel is None:
         kernel = berezin_kernel(X, trunc)
-    k3 = kernel.as_tensor()
-    if e == 1:
-        return np.einsum("adx,ab,bdy->xy", k3.conj(), gm, k3, optimize=True)
-    t4 = gm.reshape(trunc.dim, e, trunc.dim, e)
-    out = np.einsum("pdx,piqj,qdy->xiyj", k3.conj(), t4, k3, optimize=True)
-    he = X.h_dim * e
-    return out.reshape(he, he)
+    cols = kernel.matrix.reshape(trunc.dim, -1)  # row p: the kernel rows (p, d), d-major
+    if e > 1:
+        cols = np.kron(cols, np.eye(e))  # row (q, j), column (d, y, j)
+    gk = (g @ cols).reshape(trunc.dim, e, kernel.defect_rank, -1)
+    out = np.tensordot(kernel.as_tensor().conj(), gk, axes=([0, 1], [0, 2]))
+    return out.reshape(X.h_dim * e, X.h_dim * e)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +454,8 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
         fact_bound = tail + dnorm * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
     else:
         fact_bound = math.inf
-    pairs = lambda_pairs_within_degrees(trunc.n, trunc.degrees)
-    mono = {w: X.monomial(w) for w in set().union(*pairs)}
-    xa, xb = (np.stack([mono[w] for w in words]) for words in zip(*pairs))
-    xm = xa @ xb.conj().transpose(0, 2, 1)  # X_a X_b* per pair, one batched matmul
-    op = pair_operator(trunc, side, np.arange(len(pairs)), xm)
+    a, b = trunc.pair_basis_indices()
+    table = X.monomial_table(trunc)
+    xm = table[a] @ table[b].conj().transpose(0, 2, 1)  # X_a X_b* per pair, one batched matmul
+    op = pair_operator(trunc, side, np.arange(a.size), xm)
     return PoissonKernelResult(op, tail, fact_bound)

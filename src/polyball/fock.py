@@ -40,14 +40,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import MultiWord, Side, Word, factor_lambda_pairs, words_up_to
+from .words import MultiWord, Side, Word, words_up_to
 
 
 class TruncationError(ValueError):
     """A word does not fit in the truncation."""
 
 
-def _rank(w: Word) -> int:
+def word_rank(w: Word) -> int:
     """Base-n rank of a word among the words of its length."""
     r = 0
     for g in w.letters:
@@ -96,7 +96,7 @@ class FockTruncation:
     def factor_word_index(self, i: int, w: Word) -> int:
         if w.n != self.n[i - 1] or len(w) > self.degrees[i - 1]:
             raise TruncationError(f"word {w!r} does not fit factor {i} of {self!r}")
-        return int(self._offset[i - 1][len(w)]) + _rank(w)
+        return int(self._offset[i - 1][len(w)]) + word_rank(w)
 
     def basis_index(self, mw: MultiWord) -> int:
         if mw.n != self.n:
@@ -169,12 +169,12 @@ class FockTruncation:
         rest = np.where(ok, rest, 0)
         if side == "left":
             high, low = np.divmod(rank, n ** rest)
-            ok &= high == _rank(strip)
-            target = _rank(attach) * n ** rest + low
+            ok &= high == word_rank(strip)
+            target = word_rank(attach) * n ** rest + low
         else:
             high, low = np.divmod(rank, n ** len(strip))
-            ok &= low == _rank(strip)
-            target = high * n ** len(attach) + _rank(attach)
+            ok &= low == word_rank(strip)
+            target = high * n ** len(attach) + word_rank(attach)
         target += self._offset[i - 1][rest + len(attach)]
         out[ok] = target[ok]
         return out
@@ -215,36 +215,73 @@ class FockTruncation:
             # per factor: (w, e) at the index of w, then (e, w) for w nonempty
             dim = self.factor_dims[i]
             w, shift = (ai, 0) if bi.is_identity else (bi, dim - 1)
-            pid = pid * (2 * dim - 1) + int(self._offset[i][len(w)]) + _rank(w) + shift
+            pid = pid * (2 * dim - 1) + int(self._offset[i][len(w)]) + word_rank(w) + shift
         return pid
+
+    def pair_basis_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis indices of a and of b for every lambda pair (a, b), in pair
+        id order: per factor (w, e) for every word w, then (e, w) for w
+        nonempty, factors combined row-major as the basis is."""
+        a = b = np.zeros(1, dtype=np.int64)
+        for dim in self.factor_dims:
+            words, units = np.arange(dim, dtype=np.int64), np.zeros(dim - 1, dtype=np.int64)
+            a = (a[:, None] * dim + np.concatenate([words, units])).ravel()
+            b = (b[:, None] * dim + np.concatenate([words[:1], units, words[1:]])).ravel()
+        return a, b
 
     def pair_table(self, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(pair id, source, target) of every cell of the pairings: at the
         lambda pair (a, b) the monomial at (b~, a~), ids in
-        ``lambda_pairs_within_degrees`` order.  Built on first use per side.
+        ``lambda_pairs_within_degrees`` order, each pair's cells by ascending
+        source.  Built on first use per side.
 
-        Per factor, one ``_shift_map`` per single-factor pair; a multiword
+        Per factor the cells come from ``_factor_pair_cells``; a multiword
         pair's cells are the product of its factors' cells, combined with the
         strides.  No (target, source) cell occurs twice: per factor, source
         and target determine the stripped and the attached word."""
         if side in self._pair_tables:
             return self._pair_tables[side]
         pid = src = dst = np.zeros(1, dtype=np.int64)
-        for i, (ni, di, dim) in enumerate(zip(self.n, self.degrees, self.factor_dims), start=1):
-            cells = []
-            pairs = factor_lambda_pairs(ni, di)
-            for p, (a, b) in enumerate(pairs):
-                if side == "left":
-                    a, b = a.reverse(), b.reverse()
-                m = self._shift_map(i, a, b, side)
-                s = np.flatnonzero(m >= 0)
-                cells.append((np.full(s.size, p, dtype=np.int64), s, m[s]))
-            p_i, s_i, t_i = (np.concatenate(c) for c in zip(*cells))
-            pid = (pid[:, None] * len(pairs) + p_i).ravel()
+        for i, dim in enumerate(self.factor_dims):
+            p_i, s_i, t_i = self._factor_pair_cells(i, side)
+            pid = (pid[:, None] * (2 * dim - 1) + p_i).ravel()
             src = (src[:, None] * dim + s_i).ravel()
             dst = (dst[:, None] * dim + t_i).ravel()
         self._pair_tables[side] = pid, src, dst
         return pid, src, dst
+
+    def _factor_pair_cells(self, i: int, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pair id, source, target) cells of the single-factor lambda pairs of
+        factor i (0-based), in ``factor_lambda_pairs`` order.
+
+        The pair (u, e) strips u from the long word and (e, u) attaches it to
+        the short one: the long word is t.u on the right side and u~.t on the
+        left, for every kept word t with |u| + |t| <= d.  So the cells of the
+        pairs with |u| = m and the kept words with |t| = p are one (n^m, n^p)
+        block, an outer product of their ranks, read long to short for (u, e)
+        and short to long for (e, u); per m, the blocks over p side by side,
+        read row by row, give each pair's cells by ascending source."""
+        n, d, dim, offset = self.n[i], self.degrees[i], self.factor_dims[i], self._offset[i]
+        strip, attach = [], []
+        for m in range(d + 1):
+            u = np.arange(n ** m, dtype=np.int64)
+            if side == "left":  # rank of the reversed word: digits read backwards
+                rest, u = u, np.zeros_like(u)
+                for _ in range(m):
+                    rest, digit = np.divmod(rest, n)
+                    u = u * n + digit
+            longs, shorts = [], []
+            for p in range(d - m + 1):
+                t = np.arange(n ** p, dtype=np.int64)
+                rank = u[:, None] * n ** p + t if side == "left" else t * n ** m + u[:, None]
+                longs.append(offset[m + p] + rank)
+                shorts.append(np.broadcast_to(offset[p] + t, rank.shape))
+            long, short = np.hstack(longs).ravel(), np.hstack(shorts).ravel()
+            ids = (offset[m] + np.arange(n ** m)).repeat(long.size // n ** m)
+            strip.append((ids, long, short))
+            if m:
+                attach.append((ids + dim - 1, short, long))
+        return tuple(np.concatenate(c) for c in zip(*strip, *attach))
 
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, degrees={self.degrees}, dim={self.dim})"

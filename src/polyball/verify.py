@@ -24,7 +24,14 @@ from .berezin import (
     poisson_kernel,
     spectral_radius,
 )
-from .fock import FockTruncation, apply_creation, creation_matrix, creation_tuple, word_operator
+from .fock import (
+    FockTruncation,
+    apply_creation,
+    creation_matrix,
+    creation_tuple,
+    monomial_indices,
+    word_operator,
+)
 from .naimark import KernelNotPSDError, dilation_verify, kernel_is_psd, naimark_dilate
 from .pluriharm import (
     CbMapData,
@@ -225,25 +232,27 @@ def _id_fock_adjoint(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 
 def _id_fock_cyclicity(cfg: RunConfig, rng) -> tuple[str, float, float]:
+    import scipy.sparse as sp
+
     trunc = FockTruncation(cfg.n, cfg.degrees)
-    vecs = [np.eye(trunc.dim, 1, 0, dtype=complex)[:, 0]]
-    frontier = [identity_multiword(trunc.n)]
-    seen = {trunc.basis_index(frontier[0])}
-    while frontier:
+    # a CSC letter's column holds at most one 1: the image of that basis vector
+    letters = [s.tocsc() for row in creation_tuple(trunc) for s in row]
+    vecs = [sp.csc_matrix(np.eye(trunc.dim, 1, 0, dtype=complex))]
+    seen = np.zeros(trunc.dim, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
         nxt = []
-        for mw in frontier:
-            for i, ni in enumerate(trunc.n, 1):
-                for j in range(1, ni + 1):
-                    v = np.zeros((trunc.dim, 1), dtype=complex)
-                    v[trunc.basis_index(mw)] = 1.0
-                    w = apply_creation(trunc, "left", i, j, False, v)[:, 0]
-                    idx = np.flatnonzero(np.abs(w) > 0.5)
-                    if idx.size and int(idx[0]) not in seen:
-                        seen.add(int(idx[0]))
-                        vecs.append(w)
-                        nxt.append(trunc.basis_word(int(idx[0])))
-        frontier = nxt
-    rank = np.linalg.matrix_rank(np.stack(vecs, axis=1))
+        for s in letters:
+            images = s[:, frontier]
+            fresh = np.flatnonzero(np.diff(images.indptr))  # columns with an image
+            fresh = fresh[~seen[images.indices[images.indptr[fresh]]]]
+            targets = images.indices[images.indptr[fresh]]
+            seen[targets] = True
+            vecs.append(images[:, fresh])
+            nxt.append(targets)
+        frontier = np.concatenate(nxt)
+    rank = np.linalg.matrix_rank(sp.hstack(vecs).toarray())
     return "left creations applied to the vacuum span the truncation", float(trunc.dim - rank), 0.0
 
 
@@ -312,14 +321,22 @@ def _id_berezin_intertwining(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 
 def _id_berezin_moment(cfg: RunConfig, rng) -> tuple[str, float, float]:
+    import scipy.sparse as sp
+
     trunc = FockTruncation(cfg.n, [max(d, 4) for d in cfg.degrees])
+    pairs = lambda_pairs_up_to_total(trunc.n, 3)
+    # the compressions of S_a S_b*, as CSR, are the same for every point
+    monomials = []
+    for a, b in pairs:
+        src, dst = monomial_indices(trunc, a, b)
+        monomials.append(sp.csr_matrix((np.ones(src.size, dtype=complex), (dst, src)),
+                                       shape=(trunc.dim, trunc.dim)))
     worst = 0.0
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.6)
         k = berezin_kernel(x, trunc)
         bound = max(cfg.tol, 2.0 * k.tail_bound + k.tail_bound ** 2)
-        for a, b in lambda_pairs_up_to_total(trunc.n, 3):
-            m = word_operator(trunc, a, b).dense()
+        for (a, b), m in zip(pairs, monomials):
             got = berezin_transform(m, x, trunc=trunc, kernel=k)
             want = x.monomial(a) @ x.monomial(b).conj().T
             err = float(np.max(np.abs(got - want)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Literal, Sequence
 
 Side = Literal["left", "right"]
@@ -75,8 +76,10 @@ class MultiWord:
     def n(self) -> tuple[int, ...]:
         return tuple(w.n for w in self.parts)
 
-    @property
+    @cached_property
     def total_length(self) -> int:
+        # computed once per word; the cache is not a field, so equality and
+        # hashing still read only the parts
         return sum(len(w) for w in self.parts)
 
     @property

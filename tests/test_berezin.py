@@ -20,7 +20,14 @@ from polyball.berezin import (
     poisson_kernel,
     spectral_radius,
 )
-from polyball.fock import FockTruncation, creation_matrix, creation_tuple, pair_operator, word_operator
+from polyball.fock import (
+    FockTruncation,
+    creation_matrix,
+    creation_tuple,
+    monomial_indices,
+    pair_operator,
+    word_operator,
+)
 from polyball.sampling import random_hermitian_symbol, random_nilpotent_point, random_point
 from polyball.toeplitz import symbol_operator
 from polyball.words import (
@@ -510,6 +517,129 @@ def test_poisson_kernel_batched_products_match_per_pair_loop(rng, kind, h, side)
     want = pair_operator(t, side, np.arange(len(pairs)), xm).dense()
     got = poisson_kernel(x, t, side=side).op.dense()
     assert got.tobytes() == want.tobytes()
+
+
+def _word_product(x, i, letters):
+    """X_{i,w} by the 2-D recursion X_{i,j1} (X_{i,j2} (... (X_{i,jp} I)))."""
+    if not letters:
+        return np.eye(x.h_dim, dtype=complex)
+    return x.entry(i, letters[0]) @ _word_product(x, i, letters[1:])
+
+
+def _monomial_by_words(x, mw):
+    """X_mw as I times each nonempty factor word in factor order."""
+    out = np.eye(x.h_dim, dtype=complex)
+    for i, w in enumerate(mw.parts, start=1):
+        if not w.is_identity:
+            out = out @ _word_product(x, i, w.letters)
+    return out
+
+
+TABLE_SHAPES = [((2,), (3,)), ((2, 1), (3, 2)), ((1, 2, 1), (2, 1, 2))]
+
+
+def _table_point(rng, n, h, kind):
+    if kind == "inside":
+        return random_point(rng, n, h, 0.6)
+    if h == 1:  # the only nilpotent scalars are zeros; take negative ones
+        return PolyballPoint([[np.full((1, 1), -0.0)] * ni for ni in n])
+    return random_nilpotent_point(rng, n, h, 0.8)
+
+
+@pytest.mark.parametrize("kind", ["inside", "nilpotent"])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n, degrees", TABLE_SHAPES)
+def test_monomial_table_is_bitwise_the_per_word_monomials(n, degrees, h, kind):
+    """Entry f of the table has the bytes of X.monomial(basis_word(f)) and of
+    the 2-D product chain, signed zeros of nilpotent points included."""
+    t = FockTruncation(n, degrees)
+    x = _table_point(np.random.default_rng([1, h, len(n)]), n, h, kind)
+    table = x.monomial_table(t)
+    assert table.shape == (t.dim, h, h)
+    for f in range(t.dim):
+        b = t.basis_word(f)
+        want = _monomial_by_words(x, b)
+        assert np.array_equal(table[f].view(np.uint8), want.view(np.uint8)), b
+        assert np.array_equal(x.monomial(b).view(np.uint8), want.view(np.uint8)), b
+    if kind == "nilpotent" and h > 1 and len(n) > 1:
+        parts = table.view(np.float64)
+        assert np.signbit(parts[parts == 0]).any()  # the comparison saw signed zeros
+
+
+def test_monomial_table_rejects_a_foreign_truncation():
+    x = PolyballPoint.from_scalars([[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        x.monomial_table(FockTruncation((2, 1), (1, 1)))
+
+
+def _berezin_kernel_by_words(x, t):
+    """The per-basis-word loop: row block f is Delta^(1/2) X_b* for b = basis_word(f)."""
+    _, factor, rank = psd_sqrt(defect(x))
+    rank = max(rank, 1)
+    if factor.shape[0] == 0:
+        factor = np.zeros((1, x.h_dim), dtype=complex)
+    mat = np.zeros((t.dim * rank, x.h_dim), dtype=complex)
+    for f in range(t.dim):
+        mat[f * rank : (f + 1) * rank, :] = factor @ x.monomial(t.basis_word(f)).conj().T
+    return mat
+
+
+@pytest.mark.parametrize("kind", ["inside", "nilpotent"])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n, degrees", TABLE_SHAPES)
+def test_berezin_kernel_is_bitwise_the_per_word_loop(rng, n, degrees, h, kind):
+    t = FockTruncation(n, degrees)
+    x = _table_point(rng, n, h, kind)
+    got = berezin_kernel(x, t).matrix
+    want = _berezin_kernel_by_words(x, t)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("kind", ["inside", "nilpotent"])
+def test_berezin_transform_sparse_and_dense_agree(rng, kind):
+    """A monomial S_a S_b* as CSR, as a dense array and as a FockOperator
+    gives one value to 1e-14."""
+    n = (2, 1)
+    t = FockTruncation(n, (3, 3))
+    x = _table_point(rng, n, 2, kind)
+    k = berezin_kernel(x, t)
+    for a, b in lambda_pairs_up_to_total(n, 3):
+        src, dst = monomial_indices(t, a, b)
+        sparse = scipy.sparse.csr_matrix((np.ones(src.size, dtype=complex), (dst, src)),
+                                         shape=(t.dim, t.dim))
+        dense = word_operator(t, a, b)
+        got = berezin_transform(sparse, x, trunc=t, kernel=k)
+        assert np.abs(got - berezin_transform(dense.dense(), x, trunc=t, kernel=k)).max() <= 1e-14
+        assert np.abs(got - berezin_transform(dense, x, kernel=k)).max() <= 1e-14
+
+
+def _berezin_transform_by_einsum(gm, k3, e):
+    """The former dense contraction of K* (g (x) I) K."""
+    dim, _, h = k3.shape
+    if e == 1:
+        return np.einsum("adx,ab,bdy->xy", k3.conj(), gm, k3, optimize=True)
+    t4 = gm.reshape(dim, e, dim, e)
+    out = np.einsum("pdx,piqj,qdy->xiyj", k3.conj(), t4, k3, optimize=True)
+    return out.reshape(h * e, h * e)
+
+
+@pytest.mark.parametrize("e_dim", [1, 2, 3])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_berezin_transform_extended_keeps_its_values(rng, e_dim, sparse):
+    """With a coefficient space, dense or sparse, the transform matches the
+    former einsum to rounding."""
+    n = (2, 1)
+    t = FockTruncation(n, (3, 2))
+    x = random_point(rng, n, 3, 0.6)
+    sym = random_hermitian_symbol(rng, n, e_dim, 3, density=0.6)
+    op = symbol_operator(sym, t)
+    g = scipy.sparse.csr_matrix(op.dense()) if sparse else op
+    k = berezin_kernel(x, t)
+    got = berezin_transform(g, x, trunc=t, kernel=k)
+    want = _berezin_transform_by_einsum(op.dense(), k.as_tensor(), e_dim)
+    assert got.shape == (3 * e_dim, 3 * e_dim)
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
 def _old_pair_box(q, box):

@@ -17,6 +17,7 @@ from polyball.words import (
     MultiWord,
     Word,
     compare,
+    factor_lambda_pairs,
     identity_multiword,
     lambda_pairs_up_to_total,
     lambda_pairs_within_degrees,
@@ -331,6 +332,47 @@ def test_pair_table_cells_unique(n, degrees, side):
     assert np.unique(cells).size == cells.size
     assert pid.max() == len(lambda_pairs_within_degrees(n, degrees)) - 1
     assert t.pair_table(side)[0] is pid
+
+
+def _pair_table_by_pairs(t, side):
+    """Reference build: per factor one ``_shift_map`` over the whole factor
+    for each single-factor lambda pair, combined across factors by strides."""
+    pid = src = dst = np.zeros(1, dtype=np.int64)
+    for i, (ni, di, dim) in enumerate(zip(t.n, t.degrees, t.factor_dims), start=1):
+        cells = []
+        pairs = factor_lambda_pairs(ni, di)
+        for p, (a, b) in enumerate(pairs):
+            if side == "left":
+                a, b = a.reverse(), b.reverse()
+            m = t._shift_map(i, a, b, side)
+            s = np.flatnonzero(m >= 0)
+            cells.append((np.full(s.size, p, dtype=np.int64), s, m[s]))
+        p_i, s_i, t_i = (np.concatenate(c) for c in zip(*cells))
+        pid = (pid[:, None] * len(pairs) + p_i).ravel()
+        src = (src[:, None] * dim + s_i).ravel()
+        dst = (dst[:, None] * dim + t_i).ravel()
+    return pid, src, dst
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", [((3,), (6,)), ((2, 1), (5, 5)), ((1, 2, 1), (2, 2, 3)),
+                                        ((2, 1), (0, 2))])
+def test_pair_table_blocks_match_per_pair_build(n, degrees, side):
+    """The length-block table has the per-pair build's cells in the same
+    order, entry for entry and dtype for dtype."""
+    t = FockTruncation(n, degrees)
+    for got, want in zip(t.pair_table(side), _pair_table_by_pairs(t, side)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, degrees", INDEX_SHAPES)
+def test_pair_basis_indices_follow_pair_ids(n, degrees):
+    t = FockTruncation(n, degrees)
+    a, b = t.pair_basis_indices()
+    pairs = lambda_pairs_within_degrees(n, degrees)
+    np.testing.assert_array_equal(a, [t.basis_index(p[0]) for p in pairs])
+    np.testing.assert_array_equal(b, [t.basis_index(p[1]) for p in pairs])
 
 
 @pytest.mark.parametrize("n, degrees", INDEX_SHAPES)

@@ -126,6 +126,17 @@ def test_enumeration_order():
     assert all(mws[i].total_length <= mws[i + 1].total_length for i in range(len(mws) - 1))
 
 
+def test_total_length_is_computed_once_and_not_a_field():
+    w = multiword([[1, 2], [1]], [2, 1])
+    assert "total_length" not in vars(w)
+    assert w.total_length == 3
+    assert vars(w)["total_length"] == 3
+    fresh = multiword([[1, 2], [1]], [2, 1])
+    # the cached value takes no part in equality or hashing
+    assert w == fresh and hash(w) == hash(fresh)
+    assert {w: 0}[fresh] == 0
+
+
 def test_generator_range_validation():
     with pytest.raises(ValueError):
         word([3], 2)
