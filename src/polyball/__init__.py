@@ -30,6 +30,7 @@ from .fock import (
     creation_matrix,
     creation_tuple,
     monomial_indices,
+    word_matrix,
     word_operator,
 )
 from .toeplitz import (

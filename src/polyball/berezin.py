@@ -10,10 +10,11 @@ Both kernels are sums over basis words, so a point keeps its word operators
 as one graded table: per factor, level p stacks the X_{i,w} with |w| = p in
 rank order, and level p+1 is X_{i,j} @ (level p) over the letters j.
 ``monomial_table`` combines the levels into X_b for every basis word b of a
-truncation, bit for bit the per-word ``monomial``.  ``berezin_kernel`` is one
-batched product with it, ``poisson_kernel`` gathers X_a X_b* from it by pair
-basis indices, and ``berezin_transform`` applies a dense or SciPy-sparse g
-once, to the kernel's columns.
+truncation, bit for bit the per-word ``monomial``, which keeps its own
+per-word cache so that one long word costs only its length in products.
+``berezin_kernel`` is one batched product with the table, ``poisson_kernel``
+gathers X_a X_b* from it by pair basis indices, and ``berezin_transform``
+applies a dense or SciPy-sparse g once, to the kernel's columns.
 
 Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg as la
-from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator, word_rank
+from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator
 from .words import MultiWord, Side, Word
 
 
@@ -59,6 +60,9 @@ class PolyballPoint:
         self.h_dim = h
         self.k = len(self.X)
         self.n = tuple(len(row) for row in self.X)
+        self._word_cache: list[dict[tuple[int, ...], np.ndarray]] = [
+            {(): np.eye(h, dtype=complex)} for _ in range(self.k)
+        ]
         # _levels[i][p]: the (n_i^p, h, h) level p of factor i, see the module doc
         self._levels: list[list[np.ndarray]] = [
             [np.eye(h, dtype=complex)[None]] for _ in range(self.k)
@@ -83,8 +87,17 @@ class PolyballPoint:
         return levels[: d + 1]
 
     def factor_word(self, i: int, w: Word) -> np.ndarray:
-        """X_{i,w} = X_{i,j1} (X_{i,j2} (... (X_{i,jp} I))), read from the levels."""
-        return self._factor_levels(i, len(w))[len(w)][word_rank(w)]
+        """X_{i,w} = X_{i,j1} (X_{i,j2} (... (X_{i,jp} I))), cached per word.
+
+        The product order is that of the levels, so the bits agree, but a
+        single word costs |w| products, not the n_i^p words of each level."""
+        cache = self._word_cache[i - 1]
+        letters = w.letters
+        if letters not in cache:
+            cache[letters] = self.entry(i, letters[0]) @ self.factor_word(
+                i, Word(letters[1:], w.n)
+            )
+        return cache[letters]
 
     def monomial(self, mw: MultiWord) -> np.ndarray:
         """X_mw: product of the per-factor word operators, factor order."""

@@ -21,7 +21,8 @@ Sums over coefficient index pairs (a symbol's monomials, the Poisson
 kernel's pairings) scatter from one table per truncation and side,
 ``FockTruncation.pair_table``: its pairing at the lambda pair (a, b) is the
 monomial at (b~, a~), ~ the reversal.  ``monomial_indices`` serves single
-word monomials, lambda pairs or not.
+word monomials, lambda pairs or not, dense (``word_operator``) or CSR
+(``word_matrix``).
 
 The creation letters are CSR matrices with entries 1 (``creation_matrix``,
 the tuple ``creation_tuple``): each sends a basis vector to a basis vector or
@@ -385,6 +386,17 @@ def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
     out4 = out.reshape(trunc.dim, e, trunc.dim, e)
     out4[dst[hit], :, src[hit], :] += blocks[cell_slot[hit]]
     return FockOperator(trunc, out, coeff_dim=e)
+
+
+def word_matrix(trunc: FockTruncation, a: MultiWord, b: MultiWord,
+                side: Side = "left"):
+    """S_a S_b* (R_a R_b* on the right side) as a CSR matrix with entries 1:
+    the exact compression that ``word_operator`` assembles densely."""
+    import scipy.sparse as sp
+
+    src, dst = monomial_indices(trunc, a, b, side)
+    return sp.csr_matrix((np.ones(src.size, dtype=complex), (dst, src)),
+                         shape=(trunc.dim, trunc.dim))
 
 
 def word_operator(trunc: FockTruncation, a: MultiWord, b: MultiWord,

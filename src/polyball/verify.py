@@ -29,7 +29,7 @@ from .fock import (
     apply_creation,
     creation_matrix,
     creation_tuple,
-    monomial_indices,
+    word_matrix,
     word_operator,
 )
 from .naimark import KernelNotPSDError, dilation_verify, kernel_is_psd, naimark_dilate
@@ -321,16 +321,10 @@ def _id_berezin_intertwining(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 
 def _id_berezin_moment(cfg: RunConfig, rng) -> tuple[str, float, float]:
-    import scipy.sparse as sp
-
     trunc = FockTruncation(cfg.n, [max(d, 4) for d in cfg.degrees])
     pairs = lambda_pairs_up_to_total(trunc.n, 3)
     # the compressions of S_a S_b*, as CSR, are the same for every point
-    monomials = []
-    for a, b in pairs:
-        src, dst = monomial_indices(trunc, a, b)
-        monomials.append(sp.csr_matrix((np.ones(src.size, dtype=complex), (dst, src)),
-                                       shape=(trunc.dim, trunc.dim)))
+    monomials = [word_matrix(trunc, a, b) for a, b in pairs]
     worst = 0.0
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.6)

@@ -24,12 +24,12 @@ from polyball.fock import (
     FockTruncation,
     creation_matrix,
     creation_tuple,
-    monomial_indices,
     pair_operator,
+    word_matrix,
     word_operator,
 )
 from polyball.sampling import random_hermitian_symbol, random_nilpotent_point, random_point
-from polyball.toeplitz import symbol_operator
+from polyball.toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator
 from polyball.words import (
     MultiWord,
     Word,
@@ -572,6 +572,31 @@ def test_monomial_table_rejects_a_foreign_truncation():
         x.monomial_table(FockTruncation((2, 1), (1, 1)))
 
 
+def test_a_long_symbol_key_costs_its_length_not_its_level(monkeypatch):
+    """A key of 40 letters in a 2-letter factor is 40 products through the
+    per-word cache; the level holding it would be 2^40 matrices, so building
+    any level past the short ones fails the test before it can allocate."""
+    build = PolyballPoint._factor_levels
+
+    def short_levels_only(self, i, d):
+        assert d <= 4, f"level {d} of factor {i} built"
+        return build(self, i, d)
+
+    monkeypatch.setattr(PolyballPoint, "_factor_levels", short_levels_only)
+    n = (2, 1)
+    x = random_point(np.random.default_rng(7), n, 2, 0.9)
+    a = multiword([[1, 2, 2, 1] * 10, []], n)
+    b = multiword([[], [1]], n)
+    sym = MultiToeplitzSymbol(n, 1, {(a, b): np.eye(1)})
+    want = _monomial_by_words(x, a) @ _monomial_by_words(x, b).conj().T
+    assert np.array_equal(x.monomial(a).view(np.uint8), _monomial_by_words(x, a).view(np.uint8))
+    assert np.all(want != 0)
+    np.testing.assert_array_equal(evaluate_symbol(sym, x), want)
+    # the table still builds its short levels
+    t = FockTruncation(n, (3, 1))
+    assert x.monomial_table(t).shape == (t.dim, 2, 2)
+
+
 def _berezin_kernel_by_words(x, t):
     """The per-basis-word loop: row block f is Delta^(1/2) X_b* for b = basis_word(f)."""
     _, factor, rank = psd_sqrt(defect(x))
@@ -605,9 +630,7 @@ def test_berezin_transform_sparse_and_dense_agree(rng, kind):
     x = _table_point(rng, n, 2, kind)
     k = berezin_kernel(x, t)
     for a, b in lambda_pairs_up_to_total(n, 3):
-        src, dst = monomial_indices(t, a, b)
-        sparse = scipy.sparse.csr_matrix((np.ones(src.size, dtype=complex), (dst, src)),
-                                         shape=(t.dim, t.dim))
+        sparse = word_matrix(t, a, b)
         dense = word_operator(t, a, b)
         got = berezin_transform(sparse, x, trunc=t, kernel=k)
         assert np.abs(got - berezin_transform(dense.dense(), x, trunc=t, kernel=k)).max() <= 1e-14

@@ -11,6 +11,7 @@ from polyball.fock import (
     creation_matrix,
     creation_tuple,
     monomial_indices,
+    word_matrix,
     word_operator,
 )
 from polyball.words import (
@@ -157,6 +158,15 @@ def test_word_operator_coefficient_block(n, degrees, letters, e):
     np.testing.assert_array_equal(m[e * row : e * row + e, 0:e], c)
     # space index major, coefficient minor: the scalar monomial tensor c
     np.testing.assert_array_equal(m, np.kron(word_operator(t, a, g).dense(), c))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_word_matrix_is_the_sparse_word_operator(side):
+    t = FockTruncation([2, 1], [3, 2])
+    for a, b in lambda_pairs_up_to_total(t.n, 3):
+        m = word_matrix(t, a, b, side)
+        assert isinstance(m, scipy.sparse.csr_matrix) and m.dtype == complex
+        np.testing.assert_array_equal(m.toarray(), word_operator(t, a, b, side=side).dense())
 
 
 def test_word_operator_entries_match_comparability():
