@@ -65,7 +65,6 @@ from .naimark import (
     ToeplitzKernel,
     dilation_verify,
     kernel_from_generator,
-    kernel_from_isometries,
     kernel_is_psd,
     naimark_dilate,
 )

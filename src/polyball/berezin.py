@@ -202,13 +202,6 @@ class SpectralRadiusReport:
     value: float
     estimates: list[float]
 
-    @property
-    def last_two(self) -> tuple[float, float]:
-        tail = [e for e in self.estimates if e > 0.0][-2:]
-        while len(tail) < 2:
-            tail.append(0.0)
-        return (tail[0], tail[1])
-
 
 def spectral_radius(X: PolyballPoint, max_p: int = 8) -> SpectralRadiusReport:
     """Joint spectral radius along the diagonal shell sequence p_i = p.

@@ -302,9 +302,6 @@ class FockOperator:
     def dense(self) -> np.ndarray:
         return np.asarray(self.matrix)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.dense(), 2))
-
 
 # ---------------------------------------------------------------------------
 # operations

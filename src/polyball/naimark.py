@@ -13,9 +13,8 @@ the factor space, on which the isometries are one triangular solve.  Right
 kernels are dilated through the reversal reduction.  All dilation identities
 carry a window qualifier: they are exact on words of total length <= L - 1.
 
-The kernel of commuting row isometries V compressed to a subspace E is read
-off the columns V_w E; ``word_columns`` builds them, for dense and sparse
-letters alike, and ``kernel_from_columns`` forms the kernel's Gram.
+A dilation is read off its columns V_w E, which ``word_columns`` builds for
+dense and sparse letters alike.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,33 +135,6 @@ def word_columns(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
         rest = MultiWord(w.parts[:i] + (Word(p.letters[1:], p.n),) + w.parts[i + 1:])
         cols[w] = V[i][p.letters[0] - 1] @ cols[rest]
     return cols
-
-
-def kernel_from_columns(side: Side, n: Sequence[int], max_len: int,
-                        cols: Mapping[MultiWord, np.ndarray]) -> ToeplitzKernel:
-    """Kernel of ``word_columns`` output: (V_s E)* (V_w E) at (s, w) on the left
-    side and at (s~, w~) on the right.  Each Gram block is its own product of
-    the columns stacked in monomial order, all in one batched matmul."""
-    c = np.stack([cols[w] for w in multiwords_up_to_total(n, max_len)])
-    m, _, e = c.shape
-    blocks = np.matmul(c.conj().transpose(0, 2, 1)[:, None], c[None])
-    blocks[~blocks.any(axis=(2, 3))] = 0  # a zero block may hold -0.0; keep the Gram's +0
-    left = ToeplitzKernel("left", n, e, max_len, blocks.transpose(0, 2, 1, 3).reshape(m * e, -1))
-    return left.reversed() if side == "right" else left
-
-
-def kernel_from_isometries(side: Side, V: Sequence[Sequence[np.ndarray]],
-                           e_basis: np.ndarray, max_len: int) -> ToeplitzKernel:
-    """Kernel of a tuple of commuting row isometries compressed to a subspace.
-
-    Left side: K(s, w) = E* V_s* V_w E.  Right side: the table satisfies
-    K(s~, w~) = E* V_s* V_w E, i.e. the reversal reduction of the left case.
-    Always positive semi-definite and multi-Toeplitz when V genuinely
-    consists of commuting row isometries on the spanned subspace.
-    """
-    n = tuple(len(row) for row in V)
-    cols = word_columns(V, np.asarray(e_basis, dtype=complex), max_len)
-    return kernel_from_columns(side, n, max_len, cols)
 
 
 @dataclass

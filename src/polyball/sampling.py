@@ -12,7 +12,8 @@ import numpy as np
 
 from .berezin import PolyballPoint, in_polyball
 from .fock import FockTruncation, creation_tuple
-from .naimark import ToeplitzKernel, kernel_from_columns, kernel_from_generator, word_columns
+from .naimark import ToeplitzKernel, kernel_from_generator
+from .pluriharm import from_row_isometries
 from .toeplitz import MultiToeplitzSymbol
 from .words import (
     Side,
@@ -120,17 +121,17 @@ def random_embedding(rng: np.random.Generator, trunc: FockTruncation,
 
 def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
                       max_len: int) -> ToeplitzKernel:
-    """Genuinely PSD multi-Toeplitz kernel: compression of the left creation
-    tuple on a deep enough truncation to a random low-degree subspace.
+    """Genuinely PSD multi-Toeplitz kernel, the structure theorem run forwards:
+    generated by the symbol (S_a~ E)* (S_b~ E) of the left creations compressed
+    to a random subspace E of the words of total length <= 1.
 
-    The letters are CSR, so deep truncations stay cheap.
+    A depth-2 truncation holds that symbol exactly: at a λ-pair (a, b) one of
+    a_i, b_i is empty in each factor, so (S_a E)* (S_b E) is nonzero only when
+    |a|, |b| <= 1, and one-letter words are their own reversals.
     """
-    n = tuple(n)
-    depth = max_len + 2
-    trunc = FockTruncation(n, [depth] * len(n))
-    e_basis = random_embedding(rng, trunc, e_dim)
-    return kernel_from_columns(side, n, max_len,
-                               word_columns(creation_tuple(trunc), e_basis, max_len))
+    trunc = FockTruncation(tuple(n), [2] * len(n))
+    sym = from_row_isometries(creation_tuple(trunc), random_embedding(rng, trunc, e_dim), 2)
+    return kernel_from_generator(side, sym, max_len)
 
 
 def random_non_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,

@@ -11,14 +11,13 @@ from polyball.naimark import (
     NaimarkDilation,
     ToeplitzKernel,
     dilation_verify,
-    kernel_from_columns,
     kernel_from_generator,
-    kernel_from_isometries,
     kernel_is_psd,
     naimark_dilate,
     word_columns,
 )
-from polyball.sampling import random_non_psd_kernel, random_psd_kernel
+from polyball.pluriharm import from_row_isometries
+from polyball.sampling import random_embedding, random_non_psd_kernel, random_psd_kernel
 from polyball.toeplitz import MultiToeplitzSymbol, NotLambdaPairError
 from polyball.words import (
     ShapeMismatchError,
@@ -27,6 +26,28 @@ from polyball.words import (
     multiword,
     multiwords_up_to_total,
 )
+
+
+def kernel_from_columns(side, n, max_len, cols):
+    """Column-Gram oracle for a kernel of ``word_columns`` output:
+    (V_s E)* (V_w E) at (s, w) on the left side and at (s~, w~) on the right.
+    Each Gram block is its own product of the columns stacked in monomial
+    order, all in one batched matmul."""
+    c = np.stack([cols[w] for w in multiwords_up_to_total(n, max_len)])
+    m, _, e = c.shape
+    blocks = np.matmul(c.conj().transpose(0, 2, 1)[:, None], c[None])
+    blocks[~blocks.any(axis=(2, 3))] = 0  # a zero block may hold -0.0; keep the Gram's +0
+    left = ToeplitzKernel("left", n, e, max_len, blocks.transpose(0, 2, 1, 3).reshape(m * e, -1))
+    return left.reversed() if side == "right" else left
+
+
+def kernel_from_isometries(side, V, e_basis, max_len):
+    """Column-Gram oracle for commuting row isometries V compressed to the
+    range of ``e_basis``: left side K(s, w) = E* V_s* V_w E, right side the
+    same at (s~, w~)."""
+    n = tuple(len(row) for row in V)
+    return kernel_from_columns(side, n, max_len,
+                               word_columns(V, np.asarray(e_basis, dtype=complex), max_len))
 
 
 def delta_generator(n, e=1):
@@ -320,29 +341,43 @@ def test_word_columns_match_per_word_loop(n, side, action):
     _assert_kernel_is_table(kernel_from_isometries(side, V, e_basis, max_len), table)
 
 
+@pytest.mark.parametrize("max_len", [2, 3, 5])
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("n", [(2, 1), (1, 1, 2)])
-def test_random_psd_kernel_matches_per_word_loop(n, side):
-    """random_psd_kernel against its former inline construction: the same
-    draws, matrix-free columns applied word by word, the same table."""
-    max_len, e_dim = 3, 2
-    k = random_psd_kernel(np.random.default_rng(5), side, n, e_dim, max_len)
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("n", [(2, 1), (1, 1, 2), (2, 1, 1)])
+def test_random_psd_kernel_matches_column_gram(n, side, max_len):
+    """random_psd_kernel, generated by its depth-2 structure symbol, against
+    the column Gram of the same draws on the depth-(L+2) truncation.  The
+    two sum the same products in another order, so they agree to rounding,
+    not bitwise."""
+    k = random_psd_kernel(np.random.default_rng(5), side, n, 2, max_len)
     t = FockTruncation(n, [max_len + 2] * len(n))
-    low = [t.basis_index(w) for w in multiwords_up_to_total(n, 1)]
-    raw = np.zeros((t.dim, e_dim), dtype=complex)
-    raw[low, :] = (rng.standard_normal((len(low), e_dim))
-                   + 1j * rng.standard_normal((len(low), e_dim)))
-    e_basis = np.linalg.qr(raw)[0][:, :e_dim]
-
-    def letter(i, j, m):
-        return apply_creation(t, "left", i, j, False, m)
-
-    ref = _table_by_word(side, _columns_by_word(letter, e_basis, n, max_len))
-    _assert_kernel_is_table(k, ref)
+    cols = word_columns(creation_tuple(t), random_embedding(np.random.default_rng(5), t, 2), max_len)
+    # the basis rows no column reaches add only zero products
+    rows = np.flatnonzero(np.any([c.any(axis=1) for c in cols.values()], axis=0))
+    want = kernel_from_columns(side, n, max_len, {w: c[rows] for w, c in cols.items()}).gram()
+    assert np.abs(k.gram() - want).max() <= 1e-15 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("source", ["generator", "columns"])
+@pytest.mark.parametrize("n", [(2, 1), (1, 1, 2), (2, 1, 1)])
+def test_sampled_symbol_lives_on_single_letters(n):
+    """The symbol behind random_psd_kernel has no nonzero coefficient with
+    |a| > 1 or |b| > 1, and a deeper truncation gives the same symbol: depth 2
+    holds it exactly."""
+    max_len = 3
+    syms = []
+    for depth in (2, max_len + 2):
+        t = FockTruncation(n, [depth] * len(n))
+        e_basis = random_embedding(np.random.default_rng(5), t, 2)
+        syms.append(from_row_isometries(creation_tuple(t), e_basis, max_len))
+    shallow, deep = ({key: v for key, v in sym.items() if np.any(v != 0)} for sym in syms)
+    assert all(a.total_length <= 1 and b.total_length <= 1 for a, b in shallow)
+    assert shallow.keys() == deep.keys()
+    scale = max(np.abs(v).max() for v in deep.values())
+    for key, v in deep.items():
+        assert np.abs(shallow[key] - v).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("source", ["generator", "sampled"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_gram_layout(rng, side, source):
     """Block (p, q) of the Gram is the entry at (monomials[p], monomials[q]);
