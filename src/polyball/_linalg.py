@@ -12,9 +12,14 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.atleast_2d(m), 2))
 
 
-EXACT_DIM = 600
+EXACT_DIM = 192
 """Largest dimension at which spectral values are taken exactly by dense
-LAPACK; above it they come from ``lanczos_top``."""
+LAPACK; above it they come from ``lanczos_top``.  Set at the measured
+crossover of ``eigvalsh`` on the dense symbol operator of a random Hermitian
+symbol against ``lanczos_top`` on its CSR form (2-core x86-64 VM, OpenBLAS
+on 1 thread, best of 7): 2.6 against 6.3 ms at dim 155, 5.2 against 5.5 ms
+and 6.0 against 4.2 ms at 186 (two runs), 6.8 against 4.2 ms at 196, 11.7
+against 5.6 ms at 252 and 33.8 against 7.0 ms at 378."""
 
 
 def lanczos_top(op) -> float:

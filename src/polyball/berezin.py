@@ -311,7 +311,8 @@ def _min_singular(factor, solve, solve_h) -> float:
     """Smallest singular value of the square ``factor`` (dense or sparse):
     an exact SVD up to ``_linalg.EXACT_DIM``, above it 1/sqrt of
     ``_linalg.lanczos_top`` on the Hermitian (factor factor^H)^-1, applied
-    as ``solve`` (x -> factor^-1 x) then ``solve_h`` (x -> factor^-H x)."""
+    as ``solve`` (x -> factor^-1 x) then ``solve_h`` (x -> factor^-H x):
+    that is, 1 / ||factor^-1||."""
     dim = factor.shape[0]
     if dim <= la.EXACT_DIM:
         dense = factor.toarray() if hasattr(factor, "toarray") else factor
@@ -353,7 +354,10 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     dense ndarray.  Any other V is resolved by dense LU solves.
     ``min_singular`` is the smallest singular value over the factors
     I - A_i, whatever ``rhs`` is; a factor at or below 1e-12 raises
-    ``SingularResolventError``.
+    ``SingularResolventError``.  On the graded path it is 1 / ||R_i|| for
+    the exact resolvent R_i = (I - A_i)^-1, built once per factor as CSR
+    (the series on the identity, which is the next ``acc`` while ``acc`` is
+    still the CSR identity), so each Lanczos step is two CSR products.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
@@ -365,10 +369,11 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     h = X.h_dim
     dim = m * h
     graded = not any(sp.triu(v).count_nonzero() for row in V for v in row)
+    eye = sp.eye(dim, dtype=complex, format="csr")
     if rhs is not None:
         acc = np.asarray(rhs, dtype=complex)
     elif graded:
-        acc = sp.eye(dim, dtype=complex, format="csr")
+        acc = eye
     else:
         acc = np.eye(dim, dtype=complex)
     if acc.ndim != 2 or acc.shape[0] != dim:
@@ -378,9 +383,10 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
         terms = [(v, xij.conj().T) for v, xij in zip(V[i], X.X[i])]
         if graded:
             a = sum(sp.kron(v, xs, format="csr") for v, xs in terms)
-            factor = sp.eye(dim, dtype=complex, format="csr") - a
+            factor = eye - a
             solve = partial(_nilpotent_series, a)
-            solve_h = partial(_nilpotent_series, a.conj().T.tocsr())
+            inverse = solve(eye)
+            sv = _min_singular(factor, inverse.dot, inverse.conj().T.tocsr().dot)
         else:
             factor = np.eye(dim, dtype=complex) - sum(np.kron(v.toarray(), xs) for v, xs in terms)
             try:
@@ -388,12 +394,12 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
             except np.linalg.LinAlgError:
                 raise SingularResolventError(0.0)
             solve = partial(sla.lu_solve, lu_piv)
-            solve_h = partial(sla.lu_solve, lu_piv, trans=2)
-        sv = _min_singular(factor, solve, solve_h)
+            sv = _min_singular(factor, solve, partial(sla.lu_solve, lu_piv, trans=2))
         min_sv = min(min_sv, sv)
         if sv <= 1e-12:
             raise SingularResolventError(sv)
-        acc = solve(acc)
+        # acc is the CSR identity only on the graded path, before its first solve
+        acc = inverse if acc is eye else solve(acc)
     if sp.issparse(acc):
         acc = acc.toarray()
     root, _, _ = la.psd_sqrt(defect(X))

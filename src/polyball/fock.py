@@ -21,17 +21,20 @@ Sums over coefficient index pairs (a symbol's monomials, the Poisson
 kernel's pairings) scatter from one table per truncation and side,
 ``FockTruncation.pair_table``: its pairing at the lambda pair (a, b) is the
 monomial at (b~, a~), ~ the reversal.  ``monomial_indices`` serves single
-word monomials, lambda pairs or not, dense (``word_operator``) or CSR
-(``word_matrix``).
+word monomials, lambda pairs or not (``word_matrix``, and ``word_operator``
+with a coefficient).
 
 The creation letters are CSR matrices with entries 1 (``creation_matrix``,
 the tuple ``creation_tuple``): each sends a basis vector to a basis vector or
-to zero, and every module applies them with ``@``.  ``apply_creation`` is
-their matrix-free action, the oracle the letters are checked against.
+to zero (``FockTruncation.letter_image``), and every module applies them with
+``@``.  ``apply_creation`` is their matrix-free action, the oracle the
+letters are checked against.
 
-A vector is a plain (dim, c) amplitude array over (basis index, coefficient
-index); any other operator is a dense ``FockOperator``, which carries its
-truncation and coefficient dimension.
+Dense or sparse: an operator supported on comparable word pairs (a letter, a
+word monomial, a pair or symbol operator) is CSR; a vector is a plain
+(dim, c) amplitude array over (basis index, coefficient index).  A
+``FockOperator`` carries its truncation and coefficient dimension, and
+``dense()`` gives its matrix as an ndarray.
 """
 
 from __future__ import annotations
@@ -189,6 +192,14 @@ class FockTruncation:
         ni = self.n[i - 1]
         return self._shift_map(i, Word((), ni), Word((j,), ni), side)
 
+    def letter_image(self, side: Side, i: int, j: int, flat: np.ndarray) -> np.ndarray:
+        """Basis index of the image of each basis index in ``flat`` under the
+        truncated creation letter (i, j); -1 where the letter maps it to zero."""
+        stride = self._strides[i - 1]
+        word = flat // stride % self.factor_dims[i - 1]
+        image = self.letter_map(side, i, j)[word]
+        return np.where(image >= 0, flat + (image - word) * stride, -1)
+
     def product_map(self, factor_maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Combine per-factor index maps into flat (source, target) arrays."""
         grids = np.meshgrid(*[np.arange(d) for d in self.factor_dims], indexing="ij")
@@ -300,7 +311,8 @@ class FockOperator:
             raise ValueError(f"matrix shape {matrix.shape} != ({n}, {n})")
 
     def dense(self) -> np.ndarray:
-        return np.asarray(self.matrix)
+        """The matrix as an ndarray; a sparse one is densified (a copy)."""
+        return self.matrix.toarray() if hasattr(self.matrix, "toarray") else np.asarray(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +336,25 @@ def apply_creation(trunc: FockTruncation, side: Side, i: int, j: int,
     return np.moveaxis(out, 0, i - 1).reshape(trunc.dim, c)
 
 
+def _unit_matrix(dim: int, rows: np.ndarray, cols: np.ndarray):
+    """The dim x dim CSR matrix with a 1 at each (rows[k], cols[k]).  Word
+    arithmetic keeps the graded-lex order, so for a letter or a word monomial
+    the targets increase with the sources: either one, strictly increasing,
+    is the row index of a CSR matrix with at most one entry per row."""
+    import scipy.sparse as sp
+
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    return sp.csr_matrix((np.ones(rows.size, dtype=complex), cols, indptr), shape=(dim, dim))
+
+
 def creation_matrix(trunc: FockTruncation, side: Side, i: int, j: int,
                     adjoint: bool = False):
     """The truncated creation letter (or its adjoint) as a CSR matrix with
     entries 1: it sends each basis vector to a basis vector or to zero."""
-    import scipy.sparse as sp
-
-    image = trunc.letter_map(side, i, j)
-    stride = trunc._strides[i - 1]
-    word = np.arange(trunc.dim) // stride % trunc.factor_dims[i - 1]
-    src = np.flatnonzero(image[word] >= 0)
-    dst = src + (image[word[src]] - word[src]) * stride
-    # attaching a letter keeps the graded-lex order, so dst increases with src
-    # and either one is the sorted row index of a CSR matrix with <= 1 entry per row
-    rows, cols = (src, dst) if adjoint else (dst, src)
-    indptr = np.searchsorted(rows, np.arange(trunc.dim + 1))
-    return sp.csr_matrix((np.ones(src.size, dtype=complex), cols, indptr),
-                         shape=(trunc.dim, trunc.dim))
+    image = trunc.letter_image(side, i, j, np.arange(trunc.dim))
+    src = np.flatnonzero(image >= 0)
+    dst = image[src]
+    return _unit_matrix(trunc.dim, src, dst) if adjoint else _unit_matrix(trunc.dim, dst, src)
 
 
 def creation_tuple(trunc: FockTruncation, side: Side = "left") -> list[list]:
@@ -366,12 +380,15 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
 
 def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
                   blocks: np.ndarray) -> FockOperator:
-    """Sum of blocks[j] (x) the pairing at pair id pids[j], as an explicit
-    dense matrix; ids of -1 (pairs off the box) contribute nothing.
+    """Sum of blocks[j] (x) the pairing at pair id pids[j], as a CSR matrix;
+    ids of -1 (pairs off the box) contribute nothing.
 
-    The ids must be distinct.  Then no cell is hit twice, so one scatter
-    onto zeros keeps every bit (signed zeros included) of the pair-by-pair
-    sum."""
+    The ids must be distinct.  Then no cell is hit twice, so every stored
+    entry is one block entry, and ``dense()`` has every bit of the
+    pair-by-pair sum onto zeros: the ``+ 0.0`` turns a -0.0 entry into +0.0,
+    as that sum does."""
+    import scipy.sparse as sp
+
     e = blocks.shape[1]
     slot = np.full(math.prod(2 * d - 1 for d in trunc.factor_dims), -1, dtype=np.int64)
     keep = pids >= 0
@@ -379,39 +396,33 @@ def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
     pid, src, dst = trunc.pair_table(side)
     cell_slot = slot[pid]
     hit = cell_slot >= 0
-    out = np.zeros((trunc.dim * e, trunc.dim * e), dtype=complex)
-    out4 = out.reshape(trunc.dim, e, trunc.dim, e)
-    out4[dst[hit], :, src[hit], :] += blocks[cell_slot[hit]]
-    return FockOperator(trunc, out, coeff_dim=e)
+    p, q = np.indices((e, e))
+    rows = dst[hit, None, None] * e + p
+    cols = src[hit, None, None] * e + q
+    data = blocks[cell_slot[hit]] + 0.0
+    n = trunc.dim * e
+    matrix = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    return FockOperator(trunc, matrix, coeff_dim=e)
 
 
 def word_matrix(trunc: FockTruncation, a: MultiWord, b: MultiWord,
                 side: Side = "left"):
     """S_a S_b* (R_a R_b* on the right side) as a CSR matrix with entries 1:
-    the exact compression that ``word_operator`` assembles densely."""
-    import scipy.sparse as sp
-
+    the exact compression of the untruncated monomial, assembled entrywise
+    from word arithmetic, so it has no intermediate-truncation artifacts."""
     src, dst = monomial_indices(trunc, a, b, side)
-    return sp.csr_matrix((np.ones(src.size, dtype=complex), (dst, src)),
-                         shape=(trunc.dim, trunc.dim))
+    return _unit_matrix(trunc.dim, dst, src)
 
 
 def word_operator(trunc: FockTruncation, a: MultiWord, b: MultiWord,
                   coefficient: np.ndarray | None = None,
                   side: Side = "left") -> FockOperator:
-    """coefficient (x) S_a S_b* as an explicit dense matrix (R-side on request).
+    """coefficient (x) S_a S_b* (R-side on request) as a CSR ``FockOperator``:
+    ``word_matrix`` amplified by the coefficient, or itself without one."""
+    import scipy.sparse as sp
 
-    Assembled entrywise, so the result is the exact compression of the
-    untruncated monomial; no intermediate-truncation artifacts.
-    """
+    m = word_matrix(trunc, a, b, side)
     if coefficient is None:
-        coefficient = np.eye(1, dtype=complex)
+        return FockOperator(trunc, m)
     coefficient = np.asarray(coefficient, dtype=complex)
-    e = coefficient.shape[0]
-    src, dst = monomial_indices(trunc, a, b, side)
-    n = trunc.dim * e
-    m = np.zeros((n, n), dtype=complex)
-    m4 = m.reshape(trunc.dim, e, trunc.dim, e)
-    m4[dst, :, src, :] = coefficient
-    return FockOperator(trunc, m, e)
-
+    return FockOperator(trunc, sp.kron(m, coefficient, format="csr"), coefficient.shape[0])

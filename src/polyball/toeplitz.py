@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import hermitian_norm, opnorm
 from .berezin import PolyballPoint
-from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator
+from .fock import FockOperator, FockTruncation, pair_operator
 from .words import (
     MultiWord,
     Side,
@@ -114,8 +114,8 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     Both sides are compressed to the budget-1 exact window, where the
     truncated check agrees exactly with the untruncated one provided T is the
     exact compression of an operator on the full space.  On the window each
-    column of a CSR letter holds a single 1, at the row of the word it maps
-    to, so the compressed products are the blocks of T at those rows.
+    letter sends a basis vector to a basis vector (``letter_image``), so the
+    compressed products are the blocks of T at the image words.
     """
     trunc, e = T.trunc, T.coeff_dim
     m4 = T.dense().reshape(trunc.dim, e, trunc.dim, e)
@@ -127,9 +127,8 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
 
     base = block(widx, widx)
     worst = 0.0
-    for row in creation_tuple(trunc, "right"):
-        csc = [r.tocsc() for r in row]
-        images = [c.indices[c.indptr[widx]] for c in csc]  # the row of each window column's 1
+    for i, ni in enumerate(trunc.n, start=1):
+        images = [trunc.letter_image("right", i, j, widx) for j in range(1, ni + 1)]
         for s, rows in enumerate(images):
             for t, cols in enumerate(images):
                 d = block(rows, cols) - (base if s == t else 0)
@@ -156,6 +155,7 @@ def extract_symbol(T: FockOperator, max_total_len: int) -> MultiToeplitzSymbol:
     """All Fourier coefficients with |a| + |b| <= max_total_len; exactly zero
     blocks are not stored."""
     sym = MultiToeplitzSymbol(T.trunc.n, T.coeff_dim)
+    T = FockOperator(T.trunc, T.dense(), T.coeff_dim)  # densified once, read per pair
     for a, b in lambda_pairs_up_to_total(T.trunc.n, max_total_len):
         c = fourier_coefficient(T, a, b)
         if np.any(c != 0):
@@ -219,6 +219,9 @@ def norm_on_grid(sym: MultiToeplitzSymbol, trunc: FockTruncation,
                  r_grid: Iterable[float]) -> list[float]:
     """Operator norms of the symbol at r-scaled truncated creations.  A
     symbol with zero Hermitian defect gives exactly Hermitian operators,
-    whose norm ``hermitian_norm`` takes; any other symbol's, ``opnorm``."""
-    norm = hermitian_norm if sym.hermitian_defect() == 0 else opnorm
-    return [norm(symbol_operator(sym, trunc, r).dense()) for r in r_grid]
+    whose norm ``hermitian_norm`` takes from the CSR matrix; any other
+    symbol's, ``opnorm`` of the dense one."""
+    ops = [symbol_operator(sym, trunc, r) for r in r_grid]
+    if sym.hermitian_defect() == 0:
+        return [hermitian_norm(op.matrix) for op in ops]
+    return [opnorm(op.dense()) for op in ops]

@@ -232,12 +232,9 @@ def _id_fock_adjoint(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 
 def _id_fock_cyclicity(cfg: RunConfig, rng) -> tuple[str, float, float]:
-    import scipy.sparse as sp
-
     trunc = FockTruncation(cfg.n, cfg.degrees)
     # a CSC letter's column holds at most one 1: the image of that basis vector
     letters = [s.tocsc() for row in creation_tuple(trunc) for s in row]
-    vecs = [sp.csc_matrix(np.eye(trunc.dim, 1, 0, dtype=complex))]
     seen = np.zeros(trunc.dim, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
@@ -246,14 +243,15 @@ def _id_fock_cyclicity(cfg: RunConfig, rng) -> tuple[str, float, float]:
         for s in letters:
             images = s[:, frontier]
             fresh = np.flatnonzero(np.diff(images.indptr))  # columns with an image
-            fresh = fresh[~seen[images.indices[images.indptr[fresh]]]]
             targets = images.indices[images.indptr[fresh]]
+            targets = targets[~seen[targets]]
             seen[targets] = True
-            vecs.append(images[:, fresh])
             nxt.append(targets)
         frontier = np.concatenate(nxt)
-    rank = np.linalg.matrix_rank(sp.hstack(vecs).toarray())
-    return "left creations applied to the vacuum span the truncation", float(trunc.dim - rank), 0.0
+    # the reached vectors are distinct basis vectors, so their span has
+    # dimension #reached: the rank deficit is the count of unreached ones
+    gap = trunc.dim - np.count_nonzero(seen)
+    return "left creations applied to the vacuum span the truncation", float(gap), 0.0
 
 
 def _id_toeplitz_membership(cfg: RunConfig, rng) -> tuple[str, float, float]:
@@ -345,7 +343,9 @@ def _id_berezin_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
         x = random_point(rng, cfg.n, 2, 0.6)
         raw = rng.standard_normal((trunc.dim, trunc.dim)) + 1j * rng.standard_normal((trunc.dim, trunc.dim))
         g = raw @ raw.conj().T
-        out = berezin_transform(g / la.hermitian_norm(g), x, trunc=trunc)
+        # ||g||_F^2 / tr g <= ||g|| for a PSD g, in O(dim^2) with no eigensolve:
+        # scaling by a lower bound of the norm never loosens the 1e-12 tolerance
+        out = berezin_transform(g / (np.linalg.norm(g) ** 2 / np.trace(g).real), x, trunc=trunc)
         worst = max(worst, -la.min_eig_hermitian(out))
     return "the transform of a PSD operator is PSD", max(worst, 0.0), 1e-12
 
@@ -360,8 +360,8 @@ def _id_berezin_factorization(cfg: RunConfig, rng) -> tuple[str, float, float]:
         x = random_point(rng, cfg.n, 2, 0.5)
         pk = poisson_kernel(x, trunc)
         c = sp.csr_matrix(cauchy_operator(rmats, x).matrix)
-        # P and C^H C are supported on comparable word pairs
-        diff = la.hermitian_norm(sp.csr_matrix(pk.op.dense()) - c.conj().T @ c)
+        # P (CSR) and C^H C are supported on comparable word pairs
+        diff = la.hermitian_norm(pk.op.matrix - c.conj().T @ c)
         worst = max(worst, diff - pk.factorization_bound)
     return "the Poisson kernel factors through the resolvent operator within the bound", max(worst, 0.0), 0.0
 

@@ -231,20 +231,23 @@ def test_cauchy_graded_matches_dense_oracle(rng, monkeypatch, n, degrees, side, 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cauchy_graded_inverse_iteration_branch(rng, monkeypatch, side):
-    """Above dimension 600 the smallest singular value comes from Lanczos on
-    the series followed by the series of the adjoint; it matches the exact
-    SVD value."""
+    """Above EXACT_DIM the smallest singular value is 1 / ||R_i|| by Lanczos
+    on the explicit CSR resolvents R_i = (I - A_i)^-1; it matches the exact
+    SVD of the dense factors I - A_i, with the full and with a thin rhs."""
     t = FockTruncation((2, 1), (5, 5))
     V = [
         [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
         for i, ni in enumerate(t.n, 1)
     ]
     X = random_point(rng, (2, 1), 2, 0.6)
-    assert t.dim * X.h_dim > 600
+    dim = t.dim * X.h_dim
+    assert dim > EXACT_DIM
     _no_lu(monkeypatch)
     c = cauchy_operator(V, X)
     ref_sv = _assert_matches_oracle(c, V, X)
-    assert c.min_singular == pytest.approx(ref_sv, rel=1e-8)
+    assert c.min_singular == pytest.approx(ref_sv, rel=1e-12)
+    thin = cauchy_operator(V, X, rhs=rng.standard_normal((dim, 2)) + 0j)
+    assert thin.min_singular == c.min_singular
 
 
 def _dense_identity_series(V, X):
@@ -517,6 +520,47 @@ def test_poisson_kernel_batched_products_match_per_pair_loop(rng, kind, h, side)
     want = pair_operator(t, side, np.arange(len(pairs)), xm).dense()
     got = poisson_kernel(x, t, side=side).op.dense()
     assert got.tobytes() == want.tobytes()
+
+
+def _dense_pair_scatter(trunc, side, pids, blocks):
+    """The former dense assembly of ``pair_operator``: one += scatter of the
+    blocks onto a zero matrix, ids of -1 dropped."""
+    e = blocks.shape[1]
+    slot = np.full(math.prod(2 * d - 1 for d in trunc.factor_dims), -1, dtype=np.int64)
+    keep = pids >= 0
+    slot[pids[keep]] = np.flatnonzero(keep)
+    pid, src, dst = trunc.pair_table(side)
+    cell_slot = slot[pid]
+    hit = cell_slot >= 0
+    out = np.zeros((trunc.dim * e, trunc.dim * e), dtype=complex)
+    out.reshape(trunc.dim, e, trunc.dim, e)[dst[hit], :, src[hit], :] += blocks[cell_slot[hit]]
+    return out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("ids", ["all", "some"])
+def test_pair_operator_dense_is_the_dense_scatter(ids, side):
+    """``pair_operator`` is CSR and its ``dense()`` has the bytes of the dense
+    += scatter, at a nilpotent point whose monomials hold -0.0 entries, for
+    every pair id in order and for a shuffled subset with ids off the box;
+    each stored entry has the bits of its dense entry, -0.0 turned +0.0."""
+    t = FockTruncation((2, 1), (3, 2))
+    x = random_nilpotent_point(np.random.default_rng(7), t.n, 3, 0.8)
+    a, b = t.pair_basis_indices()
+    table = x.monomial_table(t)
+    xm = table[a] @ table[b].conj().transpose(0, 2, 1)
+    pids = np.arange(a.size)
+    if ids == "some":
+        pids = np.random.default_rng(8).permutation(a.size)[: a.size // 2]
+        pids[::5] = -1
+        xm = xm[: pids.size]
+    assert np.signbit(xm.real[xm.real == 0]).any()
+    op = pair_operator(t, side, pids, xm)
+    assert isinstance(op.matrix, scipy.sparse.csr_matrix)
+    want = _dense_pair_scatter(t, side, pids, xm)
+    assert op.dense().tobytes() == want.tobytes()
+    stored = op.matrix.tocoo()
+    assert stored.data.tobytes() == want[stored.row, stored.col].tobytes()
 
 
 def _word_product(x, i, letters):

@@ -162,11 +162,24 @@ def test_word_operator_coefficient_block(n, degrees, letters, e):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_word_matrix_is_the_sparse_word_operator(side):
+    """``word_matrix`` and ``word_operator`` (CSR, with and without a
+    coefficient) against the dense matrix of the per-word reference of
+    ``monomial_indices``."""
     t = FockTruncation([2, 1], [3, 2])
+    c = np.array([[1.0, -2.0j], [0.5, 3.0 + 1.0j]])
     for a, b in lambda_pairs_up_to_total(t.n, 3):
+        src, dst = _monomial_indices_by_words(t, a, b, side)
+        want = np.zeros((t.dim, t.dim), dtype=complex)
+        want[dst, src] = 1.0
         m = word_matrix(t, a, b, side)
         assert isinstance(m, scipy.sparse.csr_matrix) and m.dtype == complex
-        np.testing.assert_array_equal(m.toarray(), word_operator(t, a, b, side=side).dense())
+        np.testing.assert_array_equal(m.toarray(), want)
+        op = word_operator(t, a, b, side=side)
+        assert isinstance(op.matrix, scipy.sparse.csr_matrix) and op.coeff_dim == 1
+        np.testing.assert_array_equal(op.dense(), want)
+        op = word_operator(t, a, b, c, side=side)
+        assert isinstance(op.matrix, scipy.sparse.csr_matrix) and op.coeff_dim == 2
+        np.testing.assert_array_equal(op.dense(), np.kron(want, c))
 
 
 def test_word_operator_entries_match_comparability():

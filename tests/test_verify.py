@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from polyball import verify
+from polyball._linalg import EXACT_DIM
 from polyball.verify import RunConfig
 
 
@@ -24,3 +26,80 @@ def test_vacuum_cyclicity_reports_a_dropped_letter(monkeypatch):
     # the words of factor 1 written in the letter 1 alone: one per length
     assert gap == 15 * 3 - 4 * 3
     assert gap > tol
+
+
+def _vacuum_span_rank(trunc, letters):
+    """matrix_rank of the vectors S_w e_vac over all words w: the letters
+    applied to the vacuum column until no new column appears."""
+    cols = np.eye(trunc.dim)[:, :1]
+    while True:
+        grown = np.unique(np.hstack([cols] + [s.toarray() @ cols for s in letters]), axis=1)
+        if grown.shape[1] == cols.shape[1]:
+            return np.linalg.matrix_rank(cols)
+        cols = grown
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 2)), ((3,), (3,)), ((1, 1, 2), (2, 1, 2))])
+def test_vacuum_cyclicity_gap_is_the_rank_deficit(monkeypatch, n, degrees, drop):
+    """The item's count of unreached basis vectors is dim minus the rank of
+    the span of the vacuum's images, with all letters and with the first
+    letter of factor 1 dropped."""
+    full = verify.creation_tuple
+
+    def letters(trunc, side="left"):
+        rows = full(trunc, side)
+        return [rows[0][1:]] + rows[1:] if drop else rows
+
+    monkeypatch.setattr(verify, "creation_tuple", letters)
+    trunc = verify.FockTruncation(n, degrees)
+    rank = _vacuum_span_rank(trunc, [s for row in letters(trunc) for s in row])
+    _, gap, _ = verify._id_fock_cyclicity(RunConfig(n=n, degrees=degrees), None)
+    assert gap == trunc.dim - rank
+    assert (gap > 0) == drop
+
+
+@pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)])
+def test_complete_positivity_catches_a_negative_shift(monkeypatch, degrees, max_len):
+    """At both benchmark configurations the scale of g keeps the transform
+    at norm about 0.5, so shifting each transform to a smallest eigenvalue of
+    -1e-11 ||out|| fails the 1e-12 tolerance."""
+    transform = verify.berezin_transform
+
+    def shifted(g, x, **kwargs):
+        out = transform(g, x, **kwargs)
+        w = np.linalg.eigvalsh(out)
+        return out - (w[0] + 1e-11 * np.abs(w).max()) * np.eye(len(out))
+
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len)
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.complete_positivity")
+    _, err, tol = verify._id_berezin_cp(cfg, verify._rng(cfg, idx))
+    assert err <= tol
+    monkeypatch.setattr(verify, "berezin_transform", shifted)
+    _, err, tol = verify._id_berezin_cp(cfg, verify._rng(cfg, idx))
+    assert err > tol
+
+
+@pytest.mark.parametrize("degrees, max_len", [((5, 5), 2), ((3, 3), 3)], ids=["deep", "small"])
+def test_verify_takes_no_dense_spectral_solve_above_the_cut(monkeypatch, degrees, max_len):
+    """At the verify-deep (--degrees 5,5 --max-len 2) and verify-small
+    configurations no dense eigenvalue, SVD or rank solve sees a matrix
+    larger than EXACT_DIM: above the cut spectral values come from the
+    operators' structure.  The numpy module functions are wrapped too, so
+    ``norm(m, 2)`` and ``matrix_rank`` are caught through their inner
+    ``svd``."""
+    from numpy.linalg import _linalg as np_linalg
+
+    def guarded(name, f):
+        def call(a, *args, **kwargs):
+            if max(np.shape(a)[-2:], default=0) > EXACT_DIM:
+                raise AssertionError(f"{name} on a matrix of shape {np.shape(a)}")
+            return f(a, *args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh", "svd", "matrix_rank"):
+        wrapped = guarded(name, getattr(np.linalg, name))
+        monkeypatch.setattr(np.linalg, name, wrapped)
+        monkeypatch.setattr(np_linalg, name, wrapped)
+    results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
+    assert all(r.passed for r in results)
