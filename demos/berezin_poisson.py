@@ -54,8 +54,8 @@ rmats = [
     for i, ni in enumerate(n, 1)
 ]
 pk = poisson_kernel(x, t)
-c = cauchy_operator(rmats, x)
-diff = np.linalg.norm(pk.op.dense() - c.matrix.conj().T @ c.matrix, 2)
+c = cauchy_operator(rmats, x).matrix.toarray()
+diff = np.linalg.norm(pk.op.dense() - c.conj().T @ c, 2)
 print(f"difference {diff:.4f} <= factorization bound {pk.factorization_bound:.4f}")
 print(f"series tail bound {pk.tail_bound:.4f}; "
       f"min eigenvalue {np.linalg.eigvalsh(pk.op.dense())[0]:.4f}")

@@ -19,14 +19,21 @@ applies a dense or SciPy-sparse g once, to the kernel's columns.
 Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
 bounds collapse to zero.
+
+The resolvent factors I - A_i, A_i = sum_j V_ij (x) X_ij*, are certified
+invertible by the row norms: sigma_min(I - A_i) >= 1 - c(V_i) rho_i, where
+rho_i is the row norm of X_i and c(V_i) bounds the norm of the row of letters
+(1 for the creations).  ``cauchy_operator`` computes an exact smallest
+singular value at once only where that certificate cannot clear the 1e-12
+guard; otherwise ``CauchyResult.min_singular`` is computed on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -303,24 +310,63 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
 
 @dataclass
 class CauchyResult:
-    matrix: np.ndarray
-    min_singular: float
+    """The resolvent operator and, per factor I - A_i, a cached thunk for its
+    smallest singular value (see ``cauchy_operator``)."""
+    matrix: np.ndarray  # CSR for the full operator on the graded path
+    _factor_min_singular: list[Callable[[], float]] = field(repr=False)
+
+    @cached_property
+    def min_singular(self) -> float:
+        """Smallest singular value over the factors I - A_i, computed on
+        first read wherever the guard did not need it."""
+        return min(sv() for sv in self._factor_min_singular)
 
 
-def _min_singular(factor, solve, solve_h) -> float:
+def _min_singular(factor, solves) -> float:
     """Smallest singular value of the square ``factor`` (dense or sparse):
     an exact SVD up to ``_linalg.EXACT_DIM``, above it 1/sqrt of
-    ``_linalg.lanczos_top`` on the Hermitian (factor factor^H)^-1, applied
-    as ``solve`` (x -> factor^-1 x) then ``solve_h`` (x -> factor^-H x):
-    that is, 1 / ||factor^-1||."""
+    ``_linalg.lanczos_top`` on the Hermitian (factor factor^H)^-1, that is
+    1 / ||factor^-1||.  ``solves()`` returns the pair (x -> factor^-1 x,
+    x -> factor^-H x); it is called only above the cut."""
     dim = factor.shape[0]
     if dim <= la.EXACT_DIM:
         dense = factor.toarray() if hasattr(factor, "toarray") else factor
         return float(np.linalg.svd(dense, compute_uv=False)[-1])
     from scipy.sparse.linalg import LinearOperator
 
+    solve, solve_h = solves()
     op = LinearOperator((dim, dim), matvec=lambda x: solve_h(solve(x)), dtype=complex)
     return la.lanczos_top(op) ** -0.5
+
+
+def _graded_min_singular(a) -> float:
+    """``_min_singular`` of I - a for a nilpotent CSR ``a``.  Above the cut
+    its solves are two CSR products with the exact resolvent
+    R = (I - a)^-1, built as the series on the CSR identity."""
+    import scipy.sparse as sp
+
+    eye = sp.eye(a.shape[0], dtype=complex, format="csr")
+
+    def solves():
+        inverse = _nilpotent_series(a, eye)
+        return inverse.dot, inverse.conj().T.tocsr().dot
+
+    return _min_singular(eye - a, solves)
+
+
+def _lu_solves(lu_piv):
+    import scipy.linalg as sla
+
+    return partial(sla.lu_solve, lu_piv), partial(sla.lu_solve, lu_piv, trans=2)
+
+
+def _letters_norm_bound(row) -> float:
+    """c = sqrt(||L||_1 ||L||_inf) >= ||L|| for the row L = [V_1 ... V_n] of
+    CSR letters: the largest column abs-sum over the letters times the
+    largest row abs-sum summed over the letters.  Exactly 1 for creations."""
+    col = max(float(abs(v).sum(axis=0).max()) for v in row)
+    row_sums = sum(np.asarray(abs(v).sum(axis=1)).ravel() for v in row)
+    return math.sqrt(col * float(row_sums.max()))
 
 
 def _nilpotent_series(a, x):
@@ -348,16 +394,25 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     truncated left and right creations are in graded-lex order, each
     A_i = sum_j V_ij (x) X_ij* is nilpotent and its resolvent is the finite
     Neumann series of the sparse A_i, summed until a term is exactly zero:
-    exact, with no truncation.  For the full operator the series runs on a
-    CSR identity, since the resolvent is supported on comparable word pairs,
-    and is densified once before the defect root; ``matrix`` is always a
-    dense ndarray.  Any other V is resolved by dense LU solves.
-    ``min_singular`` is the smallest singular value over the factors
-    I - A_i, whatever ``rhs`` is; a factor at or below 1e-12 raises
-    ``SingularResolventError``.  On the graded path it is 1 / ||R_i|| for
-    the exact resolvent R_i = (I - A_i)^-1, built once per factor as CSR
-    (the series on the identity, which is the next ``acc`` while ``acc`` is
-    still the CSR identity), so each Lanczos step is two CSR products.
+    exact, with no truncation.  The series runs on ``rhs`` alone.  For the
+    full operator it runs on a CSR identity; the resolvent is supported on
+    comparable word pairs, so ``matrix`` is then CSR, with the defect root
+    applied as the sparse product (I (x) Delta^(1/2)) R.  A thin ``rhs``
+    gives a dense ``matrix``.  Any other V is resolved by dense LU solves,
+    and ``matrix`` is dense.
+
+    A factor I - A_i whose smallest singular value is at or below 1e-12
+    raises ``SingularResolventError``.  On the graded path the guard reads
+    the certificate sigma_min(I - A_i) >= 1 - ||A_i|| >= 1 - q_i, with
+    q_i = c(V_i) rho_i: rho_i is the row norm of X_i, and
+    c(V_i) = sqrt(||[V_i1 ... V_in_i]||_1 ||[V_i1 ... V_in_i]||_inf) bounds
+    the norm of the row of letters (it is 1 for creations).  Only where
+    1 - q_i <= 1e-12 is the exact value computed at once.
+    ``min_singular``, the smallest singular value over the factors, is
+    otherwise computed on first read: an SVD of I - A_i up to
+    ``_linalg.EXACT_DIM``, above it 1 / ||R_i|| by Lanczos, two CSR
+    products per step with the exact CSR resolvent R_i = (I - A_i)^-1.
+    So no caller pays for it, or for R_i, unless it reads it.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
@@ -369,24 +424,24 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
     h = X.h_dim
     dim = m * h
     graded = not any(sp.triu(v).count_nonzero() for row in V for v in row)
-    eye = sp.eye(dim, dtype=complex, format="csr")
     if rhs is not None:
         acc = np.asarray(rhs, dtype=complex)
     elif graded:
-        acc = eye
+        acc = sp.eye(dim, dtype=complex, format="csr")
     else:
         acc = np.eye(dim, dtype=complex)
     if acc.ndim != 2 or acc.shape[0] != dim:
         raise ValueError(f"rhs needs shape ({dim}, c), got {acc.shape}")
-    min_sv = math.inf
+    rho = X.row_norms()
+    factor_sv = []
     for i in reversed(range(X.k)):
         terms = [(v, xij.conj().T) for v, xij in zip(V[i], X.X[i])]
         if graded:
             a = sum(sp.kron(v, xs, format="csr") for v, xs in terms)
-            factor = eye - a
             solve = partial(_nilpotent_series, a)
-            inverse = solve(eye)
-            sv = _min_singular(factor, inverse.dot, inverse.conj().T.tocsr().dot)
+            sv = cache(partial(_graded_min_singular, a))
+            # a NaN q_i fails the comparison and takes the exact path
+            certified = 1.0 - _letters_norm_bound(V[i]) * rho[i] > 1e-12
         else:
             factor = np.eye(dim, dtype=complex) - sum(np.kron(v.toarray(), xs) for v, xs in terms)
             try:
@@ -394,17 +449,18 @@ def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
             except np.linalg.LinAlgError:
                 raise SingularResolventError(0.0)
             solve = partial(sla.lu_solve, lu_piv)
-            sv = _min_singular(factor, solve, partial(sla.lu_solve, lu_piv, trans=2))
-        min_sv = min(min_sv, sv)
-        if sv <= 1e-12:
-            raise SingularResolventError(sv)
-        # acc is the CSR identity only on the graded path, before its first solve
-        acc = inverse if acc is eye else solve(acc)
-    if sp.issparse(acc):
-        acc = acc.toarray()
+            sv = cache(partial(_min_singular, factor, partial(_lu_solves, lu_piv)))
+            certified = False
+        if not certified and sv() <= 1e-12:
+            raise SingularResolventError(sv())
+        factor_sv.append(sv)
+        acc = solve(acc)
     root, _, _ = la.psd_sqrt(defect(X))
-    out = (root @ acc.reshape(m, h, -1)).reshape(acc.shape)
-    return CauchyResult(out, min_sv)
+    if sp.issparse(acc):
+        out = sp.kron(sp.eye(m), root, format="csr") @ acc
+    else:
+        out = (root @ acc.reshape(m, h, -1)).reshape(acc.shape)
+    return CauchyResult(out, factor_sv)
 
 
 @dataclass

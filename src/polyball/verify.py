@@ -351,16 +351,14 @@ def _id_berezin_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 
 def _id_berezin_factorization(cfg: RunConfig, rng) -> tuple[str, float, float]:
-    import scipy.sparse as sp
-
     trunc = FockTruncation(cfg.n, cfg.degrees)
     rmats = creation_tuple(trunc, side="right")
     worst = 0.0
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.5)
         pk = poisson_kernel(x, trunc)
-        c = sp.csr_matrix(cauchy_operator(rmats, x).matrix)
-        # P (CSR) and C^H C are supported on comparable word pairs
+        c = cauchy_operator(rmats, x).matrix
+        # P and C are CSR: both are supported on comparable word pairs
         diff = la.hermitian_norm(pk.op.matrix - c.conj().T @ c)
         worst = max(worst, diff - pk.factorization_bound)
     return "the Poisson kernel factors through the resolvent operator within the bound", max(worst, 0.0), 0.0

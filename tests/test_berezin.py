@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from polyball import berezin
 from polyball._linalg import EXACT_DIM, hermitian_norm, psd_sqrt
 from polyball.berezin import (
     DivergenceError,
@@ -164,7 +165,7 @@ def test_cauchy_neumann_oracle():
     neumann = np.sqrt(0.75) * sum(
         0.5 ** p * np.linalg.matrix_power(r.toarray(), p) for p in range(7)
     )
-    np.testing.assert_allclose(c.matrix, neumann, atol=1e-13)
+    np.testing.assert_allclose(c.matrix.toarray(), neumann, atol=1e-13)
     assert c.min_singular > 0.4
 
 
@@ -172,20 +173,25 @@ def test_cauchy_at_zero():
     t = FockTruncation([1], [4])
     r = creation_matrix(t, "right", 1, 1)
     c = cauchy_operator([[r]], PolyballPoint.from_scalars([[0.0]]))
-    np.testing.assert_allclose(c.matrix, np.eye(t.dim), atol=1e-15)
+    np.testing.assert_allclose(c.matrix.toarray(), np.eye(t.dim), atol=1e-15)
+
+
+def _dense_factors(V, X):
+    """The factors I - sum_j V_ij (x) X_ij* as dense arrays, last factor first."""
+    dim = V[0][0].shape[0] * X.h_dim
+    for i in reversed(range(X.k)):
+        yield np.eye(dim, dtype=complex) - sum(
+            np.kron(scipy.sparse.csr_matrix(v).toarray(), x.conj().T)
+            for v, x in zip(V[i], X.X[i])
+        )
 
 
 def _cauchy_oracle(V, X):
     """Dense resolvents by np.linalg.solve, the defect root by eigh with the
     negative part clipped, and the smallest singular value over the factors."""
-    dim = V[0][0].shape[0] * X.h_dim
-    acc = np.eye(dim, dtype=complex)
+    acc = np.eye(V[0][0].shape[0] * X.h_dim, dtype=complex)
     min_sv = math.inf
-    for i in reversed(range(X.k)):
-        factor = np.eye(dim, dtype=complex) - sum(
-            np.kron(scipy.sparse.csr_matrix(v).toarray(), x.conj().T)
-            for v, x in zip(V[i], X.X[i])
-        )
+    for factor in _dense_factors(V, X):
         min_sv = min(min_sv, np.linalg.svd(factor, compute_uv=False)[-1])
         acc = np.linalg.solve(factor, acc)
     w, u = np.linalg.eigh(defect(X))
@@ -200,10 +206,15 @@ def _oracle_point(rng, kind, n, h):
     return x if kind == "inside" else x.scaled(2.5)
 
 
+def _dense(c):
+    """``c.matrix`` as an ndarray: CSR for the full graded operator."""
+    return c.matrix.toarray() if scipy.sparse.issparse(c.matrix) else c.matrix
+
+
 def _assert_matches_oracle(c, V, X):
     """Checks the matrix; returns the oracle's smallest singular value."""
     ref, ref_sv = _cauchy_oracle(V, X)
-    assert np.abs(c.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(_dense(c) - ref).max() <= 1e-12 * np.abs(ref).max()
     return ref_sv
 
 
@@ -250,9 +261,82 @@ def test_cauchy_graded_inverse_iteration_branch(rng, monkeypatch, side):
     assert thin.min_singular == c.min_singular
 
 
+@pytest.mark.parametrize("kind", ["inside", "nilpotent"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cauchy_min_singular_is_computed_on_read(rng, monkeypatch, side, kind):
+    """Inside the ball the certificate 1 - q_i > 1e-12 decides the guard, so
+    neither the full operator nor a thin rhs calls ``_min_singular`` before
+    ``min_singular`` is read, and a thin rhs runs the series on its own
+    columns only, never on the identity that builds the full inverse.  Read
+    afterwards, the value matches the SVD of the dense factors and is the
+    same for thin and full.  (2,1)@(5,5) is above EXACT_DIM, so the read
+    runs Lanczos on the CSR resolvents."""
+    t = FockTruncation((2, 1), (5, 5))
+    V = creation_tuple(t, side)
+    X = _oracle_point(rng, kind, (2, 1), 2)
+    dim = t.dim * X.h_dim
+    assert dim > EXACT_DIM
+    rhs = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    series = berezin._nilpotent_series
+    widths = []
+
+    def refuse(*args):
+        raise AssertionError("_min_singular before min_singular is read")
+
+    def recorded(a, x):
+        widths.append(x.shape[1])
+        return series(a, x)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(berezin, "_min_singular", refuse)
+        patched.setattr(berezin, "_nilpotent_series", recorded)
+        full = cauchy_operator(V, X)
+        assert widths == [dim, dim]
+        widths.clear()
+        thin = cauchy_operator(V, X, rhs=rhs)
+        assert widths == [3, 3]
+    ref = min(np.linalg.svd(f, compute_uv=False)[-1] for f in _dense_factors(V, X))
+    assert full.min_singular == pytest.approx(ref, rel=1e-12)
+    assert thin.min_singular == full.min_singular
+
+
+def test_cauchy_graded_guard_takes_the_exact_value_where_the_certificate_fails():
+    """The point 3 against the right creation has q = 3, so the certificate
+    fails and the exact value is taken at once: at degree 30 it is about
+    4.29e-15 and raises, at degree 12 it is about 1.67e-6 and the operator is
+    returned with that value."""
+    x = PolyballPoint.from_scalars([[3.0]])
+    for degree, singular in ((30, True), (12, False)):
+        V = creation_tuple(FockTruncation([1], [degree]), "right")
+        assert berezin._letters_norm_bound(V[0]) * x.row_norms()[0] == 3.0
+        (factor,) = _dense_factors(V, x)
+        ref = np.linalg.svd(factor, compute_uv=False)[-1]
+        if singular:
+            with pytest.raises(SingularResolventError) as ex:
+                cauchy_operator(V, x)
+            assert ex.value.min_singular == ref
+            assert ex.value.min_singular == pytest.approx(4.29e-15, rel=0.01)
+        else:
+            assert cauchy_operator(V, x).min_singular == ref
+            assert ref == pytest.approx(1.67e-6, rel=0.01)
+
+
+def test_letters_norm_bound_is_one_for_creations_and_bounds_the_row(rng):
+    """c(V) is exactly 1 for the left and right creations, so q_i is the row
+    norm of X_i, and it bounds the norm of a general row of letters."""
+    t = FockTruncation((2, 1), (3, 3))
+    for side in ("left", "right"):
+        for row in creation_tuple(t, side):
+            assert berezin._letters_norm_bound(row) == 1.0
+    for row in _random_row_contraction(rng):
+        letters = [scipy.sparse.csr_matrix(v) for v in row]
+        assert berezin._letters_norm_bound(letters) >= np.linalg.norm(np.hstack(row), 2)
+
+
 def _dense_identity_series(V, X):
     """The graded resolvent as the exact Neumann series run on a dense
-    identity, factor by factor, then the defect root."""
+    identity, factor by factor, then the defect root by the CSR product
+    (I (x) Delta^(1/2)) R."""
     m = V[0][0].shape[0]
     acc = np.eye(m * X.h_dim, dtype=complex)
     for i in reversed(range(X.k)):
@@ -267,15 +351,15 @@ def _dense_identity_series(V, X):
             total += term
         acc = total
     root, _, _ = psd_sqrt(defect(X))
-    return (root @ acc.reshape(m, X.h_dim, -1)).reshape(acc.shape)
+    return scipy.sparse.kron(scipy.sparse.eye(m), root, format="csr") @ acc
 
 
 @pytest.mark.parametrize("kind", ["nilpotent", "inside", "outside"])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((2, 1), (5, 5)), ((1, 1, 2), (2, 2, 2))])
 def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side, kind):
-    """The full operator, whose series runs on a CSR identity, equals the
-    series on a dense identity bit for bit."""
+    """The full operator, a CSR matrix whose series runs on a CSR identity,
+    equals the series on a dense identity bit for bit."""
     t = FockTruncation(n, degrees)
     V = [
         [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
@@ -284,9 +368,9 @@ def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side
     X = _oracle_point(rng, kind, n, 2)
     c = cauchy_operator(V, X)
     want = _dense_identity_series(V, X)
-    assert isinstance(c.matrix, np.ndarray)
+    assert isinstance(c.matrix, scipy.sparse.csr_matrix)
     assert c.matrix.dtype == want.dtype and c.matrix.shape == want.shape
-    assert c.matrix.tobytes() == want.tobytes()
+    assert c.matrix.toarray().tobytes() == want.tobytes()
 
 
 def _random_row_contraction(rng, m=5):
@@ -349,7 +433,7 @@ def test_cauchy_dense_and_csr_letters_agree_bitwise(rng, path):
         dense = [[v.toarray() for v in row] for row in csr]
     X = random_point(rng, (2, 1), 2, 0.6)
     a, b = cauchy_operator(dense, X), cauchy_operator(csr, X)
-    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert _dense(a).tobytes() == _dense(b).tobytes()
     assert a.min_singular == b.min_singular
 
 
@@ -398,8 +482,8 @@ def test_factorization_random(rng):
     for _ in range(5):
         x = random_point(rng, (2, 1), 2, 0.5)
         pk = poisson_kernel(x, t)
-        c = cauchy_operator(rmats, x)
-        diff = np.linalg.norm(pk.op.dense() - c.matrix.conj().T @ c.matrix, 2)
+        c = cauchy_operator(rmats, x).matrix.toarray()
+        diff = np.linalg.norm(pk.op.dense() - c.conj().T @ c, 2)
         assert diff <= pk.factorization_bound
 
 
@@ -410,8 +494,8 @@ def test_factorization_sparse_difference_norm(rng):
     rmats = creation_point(t, side="right").X
     x = random_point(rng, (2, 1), 2, 0.5)
     p = poisson_kernel(x, t).op.dense()
-    c = cauchy_operator(rmats, x).matrix
-    cs = scipy.sparse.csr_matrix(c)
+    cs = cauchy_operator(rmats, x).matrix
+    c = cs.toarray()
     d = scipy.sparse.csr_matrix(p) - cs.conj().T @ cs
     assert d.shape[0] > EXACT_DIM
     w = np.linalg.eigvalsh(p - c.conj().T @ c)
@@ -428,8 +512,8 @@ def test_factorization_window_exact_nilpotent(rng):
     ]
     x = random_nilpotent_point(rng, (2, 1), 3, 0.8)
     pk = poisson_kernel(x, t)
-    c = cauchy_operator(rmats, x)
-    d = pk.op.dense() - c.matrix.conj().T @ c.matrix
+    c = cauchy_operator(rmats, x).matrix.toarray()
+    d = pk.op.dense() - c.conj().T @ c
     mask = np.repeat(t.window_mask([2, 2]), x.h_dim)
     assert np.abs(d[np.ix_(mask, mask)]).max() < 1e-12
 

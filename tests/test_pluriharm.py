@@ -529,9 +529,9 @@ def test_cp_data_positive_and_factored(rng):
     x = random_nilpotent_point(rng, n, h_dim, 0.8)
     val = poisson_transform(mu, x).value
     assert np.linalg.eigvalsh(0.5 * (val + val.conj().T))[0] > -1e-10
-    c = cauchy_operator(v, x)
+    c = cauchy_operator(v, x).matrix.toarray()
     wx = np.kron(wmat, np.eye(h_dim))
-    sandwich = wx.conj().T @ c.matrix.conj().T @ c.matrix @ wx
+    sandwich = wx.conj().T @ c.conj().T @ c @ wx
     perm = sandwich.reshape(2, h_dim, 2, h_dim).transpose(1, 0, 3, 2).reshape(val.shape)
     assert np.abs(perm - val).max() < 1e-10
 

@@ -103,3 +103,24 @@ def test_verify_takes_no_dense_spectral_solve_above_the_cut(monkeypatch, degrees
         monkeypatch.setattr(np_linalg, name, wrapped)
     results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("degrees, max_len, calls", [((5, 5), 2, 8), ((3, 3), 3, 0)], ids=["deep", "small"])
+def test_verify_lanczos_calls(monkeypatch, degrees, max_len, calls):
+    """Lanczos runs only where verify reads a spectral value above EXACT_DIM:
+    at verify-deep the three factorization difference norms and the five
+    symbol-operator norms of norm_monotonicity, at verify-small nowhere.  No
+    item reads a resolvent's min_singular, so none is computed."""
+    from polyball import _linalg
+
+    top = _linalg.lanczos_top
+    dims = []
+
+    def counted(op):
+        dims.append(op.shape[0])
+        return top(op)
+
+    monkeypatch.setattr(_linalg, "lanczos_top", counted)
+    results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
+    assert all(r.passed for r in results)
+    assert len(dims) == calls
