@@ -14,7 +14,6 @@ from polyball import (
     berezin_kernel,
     berezin_transform,
     cauchy_operator,
-    creation_matrix,
     in_polyball,
     multiword,
     poisson_kernel,
@@ -49,12 +48,8 @@ want = xn.monomial(a) @ xn.monomial(b).conj().T
 print("|| B_X(S_a S_b*) - X_a X_b* || =", np.linalg.norm(got - want, 2))
 
 print("\n=== Poisson kernel factors through the resolvent ===")
-rmats = [
-    [creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
-    for i, ni in enumerate(n, 1)
-]
 pk = poisson_kernel(x, t)
-c = cauchy_operator(rmats, x).matrix.toarray()
+c = cauchy_operator(t, x, "right").matrix.toarray()
 diff = np.linalg.norm(pk.op.dense() - c.conj().T @ c, 2)
 print(f"difference {diff:.4f} <= factorization bound {pk.factorization_bound:.4f}")
 print(f"series tail bound {pk.tail_bound:.4f}; "

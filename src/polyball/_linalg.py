@@ -25,8 +25,10 @@ against 5.6 ms at 252 and 33.8 against 7.0 ms at 378."""
 def lanczos_top(op) -> float:
     """The eigenvalue of largest modulus of the Hermitian square ``op`` (an
     ndarray, a SciPy sparse matrix or a ``LinearOperator``), by Lanczos
-    (``eigsh``, k=1) converged to a relative tolerance of 1e-12.  A fixed
-    start vector keeps the value reproducible run to run."""
+    (``eigsh``, k=1) converged to a relative tolerance of 1e-12, from a
+    fixed start vector.  The value is repeatable run to run only with BLAS on
+    one thread: on several threads the reductions' order, and with it the
+    last bits, can differ between runs."""
     from scipy.sparse.linalg import eigsh
 
     dim = op.shape[0]

@@ -20,20 +20,19 @@ Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
 bounds collapse to zero.
 
-The resolvent factors I - A_i, A_i = sum_j V_ij (x) X_ij*, are certified
-invertible by the row norms: sigma_min(I - A_i) >= 1 - c(V_i) rho_i, where
-rho_i is the row norm of X_i and c(V_i) bounds the norm of the row of letters
-(1 for the creations).  ``cauchy_operator`` computes an exact smallest
-singular value at once only where that certificate cannot clear the 1e-12
-guard; otherwise ``CauchyResult.min_singular`` is computed on first read.
+The resolvent is built at the universal model, the truncated creations,
+whose rows have norm at most 1: so its factors I - A_i have
+sigma_min(I - A_i) >= 1 - rho_i, rho_i the row norm of X_i.  An exact
+smallest singular value is computed at once only where that certificate
+cannot clear the 1e-12 guard, otherwise on reading ``min_singular``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +59,8 @@ class PolyballPoint:
         if not self.X or any(not row for row in self.X):
             raise ValueError("point needs at least one entry per factor")
         h = self.X[0][0].shape[0]
+        if h == 0:
+            raise ValueError("point needs a space of positive dimension")
         for row in self.X:
             for m in row:
                 if m.shape != (h, h):
@@ -310,63 +311,32 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
 
 @dataclass
 class CauchyResult:
-    """The resolvent operator and, per factor I - A_i, a cached thunk for its
-    smallest singular value (see ``cauchy_operator``)."""
-    matrix: np.ndarray  # CSR for the full operator on the graded path
-    _factor_min_singular: list[Callable[[], float]] = field(repr=False)
+    """The resolvent operator and the CSR parts A_i of its factors I - A_i
+    (see ``cauchy_operator``)."""
+    matrix: np.ndarray  # CSR for the full operator, dense for a thin rhs
+    parts: list = field(repr=False)
 
     @cached_property
     def min_singular(self) -> float:
-        """Smallest singular value over the factors I - A_i, computed on
-        first read wherever the guard did not need it."""
-        return min(sv() for sv in self._factor_min_singular)
+        """Smallest singular value over the factors I - A_i."""
+        return min(_min_singular(a) for a in self.parts)
 
 
-def _min_singular(factor, solves) -> float:
-    """Smallest singular value of the square ``factor`` (dense or sparse):
-    an exact SVD up to ``_linalg.EXACT_DIM``, above it 1/sqrt of
-    ``_linalg.lanczos_top`` on the Hermitian (factor factor^H)^-1, that is
-    1 / ||factor^-1||.  ``solves()`` returns the pair (x -> factor^-1 x,
-    x -> factor^-H x); it is called only above the cut."""
-    dim = factor.shape[0]
-    if dim <= la.EXACT_DIM:
-        dense = factor.toarray() if hasattr(factor, "toarray") else factor
-        return float(np.linalg.svd(dense, compute_uv=False)[-1])
+def _min_singular(a) -> float:
+    """Smallest singular value of I - a for a nilpotent CSR ``a``: an exact
+    SVD up to ``_linalg.EXACT_DIM``, above it 1 / ||R|| by Lanczos on R^H R,
+    two CSR products per step with the exact CSR resolvent R = (I - a)^-1."""
+    import scipy.sparse as sp
     from scipy.sparse.linalg import LinearOperator
 
-    solve, solve_h = solves()
-    op = LinearOperator((dim, dim), matvec=lambda x: solve_h(solve(x)), dtype=complex)
+    dim = a.shape[0]
+    eye = sp.eye(dim, dtype=complex, format="csr")
+    if dim <= la.EXACT_DIM:
+        return float(np.linalg.svd((eye - a).toarray(), compute_uv=False)[-1])
+    inverse = _nilpotent_series(a, eye)
+    inverse_h = inverse.conj().T.tocsr()
+    op = LinearOperator((dim, dim), matvec=lambda x: inverse_h.dot(inverse.dot(x)), dtype=complex)
     return la.lanczos_top(op) ** -0.5
-
-
-def _graded_min_singular(a) -> float:
-    """``_min_singular`` of I - a for a nilpotent CSR ``a``.  Above the cut
-    its solves are two CSR products with the exact resolvent
-    R = (I - a)^-1, built as the series on the CSR identity."""
-    import scipy.sparse as sp
-
-    eye = sp.eye(a.shape[0], dtype=complex, format="csr")
-
-    def solves():
-        inverse = _nilpotent_series(a, eye)
-        return inverse.dot, inverse.conj().T.tocsr().dot
-
-    return _min_singular(eye - a, solves)
-
-
-def _lu_solves(lu_piv):
-    import scipy.linalg as sla
-
-    return partial(sla.lu_solve, lu_piv), partial(sla.lu_solve, lu_piv, trans=2)
-
-
-def _letters_norm_bound(row) -> float:
-    """c = sqrt(||L||_1 ||L||_inf) >= ||L|| for the row L = [V_1 ... V_n] of
-    CSR letters: the largest column abs-sum over the letters times the
-    largest row abs-sum summed over the letters.  Exactly 1 for creations."""
-    col = max(float(abs(v).sum(axis=0).max()) for v in row)
-    row_sums = sum(np.asarray(abs(v).sum(axis=1)).ravel() for v in row)
-    return math.sqrt(col * float(row_sums.max()))
 
 
 def _nilpotent_series(a, x):
@@ -382,85 +352,51 @@ def _nilpotent_series(a, x):
     return total
 
 
-def cauchy_operator(V: Sequence[Sequence[np.ndarray]], X: PolyballPoint,
+def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right",
                     rhs: np.ndarray | None = None) -> CauchyResult:
-    """(I (x) Delta_X(I)^(1/2)) prod_i (I - sum_j V_ij (x) X_ij*)^(-1) rhs.
+    """(I (x) Delta_X(I)^(1/2)) prod_i (I - A_i)^(-1) rhs at the universal
+    model: A_i = sum_j V_ij (x) X_ij* with V = ``creation_tuple(trunc, side)``.
 
-    ``rhs`` is an (m*h, c) matrix on V's space (x) C^h, main index major; it
-    defaults to the identity, which gives the full operator.  It enters
-    before the solves, so a thin ``rhs`` costs c columns, not m*h.
-    The letters V_ij, dense or SciPy-sparse, are held as CSR.
-    When every V_ij is strictly lower-triangular in the basis order, as the
-    truncated left and right creations are in graded-lex order, each
-    A_i = sum_j V_ij (x) X_ij* is nilpotent and its resolvent is the finite
-    Neumann series of the sparse A_i, summed until a term is exactly zero:
-    exact, with no truncation.  The series runs on ``rhs`` alone.  For the
-    full operator it runs on a CSR identity; the resolvent is supported on
-    comparable word pairs, so ``matrix`` is then CSR, with the defect root
-    applied as the sparse product (I (x) Delta^(1/2)) R.  A thin ``rhs``
-    gives a dense ``matrix``.  Any other V is resolved by dense LU solves,
-    and ``matrix`` is dense.
+    ``rhs``, an (m*h, c) matrix on the truncation (x) C^h (main index major),
+    defaults to the identity, the full operator; it enters before the
+    solves, so a thin ``rhs`` costs c columns.  The creations are strictly
+    lower-triangular in graded-lex order, so each A_i is nilpotent and its
+    resolvent is the Neumann series of the CSR A_i, summed until a term is
+    exactly zero: exact, not truncated.  The full operator is CSR (the
+    series runs on a CSR identity, then the root as the sparse product
+    (I (x) Delta^(1/2)) R); a thin ``rhs`` gives a dense ``matrix``.
 
-    A factor I - A_i whose smallest singular value is at or below 1e-12
-    raises ``SingularResolventError``.  On the graded path the guard reads
-    the certificate sigma_min(I - A_i) >= 1 - ||A_i|| >= 1 - q_i, with
-    q_i = c(V_i) rho_i: rho_i is the row norm of X_i, and
-    c(V_i) = sqrt(||[V_i1 ... V_in_i]||_1 ||[V_i1 ... V_in_i]||_inf) bounds
-    the norm of the row of letters (it is 1 for creations).  Only where
-    1 - q_i <= 1e-12 is the exact value computed at once.
-    ``min_singular``, the smallest singular value over the factors, is
-    otherwise computed on first read: an SVD of I - A_i up to
-    ``_linalg.EXACT_DIM``, above it 1 / ||R_i|| by Lanczos, two CSR
-    products per step with the exact CSR resolvent R_i = (I - A_i)^-1.
-    So no caller pays for it, or for R_i, unless it reads it.
+    A factor with smallest singular value <= 1e-12 raises
+    ``SingularResolventError``.  A creation row has norm at most 1, so
+    sigma_min(I - A_i) >= 1 - rho_i, rho_i the row norm of X_i: the exact
+    value is computed at once only where 1 - rho_i <= 1e-12, otherwise
+    ``min_singular`` computes it, and the full inverse, on first read.
     """
-    import scipy.linalg as sla
     import scipy.sparse as sp
 
-    if len(V) != X.k or any(len(row) != ni for row, ni in zip(V, X.n)):
-        raise ValueError("V and X have different factor shapes")
-    V = [[sp.csr_matrix(v, dtype=complex) for v in row] for row in V]
-    m = V[0][0].shape[0]
-    h = X.h_dim
+    if trunc.n != X.n:
+        raise ValueError(f"truncation shape {trunc.n} does not match point shape {X.n}")
+    V = creation_tuple(trunc, side)
+    m, h = trunc.dim, X.h_dim
     dim = m * h
-    graded = not any(sp.triu(v).count_nonzero() for row in V for v in row)
-    if rhs is not None:
-        acc = np.asarray(rhs, dtype=complex)
-    elif graded:
-        acc = sp.eye(dim, dtype=complex, format="csr")
-    else:
-        acc = np.eye(dim, dtype=complex)
+    acc = sp.eye(dim, dtype=complex, format="csr") if rhs is None else np.asarray(rhs, dtype=complex)
     if acc.ndim != 2 or acc.shape[0] != dim:
         raise ValueError(f"rhs needs shape ({dim}, c), got {acc.shape}")
     rho = X.row_norms()
-    factor_sv = []
+    parts = []
     for i in reversed(range(X.k)):
-        terms = [(v, xij.conj().T) for v, xij in zip(V[i], X.X[i])]
-        if graded:
-            a = sum(sp.kron(v, xs, format="csr") for v, xs in terms)
-            solve = partial(_nilpotent_series, a)
-            sv = cache(partial(_graded_min_singular, a))
-            # a NaN q_i fails the comparison and takes the exact path
-            certified = 1.0 - _letters_norm_bound(V[i]) * rho[i] > 1e-12
-        else:
-            factor = np.eye(dim, dtype=complex) - sum(np.kron(v.toarray(), xs) for v, xs in terms)
-            try:
-                lu_piv = sla.lu_factor(factor)
-            except np.linalg.LinAlgError:
-                raise SingularResolventError(0.0)
-            solve = partial(sla.lu_solve, lu_piv)
-            sv = cache(partial(_min_singular, factor, partial(_lu_solves, lu_piv)))
-            certified = False
-        if not certified and sv() <= 1e-12:
-            raise SingularResolventError(sv())
-        factor_sv.append(sv)
-        acc = solve(acc)
+        a = sum(sp.kron(v, xij.conj().T, format="csr") for v, xij in zip(V[i], X.X[i]))
+        # a NaN rho_i fails the comparison and takes the exact path
+        if not 1.0 - rho[i] > 1e-12 and (sv := _min_singular(a)) <= 1e-12:
+            raise SingularResolventError(sv)
+        parts.append(a)
+        acc = _nilpotent_series(a, acc)
     root, _, _ = la.psd_sqrt(defect(X))
     if sp.issparse(acc):
         out = sp.kron(sp.eye(m), root, format="csr") @ acc
     else:
         out = (root @ acc.reshape(m, h, -1)).reshape(acc.shape)
-    return CauchyResult(out, factor_sv)
+    return CauchyResult(out, parts)
 
 
 @dataclass

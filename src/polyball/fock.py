@@ -51,6 +51,11 @@ class TruncationError(ValueError):
     """A word does not fit in the truncation."""
 
 
+def _require_side(side: Side) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 def word_rank(w: Word) -> int:
     """Base-n rank of a word among the words of its length."""
     r = 0
@@ -163,6 +168,7 @@ class FockTruncation:
         """Int map over factor-i basis words of w -> attach.t where w = strip.t
         (left side, heads) or w -> t.attach where w = t.strip (right side,
         tails); -1 where strip does not fit or the result exceeds the cap."""
+        _require_side(side)
         n, d = self.n[i - 1], self.degrees[i - 1]
         out = np.full(self.factor_dims[i - 1], -1, dtype=np.int64)
         if len(strip) > d or len(attach) > d:
@@ -251,6 +257,7 @@ class FockTruncation:
         pair's cells are the product of its factors' cells, combined with the
         strides.  No (target, source) cell occurs twice: per factor, source
         and target determine the stripped and the attached word."""
+        _require_side(side)
         if side in self._pair_tables:
             return self._pair_tables[side]
         pid = src = dst = np.zeros(1, dtype=np.int64)

@@ -128,10 +128,12 @@ def point_to_json(X: PolyballPoint) -> dict[str, Any]:
 
 
 def point_from_json(data) -> PolyballPoint:
+    n = _json_typed(data["n"], "n", list)
     h = _json_typed(data["h_dim"], "h_dim")
-    return PolyballPoint(
-        [[matrix_from_json(m, h) for m in row] for row in data["X"]]
-    )
+    point = PolyballPoint([[matrix_from_json(m, h) for m in row] for row in data["X"]])
+    if point.n != tuple(n):
+        raise ValueError(f"point n {n} does not match its row lengths {list(point.n)}")
+    return point
 
 
 def kernel_to_json(K: ToeplitzKernel) -> dict[str, Any]:
@@ -171,12 +173,12 @@ def cbmap_to_json(mu: CbMapData) -> dict[str, Any]:
 
 def cbmap_from_json(data) -> CbMapData:
     sym = symbol_from_json(data)
-    cap, total = data.get("per_factor_cap"), data.get("max_total_len")
+    cap, total, bound = (data.get(f) for f in ("per_factor_cap", "max_total_len", "coeff_bound"))
     return CbMapData(
         sym,
         unit=matrix_from_json(data["unit"], sym.e_dim),
         herglotz_class=_json_typed(data.get("herglotz_class", False), "herglotz_class", bool),
-        coeff_bound=data.get("coeff_bound"),
+        coeff_bound=bound if bound is None else _json_typed(bound, "coeff_bound", float),
         max_total_len=None if total is None else _json_typed(total, "max_total_len"),
         per_factor_cap=cap if cap is None else tuple(_json_typed(cap, "per_factor_cap", list)),
     )

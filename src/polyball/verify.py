@@ -352,12 +352,11 @@ def _id_berezin_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
 
 def _id_berezin_factorization(cfg: RunConfig, rng) -> tuple[str, float, float]:
     trunc = FockTruncation(cfg.n, cfg.degrees)
-    rmats = creation_tuple(trunc, side="right")
     worst = 0.0
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.5)
         pk = poisson_kernel(x, trunc)
-        c = cauchy_operator(rmats, x).matrix
+        c = cauchy_operator(trunc, x).matrix
         # P and C are CSR: both are supported on comparable word pairs
         diff = la.hermitian_norm(pk.op.matrix - c.conj().T @ c)
         worst = max(worst, diff - pk.factorization_bound)
@@ -449,7 +448,7 @@ def _id_poisson_transform_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
         val = poisson_transform(mu, x).value
         worst = max(worst, -la.min_eig_hermitian(val))
         # the resolvent lives on V (x) H; only its columns on W (x) H are read
-        cw = cauchy_operator(v, x, rhs=np.kron(w, np.eye(x.h_dim))).matrix
+        cw = cauchy_operator(trunc, x, rhs=np.kron(w, np.eye(x.h_dim))).matrix
         sandwich = cw.conj().T @ cw
         worst = max(worst, float(np.max(np.abs(_eh_to_he(sandwich, x.h_dim, 2) - val))))
     return "compression data transforms positively and matches the sandwiched resolvent square", max(worst, 0.0), 1e-8

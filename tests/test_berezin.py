@@ -161,7 +161,7 @@ def test_cauchy_neumann_oracle():
     t = FockTruncation([1], [6])
     r = creation_matrix(t, "right", 1, 1)
     x = PolyballPoint.from_scalars([[0.5]])
-    c = cauchy_operator([[r]], x)
+    c = cauchy_operator(t, x, "right")
     neumann = np.sqrt(0.75) * sum(
         0.5 ** p * np.linalg.matrix_power(r.toarray(), p) for p in range(7)
     )
@@ -171,8 +171,7 @@ def test_cauchy_neumann_oracle():
 
 def test_cauchy_at_zero():
     t = FockTruncation([1], [4])
-    r = creation_matrix(t, "right", 1, 1)
-    c = cauchy_operator([[r]], PolyballPoint.from_scalars([[0.0]]))
+    c = cauchy_operator(t, PolyballPoint.from_scalars([[0.0]]), "right")
     np.testing.assert_allclose(c.matrix.toarray(), np.eye(t.dim), atol=1e-15)
 
 
@@ -181,8 +180,7 @@ def _dense_factors(V, X):
     dim = V[0][0].shape[0] * X.h_dim
     for i in reversed(range(X.k)):
         yield np.eye(dim, dtype=complex) - sum(
-            np.kron(scipy.sparse.csr_matrix(v).toarray(), x.conj().T)
-            for v, x in zip(V[i], X.X[i])
+            np.kron(v.toarray(), x.conj().T) for v, x in zip(V[i], X.X[i])
         )
 
 
@@ -206,73 +204,51 @@ def _oracle_point(rng, kind, n, h):
     return x if kind == "inside" else x.scaled(2.5)
 
 
-def _dense(c):
-    """``c.matrix`` as an ndarray: CSR for the full graded operator."""
-    return c.matrix.toarray() if scipy.sparse.issparse(c.matrix) else c.matrix
-
-
 def _assert_matches_oracle(c, V, X):
-    """Checks the matrix; returns the oracle's smallest singular value."""
+    """Checks the CSR matrix; returns the oracle's smallest singular value."""
     ref, ref_sv = _cauchy_oracle(V, X)
-    assert np.abs(_dense(c) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(c.matrix.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
     return ref_sv
-
-
-def _no_lu(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("LU factorization on a graded resolvent")
-
-    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
 
 
 @pytest.mark.parametrize("kind", ["nilpotent", "inside", "outside"])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2))])
-def test_cauchy_graded_matches_dense_oracle(rng, monkeypatch, n, degrees, side, kind):
+def test_cauchy_graded_matches_dense_oracle(rng, n, degrees, side, kind):
     t = FockTruncation(n, degrees)
-    V = [
-        [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(n, 1)
-    ]
     X = _oracle_point(rng, kind, n, 2)
-    _no_lu(monkeypatch)
-    c = cauchy_operator(V, X)
-    assert c.min_singular == pytest.approx(_assert_matches_oracle(c, V, X), rel=1e-12)
+    c = cauchy_operator(t, X, side)
+    ref_sv = _assert_matches_oracle(c, creation_tuple(t, side), X)
+    assert c.min_singular == pytest.approx(ref_sv, rel=1e-12)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_cauchy_graded_inverse_iteration_branch(rng, monkeypatch, side):
+def test_cauchy_graded_inverse_iteration_branch(rng, side):
     """Above EXACT_DIM the smallest singular value is 1 / ||R_i|| by Lanczos
     on the explicit CSR resolvents R_i = (I - A_i)^-1; it matches the exact
     SVD of the dense factors I - A_i, with the full and with a thin rhs."""
     t = FockTruncation((2, 1), (5, 5))
-    V = [
-        [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(t.n, 1)
-    ]
     X = random_point(rng, (2, 1), 2, 0.6)
     dim = t.dim * X.h_dim
     assert dim > EXACT_DIM
-    _no_lu(monkeypatch)
-    c = cauchy_operator(V, X)
-    ref_sv = _assert_matches_oracle(c, V, X)
+    c = cauchy_operator(t, X, side)
+    ref_sv = _assert_matches_oracle(c, creation_tuple(t, side), X)
     assert c.min_singular == pytest.approx(ref_sv, rel=1e-12)
-    thin = cauchy_operator(V, X, rhs=rng.standard_normal((dim, 2)) + 0j)
+    thin = cauchy_operator(t, X, side, rhs=rng.standard_normal((dim, 2)) + 0j)
     assert thin.min_singular == c.min_singular
 
 
 @pytest.mark.parametrize("kind", ["inside", "nilpotent"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cauchy_min_singular_is_computed_on_read(rng, monkeypatch, side, kind):
-    """Inside the ball the certificate 1 - q_i > 1e-12 decides the guard, so
-    neither the full operator nor a thin rhs calls ``_min_singular`` before
-    ``min_singular`` is read, and a thin rhs runs the series on its own
-    columns only, never on the identity that builds the full inverse.  Read
-    afterwards, the value matches the SVD of the dense factors and is the
-    same for thin and full.  (2,1)@(5,5) is above EXACT_DIM, so the read
-    runs Lanczos on the CSR resolvents."""
+    """Inside the ball the certificate 1 - rho_i > 1e-12 decides the guard,
+    so neither the full operator nor a thin rhs calls ``_min_singular``
+    before ``min_singular`` is read, and a thin rhs runs the series on its
+    own columns only, never on the identity that builds the full inverse.
+    Read afterwards, the value matches the SVD of the dense factors and is
+    the same for thin and full.  (2,1)@(5,5) is above EXACT_DIM, so the
+    read runs Lanczos on the CSR resolvents."""
     t = FockTruncation((2, 1), (5, 5))
-    V = creation_tuple(t, side)
     X = _oracle_point(rng, kind, (2, 1), 2)
     dim = t.dim * X.h_dim
     assert dim > EXACT_DIM
@@ -290,58 +266,61 @@ def test_cauchy_min_singular_is_computed_on_read(rng, monkeypatch, side, kind):
     with monkeypatch.context() as patched:
         patched.setattr(berezin, "_min_singular", refuse)
         patched.setattr(berezin, "_nilpotent_series", recorded)
-        full = cauchy_operator(V, X)
+        full = cauchy_operator(t, X, side)
         assert widths == [dim, dim]
         widths.clear()
-        thin = cauchy_operator(V, X, rhs=rhs)
+        thin = cauchy_operator(t, X, side, rhs=rhs)
         assert widths == [3, 3]
-    ref = min(np.linalg.svd(f, compute_uv=False)[-1] for f in _dense_factors(V, X))
+    ref = min(np.linalg.svd(f, compute_uv=False)[-1]
+              for f in _dense_factors(creation_tuple(t, side), X))
     assert full.min_singular == pytest.approx(ref, rel=1e-12)
     assert thin.min_singular == full.min_singular
 
 
 def test_cauchy_graded_guard_takes_the_exact_value_where_the_certificate_fails():
-    """The point 3 against the right creation has q = 3, so the certificate
-    fails and the exact value is taken at once: at degree 30 it is about
-    4.29e-15 and raises, at degree 12 it is about 1.67e-6 and the operator is
-    returned with that value."""
+    """The point 3 against the right creation has rho = 3, so the
+    certificate fails and the exact value is taken at once: at degree 30 it
+    is about 4.29e-15 and raises, at degree 12 it is about 1.67e-6 and the
+    operator is returned with that value."""
     x = PolyballPoint.from_scalars([[3.0]])
+    assert x.row_norms()[0] == 3.0
     for degree, singular in ((30, True), (12, False)):
-        V = creation_tuple(FockTruncation([1], [degree]), "right")
-        assert berezin._letters_norm_bound(V[0]) * x.row_norms()[0] == 3.0
-        (factor,) = _dense_factors(V, x)
+        t = FockTruncation([1], [degree])
+        (factor,) = _dense_factors(creation_tuple(t, "right"), x)
         ref = np.linalg.svd(factor, compute_uv=False)[-1]
         if singular:
             with pytest.raises(SingularResolventError) as ex:
-                cauchy_operator(V, x)
+                cauchy_operator(t, x, "right")
             assert ex.value.min_singular == ref
             assert ex.value.min_singular == pytest.approx(4.29e-15, rel=0.01)
         else:
-            assert cauchy_operator(V, x).min_singular == ref
+            assert cauchy_operator(t, x, "right").min_singular == ref
             assert ref == pytest.approx(1.67e-6, rel=0.01)
 
 
-def test_letters_norm_bound_is_one_for_creations_and_bounds_the_row(rng):
-    """c(V) is exactly 1 for the left and right creations, so q_i is the row
-    norm of X_i, and it bounds the norm of a general row of letters."""
-    t = FockTruncation((2, 1), (3, 3))
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2))])
+def test_creation_rows_are_contractions(n, degrees):
+    """The premise of the certificate sigma_min(I - A_i) >= 1 - rho_i: every
+    row [V_i1 ... V_in_i] of truncated left or right creations has operator
+    norm at most 1.  Its Gram sum_j V_ij V_ij* is diagonal with entries 0
+    and 1, a projection, so the bound holds exactly."""
+    t = FockTruncation(n, degrees)
     for side in ("left", "right"):
         for row in creation_tuple(t, side):
-            assert berezin._letters_norm_bound(row) == 1.0
-    for row in _random_row_contraction(rng):
-        letters = [scipy.sparse.csr_matrix(v) for v in row]
-        assert berezin._letters_norm_bound(letters) >= np.linalg.norm(np.hstack(row), 2)
+            gram = sum(v @ v.conj().T for v in row).toarray()
+            assert np.array_equal(gram, np.diag(np.diag(gram)))
+            assert set(np.diag(gram).tolist()) <= {0, 1}
+            assert np.linalg.norm(np.hstack([v.toarray() for v in row]), 2) <= 1.0 + 1e-15
 
 
 def _dense_identity_series(V, X):
-    """The graded resolvent as the exact Neumann series run on a dense
-    identity, factor by factor, then the defect root by the CSR product
+    """The resolvent as the exact Neumann series run on a dense identity,
+    factor by factor, then the defect root by the CSR product
     (I (x) Delta^(1/2)) R."""
     m = V[0][0].shape[0]
     acc = np.eye(m * X.h_dim, dtype=complex)
     for i in reversed(range(X.k)):
-        a = sum(scipy.sparse.kron(scipy.sparse.csr_matrix(v), x.conj().T, format="csr")
-                for v, x in zip(V[i], X.X[i]))
+        a = sum(scipy.sparse.kron(v, x.conj().T, format="csr") for v, x in zip(V[i], X.X[i]))
         total = acc.copy()
         term = acc
         while True:
@@ -361,94 +340,56 @@ def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side
     """The full operator, a CSR matrix whose series runs on a CSR identity,
     equals the series on a dense identity bit for bit."""
     t = FockTruncation(n, degrees)
-    V = [
-        [creation_matrix(t, side, i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(n, 1)
-    ]
     X = _oracle_point(rng, kind, n, 2)
-    c = cauchy_operator(V, X)
-    want = _dense_identity_series(V, X)
+    c = cauchy_operator(t, X, side)
+    want = _dense_identity_series(creation_tuple(t, side), X)
     assert isinstance(c.matrix, scipy.sparse.csr_matrix)
     assert c.matrix.dtype == want.dtype and c.matrix.shape == want.shape
     assert c.matrix.toarray().tobytes() == want.tobytes()
 
 
-def _random_row_contraction(rng, m=5):
-    """A random non-triangular row contraction V of shape (2, 1), m x m
-    entries: the LU path of ``cauchy_operator``."""
-    V = []
-    for ni in (2, 1):
-        row = rng.standard_normal((m, ni * m)) + 1j * rng.standard_normal((m, ni * m))
-        row *= 0.9 / np.linalg.norm(row, 2)
-        V.append([row[:, j * m:(j + 1) * m] for j in range(ni)])
-    return V
-
-
-def test_cauchy_general_v_uses_lu(rng, monkeypatch):
-    """A non-triangular row contraction V goes through the LU path."""
-    calls = []
-    lu_factor = scipy.linalg.lu_factor
-    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a: calls.append(1) or lu_factor(a))
-    V = _random_row_contraction(rng)
-    X = random_point(rng, (2, 1), 2, 0.6)
-    c = cauchy_operator(V, X)
-    assert c.min_singular == pytest.approx(_assert_matches_oracle(c, V, X), rel=1e-12)
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("path", ["left", "right", "lu"])
-def test_cauchy_rhs_is_matrix_times_rhs(rng, path):
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cauchy_rhs_is_matrix_times_rhs(rng, side):
     """A thin rhs gives the full operator's product with it, and the same
-    min_singular: on the graded path with left and right creations at
-    (2,1)@(5,5) (dim 756, so min_singular runs Lanczos), and on the LU path."""
-    if path == "lu":
-        V = _random_row_contraction(rng)
-    else:
-        t = FockTruncation((2, 1), (5, 5))
-        V = [
-            [creation_matrix(t, path, i, j) for j in range(1, ni + 1)]
-            for i, ni in enumerate(t.n, 1)
-        ]
+    min_singular, with left and right creations at (2,1)@(5,5) (dim 756, so
+    min_singular runs Lanczos)."""
+    t = FockTruncation((2, 1), (5, 5))
     X = random_point(rng, (2, 1), 2, 0.6)
-    dim = V[0][0].shape[0] * X.h_dim
+    dim = t.dim * X.h_dim
     rhs = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
-    full = cauchy_operator(V, X)
-    thin = cauchy_operator(V, X, rhs=rhs)
+    full = cauchy_operator(t, X, side)
+    thin = cauchy_operator(t, X, side, rhs=rhs)
     want = full.matrix @ rhs
     assert thin.matrix.shape == rhs.shape
     assert np.abs(thin.matrix - want).max() <= 1e-12 * np.abs(want).max()
     assert thin.min_singular == full.min_singular
 
 
-@pytest.mark.parametrize("path", ["left", "right", "lu"])
-def test_cauchy_dense_and_csr_letters_agree_bitwise(rng, path):
-    """V is held as CSR whatever its input: dense and CSR letters give the
-    same bytes of ``matrix`` and the same ``min_singular``, on the graded
-    path (the creations at (2,1)@(3,3)) and on the LU path."""
-    if path == "lu":
-        dense = _random_row_contraction(rng)
-        csr = [[scipy.sparse.csr_matrix(v) for v in row] for row in dense]
-    else:
-        csr = creation_tuple(FockTruncation((2, 1), (3, 3)), path)
-        dense = [[v.toarray() for v in row] for row in csr]
-    X = random_point(rng, (2, 1), 2, 0.6)
-    a, b = cauchy_operator(dense, X), cauchy_operator(csr, X)
-    assert _dense(a).tobytes() == _dense(b).tobytes()
-    assert a.min_singular == b.min_singular
-
-
 def test_cauchy_rhs_shape_checked():
     t = FockTruncation([1], [3])
-    r = creation_matrix(t, "right", 1, 1)
     with pytest.raises(ValueError):
-        cauchy_operator([[r]], PolyballPoint.from_scalars([[0.5]]), rhs=np.ones((t.dim + 1, 1)))
+        cauchy_operator(t, PolyballPoint.from_scalars([[0.5]]), rhs=np.ones((t.dim + 1, 1)))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_cauchy_singular_factor_raises():
-    with pytest.raises(SingularResolventError) as ex:
-        cauchy_operator([[np.eye(1)]], PolyballPoint.from_scalars([[1.0]]))
-    assert ex.value.min_singular == 0.0
+@pytest.mark.parametrize("n", [(2,), (1, 1), (2, 1)])
+def test_cauchy_truncation_shape_checked(n):
+    """The truncation's n must be the point's: a one-letter point against
+    truncations with two letters or two factors is refused."""
+    x = PolyballPoint.from_scalars([[0.5]])
+    with pytest.raises(ValueError, match="does not match point shape"):
+        cauchy_operator(FockTruncation(n, [2] * len(n)), x)
+
+
+@pytest.mark.parametrize("side", ["Left", "lft"])
+def test_unknown_side_is_refused_by_the_kernel_and_the_resolvent(rng, side):
+    """A misspelt side raises, instead of giving the right-side Poisson
+    kernel or resolvent."""
+    t = FockTruncation((2, 1), (2, 2))
+    x = random_point(rng, (2, 1), 2, 0.5)
+    with pytest.raises(ValueError, match="side must be"):
+        poisson_kernel(x, t, side=side)
+    with pytest.raises(ValueError, match="side must be"):
+        cauchy_operator(t, x, side)
 
 
 def test_poisson_kernel_at_zero():
@@ -475,14 +416,10 @@ def test_poisson_kernel_psd_up_to_tail(rng):
 
 def test_factorization_random(rng):
     t = FockTruncation([2, 1], [3, 3])
-    rmats = [
-        [creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(t.n, 1)
-    ]
     for _ in range(5):
         x = random_point(rng, (2, 1), 2, 0.5)
         pk = poisson_kernel(x, t)
-        c = cauchy_operator(rmats, x).matrix.toarray()
+        c = cauchy_operator(t, x, "right").matrix.toarray()
         diff = np.linalg.norm(pk.op.dense() - c.conj().T @ c, 2)
         assert diff <= pk.factorization_bound
 
@@ -491,10 +428,9 @@ def test_factorization_sparse_difference_norm(rng):
     """At (2,1)@(5,5) (dim 756, above EXACT_DIM) the Lanczos norm of the
     CSR difference P - C^H C matches eigvalsh of the dense difference."""
     t = FockTruncation([2, 1], [5, 5])
-    rmats = creation_point(t, side="right").X
     x = random_point(rng, (2, 1), 2, 0.5)
     p = poisson_kernel(x, t).op.dense()
-    cs = cauchy_operator(rmats, x).matrix
+    cs = cauchy_operator(t, x, "right").matrix
     c = cs.toarray()
     d = scipy.sparse.csr_matrix(p) - cs.conj().T @ cs
     assert d.shape[0] > EXACT_DIM
@@ -506,13 +442,9 @@ def test_factorization_window_exact_nilpotent(rng):
     """For jointly nilpotent points the two sides agree exactly once both are
     compressed to the window with budget equal to the nilpotency reach."""
     t = FockTruncation([2, 1], [4, 4])
-    rmats = [
-        [creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(t.n, 1)
-    ]
     x = random_nilpotent_point(rng, (2, 1), 3, 0.8)
     pk = poisson_kernel(x, t)
-    c = cauchy_operator(rmats, x).matrix.toarray()
+    c = cauchy_operator(t, x, "right").matrix.toarray()
     d = pk.op.dense() - c.conj().T @ c
     mask = np.repeat(t.window_mask([2, 2]), x.h_dim)
     assert np.abs(d[np.ix_(mask, mask)]).max() < 1e-12

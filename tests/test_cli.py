@@ -243,6 +243,29 @@ def test_transform_rejects_string_point_entries(tmp_path, capsys):
     assert "matrix entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("n", [5], "n [5]"),
+    ("n", "zz", "n must be"),
+    ("n", [1, 1], "n [1, 1]"),
+    ("h_dim", 0, "positive dimension"),
+], ids=["n-longer-row", "n-string", "n-extra-factor", "h_dim-zero"])
+def test_transform_rejects_malformed_point(tmp_path, capsys, key, value, field):
+    """The point's n must be an integer array equal to its row lengths, and
+    its space must have positive dimension; otherwise the input is malformed
+    and exits 2, rather than running (n) or exiting 4 as a point outside the
+    polyball (h_dim 0)."""
+    tau = CbMapData.vacuum_state([1])
+    point = serialize.point_to_json(PolyballPoint.from_scalars([[0.3]]))
+    point[key] = value
+    if key == "h_dim":
+        point["X"] = [[[]]]
+    inputs = tmp_path / "inputs.json"
+    serialize.dump({"mu": serialize.cbmap_to_json(tau), "X": point}, str(inputs))
+    assert run(["transform", str(inputs), "--kind", "poisson"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+
+
 def test_dilate_rejects_non_finite_kernel(tmp_path, capsys):
     g = identity_multiword([1])
     w = multiword([[1]], [1])
@@ -408,12 +431,15 @@ def test_transform_rejects_malformed_map_metadata(tmp_path, capsys, key, value, 
     ("herglotz_class", 0),
     ("e_dim", 1.5),
     ("n", ["1", "1"]),
+    ("coeff_bound", "1.0"),
+    ("coeff_bound", True),
 ])
 @pytest.mark.parametrize("kind", ["poisson", "herglotz"])
 def test_transform_rejects_non_integer_map_fields(tmp_path, capsys, key, value, kind):
-    """Caps and dimensions must be JSON integers and the Herglotz flag a JSON
-    boolean; anything else exits 2 naming the field, instead of being
-    truncated, read as true or failing as an internal error."""
+    """Caps and dimensions must be JSON integers, the coefficient bound a
+    JSON number and the Herglotz flag a JSON boolean; anything else exits 2
+    naming the field, instead of being truncated, parsed, read as true or
+    failing as an internal error."""
     mu = serialize.cbmap_to_json(CbMapData.point_mass([1.0, 1.0], 2))
     mu[key] = value
     x = PolyballPoint.from_scalars([[0.2], [0.3]])

@@ -412,3 +412,17 @@ def test_pair_id_is_position_in_box_order(n, degrees):
     w = multiword([[1]] + [[] for _ in n[1:]], n)
     with pytest.raises(ValueError):
         t.pair_id(w, w)
+
+
+@pytest.mark.parametrize("side", ["Left", "lft", "", None])
+def test_unknown_side_is_refused(side):
+    """Only "left" and "right" name a side: any other value raises instead
+    of being read as the right side, and the pair table caches nothing
+    under it."""
+    t = FockTruncation((2, 1), (2, 2))
+    a = multiword([[1], []], t.n)
+    for call in (lambda: creation_tuple(t, side), lambda: t.pair_table(side),
+                 lambda: monomial_indices(t, a, a, side)):
+        with pytest.raises(ValueError, match="side must be"):
+            call()
+    assert t._pair_tables == {}
