@@ -4,25 +4,25 @@ The basis of a truncation is indexed by MultiWords: per factor all words of
 length <= d_i in graded-lex order, factors combined row-major (factor 1
 slowest).  Creation operators are the compressions P S P of the untruncated
 ones; annihilation (the adjoint) is then exact everywhere, creation is exact
-except on the top degree slice of its factor.  Word monomials S_a S_b* and
-R_a R_b* are assembled as exact compressions of the corresponding infinite
-operators, i.e. entrywise from word arithmetic, never as products of
-truncated letters.
+except on the top degree slice of its factor.
 
 Word arithmetic is integer arithmetic on basis indices.  In factor i a word
 w of length p has index offset[p] + rank(w), where offset[p] = sum of n_i^q
 over q < p and rank(w) reads the letters minus one as base-n_i digits, first
-letter most significant.  Stripping a head of length m is a divmod by
-n_i^(p - m), stripping a tail a divmod by n_i^m, and attaching a word at
-either end the matching multiply-add, so every index map is a few vectorized
-operations on the per-factor rank array.
+letter most significant.  The table for words, one formula for letters:
+every word index map is read from one table per truncation and side,
+``FockTruncation.pair_table``, whose pairing at the lambda pair (a, b) is the
+monomial at (b~, a~), ~ the reversal; a creation letter is the formula
+rank(g_j.w) = (j - 1) n_i^|w| + rank(w), rank(w.g_j) = rank(w) n_i + j - 1
+(``FockTruncation.letter_map``).
 
 Sums over coefficient index pairs (a symbol's monomials, the Poisson
-kernel's pairings) scatter from one table per truncation and side,
-``FockTruncation.pair_table``: its pairing at the lambda pair (a, b) is the
-monomial at (b~, a~), ~ the reversal.  ``monomial_indices`` serves single
-word monomials, lambda pairs or not (``word_matrix``, and ``word_operator``
-with a coefficient).
+kernel's pairings) scatter from the table in one pass (``pair_operator``).
+A single word monomial S_a S_b* (R_a R_b* on the right side), lambda pair or
+not, composes two pairings (``monomial_indices``): S_b* is the pairing at
+(b~, e) and S_a the one at (e, a~).  An annihilation never leaves the
+truncation, so P S_a P S_b* P = P S_a S_b* P, and the composition is the
+exact compression of the untruncated monomial.
 
 The creation letters are CSR matrices with entries 1 (``creation_matrix``,
 the tuple ``creation_tuple``): each sends a basis vector to a basis vector or
@@ -44,16 +44,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import MultiWord, Side, Word, words_up_to
+from .words import MultiWord, Side, Word, _require_side, identity_multiword, words_up_to
 
 
 class TruncationError(ValueError):
     """A word does not fit in the truncation."""
-
-
-def _require_side(side: Side) -> None:
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def word_rank(w: Word) -> int:
@@ -145,58 +140,32 @@ class FockTruncation:
                 raise ValueError(f"budget {budget} exceeds degrees {self.degrees}")
         mask = np.ones(self.dim, dtype=bool)
         for i in range(self.k):
-            ok = self._factor_degree[i] <= self.degrees[i] - budget[i]
-            mask &= self._expand_factor_mask(i, ok)
+            mask &= self._expand_factor(i, self._factor_degree[i] <= self.degrees[i] - budget[i])
         return mask
 
-    def _expand_factor_mask(self, i: int, ok: np.ndarray) -> np.ndarray:
+    def _expand_factor(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Per-factor values over factor i's words, broadcast over the basis."""
         shape = [1] * self.k
         shape[i] = self.factor_dims[i]
-        return np.broadcast_to(ok.reshape(shape), self.factor_dims).ravel()
+        return np.broadcast_to(values.reshape(shape), self.factor_dims).ravel()
 
     def total_length_mask(self, max_total: int) -> np.ndarray:
-        degs = np.zeros(self.factor_dims, dtype=np.int64)
-        for i in range(self.k):
-            shape = [1] * self.k
-            shape[i] = self.factor_dims[i]
-            degs = degs + self._factor_degree[i].reshape(shape)
-        return (degs <= max_total).ravel()
+        degs = map(self._expand_factor, range(self.k), self._factor_degree)
+        return sum(degs, np.zeros(self.dim, dtype=np.int64)) <= max_total
 
     # -- per-factor letter maps ----------------------------------------------
 
-    def _shift_map(self, i: int, strip: Word, attach: Word, side: Side) -> np.ndarray:
-        """Int map over factor-i basis words of w -> attach.t where w = strip.t
-        (left side, heads) or w -> t.attach where w = t.strip (right side,
-        tails); -1 where strip does not fit or the result exceeds the cap."""
-        _require_side(side)
-        n, d = self.n[i - 1], self.degrees[i - 1]
-        out = np.full(self.factor_dims[i - 1], -1, dtype=np.int64)
-        if len(strip) > d or len(attach) > d:
-            return out
-        length, rank = self._factor_degree[i - 1], self._rank[i - 1]
-        rest = length - len(strip)
-        ok = (rest >= 0) & (rest + len(attach) <= d)
-        rest = np.where(ok, rest, 0)
-        if side == "left":
-            high, low = np.divmod(rank, n ** rest)
-            ok &= high == word_rank(strip)
-            target = word_rank(attach) * n ** rest + low
-        else:
-            high, low = np.divmod(rank, n ** len(strip))
-            ok &= low == word_rank(strip)
-            target = high * n ** len(attach) + word_rank(attach)
-        target += self._offset[i - 1][rest + len(attach)]
-        out[ok] = target[ok]
-        return out
-
     def letter_map(self, side: Side, i: int, j: int) -> np.ndarray:
-        """Map of the truncated creation letter on factor i."""
+        """Map of the truncated creation letter on factor i over the factor's
+        words: w -> g_j.w (left) or w.g_j (right), -1 where |w| = d_i."""
+        _require_side(side)
         if not 1 <= i <= self.k:
             raise ValueError(f"factor index {i} out of range")
         if not 1 <= j <= self.n[i - 1]:
             raise ValueError(f"generator index {j} out of range for factor {i}")
-        ni = self.n[i - 1]
-        return self._shift_map(i, Word((), ni), Word((j,), ni), side)
+        n, length, rank = self.n[i - 1], self._factor_degree[i - 1], self._rank[i - 1]
+        rank = (j - 1) * n ** length + rank if side == "left" else rank * n + j - 1
+        return np.where(length < self.degrees[i - 1], self._offset[i - 1][length + 1] + rank, -1)
 
     def letter_image(self, side: Side, i: int, j: int, flat: np.ndarray) -> np.ndarray:
         """Basis index of the image of each basis index in ``flat`` under the
@@ -205,19 +174,6 @@ class FockTruncation:
         word = flat // stride % self.factor_dims[i - 1]
         image = self.letter_map(side, i, j)[word]
         return np.where(image >= 0, flat + (image - word) * stride, -1)
-
-    def product_map(self, factor_maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Combine per-factor index maps into flat (source, target) arrays."""
-        grids = np.meshgrid(*[np.arange(d) for d in self.factor_dims], indexing="ij")
-        valid = np.ones(self.factor_dims, dtype=bool)
-        tgt_flat = np.zeros(self.factor_dims, dtype=np.int64)
-        src_flat = np.zeros(self.factor_dims, dtype=np.int64)
-        for i in range(self.k):
-            t = factor_maps[i][grids[i]]
-            valid &= t >= 0
-            tgt_flat += np.maximum(t, 0) * self._strides[i]
-            src_flat += grids[i].astype(np.int64) * self._strides[i]
-        return src_flat[valid].ravel(), tgt_flat[valid].ravel()
 
     # -- lambda-pair table -----------------------------------------------------
 
@@ -373,16 +329,21 @@ def creation_tuple(trunc: FockTruncation, side: Side = "left") -> list[list]:
 
 def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
                      side: Side = "left") -> tuple[np.ndarray, np.ndarray]:
-    """(source, target) basis indices of the exact compression of the word
-    monomial: left side S_a S_b* (strip b as a head, prepend a), right side
-    R_a R_b* (strip reversed b as a tail, append reversed a)."""
+    """(source, target) basis indices, by ascending source, of the exact
+    compression of S_a S_b* (R_a R_b* on the right side), for every (a, b):
+    S_b* is the pairing at (b~, e) and S_a the one at (e, a~) in
+    ``pair_table`` (none when a word exceeds its degree), composed."""
     if a.n != trunc.n or b.n != trunc.n:
         raise TruncationError("word shape does not match truncation")
-    if side == "right":
-        a, b = a.reverse(), b.reverse()
-    maps = [trunc._shift_map(i, bi, ai, side)
-            for i, (ai, bi) in enumerate(zip(a.parts, b.parts), start=1)]
-    return trunc.product_map(maps)
+    pid, src, dst = trunc.pair_table(side)
+    e = identity_multiword(trunc.n)
+    strip = pid == trunc.pair_id(b.reverse(), e)
+    attach = pid == trunc.pair_id(e, a.reverse())
+    image = np.full(trunc.dim, -1, dtype=np.int64)
+    image[src[attach]] = dst[attach]
+    target = image[dst[strip]]
+    keep = target >= 0
+    return src[strip][keep], target[keep]
 
 
 def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
@@ -415,8 +376,9 @@ def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
 def word_matrix(trunc: FockTruncation, a: MultiWord, b: MultiWord,
                 side: Side = "left"):
     """S_a S_b* (R_a R_b* on the right side) as a CSR matrix with entries 1:
-    the exact compression of the untruncated monomial, assembled entrywise
-    from word arithmetic, so it has no intermediate-truncation artifacts."""
+    the exact compression of the untruncated monomial.  An annihilation never
+    leaves the truncation, so P S_a P S_b* P = P S_a S_b* P, and composing the
+    index maps of S_b* and S_a (``monomial_indices``) gives it exactly."""
     src, dst = monomial_indices(trunc, a, b, side)
     return _unit_matrix(trunc.dim, dst, src)
 

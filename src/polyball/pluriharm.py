@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import min_eig_hermitian
 from .berezin import DivergenceError, PolyballPoint, dropped_shell_mass
-from .fock import FockTruncation, monomial_indices
+from .fock import FockTruncation
 from .naimark import ToeplitzKernel, kernel_from_generator, word_columns
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator
 from .words import (
@@ -254,18 +254,13 @@ def nu_trace_form(F: MultiToeplitzSymbol, r: float, trunc: FockTruncation,
     the vacuum state after multiplying by the adjoint creation word.  R_a*
     maps the basis vector R_a e_vac to the vacuum and every other one off it,
     so the value at a is the block of the function at (R_a e_vac, vacuum),
-    read directly from one operator; zero when a does not fit the
-    truncation."""
-    g = identity_multiword(F.n)
+    R_a e_vac being the basis word a~, read directly from one operator; zero
+    when a does not fit the truncation."""
     e = F.e_dim
     v = trunc.vacuum_index
     phi = symbol_operator(F, trunc, r, side="right").dense().reshape(trunc.dim, e, trunc.dim, e)
-    out = []
-    for a in words:
-        src, dst = monomial_indices(trunc, a, g, side="right")
-        hit = dst[src == v]
-        out.append(phi[hit[0], :, v, :].copy() if hit.size else np.zeros((e, e), dtype=complex))
-    return out
+    return [phi[trunc.basis_index(a.reverse()), :, v, :].copy() if trunc.admits(a)
+            else np.zeros((e, e), dtype=complex) for a in words]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """JSON encodings for the on-disk interfaces.
 
 Multiwords are arrays of per-factor generator lists; matrices are interleaved
-re/im row-major; operators are sparse triplet lists sorted by (row, col).
+re/im row-major; operators are sparse triplet lists strictly increasing in
+(row, col).  A malformed field raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def _json_typed(value, field: str, kind: type = int):
     ok = type(value) in (int, float) if kind is float else type(value) is kind
     if not ok or (kind is list and any(type(v) is not int for v in value)):
         raise ValueError(f"{field} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _json_container(value, field: str, kind: type):
+    """``value`` if it is a JSON array (``list``) or object (``dict``)."""
+    if type(value) is not kind:
+        name = "array" if kind is list else "object"
+        raise ValueError(f"{field} must be a JSON {name}, got {value!r:.60}")
     return value
 
 
@@ -77,14 +86,21 @@ def operator_to_json(op: FockOperator) -> dict[str, Any]:
 
 
 def operator_from_json(data) -> FockOperator:
+    _json_container(data, "g", dict)
     trunc = FockTruncation(*(_json_typed(data[f], f, list) for f in ("n", "degrees")))
     e = _json_typed(data["coeff_dim"], "coeff_dim")
     size = trunc.dim * e
     m = np.zeros((size, size), dtype=complex)
-    for row, col, re, im in data["entries"]:
+    last = (-1, -1)
+    for entry in _json_container(data["entries"], "entries", list):
+        row, col, re, im = _json_container(entry, "entry", list)
         r, c = _json_typed(row, "entry row"), _json_typed(col, "entry column")
         if not (0 <= r < size and 0 <= c < size):
             raise ValueError(f"entry ({row}, {col}) is not an index of the {size}-dim operator")
+        if (r, c) <= last:
+            raise ValueError(f"entry ({r}, {c}) follows entry {last}: entries must be "
+                             "strictly increasing in (row, col)")
+        last = (r, c)
         m[r, c] = _json_typed(re, "entry value", float) + 1j * _json_typed(im, "entry value", float)
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has a non-finite entry (NaN or infinity)")
@@ -112,9 +128,10 @@ def symbol_from_json(data) -> MultiToeplitzSymbol:
     n = _json_typed(data["n"], "n", list)
     e = _json_typed(data["e_dim"], "e_dim")
     sym = MultiToeplitzSymbol(n, e)
-    for item in data["coeffs"]:
-        a = multiword_from_json(item["alpha"], n)
-        b = multiword_from_json(item["beta"], n)
+    for item in _json_container(data["coeffs"], "coeffs", list):
+        _json_container(item, "coeffs item", dict)
+        a, b = (multiword_from_json(_json_container(item[f], f, list), n)
+                for f in ("alpha", "beta"))
         sym[a, b] = matrix_from_json(item["matrix"], e)
     return sym
 
@@ -128,9 +145,12 @@ def point_to_json(X: PolyballPoint) -> dict[str, Any]:
 
 
 def point_from_json(data) -> PolyballPoint:
+    _json_container(data, "X", dict)
     n = _json_typed(data["n"], "n", list)
     h = _json_typed(data["h_dim"], "h_dim")
-    point = PolyballPoint([[matrix_from_json(m, h) for m in row] for row in data["X"]])
+    rows = [_json_container(row, "a row of X", list)
+            for row in _json_container(data["X"], "the point's X", list)]
+    point = PolyballPoint([[matrix_from_json(m, h) for m in row] for row in rows])
     if point.n != tuple(n):
         raise ValueError(f"point n {n} does not match its row lengths {list(point.n)}")
     return point
@@ -155,7 +175,8 @@ def kernel_to_json(K: ToeplitzKernel) -> dict[str, Any]:
 
 
 def kernel_from_json(data) -> ToeplitzKernel:
-    gen = symbol_from_json({**data, "coeffs": data["generator"]})
+    coeffs = _json_container(data["generator"], "generator", list)
+    gen = symbol_from_json({**data, "coeffs": coeffs})
     return kernel_from_generator(data["side"], gen, _json_typed(data["max_len"], "max_len"))
 
 
@@ -172,7 +193,7 @@ def cbmap_to_json(mu: CbMapData) -> dict[str, Any]:
 
 
 def cbmap_from_json(data) -> CbMapData:
-    sym = symbol_from_json(data)
+    sym = symbol_from_json(_json_container(data, "mu", dict))
     cap, total, bound = (data.get(f) for f in ("per_factor_cap", "max_total_len", "coeff_bound"))
     return CbMapData(
         sym,
@@ -192,4 +213,4 @@ def dump(obj: dict, path: str) -> None:
 
 def load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return _json_container(json.load(fh), f"the top level of {path}", dict)

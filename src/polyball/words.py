@@ -17,6 +17,11 @@ from typing import Iterator, Literal, Sequence
 Side = Literal["left", "right"]
 
 
+def _require_side(side: Side) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 class ShapeMismatchError(ValueError):
     """Operands live over different free-monoid products."""
 
@@ -162,6 +167,7 @@ def compare(side: Side, w: MultiWord, v: MultiWord) -> ComparabilityResult:
     carries the quotient pair (c+, c-); in each factor at least one of the
     two quotients is the unit.
     """
+    _require_side(side)
     _require_same_shape(w, v)
     plus, minus = [], []
     for wi, vi in zip(w.parts, v.parts):

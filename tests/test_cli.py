@@ -378,14 +378,18 @@ def _set_field(key, value):
     _set_entry(2, "1"),
     _set_entry(2, None),
     _set_entry(0, True),
+    lambda g: g["entries"].reverse(),
+    lambda g: g["entries"].insert(1, g["entries"][0][:2] + [2.0, 0.0]),
 ], ids=["row-negative", "row-past-end", "col-negative", "col-past-end", "row-fraction",
          "nan", "inf", "degrees-fraction", "degrees-strings", "value-string", "value-null",
-         "row-boolean"])
+         "row-boolean", "entries-reversed", "entry-repeated"])
 def test_transform_rejects_malformed_operator(tmp_path, capsys, mutate):
     """Entries whose indices are not JSON integers in [0, dim*e), entries
-    whose values are not finite JSON numbers, and degrees that are not JSON
-    integers exit 2 instead of wrapping around, being truncated or read as an
-    index, failing as an internal error or passing through."""
+    whose values are not finite JSON numbers, degrees that are not JSON
+    integers, and entries not strictly increasing in (row, col) (reversed, or
+    a repeated index whose last value would win) exit 2 instead of wrapping
+    around, being truncated or read as an index, failing as an internal error
+    or passing through."""
     from polyball.fock import FockOperator
 
     t = FockTruncation([1, 1], [2, 2])
@@ -448,3 +452,47 @@ def test_transform_rejects_non_integer_map_fields(tmp_path, capsys, key, value, 
     assert run(["transform", str(inputs), "--kind", kind]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
+
+
+def _put(*path, value):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("command, mutate, field", [
+    ("poisson", _put("X", value=5), "X must be a JSON object"),
+    ("poisson", _put("X", "X", value=[None, None]), "a row of X must be a JSON array"),
+    ("poisson", _put("mu", "coeffs", value=None), "coeffs must be a JSON array"),
+    ("poisson", _put("mu", "coeffs", value={"a": 1}), "coeffs must be a JSON array"),
+    ("poisson", _put("mu", "coeffs", 0, value=[1, 2]), "coeffs item must be a JSON object"),
+    ("poisson", _put("mu", value=[1]), "mu must be a JSON object"),
+    ("poisson", lambda doc: [doc], "must be a JSON object"),
+    ("poisson", _put("mu", "coeffs", 0, "alpha", value=5), "alpha must be a JSON array"),
+    ("dilate", _put("generator", value=None), "generator must be a JSON array"),
+], ids=["X-number", "X-rows-null", "coeffs-null", "coeffs-object", "coeffs-item-array",
+         "mu-array", "top-level-array", "alpha-number", "generator-null"])
+def test_malformed_json_containers_are_configuration_errors(tmp_path, capsys, command,
+                                                            mutate, field):
+    """A JSON array or object of the wrong kind exits 2 naming the field,
+    instead of failing as an internal error."""
+    if command == "dilate":
+        g = identity_multiword([1])
+        gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)})
+        doc = serialize.kernel_to_json(kernel_from_generator("left", gen, 2))
+        argv = ["dilate"]
+    else:
+        x = PolyballPoint.from_scalars([[0.2], [0.3]])
+        doc = {"mu": serialize.cbmap_to_json(CbMapData.point_mass([1.0, 1.0], 2)),
+               "X": serialize.point_to_json(x)}
+        argv = ["transform", "--kind", command]
+    path = tmp_path / "input.json"
+    serialize.dump(mutate(doc), str(path))
+    assert run(argv[:1] + [str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+

@@ -358,8 +358,9 @@ def test_pair_table_cells_unique(n, degrees, side):
 
 
 def _pair_table_by_pairs(t, side):
-    """Reference build: per factor one ``_shift_map`` over the whole factor
-    for each single-factor lambda pair, combined across factors by strides."""
+    """Reference build: per factor, word by word over the factor's words,
+    strip a and attach b (``_shift_by_words``) for each single-factor lambda
+    pair, combined across factors by strides."""
     pid = src = dst = np.zeros(1, dtype=np.int64)
     for i, (ni, di, dim) in enumerate(zip(t.n, t.degrees, t.factor_dims), start=1):
         cells = []
@@ -367,9 +368,10 @@ def _pair_table_by_pairs(t, side):
         for p, (a, b) in enumerate(pairs):
             if side == "left":
                 a, b = a.reverse(), b.reverse()
-            m = t._shift_map(i, a, b, side)
-            s = np.flatnonzero(m >= 0)
-            cells.append((np.full(s.size, p, dtype=np.int64), s, m[s]))
+            image = [_shift_by_words(w, a, b, side, di) for w in t.factor_words(i)]
+            s = np.array([k for k, v in enumerate(image) if v is not None], dtype=np.int64)
+            m = np.array([t.factor_word_index(i, image[k]) for k in s], dtype=np.int64)
+            cells.append((np.full(s.size, p, dtype=np.int64), s, m))
         p_i, s_i, t_i = (np.concatenate(c) for c in zip(*cells))
         pid = (pid[:, None] * len(pairs) + p_i).ravel()
         src = (src[:, None] * dim + s_i).ravel()

@@ -51,6 +51,14 @@ def test_compare_shape_mismatch():
         compare("right", multiword([[1]], [2]), multiword([[1], []], [2, 1]))
 
 
+@pytest.mark.parametrize("side", ["Left", "lft", "", None])
+def test_compare_refuses_unknown_side(side):
+    """Only "left" and "right" name a side: a misspelling raises instead of
+    being read as the left side."""
+    with pytest.raises(ValueError, match="side must be"):
+        compare(side, multiword([[1, 2]], [2]), multiword([[1]], [2]))
+
+
 def test_lambda_membership_examples():
     n = [2, 2]
     assert lambda_membership(multiword([[1], []], n), multiword([[], [2]], n))
