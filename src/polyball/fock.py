@@ -33,13 +33,14 @@ letters are checked against.
 Dense or sparse: an operator supported on comparable word pairs (a letter, a
 word monomial, a pair or symbol operator) is CSR; a vector is a plain
 (dim, c) amplitude array over (basis index, coefficient index).  A
-``FockOperator`` carries its truncation and coefficient dimension, and
-``dense()`` gives its matrix as an ndarray.
+``FockOperator`` carries its truncation and coefficient dimension, is CSR
+whatever it is built from, and is read by ``blocks``; ``dense()`` is for LAPACK.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -94,9 +95,6 @@ class FockTruncation:
 
     # -- indexing -----------------------------------------------------------
 
-    def factor_words(self, i: int) -> list[Word]:
-        return self._factor_words[i - 1]
-
     def factor_word_index(self, i: int, w: Word) -> int:
         if w.n != self.n[i - 1] or len(w) > self.degrees[i - 1]:
             raise TruncationError(f"word {w!r} does not fit factor {i} of {self!r}")
@@ -116,9 +114,6 @@ class FockTruncation:
             idx, flat = divmod(flat, self._strides[i])
             parts.append(self._factor_words[i][idx])
         return MultiWord(tuple(parts))
-
-    def basis(self) -> list[MultiWord]:
-        return [self.basis_word(i) for i in range(self.dim)]
 
     def admits(self, mw: MultiWord) -> bool:
         return mw.n == self.n and all(
@@ -174,6 +169,15 @@ class FockTruncation:
         word = flat // stride % self.factor_dims[i - 1]
         image = self.letter_map(side, i, j)[word]
         return np.where(image >= 0, flat + (image - word) * stride, -1)
+
+    def right_strip(self, i: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(j, u) for each basis index u.g_j in ``flat``, g_j the last letter of
+        its factor-i word; (0, the index itself) where that word is empty."""
+        stride, n = self._strides[i - 1], self.n[i - 1]
+        word = flat // stride % self.factor_dims[i - 1]
+        length, rank = self._factor_degree[i - 1][word], self._rank[i - 1][word]
+        stripped = self._offset[i - 1][np.maximum(length - 1, 0)] + rank // n
+        return np.where(length > 0, rank % n + 1, 0), flat + (stripped - word) * stride
 
     # -- lambda-pair table -----------------------------------------------------
 
@@ -263,19 +267,41 @@ class FockTruncation:
 
 
 class FockOperator:
-    """Square matrix on (truncation x coefficient space), space index major."""
+    """Square matrix on (truncation x coefficient space), space index major,
+    stored as canonical CSR (sorted, no duplicates) whatever it is given."""
 
     def __init__(self, trunc: FockTruncation, matrix, coeff_dim: int = 1):
+        import scipy.sparse as sp
+
         self.trunc = trunc
         self.coeff_dim = int(coeff_dim)
-        self.matrix = matrix
+        self.matrix = sp.csr_matrix(matrix)
+        self.matrix.sum_duplicates()
         n = trunc.dim * self.coeff_dim
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {matrix.shape} != ({n}, {n})")
+        if self.matrix.shape != (n, n):
+            raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
 
     def dense(self) -> np.ndarray:
-        """The matrix as an ndarray; a sparse one is densified (a copy)."""
-        return self.matrix.toarray() if hasattr(self.matrix, "toarray") else np.asarray(self.matrix)
+        """The matrix as an ndarray (a copy), for LAPACK."""
+        return self.matrix.toarray()
+
+    @cached_property
+    def _sorted_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row * size + column, value) of each stored entry, ascending in the
+        key (the CSR order), closed by (size**2, 0): every search position is valid."""
+        m, size = self.matrix, self.matrix.shape[0]
+        rows = np.repeat(np.arange(size, dtype=np.int64), np.diff(m.indptr))
+        return np.append(rows * size + m.indices, size * size), np.append(m.data, 0)
+
+    def blocks(self, rows, cols) -> np.ndarray:
+        """The (..., e, e) blocks at basis rows ``rows`` and columns ``cols``
+        (broadcast): binary search in the sorted CSR keys, 0 where none is stored."""
+        e, (keys, values) = self.coeff_dim, self._sorted_entries
+        r = np.asarray(rows, dtype=np.int64)[..., None, None] * e + np.arange(e)[:, None]
+        c = np.asarray(cols, dtype=np.int64)[..., None, None] * e + np.arange(e)
+        want = r * self.matrix.shape[1] + c
+        pos = np.searchsorted(keys, want)
+        return np.where(keys[pos] == want, values[pos], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,6 @@ class CbMapData:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def vacuum_state(n: Iterable[int]) -> "CbMapData":
-        return CbMapData(MultiToeplitzSymbol(n, 1), unit=np.eye(1))
-
-    @staticmethod
     def point_mass(zeta: Sequence[complex], max_len: int) -> "CbMapData":
         """State pairing against the boundary point zeta (single-generator
         factors): the monomial value is the matching power of zeta.
@@ -254,13 +250,12 @@ def nu_trace_form(F: MultiToeplitzSymbol, r: float, trunc: FockTruncation,
     the vacuum state after multiplying by the adjoint creation word.  R_a*
     maps the basis vector R_a e_vac to the vacuum and every other one off it,
     so the value at a is the block of the function at (R_a e_vac, vacuum),
-    R_a e_vac being the basis word a~, read directly from one operator; zero
-    when a does not fit the truncation."""
-    e = F.e_dim
-    v = trunc.vacuum_index
-    phi = symbol_operator(F, trunc, r, side="right").dense().reshape(trunc.dim, e, trunc.dim, e)
-    return [phi[trunc.basis_index(a.reverse()), :, v, :].copy() if trunc.admits(a)
-            else np.zeros((e, e), dtype=complex) for a in words]
+    R_a e_vac being the basis word a~, all read in one lookup of the
+    operator's vacuum column; zero when a does not fit the truncation."""
+    phi = symbol_operator(F, trunc, r, side="right")
+    fits = np.array([trunc.admits(a) for a in words], dtype=bool)
+    rows = [trunc.basis_index(a.reverse()) if ok else 0 for a, ok in zip(words, fits)]
+    return list(np.where(fits[:, None, None], phi.blocks(rows, trunc.vacuum_index), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -69,14 +69,10 @@ def matrix_from_json(data, rows: int, cols: int | None = None) -> np.ndarray:
 
 
 def operator_to_json(op: FockOperator) -> dict[str, Any]:
-    m = op.dense()
-    rows, cols = np.nonzero(m)
-    order = np.lexsort((cols, rows))
-    entries = [
-        [int(rows[i]), int(cols[i]), float(m[rows[i], cols[i]].real),
-         float(m[rows[i], cols[i]].imag)]
-        for i in order
-    ]
+    stored = op.matrix.tocoo()
+    keep = stored.data != 0
+    entries = [[int(r), int(c), float(v.real), float(v.imag)]
+               for r, c, v in zip(stored.row[keep], stored.col[keep], stored.data[keep])]
     return {
         "n": list(op.trunc.n),
         "degrees": list(op.trunc.degrees),
@@ -86,11 +82,14 @@ def operator_to_json(op: FockOperator) -> dict[str, Any]:
 
 
 def operator_from_json(data) -> FockOperator:
+    """The operator whose CSR matrix stores exactly the file's entries."""
+    import scipy.sparse as sp
+
     _json_container(data, "g", dict)
     trunc = FockTruncation(*(_json_typed(data[f], f, list) for f in ("n", "degrees")))
     e = _json_typed(data["coeff_dim"], "coeff_dim")
     size = trunc.dim * e
-    m = np.zeros((size, size), dtype=complex)
+    rows, cols, values = [], [], []
     last = (-1, -1)
     for entry in _json_container(data["entries"], "entries", list):
         row, col, re, im = _json_container(entry, "entry", list)
@@ -101,10 +100,14 @@ def operator_from_json(data) -> FockOperator:
             raise ValueError(f"entry ({r}, {c}) follows entry {last}: entries must be "
                              "strictly increasing in (row, col)")
         last = (r, c)
-        m[r, c] = _json_typed(re, "entry value", float) + 1j * _json_typed(im, "entry value", float)
-    if not np.all(np.isfinite(m)):
+        rows.append(r)
+        cols.append(c)
+        values.append(_json_typed(re, "entry value", float) + 1j * _json_typed(im, "entry value", float))
+    values = np.array(values, dtype=complex)
+    if not np.all(np.isfinite(values)):
         raise ValueError("operator has a non-finite entry (NaN or infinity)")
-    return FockOperator(trunc, m, e)
+    matrix = sp.csr_matrix((values, (rows, cols)), shape=(size, size))
+    return FockOperator(trunc, matrix, e)
 
 
 def symbol_to_json(sym: MultiToeplitzSymbol) -> dict[str, Any]:

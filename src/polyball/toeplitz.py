@@ -4,9 +4,10 @@ A multi-Toeplitz operator is one invariant under the simultaneous
 compressions by right-creation letters, factor by factor; it is determined by
 its Fourier symbol, a finitely supported matrix-valued map on the index pairs
 where per factor at least one word is the unit.  This module provides the
-membership test, coefficient extraction, and symbol evaluation both at
-polyball points and back at the truncated creation tuple, where the symbol's
-monomials scatter from the truncation's lambda-pair table (``fock``).
+membership test and coefficient extraction, both read from the operator's
+stored CSR entries, and symbol evaluation both at polyball points and back
+at the truncated creation tuple, where the symbol's monomials scatter from
+the truncation's lambda-pair table (``fock``).
 """
 
 from __future__ import annotations
@@ -111,53 +112,46 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     """Check the right-compression invariance, factor by factor:
     (R_s (x) I)* T (R_t (x) I) = delta_st T for the letters of each factor.
 
-    Both sides are compressed to the budget-1 exact window, where the
-    truncated check agrees exactly with the untruncated one provided T is the
-    exact compression of an operator on the full space.  On the window each
-    letter sends a basis vector to a basis vector (``letter_image``), so the
-    compressed products are the blocks of T at the image words.
+    Factor i's conditions hold on its own exact window (budget 1 in factor
+    i, 0 elsewhere), where they agree with the untruncated ones if T is an
+    exact compression.  The (u, v) block of R_s* T R_t is T at (u.s, v.t),
+    so only stored cells can break them, and only those are read: a stored
+    cell whose factor-i words end in letters s, t against delta_st T at the
+    stripped words, and a stored cell (u, v) in the window against T at
+    (u.s, v.s) for each letter s.
     """
-    trunc, e = T.trunc, T.coeff_dim
-    m4 = T.dense().reshape(trunc.dim, e, trunc.dim, e)
-    widx = np.flatnonzero(trunc.window_mask([1] * trunc.k))
-
-    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # one gather of the (rows, cols, e, e) blocks, no row-band copy of T
-        return m4[rows[:, None], :, cols].transpose(0, 2, 1, 3).reshape(rows.size * e, -1)
-
-    base = block(widx, widx)
-    worst = 0.0
+    trunc, e, m = T.trunc, T.coeff_dim, T.matrix
+    cells = np.stack([np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices]) // e
+    here = T.blocks(*cells)
+    diffs = []
     for i, ni in enumerate(trunc.n, start=1):
-        images = [trunc.letter_image("right", i, j, widx) for j in range(1, ni + 1)]
-        for s, rows in enumerate(images):
-            for t, cols in enumerate(images):
-                d = block(rows, cols) - (base if s == t else 0)
-                worst = max(worst, float(np.max(np.abs(d), initial=0.0)))
+        (s, t), strip = trunc.right_strip(i, cells)
+        same = (s > 0) & (s == t)
+        diffs += [here[(s > 0) & (t > 0) & (s != t)], here[same] - T.blocks(*strip[:, same])]
+        for j in range(1, ni + 1):
+            image = trunc.letter_image("right", i, j, cells)
+            inside = (image >= 0).all(axis=0)
+            diffs.append(T.blocks(*image[:, inside]) - here[inside])
+    worst = max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
     return ToeplitzReport(worst <= tol, worst, tol)
 
 
 def fourier_coefficient(T: FockOperator, a: MultiWord, b: MultiWord) -> np.ndarray:
-    """Coefficient block of T at the index pair (a, b).
-
-    Reads the prescribed matrix entries: the e x e block at basis row a and
-    basis column b of the space index.
-    """
+    """Coefficient block of T at the index pair (a, b): the e x e block at
+    basis row a and basis column b, read from the stored entries."""
     if not lambda_membership(a, b):
         raise NotLambdaPairError(f"({a!r}; {b!r}) is not a coefficient index pair")
-    e = T.coeff_dim
-    ia = T.trunc.basis_index(a)
-    ib = T.trunc.basis_index(b)
-    m = T.dense()
-    return m[ia * e : (ia + 1) * e, ib * e : (ib + 1) * e].copy()
+    return T.blocks(T.trunc.basis_index(a), T.trunc.basis_index(b))
 
 
 def extract_symbol(T: FockOperator, max_total_len: int) -> MultiToeplitzSymbol:
-    """All Fourier coefficients with |a| + |b| <= max_total_len; exactly zero
-    blocks are not stored."""
+    """All Fourier coefficients with |a| + |b| <= max_total_len, read in one
+    lookup; exactly zero blocks are not stored."""
     sym = MultiToeplitzSymbol(T.trunc.n, T.coeff_dim)
-    T = FockOperator(T.trunc, T.dense(), T.coeff_dim)  # densified once, read per pair
-    for a, b in lambda_pairs_up_to_total(T.trunc.n, max_total_len):
-        c = fourier_coefficient(T, a, b)
+    pairs = lambda_pairs_up_to_total(T.trunc.n, max_total_len)
+    index = T.trunc.basis_index
+    blocks = T.blocks([index(a) for a, _ in pairs], [index(b) for _, b in pairs])
+    for (a, b), c in zip(pairs, blocks):
         if np.any(c != 0):
             sym[a, b] = c
     return sym

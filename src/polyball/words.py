@@ -12,7 +12,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 Side = Literal["left", "right"]
 
@@ -189,17 +189,10 @@ def lambda_membership(a: MultiWord, b: MultiWord) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration (graded, then lexicographic; factors row-major)
 
-def words_of_length(n: int, p: int) -> Iterator[Word]:
-    for letters in itertools.product(range(1, n + 1), repeat=p):
-        yield Word(letters, n)
-
-
 def words_up_to(n: int, d: int) -> list[Word]:
     """All words of length <= d in graded-lex order."""
-    out: list[Word] = []
-    for p in range(d + 1):
-        out.extend(words_of_length(n, p))
-    return out
+    return [Word(letters, n) for p in range(d + 1)
+            for letters in itertools.product(range(1, n + 1), repeat=p)]
 
 
 def multiwords_up_to_total(n: Sequence[int], total: int) -> list[MultiWord]:

@@ -483,7 +483,7 @@ def _poisson_kernel_by_words(x, t, side):
     the tail a, the left side prepends b~ and strips the head a~."""
     h = x.h_dim
     out = np.zeros((t.dim, h, t.dim, h), dtype=complex)
-    basis = t.basis()
+    basis = [t.basis_word(k) for k in range(t.dim)]
     for a, b in lambda_pairs_within_degrees(t.n, t.degrees):
         xm = x.monomial(a) @ x.monomial(b).conj().T
         for s, w in enumerate(basis):

@@ -17,6 +17,11 @@ def run(argv):
     return main(argv)
 
 
+def vacuum_state(n):
+    """The map data of the vacuum state: the unit 1, every other value 0."""
+    return CbMapData(MultiToeplitzSymbol(n, 1), unit=np.eye(1))
+
+
 def test_verify_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["verify", "--n", "2,1", "--degrees", "2,2", "--max-len", "2",
@@ -203,7 +208,7 @@ def test_subcommand_rejects_unread_or_invalid_flags(tmp_path, command, flags):
     else:
         x = PolyballPoint.from_scalars([[0.5]])
         inputs = tmp_path / "inputs.json"
-        serialize.dump({"mu": serialize.cbmap_to_json(CbMapData.vacuum_state([1])),
+        serialize.dump({"mu": serialize.cbmap_to_json(vacuum_state([1])),
                         "X": serialize.point_to_json(x)}, str(inputs))
         argv = ["transform", str(inputs), "--kind", "poisson"]
     assert run(argv) == 0
@@ -222,7 +227,7 @@ def test_verify_rejects_non_finite_tolerance(tmp_path, capsys, flag, value):
 
 
 def test_transform_rejects_non_finite_point(tmp_path, capsys):
-    tau = CbMapData.vacuum_state([1])
+    tau = vacuum_state([1])
     point = serialize.point_to_json(PolyballPoint.from_scalars([[0.5]]))
     point["X"][0][0][0] = float("nan")
     inputs = tmp_path / "inputs.json"
@@ -234,7 +239,7 @@ def test_transform_rejects_non_finite_point(tmp_path, capsys):
 def test_transform_rejects_string_point_entries(tmp_path, capsys):
     """Point matrix entries must be JSON numbers: strings exit 2 instead of
     being parsed as numbers."""
-    tau = CbMapData.vacuum_state([1])
+    tau = vacuum_state([1])
     point = serialize.point_to_json(PolyballPoint.from_scalars([[0.3]]))
     point["X"][0][0] = ["0.3", "0"]
     inputs = tmp_path / "inputs.json"
@@ -254,7 +259,7 @@ def test_transform_rejects_malformed_point(tmp_path, capsys, key, value, field):
     its space must have positive dimension; otherwise the input is malformed
     and exits 2, rather than running (n) or exiting 4 as a point outside the
     polyball (h_dim 0)."""
-    tau = CbMapData.vacuum_state([1])
+    tau = vacuum_state([1])
     point = serialize.point_to_json(PolyballPoint.from_scalars([[0.3]]))
     point[key] = value
     if key == "h_dim":
@@ -302,7 +307,7 @@ def test_transform_poisson_point_mass(tmp_path):
 
 
 def test_transform_herglotz_vacuum(tmp_path):
-    tau = CbMapData.vacuum_state([2, 1])
+    tau = vacuum_state([2, 1])
     x = PolyballPoint([[np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros((1, 1))]])
     inputs = tmp_path / "inputs.json"
     serialize.dump(
@@ -338,7 +343,7 @@ def test_transform_berezin_identity(tmp_path, rng):
 
 
 def test_transform_rejects_outside_ball(tmp_path, capsys):
-    tau = CbMapData.vacuum_state([1])
+    tau = vacuum_state([1])
     x = PolyballPoint.from_scalars([[1.5]])
     inputs = tmp_path / "inputs.json"
     serialize.dump(

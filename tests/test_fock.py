@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 from polyball.fock import (
+    FockOperator,
     FockTruncation,
     TruncationError,
     apply_creation,
@@ -24,7 +25,18 @@ from polyball.words import (
     lambda_pairs_within_degrees,
     multiword,
     multiwords_up_to_total,
+    words_up_to,
 )
+
+
+def _factor_words(t, i):
+    """The words of factor i of the truncation, in basis order."""
+    return words_up_to(t.n[i - 1], t.degrees[i - 1])
+
+
+def _basis(t):
+    """Every basis multiword of the truncation, by basis index."""
+    return [t.basis_word(k) for k in range(t.dim)]
 
 
 def _basis_vector(t, mw):
@@ -160,6 +172,33 @@ def test_word_operator_coefficient_block(n, degrees, letters, e):
     np.testing.assert_array_equal(m, np.kron(word_operator(t, a, g).dense(), c))
 
 
+def test_fock_operator_is_canonical_csr_read_by_blocks(rng):
+    """A dense matrix, COO triplets with a repeated cell and a CSR matrix
+    with unsorted rows all give one canonical CSR matrix; ``blocks`` reads
+    the dense matrix's e x e blocks at any basis cells, 0 where nothing is
+    stored."""
+    t, e = FockTruncation([2, 1], [2, 1]), 2
+    size = t.dim * e
+    rows, cols = rng.integers(size, size=(2, 40))
+    rows[1], cols[1] = rows[0], cols[0]
+    values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    coo = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(size, size))
+    want = coo.toarray()
+    unsorted = scipy.sparse.csr_matrix(want)
+    for lo, hi in zip(unsorted.indptr[:-1], unsorted.indptr[1:]):  # each row reversed
+        for a in (unsorted.indices, unsorted.data):
+            a[lo:hi] = a[lo:hi][::-1].copy()
+    unsorted.has_sorted_indices = False
+    for given in (want, coo, unsorted):
+        op = FockOperator(t, given, e)
+        assert isinstance(op.matrix, scipy.sparse.csr_matrix) and op.matrix.has_canonical_format
+        assert op.dense().tobytes() == want.tobytes()
+    p, q = rng.integers(t.dim, size=(2, 50))
+    blocks = want.reshape(t.dim, e, t.dim, e)[p, :, q, :]
+    assert op.blocks(p, q).tobytes() == blocks.tobytes()
+    assert op.blocks(p[0], q[0]).tobytes() == blocks[0].tobytes()
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_word_matrix_is_the_sparse_word_operator(side):
     """``word_matrix`` and ``word_operator`` (CSR, with and without a
@@ -186,7 +225,7 @@ def test_word_operator_entries_match_comparability():
     """Exhaustive: the entry at (w, v) is nonzero exactly when the pair is
     right comparable with quotients (a, b); checked by word arithmetic."""
     t = FockTruncation([2, 2], [2, 2])
-    basis = t.basis()
+    basis = _basis(t)
     for a, b in lambda_pairs_up_to_total(t.n, 3):
         if not t.admits(a) or not t.admits(b):
             continue
@@ -205,7 +244,7 @@ def test_word_operator_entries_match_comparability():
 def test_word_operator_entries_single_factor_length3():
     # single factor, words up to length 3 in both the monomial and the basis
     t = FockTruncation([2], [3])
-    basis = t.basis()
+    basis = _basis(t)
     for a, b in lambda_pairs_up_to_total(t.n, 3):
         m = word_operator(t, a, b).dense()
         for vi, v in enumerate(basis):
@@ -291,7 +330,7 @@ def _monomial_indices_by_words(t, a, b, side):
     if side == "right":
         a, b = a.reverse(), b.reverse()
     src, dst = [], []
-    for s, w in enumerate(t.basis()):
+    for s, w in enumerate(_basis(t)):
         parts = [
             _shift_by_words(wi, bi, ai, side, d)
             for wi, ai, bi, d in zip(w.parts, a.parts, b.parts, t.degrees)
@@ -324,7 +363,7 @@ def test_letter_map_matches_word_reference(n, degrees, side):
         for j in range(1, ni + 1):
             want = [
                 _shift_by_words(w, empty, Word((j,), ni), side, d)
-                for w in t.factor_words(i)
+                for w in _factor_words(t, i)
             ]
             want = [-1 if v is None else t.factor_word_index(i, v) for v in want]
             np.testing.assert_array_equal(t.letter_map(side, i, j), want)
@@ -368,7 +407,7 @@ def _pair_table_by_pairs(t, side):
         for p, (a, b) in enumerate(pairs):
             if side == "left":
                 a, b = a.reverse(), b.reverse()
-            image = [_shift_by_words(w, a, b, side, di) for w in t.factor_words(i)]
+            image = [_shift_by_words(w, a, b, side, di) for w in _factor_words(t, i)]
             s = np.array([k for k, v in enumerate(image) if v is not None], dtype=np.int64)
             m = np.array([t.factor_word_index(i, image[k]) for k in s], dtype=np.int64)
             cells.append((np.full(s.size, p, dtype=np.int64), s, m))

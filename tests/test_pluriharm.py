@@ -32,6 +32,11 @@ from polyball.words import (
 )
 
 
+def vacuum_state(n):
+    """The map data of the vacuum state: the unit 1, every other value 0."""
+    return CbMapData(MultiToeplitzSymbol(n, 1), unit=np.eye(1))
+
+
 def tridiagonal_symbol(c):
     n = [1]
     g = identity_multiword(n)
@@ -303,7 +308,7 @@ def test_from_row_isometries_commutation_scope():
 
 
 def test_poisson_transform_vacuum_state():
-    tau = CbMapData.vacuum_state([2, 1])
+    tau = vacuum_state([2, 1])
     x = PolyballPoint.from_scalars([[0.3, 0.2], [0.4]])
     np.testing.assert_allclose(poisson_transform(tau, x).value, np.eye(1))
 

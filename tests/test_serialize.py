@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+import pytest
+import scipy.sparse
 
 from polyball import serialize, words
 from polyball.fock import FockTruncation, word_operator
@@ -35,6 +37,40 @@ def test_operator_roundtrip():
     back = serialize.operator_from_json(data)
     np.testing.assert_allclose(back.dense(), op.dense())
     assert back.trunc.n == op.trunc.n and back.coeff_dim == 2
+
+
+def test_operator_from_json_stores_exactly_the_file_entries():
+    """The operator read is CSR and stores exactly the file's entries, an
+    explicit 0 among them; writing it back drops the 0 and nothing else."""
+    entries = [[0, 0, 1.0, 0.0], [0, 4, 0.0, 0.0], [3, 1, -2.5, 0.5], [7, 7, 0.0, -1.0]]
+    data = {"n": [2, 1], "degrees": [2, 2], "coeff_dim": 1, "entries": entries}
+    op = serialize.operator_from_json(data)
+    assert isinstance(op.matrix, scipy.sparse.csr_matrix)
+    stored = op.matrix.tocoo()
+    assert [[int(r), int(c), v.real, v.imag]
+            for r, c, v in zip(stored.row, stored.col, stored.data)] == entries
+    assert serialize.operator_to_json(op)["entries"] == entries[:1] + entries[2:]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[-1, 0, 1.0, 0.0]], "entry (-1, 0) is not an index of the 9-dim operator"),
+    ([[0, 9, 1.0, 0.0]], "entry (0, 9) is not an index of the 9-dim operator"),
+    ([[1, 1, 1.0, 0.0], [0, 0, 1.0, 0.0]],
+     "entry (0, 0) follows entry (1, 1): entries must be strictly increasing in (row, col)"),
+    ([[0, 0, 1.0, 0.0], [0, 0, 2.0, 0.0]],
+     "entry (0, 0) follows entry (0, 0): entries must be strictly increasing in (row, col)"),
+    ([[0, 0, float("nan"), 0.0]], "operator has a non-finite entry (NaN or infinity)"),
+    ([[0, 0, 1.0, float("inf")]], "operator has a non-finite entry (NaN or infinity)"),
+    ([[0, 0, "1", 0.0]], "entry value must be a JSON number, got '1'"),
+    ([[True, 0, 1.0, 0.0]], "entry row must be a JSON integer, got True"),
+    ([[0, 1.5, 1.0, 0.0]], "entry column must be a JSON integer, got 1.5"),
+], ids=["row-negative", "col-past-end", "reversed", "repeated", "nan", "inf",
+        "value-string", "row-boolean", "col-fraction"])
+def test_operator_from_json_names_the_malformed_entry(entries, message):
+    data = {"n": [1, 1], "degrees": [2, 2], "coeff_dim": 1, "entries": entries}
+    with pytest.raises(ValueError) as err:
+        serialize.operator_from_json(data)
+    assert str(err.value) == message
 
 
 def test_operator_json_is_json_serializable():

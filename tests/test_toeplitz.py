@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from polyball._linalg import opnorm
 from polyball.berezin import PolyballPoint, creation_point, poisson_kernel
@@ -39,6 +40,74 @@ def test_membership_keeps_the_coefficient_blocks(rng):
     assert scalar > 0
     rep = is_k_multi_toeplitz(word_operator(t, w1, w1, coefficient=c))
     assert not rep.passed and rep.max_violation == 3.0 * scalar
+
+
+def _membership_by_dense_gather(T):
+    """Reference check on the densified operator: per factor i, the dense
+    gather of the (u.s, v.t) blocks of T over factor i's exact window
+    (budget 1 in factor i, 0 elsewhere), each against delta_st times the
+    (u, v) blocks; the largest difference."""
+    trunc, e = T.trunc, T.coeff_dim
+    m4 = T.dense().reshape(trunc.dim, e, trunc.dim, e)
+
+    def block(rows, cols):
+        return m4[rows[:, None], :, cols].transpose(0, 2, 1, 3).reshape(rows.size * e, -1)
+
+    worst = 0.0
+    for i, ni in enumerate(trunc.n, start=1):
+        budget = [0] * trunc.k
+        budget[i - 1] = 1
+        widx = np.flatnonzero(trunc.window_mask(budget))
+        base = block(widx, widx)
+        images = [trunc.letter_image("right", i, j, widx) for j in range(1, ni + 1)]
+        for s, rows in enumerate(images):
+            for t, cols in enumerate(images):
+                d = block(rows, cols) - (base if s == t else 0)
+                worst = max(worst, float(np.max(np.abs(d), initial=0.0)))
+    return worst
+
+
+def _random_sparse(rng, size, count):
+    """A size x size CSR matrix with complex normal values at ``count``
+    uniformly drawn cells (a repeated cell sums)."""
+    rows, cols = rng.integers(size, size=(2, count))
+    values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(size, size))
+
+
+@pytest.mark.parametrize("e_dim", [1, 2])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((1, 1, 2), (2, 2, 2)),
+                                        ((3,), (4,)), ((2, 1), (5, 5))])
+def test_membership_matches_dense_gather(n, degrees, e_dim):
+    """The check on stored entries equals the dense gather on per-factor
+    windows bit for bit: on symbol operators (members), on symbol operators
+    with three entries added, and on random sparse matrices."""
+    rng = np.random.default_rng(17)
+    t = FockTruncation(n, degrees)
+    size = t.dim * e_dim
+    violated = 0
+    for _ in range(2):
+        sym = random_hermitian_symbol(rng, n, e_dim, min(degrees), density=0.5)
+        op = symbol_operator(sym, t)
+        for T in (op,
+                  FockOperator(t, op.matrix + _random_sparse(rng, size, 3), e_dim),
+                  FockOperator(t, _random_sparse(rng, size, size // 4), e_dim)):
+            want = _membership_by_dense_gather(T)
+            assert is_k_multi_toeplitz(T).max_violation == want
+            violated += want > 0
+    assert _membership_by_dense_gather(op) == 0.0 and violated == 4
+
+
+def test_membership_rejects_unit_at_top_of_another_factor():
+    """The matrix unit at ((g1g1, f^2), (g1g1, f^2)) on (2,1)@(2,2) breaks
+    factor 1's condition at the cell (g1, f^2) with factor 2 at full degree,
+    a cell inside factor 1's own window but outside the window with budget 1
+    in every factor: T there is 0, not 1."""
+    t = FockTruncation([2, 1], [2, 2])
+    p = t.basis_index(multiword([[1, 1], [1, 1]], t.n))
+    m = scipy.sparse.csr_matrix(([1.0], ([p], [p])), shape=(t.dim, t.dim))
+    rep = is_k_multi_toeplitz(FockOperator(t, m))
+    assert not rep.passed and rep.max_violation == 1.0
 
 
 def test_single_creation_is_toeplitz():
