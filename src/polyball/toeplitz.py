@@ -122,16 +122,19 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     """
     trunc, e, m = T.trunc, T.coeff_dim, T.matrix
     cells = np.stack([np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices]) // e
-    here = T.blocks(*cells)
-    diffs = []
+    # (partner cells, mask of the stored cells they pair with), the stored
+    # cells themselves first; all of them are read in one lookup
+    reads, off = [(cells, np.ones(cells.shape[1], dtype=bool))], []
     for i, ni in enumerate(trunc.n, start=1):
         (s, t), strip = trunc.right_strip(i, cells)
-        same = (s > 0) & (s == t)
-        diffs += [here[(s > 0) & (t > 0) & (s != t)], here[same] - T.blocks(*strip[:, same])]
+        off.append((s > 0) & (t > 0) & (s != t))
+        reads.append((strip, (s > 0) & (s == t)))
         for j in range(1, ni + 1):
             image = trunc.letter_image("right", i, j, cells)
-            inside = (image >= 0).all(axis=0)
-            diffs.append(T.blocks(*image[:, inside]) - here[inside])
+            reads.append((image, (image >= 0).all(axis=0)))
+    got = T.blocks(*np.concatenate([c[:, k] for c, k in reads], axis=1))
+    here, *parts = np.split(got, np.cumsum([np.count_nonzero(k) for _, k in reads])[:-1])
+    diffs = [here[k] for k in off] + [p - here[k] for p, (_, k) in zip(parts, reads[1:])]
     worst = max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
     return ToeplitzReport(worst <= tol, worst, tol)
 

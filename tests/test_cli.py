@@ -47,8 +47,8 @@ def test_verify_rejects_bad_grid():
 @pytest.mark.parametrize("degrees", ["2,2", "5,5"])
 def test_verify_deterministic(tmp_path, degrees):
     """Two in-process runs with one seed write the same report, byte for
-    byte apart from the timestamp line; at (5,5) the resolvent and the
-    factorization norm run Lanczos."""
+    byte apart from the timestamp line; at (5,5) the symbol norms of
+    norm_monotonicity run Lanczos."""
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "--n", "2,1", "--degrees", degrees, "--max-len", "2",
             "--seed", "11"]

@@ -63,9 +63,10 @@ def test_vacuum_cyclicity_gap_is_the_rank_deficit(monkeypatch, n, degrees, drop)
 
 @pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)])
 def test_complete_positivity_catches_a_negative_shift(monkeypatch, degrees, max_len):
-    """At both benchmark configurations the scale of g keeps the transform
-    at norm about 0.5, so shifting each transform to a smallest eigenvalue of
-    -1e-11 ||out|| fails the 1e-12 tolerance."""
+    """At both benchmark configurations the item divides each transform by
+    its largest diagonal entry, which is at most its norm, so shifting each
+    transform to a smallest eigenvalue of -1e-11 ||out|| fails the 1e-12
+    tolerance."""
     transform = verify.berezin_transform
 
     def shifted(g, x, **kwargs):
@@ -79,6 +80,56 @@ def test_complete_positivity_catches_a_negative_shift(monkeypatch, degrees, max_
     assert err <= tol
     monkeypatch.setattr(verify, "berezin_transform", shifted)
     _, err, tol = verify._id_berezin_cp(cfg, verify._rng(cfg, idx))
+    assert err > tol
+
+
+def test_complete_positivity_draws_no_dim_by_dim_matrix():
+    """At (2,1)@(5,5) the item's PSD operators come from thin factors: a
+    generator that passes every call through refuses any standard_normal
+    draw whose two sides both reach the truncation's dimension."""
+    cfg = RunConfig(n=(2, 1), degrees=(5, 5), max_len=2, seed=23)
+    dim = FockTruncation(cfg.n, cfg.degrees).dim
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.complete_positivity")
+
+    class ThinDraws:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size=None, *args, **kwargs):
+            sides = np.atleast_1d(size if size is not None else ())[-2:]
+            if sides.size == 2 and sides.min() >= dim:
+                raise AssertionError(f"standard_normal draw of shape {size}")
+            return self.rng.standard_normal(size, *args, **kwargs)
+
+    _, err, tol = verify._id_berezin_cp(cfg, ThinDraws(verify._rng(cfg, idx)))
+    assert err <= tol
+
+
+@pytest.mark.parametrize("degrees, max_len, factor", [((3, 3), 3, 1.5), ((5, 5), 2, 1.5),
+                                                      ((5, 5), 2, 1.2)],
+                         ids=["small-x1.5", "deep-x1.5", "deep-x1.2"])
+def test_poisson_factorization_catches_a_scaled_resolvent(monkeypatch, degrees, max_len, factor):
+    """At seed 0 the factorization item passes with the true resolvent and
+    fails with the resolvent's matrix scaled by 1.5 at both benchmark
+    configurations, and by 1.2 at verify-deep, where the norm of
+    P - C^H C stays within the bound but its Schur-test certificate does
+    not."""
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
+    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
+    assert err <= tol
+    resolvent = verify.cauchy_operator
+
+    def scaled(*args, **kwargs):
+        res = resolvent(*args, **kwargs)
+        res.matrix = factor * res.matrix
+        return res
+
+    monkeypatch.setattr(verify, "cauchy_operator", scaled)
+    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
     assert err > tol
 
 
@@ -132,12 +183,13 @@ def test_verify_items_read_operators_without_densifying(monkeypatch, item):
     assert err <= tol
 
 
-@pytest.mark.parametrize("degrees, max_len, calls", [((5, 5), 2, 8), ((3, 3), 3, 0)], ids=["deep", "small"])
+@pytest.mark.parametrize("degrees, max_len, calls", [((5, 5), 2, 5), ((3, 3), 3, 0)], ids=["deep", "small"])
 def test_verify_lanczos_calls(monkeypatch, degrees, max_len, calls):
     """Lanczos runs only where verify reads a spectral value above EXACT_DIM:
-    at verify-deep the three factorization difference norms and the five
-    symbol-operator norms of norm_monotonicity, at verify-small nowhere.  No
-    item reads a resolvent's min_singular, so none is computed."""
+    at verify-deep the five symbol-operator norms of norm_monotonicity, at
+    verify-small nowhere.  The factorization item reads a Schur-test
+    certificate, and no item reads a resolvent's min_singular, so neither
+    runs it."""
     from polyball import _linalg
 
     top = _linalg.lanczos_top
