@@ -13,7 +13,8 @@ rank order, and level p+1 is X_{i,j} @ (level p) over the letters j.
 truncation, bit for bit the per-word ``monomial``, which keeps its own
 per-word cache so that one long word costs only its length in products.
 ``berezin_kernel`` is one batched product with the table, ``poisson_kernel``
-gathers X_a X_b* from it by pair basis indices, and ``berezin_transform``
+gathers X_a X_b* from it at each pair's first cell a -> b in the right
+pair table (``FockTruncation.pair_table``), and ``berezin_transform``
 applies a dense or SciPy-sparse g once, to the kernel's columns.
 
 Truncated series report explicit geometric tail bounds computed from the row
@@ -458,7 +459,8 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
         fact_bound = tail + dnorm * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
     else:
         fact_bound = math.inf
-    a, b = trunc.pair_basis_indices()
+    indptr, src, dst = trunc.pair_table("right")
+    a, b = src[indptr[:-1]], dst[indptr[:-1]]
     table = X.monomial_table(trunc)
     xm = table[a] @ table[b].conj().transpose(0, 2, 1)  # X_a X_b* per pair, one batched matmul
     op = pair_operator(trunc, side, np.arange(a.size), xm)

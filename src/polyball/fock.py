@@ -16,13 +16,13 @@ monomial at (b~, a~), ~ the reversal; a creation letter is the formula
 rank(g_j.w) = (j - 1) n_i^|w| + rank(w), rank(w.g_j) = rank(w) n_i + j - 1
 (``FockTruncation.letter_map``).
 
-Sums over coefficient index pairs (a symbol's monomials, the Poisson
-kernel's pairings) scatter from the table in one pass (``pair_operator``).
-A single word monomial S_a S_b* (R_a R_b* on the right side), lambda pair or
-not, composes two pairings (``monomial_indices``): S_b* is the pairing at
-(b~, e) and S_a the one at (e, a~).  An annihilation never leaves the
-truncation, so P S_a P S_b* P = P S_a S_b* P, and the composition is the
-exact compression of the untruncated monomial.
+The table is grouped by pair id, so every reader slices its own pairs'
+cells.  Sums over coefficient index pairs (a symbol's monomials, the Poisson
+kernel's pairings) gather them in one pass (``pair_operator``).  A single
+word monomial S_a S_b* (R_a R_b* on the right side), lambda pair or not,
+composes two pairings (``monomial_indices``): S_b* is the pairing at (b~, e)
+and S_a the one at (e, a~).  An annihilation never leaves the truncation, so
+P S_a P S_b* P = P S_a S_b* P: the exact compression of the monomial.
 
 The creation letters are CSR matrices with entries 1 (``creation_matrix``,
 the tuple ``creation_tuple``): each sends a basis vector to a basis vector or
@@ -170,20 +170,13 @@ class FockTruncation:
         image = self.letter_map(side, i, j)[word]
         return np.where(image >= 0, flat + (image - word) * stride, -1)
 
-    def right_strip(self, i: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(j, u) for each basis index u.g_j in ``flat``, g_j the last letter of
-        its factor-i word; (0, the index itself) where that word is empty."""
-        stride, n = self._strides[i - 1], self.n[i - 1]
-        word = flat // stride % self.factor_dims[i - 1]
-        length, rank = self._factor_degree[i - 1][word], self._rank[i - 1][word]
-        stripped = self._offset[i - 1][np.maximum(length - 1, 0)] + rank // n
-        return np.where(length > 0, rank % n + 1, 0), flat + (stripped - word) * stride
-
     # -- lambda-pair table -----------------------------------------------------
 
     def pair_id(self, a: MultiWord, b: MultiWord) -> int:
         """Position of the lambda pair (a, b) in ``lambda_pairs_within_degrees``;
         -1 when a word is longer than its degree."""
+        if a.n != self.n or b.n != self.n:
+            raise TruncationError(f"pair shape {a.n}/{b.n} does not match {self.n}")
         pid = 0
         for i, (ai, bi) in enumerate(zip(a.parts, b.parts)):
             if not (ai.is_identity or bi.is_identity):
@@ -196,27 +189,17 @@ class FockTruncation:
             pid = pid * (2 * dim - 1) + int(self._offset[i][len(w)]) + word_rank(w) + shift
         return pid
 
-    def pair_basis_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Basis indices of a and of b for every lambda pair (a, b), in pair
-        id order: per factor (w, e) for every word w, then (e, w) for w
-        nonempty, factors combined row-major as the basis is."""
-        a = b = np.zeros(1, dtype=np.int64)
-        for dim in self.factor_dims:
-            words, units = np.arange(dim, dtype=np.int64), np.zeros(dim - 1, dtype=np.int64)
-            a = (a[:, None] * dim + np.concatenate([words, units])).ravel()
-            b = (b[:, None] * dim + np.concatenate([words[:1], units, words[1:]])).ravel()
-        return a, b
-
     def pair_table(self, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pair id, source, target) of every cell of the pairings: at the
-        lambda pair (a, b) the monomial at (b~, a~), ids in
-        ``lambda_pairs_within_degrees`` order, each pair's cells by ascending
-        source.  Built on first use per side.
+        """(indptr, source, target) of the pairings: at the lambda pair (a, b)
+        with id p the monomial at (b~, a~), cells indptr[p]:indptr[p + 1] by
+        ascending source, the first a~ -> b~ (left side) or a -> b (right).
+        Built on first use per side.
 
         Per factor the cells come from ``_factor_pair_cells``; a multiword
         pair's cells are the product of its factors' cells, combined with the
-        strides.  No (target, source) cell occurs twice: per factor, source
-        and target determine the stripped and the attached word."""
+        strides and stably sorted by pair id once.  No (target, source) cell
+        occurs twice: per factor, source and target determine the stripped
+        and the attached word."""
         _require_side(side)
         if side in self._pair_tables:
             return self._pair_tables[side]
@@ -226,8 +209,11 @@ class FockTruncation:
             pid = (pid[:, None] * (2 * dim - 1) + p_i).ravel()
             src = (src[:, None] * dim + s_i).ravel()
             dst = (dst[:, None] * dim + t_i).ravel()
-        self._pair_tables[side] = pid, src, dst
-        return pid, src, dst
+        order = np.argsort(pid, kind="stable")
+        counts = np.bincount(pid, minlength=math.prod(2 * d - 1 for d in self.factor_dims))
+        table = np.concatenate(([0], np.cumsum(counts))), src[order], dst[order]
+        self._pair_tables[side] = table
+        return table
 
     def _factor_pair_cells(self, i: int, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(pair id, source, target) cells of the single-factor lambda pairs of
@@ -358,13 +344,14 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     """(source, target) basis indices, by ascending source, of the exact
     compression of S_a S_b* (R_a R_b* on the right side), for every (a, b):
     S_b* is the pairing at (b~, e) and S_a the one at (e, a~) in
-    ``pair_table`` (none when a word exceeds its degree), composed."""
+    ``pair_table``, composed.  A word beyond its degree has the id -1,
+    whose slice indptr[-1]:indptr[0] is empty."""
     if a.n != trunc.n or b.n != trunc.n:
         raise TruncationError("word shape does not match truncation")
-    pid, src, dst = trunc.pair_table(side)
+    indptr, src, dst = trunc.pair_table(side)
     e = identity_multiword(trunc.n)
-    strip = pid == trunc.pair_id(b.reverse(), e)
-    attach = pid == trunc.pair_id(e, a.reverse())
+    pids = trunc.pair_id(b.reverse(), e), trunc.pair_id(e, a.reverse())
+    strip, attach = (slice(indptr[p], indptr[p + 1]) for p in pids)
     image = np.full(trunc.dim, -1, dtype=np.int64)
     image[src[attach]] = dst[attach]
     target = image[dst[strip]]
@@ -375,27 +362,29 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
 def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
                   blocks: np.ndarray) -> FockOperator:
     """Sum of blocks[j] (x) the pairing at pair id pids[j], as a CSR matrix;
-    ids of -1 (pairs off the box) contribute nothing.
+    ids of -1 (pairs off the box) contribute nothing, repeated ids are refused.
 
-    The ids must be distinct.  Then no cell is hit twice, so every stored
-    entry is one block entry, and ``dense()`` has every bit of the
-    pair-by-pair sum onto zeros: the ``+ 0.0`` turns a -0.0 entry into +0.0,
-    as that sum does."""
+    Only the given pairs' cells are read from ``pair_table``.  No cell is hit
+    twice, so every stored entry is one block entry, and ``dense()`` has
+    every bit of the pair-by-pair sum onto zeros: the ``+ 0.0`` turns a -0.0
+    entry into +0.0, as that sum does."""
     import scipy.sparse as sp
 
     e = blocks.shape[1]
-    slot = np.full(math.prod(2 * d - 1 for d in trunc.factor_dims), -1, dtype=np.int64)
-    keep = pids >= 0
-    slot[pids[keep]] = np.flatnonzero(keep)
-    pid, src, dst = trunc.pair_table(side)
-    cell_slot = slot[pid]
-    hit = cell_slot >= 0
+    slots = np.flatnonzero(pids >= 0)
+    kept = pids[slots]
+    if np.unique(kept).size < kept.size:
+        raise ValueError("pair ids must be distinct")
+    indptr, src, dst = trunc.pair_table(side)
+    counts = indptr[kept + 1] - indptr[kept]
+    cells = np.arange(counts.sum()) + np.repeat(indptr[kept] - np.cumsum(counts) + counts, counts)
     p, q = np.indices((e, e))
-    rows = dst[hit, None, None] * e + p
-    cols = src[hit, None, None] * e + q
-    data = blocks[cell_slot[hit]] + 0.0
     n = trunc.dim * e
-    matrix = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    key = (dst[cells, None, None] * e + p) * n + src[cells, None, None] * e + q
+    order = np.argsort(key, axis=None)  # the CSR order: by row, then column
+    data = (blocks[np.repeat(slots, counts)] + 0.0).ravel()[order]
+    rows, cols = np.divmod(key.ravel()[order], n)
+    matrix = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
     return FockOperator(trunc, matrix, coeff_dim=e)
 
 

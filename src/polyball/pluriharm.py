@@ -111,14 +111,11 @@ def schur_positivity(F: MultiToeplitzSymbol, r_grid: Iterable[float],
     comparability), so the verdicts must agree.
     """
     trunc = FockTruncation(F.n, [max_len] * len(F.n))
-    wmask = trunc.total_length_mask(max_len)
-    e = F.e_dim
-    blk = np.repeat(wmask, e)
+    window = np.flatnonzero(np.repeat(trunc.total_length_mask(max_len), F.e_dim))
     points = []
     for r in r_grid:
-        m = symbol_operator(F, trunc, r).dense()
-        mw = m[np.ix_(blk, blk)]
-        op_min = min_eig_hermitian(mw)
+        m = symbol_operator(F, trunc, r).matrix[window][:, window]
+        op_min = min_eig_hermitian(m.toarray())
         gram_min = min_eig_hermitian(gamma_kernel(F, r, max_len).gram())
         points.append(
             SchurPoint(r, op_min, gram_min, op_min >= -tol, gram_min >= -tol)

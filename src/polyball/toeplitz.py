@@ -3,11 +3,11 @@
 A multi-Toeplitz operator is one invariant under the simultaneous
 compressions by right-creation letters, factor by factor; it is determined by
 its Fourier symbol, a finitely supported matrix-valued map on the index pairs
-where per factor at least one word is the unit.  This module provides the
-membership test and coefficient extraction, both read from the operator's
-stored CSR entries, and symbol evaluation both at polyball points and back
-at the truncated creation tuple, where the symbol's monomials scatter from
-the truncation's lambda-pair table (``fock``).
+where per factor at least one word is the unit.  Membership (T equals its
+own Fourier series) and coefficient extraction read the operator's stored
+CSR entries; a symbol is evaluated at polyball points and back at the
+truncated creation tuple, where its monomials scatter from the truncation's
+lambda-pair table (``fock``).
 """
 
 from __future__ import annotations
@@ -109,33 +109,17 @@ class ToeplitzReport:
 
 
 def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
-    """Check the right-compression invariance, factor by factor:
-    (R_s (x) I)* T (R_t (x) I) = delta_st T for the letters of each factor.
-
-    Factor i's conditions hold on its own exact window (budget 1 in factor
-    i, 0 elsewhere), where they agree with the untruncated ones if T is an
-    exact compression.  The (u, v) block of R_s* T R_t is T at (u.s, v.t),
-    so only stored cells can break them, and only those are read: a stored
-    cell whose factor-i words end in letters s, t against delta_st T at the
-    stripped words, and a stored cell (u, v) in the window against T at
-    (u.s, v.s) for each letter s.
-    """
-    trunc, e, m = T.trunc, T.coeff_dim, T.matrix
-    cells = np.stack([np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices]) // e
-    # (partner cells, mask of the stored cells they pair with), the stored
-    # cells themselves first; all of them are read in one lookup
-    reads, off = [(cells, np.ones(cells.shape[1], dtype=bool))], []
-    for i, ni in enumerate(trunc.n, start=1):
-        (s, t), strip = trunc.right_strip(i, cells)
-        off.append((s > 0) & (t > 0) & (s != t))
-        reads.append((strip, (s > 0) & (s == t)))
-        for j in range(1, ni + 1):
-            image = trunc.letter_image("right", i, j, cells)
-            reads.append((image, (image >= 0).all(axis=0)))
-    got = T.blocks(*np.concatenate([c[:, k] for c, k in reads], axis=1))
-    here, *parts = np.split(got, np.cumsum([np.count_nonzero(k) for _, k in reads])[:-1])
-    diffs = [here[k] for k in off] + [p - here[k] for p, (_, k) in zip(parts, reads[1:])]
-    worst = max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
+    """Check that T equals its own Fourier series; the violation is
+    max|T - sum of T[a, b] (x) S_a S_b* over the lambda pairs (a, b)|.
+    At finite truncation the multi-Toeplitz operators are the span of these
+    pairings (``T_n = span{A_n* A_n}``), whose supports are disjoint.  The
+    pairing at (b~, a~) in the left ``pair_table`` is S_a S_b*, its first
+    cell b -> a, so T's coefficients are its blocks at the first cells."""
+    indptr, src, dst = T.trunc.pair_table("left")
+    coeffs = T.blocks(dst[indptr[:-1]], src[indptr[:-1]])
+    pids = np.flatnonzero(coeffs.any(axis=(1, 2)))
+    series = pair_operator(T.trunc, "left", pids, coeffs[pids])
+    worst = float(np.max(np.abs((T.matrix - series.matrix).data), initial=0.0))
     return ToeplitzReport(worst <= tol, worst, tol)
 
 

@@ -77,14 +77,14 @@ class MultiWord:
     def k(self) -> int:
         return len(self.parts)
 
-    @property
+    # n and total_length are computed once per word; the caches are not
+    # fields, so equality and hashing still read only the parts
+    @cached_property
     def n(self) -> tuple[int, ...]:
         return tuple(w.n for w in self.parts)
 
     @cached_property
     def total_length(self) -> int:
-        # computed once per word; the cache is not a field, so equality and
-        # hashing still read only the parts
         return sum(len(w) for w in self.parts)
 
     @property

@@ -539,17 +539,15 @@ def test_poisson_kernel_batched_products_match_per_pair_loop(rng, kind, h, side)
 
 
 def _dense_pair_scatter(trunc, side, pids, blocks):
-    """The former dense assembly of ``pair_operator``: one += scatter of the
-    blocks onto a zero matrix, ids of -1 dropped."""
+    """The former dense assembly of ``pair_operator``: a += scatter of each
+    block onto a zero matrix at its pair's cells, ids of -1 dropped."""
     e = blocks.shape[1]
-    slot = np.full(math.prod(2 * d - 1 for d in trunc.factor_dims), -1, dtype=np.int64)
-    keep = pids >= 0
-    slot[pids[keep]] = np.flatnonzero(keep)
-    pid, src, dst = trunc.pair_table(side)
-    cell_slot = slot[pid]
-    hit = cell_slot >= 0
+    indptr, src, dst = trunc.pair_table(side)
     out = np.zeros((trunc.dim * e, trunc.dim * e), dtype=complex)
-    out.reshape(trunc.dim, e, trunc.dim, e)[dst[hit], :, src[hit], :] += blocks[cell_slot[hit]]
+    for pid, block in zip(pids, blocks):
+        if pid >= 0:
+            cells = slice(indptr[pid], indptr[pid + 1])
+            out.reshape(trunc.dim, e, trunc.dim, e)[dst[cells], :, src[cells], :] += block
     return out
 
 
@@ -562,12 +560,14 @@ def test_pair_operator_dense_is_the_dense_scatter(ids, side):
     each stored entry has the bits of its dense entry, -0.0 turned +0.0."""
     t = FockTruncation((2, 1), (3, 2))
     x = random_nilpotent_point(np.random.default_rng(7), t.n, 3, 0.8)
-    a, b = t.pair_basis_indices()
+    pairs = lambda_pairs_within_degrees(t.n, t.degrees)
     table = x.monomial_table(t)
-    xm = table[a] @ table[b].conj().transpose(0, 2, 1)
-    pids = np.arange(a.size)
+    xa = table[[t.basis_index(a) for a, _ in pairs]]
+    xb = table[[t.basis_index(b) for _, b in pairs]]
+    xm = xa @ xb.conj().transpose(0, 2, 1)
+    pids = np.arange(len(pairs))
     if ids == "some":
-        pids = np.random.default_rng(8).permutation(a.size)[: a.size // 2]
+        pids = np.random.default_rng(8).permutation(len(pairs))[: len(pairs) // 2]
         pids[::5] = -1
         xm = xm[: pids.size]
     assert np.signbit(xm.real[xm.real == 0]).any()

@@ -12,6 +12,7 @@ from polyball.fock import (
     creation_matrix,
     creation_tuple,
     monomial_indices,
+    pair_operator,
     word_matrix,
     word_operator,
 )
@@ -386,28 +387,35 @@ def test_monomial_indices_match_word_reference(n, degrees, side):
 @pytest.mark.parametrize("n, degrees", [((2, 1), (5, 5)), ((3,), (6,)), ((1, 1, 2), (2, 2, 2))])
 def test_pair_table_cells_unique(n, degrees, side):
     """No (target, source) cell is hit by two pairs, so a single scatter
-    over the pair table equals the pair-by-pair sum; the table is built once."""
+    over the pair table equals the pair-by-pair sum.  The cells are grouped
+    by pair id, every pair has at least one, each pair's sources strictly
+    ascend; the table is built once."""
     t = FockTruncation(n, degrees)
-    pid, src, dst = t.pair_table(side)
-    assert pid.shape == src.shape == dst.shape
+    indptr, src, dst = t.pair_table(side)
+    assert src.shape == dst.shape
+    assert indptr.size == len(lambda_pairs_within_degrees(n, degrees)) + 1
+    assert indptr[0] == 0 and indptr[-1] == src.size
+    assert np.all(np.diff(indptr) > 0)
     cells = dst * t.dim + src
     assert np.unique(cells).size == cells.size
-    assert pid.max() == len(lambda_pairs_within_degrees(n, degrees)) - 1
-    assert t.pair_table(side)[0] is pid
+    pid = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    assert np.all((np.diff(src) > 0) | (np.diff(pid) > 0))
+    assert t.pair_table(side)[1] is src
 
 
 def _pair_table_by_pairs(t, side):
     """Reference build: per factor, word by word over the factor's words,
     strip a and attach b (``_shift_by_words``) for each single-factor lambda
-    pair, combined across factors by strides."""
+    pair, combined across factors by strides; then grouped by pair id with
+    a stable sort, as (indptr, source, target)."""
     pid = src = dst = np.zeros(1, dtype=np.int64)
     for i, (ni, di, dim) in enumerate(zip(t.n, t.degrees, t.factor_dims), start=1):
-        cells = []
+        cells, words = [], _factor_words(t, i)
         pairs = factor_lambda_pairs(ni, di)
         for p, (a, b) in enumerate(pairs):
             if side == "left":
                 a, b = a.reverse(), b.reverse()
-            image = [_shift_by_words(w, a, b, side, di) for w in _factor_words(t, i)]
+            image = [_shift_by_words(w, a, b, side, di) for w in words]
             s = np.array([k for k, v in enumerate(image) if v is not None], dtype=np.int64)
             m = np.array([t.factor_word_index(i, image[k]) for k in s], dtype=np.int64)
             cells.append((np.full(s.size, p, dtype=np.int64), s, m))
@@ -415,7 +423,9 @@ def _pair_table_by_pairs(t, side):
         pid = (pid[:, None] * len(pairs) + p_i).ravel()
         src = (src[:, None] * dim + s_i).ravel()
         dst = (dst[:, None] * dim + t_i).ravel()
-    return pid, src, dst
+    order = np.argsort(pid, kind="stable")
+    count = len(lambda_pairs_within_degrees(t.n, t.degrees))
+    return np.searchsorted(pid[order], np.arange(count + 1)), src[order], dst[order]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -431,12 +441,25 @@ def test_pair_table_blocks_match_per_pair_build(n, degrees, side):
 
 
 @pytest.mark.parametrize("n, degrees", INDEX_SHAPES)
-def test_pair_basis_indices_follow_pair_ids(n, degrees):
+def test_pair_table_first_cells_follow_pair_ids(n, degrees):
+    """The first cell of the pairing at the lambda pair (a, b), the monomial
+    at (b~, a~), is a~ -> b~ in the left table and a -> b in the right."""
     t = FockTruncation(n, degrees)
-    a, b = t.pair_basis_indices()
     pairs = lambda_pairs_within_degrees(n, degrees)
-    np.testing.assert_array_equal(a, [t.basis_index(p[0]) for p in pairs])
-    np.testing.assert_array_equal(b, [t.basis_index(p[1]) for p in pairs])
+    for side, flip in (("left", MultiWord.reverse), ("right", lambda w: w)):
+        indptr, src, dst = t.pair_table(side)
+        np.testing.assert_array_equal(src[indptr[:-1]], [t.basis_index(flip(a)) for a, _ in pairs])
+        np.testing.assert_array_equal(dst[indptr[:-1]], [t.basis_index(flip(b)) for _, b in pairs])
+
+
+def test_pair_operator_refuses_repeated_ids():
+    """Each pair id is placed once: a repeated id raises instead of keeping
+    one of its blocks or summing them; -1 (off the box) may repeat."""
+    t = FockTruncation((2, 1), (2, 2))
+    blocks = np.array([[[1.0]], [[2.0]]], dtype=complex)
+    with pytest.raises(ValueError, match="distinct"):
+        pair_operator(t, "left", np.array([3, 3]), blocks)
+    assert pair_operator(t, "left", np.array([-1, -1]), blocks).matrix.nnz == 0
 
 
 @pytest.mark.parametrize("n, degrees", INDEX_SHAPES)
@@ -453,6 +476,17 @@ def test_pair_id_is_position_in_box_order(n, degrees):
     w = multiword([[1]] + [[] for _ in n[1:]], n)
     with pytest.raises(ValueError):
         t.pair_id(w, w)
+
+
+def test_pair_id_refuses_other_shapes():
+    """A pair whose shape differs from the truncation's has no id there:
+    on (2,1)@(2,2), (g3, e) of shape (3,1) and a three-factor pair raise
+    instead of getting the id of another pair."""
+    t = FockTruncation((2, 1), (2, 2))
+    for n in ((3, 1), (2, 1, 1)):
+        g3 = multiword([[min(3, n[0])]] + [[] for _ in n[1:]], n)
+        with pytest.raises(TruncationError):
+            t.pair_id(g3, identity_multiword(n))
 
 
 @pytest.mark.parametrize("side", ["Left", "lft", "", None])

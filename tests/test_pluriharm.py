@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyball._linalg import min_eig_hermitian
 from polyball.berezin import PolyballPoint, berezin_transform, cauchy_operator
 from polyball.fock import FockTruncation, creation_matrix, word_operator
 from polyball.naimark import GeneratorError, kernel_from_generator, naimark_dilate
@@ -181,6 +182,21 @@ def test_schur_agreement_random(rng):
         assert rep.all_agree
         for p in rep.points:
             assert abs(p.operator_min_eig - p.gram_min_eig) < 1e-9
+
+
+def test_schur_positivity_compresses_before_densifying(refuse_dense, rng):
+    """At n=(2,1), max-len 3 the symbol operator is compressed to the
+    total-length window (26 x 26, e=1) before it is densified: no dense
+    array at the truncation's dimension (60) is made, and the operator's
+    smallest eigenvalues are those of the densified operator's window."""
+    sym = random_hermitian_symbol(rng, (2, 1), 1, 3, density=0.5)
+    trunc = FockTruncation((2, 1), (3, 3))
+    window = trunc.total_length_mask(3)
+    want = [min_eig_hermitian(symbol_operator(sym, trunc, r).dense()[np.ix_(window, window)])
+            for r in (0.3, 0.9)]
+    refuse_dense(trunc.dim)
+    rep = schur_positivity(sym, [0.3, 0.9], 3)
+    assert [p.operator_min_eig for p in rep.points] == want
 
 
 def test_from_row_isometries_vacuum_is_delta():

@@ -4,7 +4,7 @@ import scipy.sparse
 
 from polyball._linalg import opnorm
 from polyball.berezin import PolyballPoint, creation_point, poisson_kernel
-from polyball.fock import FockOperator, FockTruncation, monomial_indices, word_operator
+from polyball.fock import FockOperator, FockTruncation, monomial_indices, word_matrix, word_operator
 from polyball.toeplitz import (
     MultiToeplitzSymbol,
     NotLambdaPairError,
@@ -16,7 +16,12 @@ from polyball.toeplitz import (
     norm_on_grid,
     symbol_operator,
 )
-from polyball.words import identity_multiword, lambda_pairs_up_to_total, multiword
+from polyball.words import (
+    identity_multiword,
+    lambda_pairs_up_to_total,
+    lambda_pairs_within_degrees,
+    multiword,
+)
 from polyball.sampling import random_creation_polynomial, random_hermitian_symbol
 
 
@@ -75,13 +80,27 @@ def _random_sparse(rng, size, count):
     return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(size, size))
 
 
+def _series_distance_by_dense_sum(T):
+    """Reference for the series distance: T densified minus the dense sum of
+    T[a, b] (x) S_a S_b* (``word_matrix``) over every lambda pair within the
+    degrees, T[a, b] read from the dense array; the largest entry."""
+    trunc, e = T.trunc, T.coeff_dim
+    m4 = T.dense().reshape(trunc.dim, e, trunc.dim, e)
+    series = np.zeros_like(m4)
+    for a, b in lambda_pairs_within_degrees(trunc.n, trunc.degrees):
+        cells = word_matrix(trunc, a, b).tocoo()
+        series[cells.row, :, cells.col, :] += m4[trunc.basis_index(a), :, trunc.basis_index(b), :]
+    return float(np.max(np.abs(m4 - series), initial=0.0))
+
+
 @pytest.mark.parametrize("e_dim", [1, 2])
 @pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((1, 1, 2), (2, 2, 2)),
                                         ((3,), (4,)), ((2, 1), (5, 5))])
 def test_membership_matches_dense_gather(n, degrees, e_dim):
-    """The check on stored entries equals the dense gather on per-factor
-    windows bit for bit: on symbol operators (members), on symbol operators
-    with three entries added, and on random sparse matrices."""
+    """The reported violation is the dense series distance bit for bit, and
+    it is zero exactly where the dense gather of the compression conditions
+    on per-factor windows is: on symbol operators (members), on symbol
+    operators with three entries added, and on random sparse matrices."""
     rng = np.random.default_rng(17)
     t = FockTruncation(n, degrees)
     size = t.dim * e_dim
@@ -92,9 +111,11 @@ def test_membership_matches_dense_gather(n, degrees, e_dim):
         for T in (op,
                   FockOperator(t, op.matrix + _random_sparse(rng, size, 3), e_dim),
                   FockOperator(t, _random_sparse(rng, size, size // 4), e_dim)):
-            want = _membership_by_dense_gather(T)
-            assert is_k_multi_toeplitz(T).max_violation == want
-            violated += want > 0
+            got = is_k_multi_toeplitz(T).max_violation
+            assert got == _series_distance_by_dense_sum(T)
+            gather = _membership_by_dense_gather(T)
+            assert (got == 0) == (gather == 0)
+            violated += gather > 0
     assert _membership_by_dense_gather(op) == 0.0 and violated == 4
 
 

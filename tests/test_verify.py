@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse
 
 from polyball import verify
 from polyball._linalg import EXACT_DIM
-from polyball.fock import FockOperator, FockTruncation
+from polyball.fock import FockTruncation
 from polyball.verify import RunConfig
 
 
@@ -160,24 +159,13 @@ def test_verify_takes_no_dense_spectral_solve_above_the_cut(monkeypatch, degrees
 
 @pytest.mark.parametrize("item", ["toeplitz.membership", "toeplitz.fourier_roundtrip",
                                   "pluriharm.nu_roundtrip"])
-def test_verify_items_read_operators_without_densifying(monkeypatch, item):
+def test_verify_items_read_operators_without_densifying(refuse_dense, item):
     """At (2,1)@(5,5), max-len 2 (dimension 378) membership, the Fourier
     round trip and the trace-form round trip read the operators' stored
     entries: ``FockOperator.dense`` and SciPy's ``toarray`` refuse any result
     whose sides are both at least the truncation's dimension."""
     cfg = RunConfig(n=(2, 1), degrees=(5, 5), max_len=2, seed=0)
-    dim = FockTruncation(cfg.n, cfg.degrees).dim
-
-    def guarded(f, shape):
-        def call(self, *args, **kwargs):
-            if min(shape(self)) >= dim:
-                raise AssertionError(f"{f.__qualname__} of a {shape(self)} matrix")
-            return f(self, *args, **kwargs)
-        return call
-
-    monkeypatch.setattr(FockOperator, "dense", guarded(FockOperator.dense, lambda op: op.matrix.shape))
-    for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix, scipy.sparse.coo_matrix):
-        monkeypatch.setattr(cls, "toarray", guarded(cls.toarray, lambda m: m.shape))
+    refuse_dense(FockTruncation(cfg.n, cfg.degrees).dim)
     idx = [name for name, _ in verify._IDENTITIES].index(item)
     _, err, tol = verify._IDENTITIES[idx][1](cfg, verify._rng(cfg, idx))
     assert err <= tol
