@@ -16,6 +16,13 @@ monomial at (b~, a~), ~ the reversal; a creation letter is the formula
 rank(g_j.w) = (j - 1) n_i^|w| + rank(w), rank(w.g_j) = rank(w) n_i + j - 1
 (``FockTruncation.letter_map``).
 
+The table is a pure function of the shape and the side, so it is built once
+per (n, degrees, side) and process and shared by every truncation of that
+shape (at most ``PAIR_TABLE_CACHE_SIZE`` of them); its arrays are read-only.
+``FockTruncation.pair_id`` is memoized per (n, degrees, a, b) in the same
+way, up to ``PAIR_ID_CACHE_SIZE`` keys; a refused key raises every time.
+Nothing keyed by data (a coefficient, a point, an operator) is cached.
+
 The table is grouped by pair id, so every reader slices its own pairs'
 cells.  Sums over coefficient index pairs (a symbol's monomials, the Poisson
 kernel's pairings) gather them in one pass (``pair_operator``).  A single
@@ -40,12 +47,17 @@ whatever it is built from, and is read by ``blocks``; ``dense()`` is for LAPACK.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .words import MultiWord, Side, Word, _require_side, identity_multiword, words_up_to
+
+
+# shapes kept in the pair-table cache, and keys in the pair-id cache
+PAIR_TABLE_CACHE_SIZE = 16
+PAIR_ID_CACHE_SIZE = 1 << 14
 
 
 class TruncationError(ValueError):
@@ -80,9 +92,8 @@ class FockTruncation:
         self._factor_degree: list[np.ndarray] = []
         self._rank: list[np.ndarray] = []
         for ni, di in zip(self.n, self.degrees):
-            sizes = ni ** np.arange(di + 1, dtype=np.int64)
-            offset = np.concatenate(([0], np.cumsum(sizes)))
-            length = np.repeat(np.arange(di + 1, dtype=np.int64), sizes)
+            offset = _factor_offset(ni, di)
+            length = np.repeat(np.arange(di + 1, dtype=np.int64), np.diff(offset))
             self._offset.append(offset)
             self._factor_degree.append(length)
             self._rank.append(np.arange(offset[-1], dtype=np.int64) - offset[length])
@@ -91,7 +102,6 @@ class FockTruncation:
         self._strides = tuple(
             int(np.prod(self.factor_dims[i + 1 :])) for i in range(self.k)
         )
-        self._pair_tables: dict[Side, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- indexing -----------------------------------------------------------
 
@@ -174,82 +184,107 @@ class FockTruncation:
 
     def pair_id(self, a: MultiWord, b: MultiWord) -> int:
         """Position of the lambda pair (a, b) in ``lambda_pairs_within_degrees``;
-        -1 when a word is longer than its degree."""
-        if a.n != self.n or b.n != self.n:
-            raise TruncationError(f"pair shape {a.n}/{b.n} does not match {self.n}")
-        pid = 0
-        for i, (ai, bi) in enumerate(zip(a.parts, b.parts)):
-            if not (ai.is_identity or bi.is_identity):
-                raise ValueError(f"({a!r}; {b!r}) is not a lambda pair")
-            if len(ai) > self.degrees[i] or len(bi) > self.degrees[i]:
-                return -1
-            # per factor: (w, e) at the index of w, then (e, w) for w nonempty
-            dim = self.factor_dims[i]
-            w, shift = (ai, 0) if bi.is_identity else (bi, dim - 1)
-            pid = pid * (2 * dim - 1) + int(self._offset[i][len(w)]) + word_rank(w) + shift
-        return pid
+        -1 when a word is longer than its degree.  A key that is not a lambda
+        pair raises ``ValueError`` wherever its words lie."""
+        return _pair_id(self.n, self.degrees, a, b)
 
     def pair_table(self, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, source, target) of the pairings: at the lambda pair (a, b)
         with id p the monomial at (b~, a~), cells indptr[p]:indptr[p + 1] by
         ascending source, the first a~ -> b~ (left side) or a -> b (right).
-        Built on first use per side.
-
-        Per factor the cells come from ``_factor_pair_cells``; a multiword
-        pair's cells are the product of its factors' cells, combined with the
-        strides and stably sorted by pair id once.  No (target, source) cell
-        occurs twice: per factor, source and target determine the stripped
-        and the attached word."""
+        Built once per shape and side (``_pair_table``), read-only."""
         _require_side(side)
-        if side in self._pair_tables:
-            return self._pair_tables[side]
-        pid = src = dst = np.zeros(1, dtype=np.int64)
-        for i, dim in enumerate(self.factor_dims):
-            p_i, s_i, t_i = self._factor_pair_cells(i, side)
-            pid = (pid[:, None] * (2 * dim - 1) + p_i).ravel()
-            src = (src[:, None] * dim + s_i).ravel()
-            dst = (dst[:, None] * dim + t_i).ravel()
-        order = np.argsort(pid, kind="stable")
-        counts = np.bincount(pid, minlength=math.prod(2 * d - 1 for d in self.factor_dims))
-        table = np.concatenate(([0], np.cumsum(counts))), src[order], dst[order]
-        self._pair_tables[side] = table
-        return table
-
-    def _factor_pair_cells(self, i: int, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pair id, source, target) cells of the single-factor lambda pairs of
-        factor i (0-based), in ``factor_lambda_pairs`` order.
-
-        The pair (u, e) strips u from the long word and (e, u) attaches it to
-        the short one: the long word is t.u on the right side and u~.t on the
-        left, for every kept word t with |u| + |t| <= d.  So the cells of the
-        pairs with |u| = m and the kept words with |t| = p are one (n^m, n^p)
-        block, an outer product of their ranks, read long to short for (u, e)
-        and short to long for (e, u); per m, the blocks over p side by side,
-        read row by row, give each pair's cells by ascending source."""
-        n, d, dim, offset = self.n[i], self.degrees[i], self.factor_dims[i], self._offset[i]
-        strip, attach = [], []
-        for m in range(d + 1):
-            u = np.arange(n ** m, dtype=np.int64)
-            if side == "left":  # rank of the reversed word: digits read backwards
-                rest, u = u, np.zeros_like(u)
-                for _ in range(m):
-                    rest, digit = np.divmod(rest, n)
-                    u = u * n + digit
-            longs, shorts = [], []
-            for p in range(d - m + 1):
-                t = np.arange(n ** p, dtype=np.int64)
-                rank = u[:, None] * n ** p + t if side == "left" else t * n ** m + u[:, None]
-                longs.append(offset[m + p] + rank)
-                shorts.append(np.broadcast_to(offset[p] + t, rank.shape))
-            long, short = np.hstack(longs).ravel(), np.hstack(shorts).ravel()
-            ids = (offset[m] + np.arange(n ** m)).repeat(long.size // n ** m)
-            strip.append((ids, long, short))
-            if m:
-                attach.append((ids + dim - 1, short, long))
-        return tuple(np.concatenate(c) for c in zip(*strip, *attach))
+        return _pair_table(self.n, self.degrees, side)
 
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, degrees={self.degrees}, dim={self.dim})"
+
+
+def _factor_offset(n: int, d: int) -> np.ndarray:
+    """offset[p] = index of the first word of length p, for p <= d + 1."""
+    return np.concatenate(([0], np.cumsum(n ** np.arange(d + 1, dtype=np.int64))))
+
+
+@lru_cache(maxsize=PAIR_ID_CACHE_SIZE)
+def _pair_id(n: tuple[int, ...], degrees: tuple[int, ...], a: MultiWord, b: MultiWord) -> int:
+    """``FockTruncation.pair_id`` on the shape (n, degrees): every factor's
+    lambda membership is checked before a word beyond its degree gives -1."""
+    if a.n != n or b.n != n:
+        raise TruncationError(f"pair shape {a.n}/{b.n} does not match {n}")
+    if not all(ai.is_identity or bi.is_identity for ai, bi in zip(a.parts, b.parts)):
+        raise ValueError(f"({a!r}; {b!r}) is not a lambda pair")
+    pid = 0
+    for ni, d, ai, bi in zip(n, degrees, a.parts, b.parts):
+        if len(ai) > d or len(bi) > d:
+            return -1
+        # per factor: (w, e) at the index of w, then (e, w) for w nonempty
+        offset = _factor_offset(ni, d)
+        dim = int(offset[-1])
+        w, shift = (ai, 0) if bi.is_identity else (bi, dim - 1)
+        pid = pid * (2 * dim - 1) + int(offset[len(w)]) + word_rank(w) + shift
+    return pid
+
+
+@lru_cache(maxsize=PAIR_TABLE_CACHE_SIZE)
+def _pair_table(n: tuple[int, ...], degrees: tuple[int, ...],
+                side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``FockTruncation.pair_table`` on the shape (n, degrees).
+
+    Per factor the cells come from ``_factor_pair_cells``; a multiword
+    pair's cells are the product of its factors' cells, combined with the
+    strides and stably sorted by pair id once.  No (target, source) cell
+    occurs twice: per factor, source and target determine the stripped
+    and the attached word."""
+    pid = src = dst = np.zeros(1, dtype=np.int64)
+    dims = []
+    for ni, d in zip(n, degrees):
+        p_i, s_i, t_i = _factor_pair_cells(ni, d, side)
+        dim = int(_factor_offset(ni, d)[-1])
+        pid = (pid[:, None] * (2 * dim - 1) + p_i).ravel()
+        src = (src[:, None] * dim + s_i).ravel()
+        dst = (dst[:, None] * dim + t_i).ravel()
+        dims.append(dim)
+    order = np.argsort(pid, kind="stable")
+    counts = np.bincount(pid, minlength=math.prod(2 * d - 1 for d in dims))
+    table = np.concatenate(([0], np.cumsum(counts))), src[order], dst[order]
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _factor_pair_cells(n: int, d: int, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pair id, source, target) cells of the single-factor lambda pairs of
+    a factor with n generators and degree d, in ``factor_lambda_pairs`` order.
+
+    The pair (u, e) strips u from the long word and (e, u) attaches it to
+    the short one: the long word is t.u on the right side and u~.t on the
+    left, for every kept word t with |u| + |t| <= d.  So the cells of the
+    pairs with |u| = m and the kept words with |t| = p are one (n^m, n^p)
+    block, an outer product of their ranks, read long to short for (u, e)
+    and short to long for (e, u); per m, the blocks over p side by side,
+    read row by row, give each pair's cells by ascending source."""
+    offset = _factor_offset(n, d)
+    dim = int(offset[-1])
+    strip, attach = [], []
+    for m in range(d + 1):
+        u = np.arange(n ** m, dtype=np.int64)
+        if side == "left":  # rank of the reversed word: digits read backwards
+            rest, u = u, np.zeros_like(u)
+            for _ in range(m):
+                rest, digit = np.divmod(rest, n)
+                u = u * n + digit
+        longs, shorts = [], []
+        for p in range(d - m + 1):
+            t = np.arange(n ** p, dtype=np.int64)
+            rank = u[:, None] * n ** p + t if side == "left" else t * n ** m + u[:, None]
+            longs.append(offset[m + p] + rank)
+            shorts.append(np.broadcast_to(offset[p] + t, rank.shape))
+        long, short = np.hstack(longs).ravel(), np.hstack(shorts).ravel()
+        ids = (offset[m] + np.arange(n ** m)).repeat(long.size // n ** m)
+        strip.append((ids, long, short))
+        if m:
+            attach.append((ids + dim - 1, short, long))
+    return tuple(np.concatenate(c) for c in zip(*strip, *attach))
 
 
 class FockOperator:

@@ -4,7 +4,9 @@ semigroups and their constructive Naimark dilations at finite word length.
 A kernel is held as its Gram matrix over all multiwords of total length <= L,
 in graded monomial order, filled per quotient (no word pairs are compared) from
 a Hermitian ``MultiToeplitzSymbol`` on the quotient index pairs (absent pairs
-read as zero); ``_linalg.psd_verdict`` decides whether it is PSD.  A left
+read as zero); ``_linalg.psd_verdict`` decides whether it is PSD.  The
+monomials, their positions and each word's tail positions depend on the shape
+alone, so they are built once per process and shared, read-only.  A left
 kernel is constant along left-comparability quotients; its Gram matrix is
 Cholesky-factored in that order, a numerically dependent word column adding no
 row, and the row isometries act by prepending a generator to the indexing word.
@@ -21,14 +23,16 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._linalg import opnorm, psd_verdict
 from .toeplitz import MultiToeplitzSymbol
 from .words import (
+    ENUMERATION_CACHE_SIZE,
     MultiWord,
     ShapeMismatchError,
     Side,
@@ -36,6 +40,32 @@ from .words import (
     identity_multiword,
     multiwords_up_to_total,
 )
+
+
+# (side, shape, word) keys kept in the tail cache
+TAIL_CACHE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _graded_monomials(n: tuple[int, ...], max_len: int
+                      ) -> tuple[tuple[MultiWord, ...], Mapping[MultiWord, int], tuple[int, ...]]:
+    """The monomials of total length <= max_len in graded order, their
+    positions (read-only) and their total lengths."""
+    monos = tuple(multiwords_up_to_total(n, max_len))
+    position = MappingProxyType({w: p for p, w in enumerate(monos)})
+    return monos, position, tuple(w.total_length for w in monos)
+
+
+@lru_cache(maxsize=TAIL_CACHE_SIZE)
+def _tail_positions(side: Side, n: tuple[int, ...], max_len: int, x: MultiWord) -> np.ndarray:
+    """Positions among the monomials of x.t (right side) or t.x (left), over
+    the monomials t with |x| + |t| <= max_len in graded order (read-only)."""
+    monos, position, lengths = _graded_monomials(n, max_len)
+    tails = monos[: bisect.bisect_right(lengths, max_len - x.total_length)]
+    out = np.array([position[x.concat(t) if side == "right" else t.concat(x)] for t in tails],
+                   dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class KernelNotPSDError(ValueError):
@@ -59,8 +89,8 @@ class ToeplitzKernel:
         self.n = tuple(int(x) for x in n)
         self.e_dim = int(e_dim)
         self.max_len = int(max_len)
-        self.monomials = multiwords_up_to_total(self.n, self.max_len)
-        self._position = {w: p for p, w in enumerate(self.monomials)}
+        monos, self._position, _ = _graded_monomials(self.n, self.max_len)
+        self.monomials = list(monos)
         self._gram = np.asarray(gram, dtype=complex)
         if self._gram.shape != (len(self.monomials) * self.e_dim,) * 2:
             raise ShapeMismatchError(f"Gram shape {self._gram.shape} does not fit the monomials")
@@ -105,16 +135,13 @@ def kernel_from_generator(side: Side, gen: MultiToeplitzSymbol, max_len: int,
         raise GeneratorError("generator value at the unit pair must be the identity")
     if (defect := gen.hermitian_defect()) > 1e-10:
         raise GeneratorError(f"generator is not Hermitian (defect {defect:.3e})")
-    m = len(multiwords_up_to_total(n, max_len))
+    m = len(_graded_monomials(n, max_len)[0])
     k = ToeplitzKernel(side, n, e, max_len, np.zeros((m * e, m * e), dtype=complex))
-    g, pos = k.gram().reshape(m, e, m, e), k._position  # a view: the held Gram is filled in place
-    lengths = [t.total_length for t in k.monomials]  # graded: a length bound cuts a prefix
-    keys = [(a, b, v) for (a, b), v in gen.items() if np.any(v != 0)]
-    tailed = {x: [pos[x.concat(t) if side == "right" else t.concat(x)]  # x.t, or t.x on the left
-                  for t in k.monomials[: bisect.bisect_right(lengths, max_len - x.total_length)]]
-              for x in {x for a, b, _ in keys for x in (a, b)}}
-    for a, b, v in keys:  # both cut to the tails with max(|a|, |b|) + |t| <= L
-        g[tailed[a][: len(tailed[b])], :, tailed[b][: len(tailed[a])]] = v
+    g = k.gram().reshape(m, e, m, e)  # a view: the held Gram is filled in place
+    for (a, b), v in gen.items():
+        if np.any(v != 0):  # both cut to the tails with max(|a|, |b|) + |t| <= L
+            ta, tb = (_tail_positions(side, n, max_len, x) for x in (a, b))
+            g[ta[: tb.size], :, tb[: ta.size]] = v
     return k
 
 

@@ -4,6 +4,14 @@ Generators are 1-based integers; the empty tuple is the unit.  A MultiWord is
 one word per factor of a product of free monoids.  Everything downstream
 (basis enumeration, Toeplitz symbols, kernels) indexes by these types, so both
 are frozen and hashable.
+
+The enumerations are pure functions of the shape, so each is built once per
+argument and process and shared: ``words_up_to``, ``multiwords_up_to_total``
+and ``lambda_pairs_up_to_total`` keep their results as tuples of shared
+Word/MultiWord instances (at most ``ENUMERATION_CACHE_SIZE`` arguments each)
+and return a fresh list of them.  A MultiWord computes its hash, shape,
+total length and reversal once; the words are immutable, so sharing them is
+safe.  Nothing keyed by data is cached.
 """
 
 from __future__ import annotations
@@ -11,10 +19,13 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Sequence
 
 Side = Literal["left", "right"]
+
+# arguments kept per memoized enumeration
+ENUMERATION_CACHE_SIZE = 64
 
 
 def _require_side(side: Side) -> None:
@@ -77,8 +88,16 @@ class MultiWord:
     def k(self) -> int:
         return len(self.parts)
 
-    # n and total_length are computed once per word; the caches are not
-    # fields, so equality and hashing still read only the parts
+    # the hash, n, total_length and the reversal are computed once per word;
+    # the caches are not fields, so equality and hashing still read only the
+    # parts, and the hash is the generated one, hash((parts,))
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.parts,))
+
     @cached_property
     def n(self) -> tuple[int, ...]:
         return tuple(w.n for w in self.parts)
@@ -92,6 +111,10 @@ class MultiWord:
         return all(w.is_identity for w in self.parts)
 
     def reverse(self) -> "MultiWord":
+        return self._reversed
+
+    @cached_property
+    def _reversed(self) -> "MultiWord":
         return MultiWord(tuple(w.reverse() for w in self.parts))
 
     def concat(self, other: "MultiWord") -> "MultiWord":
@@ -191,20 +214,28 @@ def lambda_membership(a: MultiWord, b: MultiWord) -> bool:
 
 def words_up_to(n: int, d: int) -> list[Word]:
     """All words of length <= d in graded-lex order."""
-    return [Word(letters, n) for p in range(d + 1)
-            for letters in itertools.product(range(1, n + 1), repeat=p)]
+    return list(_words_up_to(n, d))
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _words_up_to(n: int, d: int) -> tuple[Word, ...]:
+    return tuple(Word(letters, n) for p in range(d + 1)
+                 for letters in itertools.product(range(1, n + 1), repeat=p))
 
 
 def multiwords_up_to_total(n: Sequence[int], total: int) -> list[MultiWord]:
     """All multiwords of total length <= total, ordered by total length and
     then row-major in the per-factor graded-lex orders."""
-    per_factor = [words_up_to(ni, total) for ni in n]
-    out: list[MultiWord] = []
-    for parts in itertools.product(*per_factor):
-        if sum(len(w) for w in parts) <= total:
-            out.append(MultiWord(tuple(parts)))
+    return list(_multiwords_up_to_total(tuple(n), total))
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _multiwords_up_to_total(n: tuple[int, ...], total: int) -> tuple[MultiWord, ...]:
+    per_factor = [_words_up_to(ni, total) for ni in n]
+    out = [MultiWord(parts) for parts in itertools.product(*per_factor)
+           if sum(len(w) for w in parts) <= total]
     out.sort(key=_mw_sort_key)
-    return out
+    return tuple(out)
 
 
 def _mw_sort_key(mw: MultiWord):
@@ -218,7 +249,12 @@ def lambda_pairs_up_to_total(n: Sequence[int], total: int) -> list[tuple[MultiWo
     The partners of a are the multiwords supported off the support of a; they
     form a prefix, bounded by total - |a|, of that support class.
     """
-    mws = multiwords_up_to_total(n, total)
+    return list(_lambda_pairs_up_to_total(tuple(n), total))
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _lambda_pairs_up_to_total(n: tuple[int, ...], total: int) -> tuple[tuple[MultiWord, MultiWord], ...]:
+    mws = _multiwords_up_to_total(n, total)
     support = [sum(1 << i for i, w in enumerate(mw.parts) if w.letters) for mw in mws]
     full = (1 << len(n)) - 1
     # partners[free]: the multiwords supported inside the factor set free
@@ -230,7 +266,7 @@ def lambda_pairs_up_to_total(n: Sequence[int], total: int) -> list[tuple[MultiWo
         free = full & ~s
         cut = bisect.bisect_right(lengths[free], total - a.total_length)
         out.extend((a, b) for b in partners[free][:cut])
-    return out
+    return tuple(out)
 
 
 def factor_lambda_pairs(n: int, d: int) -> list[tuple[Word, Word]]:

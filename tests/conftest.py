@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -26,3 +28,16 @@ def refuse_dense(monkeypatch):
         for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix, scipy.sparse.coo_matrix):
             monkeypatch.setattr(cls, "toarray", guarded(cls.toarray, lambda m: m.shape))
     return refuse
+
+
+@pytest.fixture
+def cold_caches():
+    """Clears every memoized shape structure of polyball (each
+    ``functools.lru_cache`` in its modules) and returns the caches, so a
+    test can start cold and read their hit and miss counts."""
+    caches = {id(obj): obj for name, module in list(sys.modules.items())
+              if name.startswith("polyball.") for obj in vars(module).values()
+              if callable(getattr(obj, "cache_clear", None)) and hasattr(obj, "cache_info")}
+    for cache in caches.values():
+        cache.cache_clear()
+    return list(caches.values())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from polyball import fock
 from polyball.fock import (
     FockOperator,
     FockTruncation,
@@ -478,6 +479,33 @@ def test_pair_id_is_position_in_box_order(n, degrees):
         t.pair_id(w, w)
 
 
+@pytest.mark.parametrize("n, degrees", [((2, 1), (2, 2)), ((1, 1, 2), (2, 2, 2))])
+def test_pair_id_checks_every_factor_before_the_box(n, degrees):
+    """A key that is not a lambda pair raises wherever its words lie: a
+    factor beyond its degree does not hide a later factor with both words
+    nonempty (on (2,1)@(2,2): (g1g1g1, f) against (e, f)).  The refusal is
+    not memoized: it raises on every call."""
+    t = FockTruncation(n, degrees)
+    rest = [[1]] * (len(n) - 1)
+    a = multiword([[1] * (degrees[0] + 1)] + rest, n)
+    b = multiword([[]] + rest, n)
+    for key in ((a, b), (b, a), (a.reverse(), b)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a lambda pair"):
+                t.pair_id(*key)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_pair_table_is_shared_and_read_only(side):
+    """Truncations of one shape share one table per side, and its arrays
+    refuse writes."""
+    table = FockTruncation((2, 1), (3, 3)).pair_table(side)
+    assert all(x is y for x, y in zip(table, FockTruncation([2, 1], [3, 3]).pair_table(side)))
+    for array in table:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_pair_id_refuses_other_shapes():
     """A pair whose shape differs from the truncation's has no id there:
     on (2,1)@(2,2), (g3, e) of shape (3,1) and a three-factor pair raise
@@ -496,8 +524,9 @@ def test_unknown_side_is_refused(side):
     under it."""
     t = FockTruncation((2, 1), (2, 2))
     a = multiword([[1], []], t.n)
+    built = fock._pair_table.cache_info()
     for call in (lambda: creation_tuple(t, side), lambda: t.pair_table(side),
                  lambda: monomial_indices(t, a, a, side)):
         with pytest.raises(ValueError, match="side must be"):
             call()
-    assert t._pair_tables == {}
+    assert fock._pair_table.cache_info() == built

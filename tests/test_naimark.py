@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from polyball import serialize, verify
+from polyball import naimark, serialize, verify
 from polyball._linalg import opnorm
 from polyball.fock import FockTruncation, apply_creation, creation_matrix, creation_tuple
 from polyball.naimark import (
@@ -545,3 +545,18 @@ def test_verify_small_seed_84_dilation_item_passes():
                    if name == "naimark.dilation_reproduction")
     _, err, tol = fn(cfg, verify._rng(cfg, idx))
     assert err <= tol
+
+
+def test_kernels_share_read_only_word_structure():
+    """Kernels of one shape share one monomial position map and one tail
+    position array per (side, shape, word); neither takes writes."""
+    n, unit = (2, 1), identity_multiword((2, 1))
+    gen = MultiToeplitzSymbol(n, 1, {(unit, unit): np.eye(1)})
+    k1, k2 = (kernel_from_generator("left", gen, 3) for _ in range(2))
+    assert k1._position is k2._position
+    with pytest.raises(TypeError):
+        k1._position[unit] = 1
+    tails = naimark._tail_positions("left", n, 3, unit)
+    np.testing.assert_array_equal(tails, np.arange(len(k1.monomials)))
+    with pytest.raises(ValueError, match="read-only"):
+        tails[0] = 1

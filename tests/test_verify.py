@@ -171,6 +171,33 @@ def test_verify_items_read_operators_without_densifying(refuse_dense, item):
     assert err <= tol
 
 
+def test_verify_builds_each_shape_structure_once(cold_caches):
+    """From cold caches, verify at both benchmark configurations builds each
+    memoized shape structure (pair table per (n, degrees, side), word
+    enumeration per argument, kernel monomials and tails) at most once:
+    every miss stored an entry, and none was evicted and built again."""
+    for degrees, max_len in (((3, 3), 3), ((5, 5), 2)):
+        results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
+        assert all(r.passed for r in results)
+    names = {cache.__name__ for cache in cold_caches}
+    assert {"_pair_table", "_words_up_to", "_multiwords_up_to_total",
+            "_lambda_pairs_up_to_total"} <= names
+    for cache in cold_caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize, (cache.__name__, info)
+
+
+def test_verify_results_do_not_depend_on_earlier_runs(cold_caches):
+    """No state leaks between runs: seed 3 after seed 5 in one process gives
+    the results of seed 3 after every shape cache is cleared."""
+    verify.verify_suite(RunConfig(seed=5))
+    warm = [r.to_json() for r in verify.verify_suite(RunConfig(seed=3))]
+    for cache in cold_caches:
+        cache.cache_clear()
+    cold = [r.to_json() for r in verify.verify_suite(RunConfig(seed=3))]
+    assert warm == cold
+
+
 @pytest.mark.parametrize("degrees, max_len, calls", [((5, 5), 2, 5), ((3, 3), 3, 0)], ids=["deep", "small"])
 def test_verify_lanczos_calls(monkeypatch, degrees, max_len, calls):
     """Lanczos runs only where verify reads a spectral value above EXACT_DIM:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyball.words import (
+    MultiWord,
     ShapeMismatchError,
     compare,
     identity_multiword,
@@ -25,6 +27,37 @@ def test_reverse_examples():
     w2 = multiword([[1, 2], [2]], [2, 2])
     assert w2.reverse() == multiword([[2, 1], [2]], [2, 2])
     assert w2.reverse().reverse() == w2
+
+
+def test_multiword_hash_and_reversal_are_cached_exactly():
+    """The cached hash is the generated one, hash((parts,)), so no set or
+    dict order moves; the cached reversal is the per-word one, computed once,
+    and reversing twice gives the word back."""
+    for mw in multiwords_up_to_total((2, 1, 3), 3):
+        assert hash(mw) == hash((mw.parts,)) == hash(MultiWord(mw.parts))
+        assert mw.reverse() == MultiWord(tuple(w.reverse() for w in mw.parts))
+        assert mw.reverse() is mw.reverse()
+        assert mw.reverse().reverse() == mw
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mw.parts = mw.reverse().parts
+
+
+@pytest.mark.parametrize("enumeration, args", [
+    (words_up_to, (2, 3)),
+    (multiwords_up_to_total, ((2, 1), 3)),
+    (lambda_pairs_up_to_total, ((2, 1), 3)),
+], ids=["words", "multiwords", "lambda_pairs"])
+def test_memoized_enumerations_return_fresh_lists(enumeration, args):
+    """Each call returns a new list of the shared words: editing one result
+    leaves the next call's result as it was."""
+    first = enumeration(*args)
+    want = list(first)
+    first.append(first[0])
+    first.reverse()
+    del first[1]
+    again = enumeration(*args)
+    assert again == want and again is not first
+    assert all(x is y for x, y in zip(again, enumeration(*args)))
 
 
 def test_compare_right_examples():
