@@ -47,6 +47,7 @@ from .toeplitz import (
 from .berezin import (
     BerezinKernelMatrix,
     DivergenceError,
+    GramFactor,
     PolyballPoint,
     SingularResolventError,
     berezin_kernel,

@@ -21,11 +21,17 @@ Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
 bounds collapse to zero.
 
-The resolvent is built at the universal model, the truncated creations,
-whose rows have norm at most 1: so its factors I - A_i have
-sigma_min(I - A_i) >= 1 - rho_i, rho_i the row norm of X_i.  An exact
-smallest singular value is computed at once only where that certificate
-cannot clear the 1e-12 guard, otherwise on reading ``min_singular``.
+The resolvent is built at the universal model, the truncated creations.
+They are nilpotent, so prod_i (I - A_i)^-1 is the finite word sum of
+V_b~ (x) X_b*, like the Berezin kernel's, in closed form: the full operator
+is one gather from the pair table and the monomial table, and a thin
+``rhs`` is applied factor by factor, each factor's resolvent gathered on
+its own truncation.  The creation rows have norm at most 1, so the factors have
+sigma_min(I - A_i) >= 1 - rho_i, rho_i the row norm of X_i, and I - A_i is
+the identity on the other factors, so ``min_singular`` is taken on each
+factor's own truncation (exactly up to ``_linalg.EXACT_DIM``, by Lanczos
+above it).  It is computed at once only where the certificate cannot clear
+the 1e-12 guard, otherwise on reading ``min_singular``.
 """
 
 from __future__ import annotations
@@ -281,19 +287,32 @@ def berezin_kernel(X: PolyballPoint, trunc: FockTruncation) -> BerezinKernelMatr
     return BerezinKernelMatrix(mat.reshape(trunc.dim * rank, X.h_dim), trunc, rank, X.h_dim, tail)
 
 
+class GramFactor:
+    """The PSD operator g = F F* kept as its thin (rows, r) factor F, and
+    applied to columns as F (F* cols): no rows x rows array is formed."""
+
+    def __init__(self, factor: np.ndarray):
+        self.factor = np.asarray(factor, dtype=complex)
+        self.shape = (self.factor.shape[0],) * 2
+
+    def __matmul__(self, cols: np.ndarray) -> np.ndarray:
+        return self.factor @ (self.factor.conj().T @ cols)
+
+
 def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
                       kernel: BerezinKernelMatrix | None = None) -> np.ndarray:
     """K_X* (g (x) I) K_X; the extended form when g carries a coefficient
     space (output is then laid out h-major, coefficient minor).
 
-    ``g`` is a ``FockOperator`` or a dense or SciPy-sparse matrix on the
-    truncation (x) C^e.  It is applied once, to the kernel's columns (each
-    amplified by I_e), and the result is reduced against K_X*."""
+    ``g`` is a ``FockOperator``, a dense or SciPy-sparse matrix or a
+    ``GramFactor`` on the truncation (x) C^e.  It is applied once, to the
+    kernel's columns (each amplified by I_e), and the result is reduced
+    against K_X*."""
     if isinstance(g, FockOperator):
         trunc, g = g.trunc, g.matrix
     elif trunc is None:
         raise ValueError("trunc required when g is a plain matrix")
-    if not hasattr(g, "toarray"):
+    if not (hasattr(g, "toarray") or isinstance(g, GramFactor)):
         g = np.asarray(g, dtype=complex)
     e = g.shape[0] // trunc.dim
     if kernel is None:
@@ -312,45 +331,58 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
 
 @dataclass
 class CauchyResult:
-    """The resolvent operator and the CSR parts A_i of its factors I - A_i
-    (see ``cauchy_operator``)."""
+    """The resolvent operator, and the truncation, point and side it was
+    built at, from which ``min_singular`` reads the factors I - A_i."""
     matrix: np.ndarray  # CSR for the full operator, dense for a thin rhs
-    parts: list = field(repr=False)
+    trunc: FockTruncation = field(repr=False)
+    point: PolyballPoint = field(repr=False)
+    side: Side
 
     @cached_property
     def min_singular(self) -> float:
         """Smallest singular value over the factors I - A_i."""
-        return min(_min_singular(a) for a in self.parts)
+        return min(_min_singular(*_factor(self.trunc, self.point, i), self.side)
+                   for i in range(self.point.k))
 
 
-def _min_singular(a) -> float:
-    """Smallest singular value of I - a for a nilpotent CSR ``a``: an exact
-    SVD up to ``_linalg.EXACT_DIM``, above it 1 / ||R|| by Lanczos on R^H R,
-    two CSR products per step with the exact CSR resolvent R = (I - a)^-1."""
+def _factor(trunc: FockTruncation, X: PolyballPoint, i: int):
+    """Factor i (from 0) alone: its own truncation and its row of the point."""
+    return FockTruncation(trunc.n[i : i + 1], trunc.degrees[i : i + 1]), PolyballPoint(X.X[i : i + 1])
+
+
+def _creation_gather(trunc: FockTruncation, X: PolyballPoint, side: Side,
+                     words=slice(None), root: np.ndarray | None = None):
+    """sum of V_b~ (x) root X_b* over the basis words b in ``words`` (basis
+    indices; all by default), as CSR; no root is the identity.
+
+    V_b~ = S_b~ (R_b~ on the right side) is the pairing at the creation pair
+    (e, b), whose first cell leaves the vacuum, so the creation pairs are the
+    ids with source 0 at their first cell: exactly dim of them, in the basis
+    order of b.  X_b is read from the point's monomial table, and
+    ``pair_operator`` places one h x h block at each cell."""
+    indptr, src, _ = trunc.pair_table(side)
+    pids = np.flatnonzero(src[indptr[:-1]] == 0)[words]
+    blocks = X.monomial_table(trunc)[words].conj().transpose(0, 2, 1)
+    return pair_operator(trunc, side, pids, blocks if root is None else root @ blocks).matrix
+
+
+def _min_singular(trunc: FockTruncation, X: PolyballPoint, side: Side) -> float:
+    """Smallest singular value of I - A for a one-factor point X on a
+    one-factor truncation, A the gather over the one-letter words: the exact
+    SVD of the dense I - A up to ``_linalg.EXACT_DIM``, above it 1 / ||R||
+    by Lanczos on R^H R, with R = (I - A)^-1 the gather over all words."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import LinearOperator
 
-    dim = a.shape[0]
-    eye = sp.eye(dim, dtype=complex, format="csr")
+    dim = trunc.dim * X.h_dim
     if dim <= la.EXACT_DIM:
+        a = _creation_gather(trunc, X, side, slice(1, trunc.n[0] + 1))
+        eye = sp.eye(dim, dtype=complex, format="csr")
         return float(np.linalg.svd((eye - a).toarray(), compute_uv=False)[-1])
-    inverse = _nilpotent_series(a, eye)
+    inverse = _creation_gather(trunc, X, side)
     inverse_h = inverse.conj().T.tocsr()
     op = LinearOperator((dim, dim), matvec=lambda x: inverse_h.dot(inverse.dot(x)), dtype=complex)
     return la.lanczos_top(op) ** -0.5
-
-
-def _nilpotent_series(a, x):
-    """(I - a)^(-1) x = sum_p a^p x for a strictly triangular sparse ``a``
-    and a dense or CSR ``x``.  Its powers vanish exactly, so the sum stops
-    at the first term that is exactly zero and is exact, not truncated."""
-    total = term = x
-    for _ in range(a.shape[0]):
-        term = a @ term
-        if not (term.count_nonzero() if hasattr(term, "toarray") else term.any()):
-            break
-        total = total + term
-    return total
 
 
 def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right",
@@ -358,46 +390,49 @@ def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right
     """(I (x) Delta_X(I)^(1/2)) prod_i (I - A_i)^(-1) rhs at the universal
     model: A_i = sum_j V_ij (x) X_ij* with V = ``creation_tuple(trunc, side)``.
 
-    ``rhs``, an (m*h, c) matrix on the truncation (x) C^h (main index major),
-    defaults to the identity, the full operator; it enters before the
-    solves, so a thin ``rhs`` costs c columns.  The creations are strictly
-    lower-triangular in graded-lex order, so each A_i is nilpotent and its
-    resolvent is the Neumann series of the CSR A_i, summed until a term is
-    exactly zero: exact, not truncated.  The full operator is CSR (the
-    series runs on a CSR identity, then the root as the sparse product
-    (I (x) Delta^(1/2)) R); a thin ``rhs`` gives a dense ``matrix``.
+    The creations are nilpotent, so the product is the finite word sum
+    sum_b V_b~ (x) Delta^(1/2) X_b* over the basis words b, one h x h block
+    per cell and no cell hit twice.  The full operator (``rhs`` None) is that
+    one gather (``_creation_gather``), CSR, with no series and no product of
+    sparse matrices.  ``rhs``, an (m*h, c) matrix on the truncation (x) C^h
+    (main index major), gives the dense (m*h, c) product
+    Delta^(1/2) R_1 (R_2 (... rhs)), each R_i = (I - A_i)^-1 the gather on
+    factor i's own truncation (``_factor``) applied along that factor's
+    axis: a thin ``rhs`` costs c columns, and with several factors no
+    operator on the whole space is built.
 
     A factor with smallest singular value <= 1e-12 raises
     ``SingularResolventError``.  A creation row has norm at most 1, so
     sigma_min(I - A_i) >= 1 - rho_i, rho_i the row norm of X_i: the exact
     value is computed at once only where 1 - rho_i <= 1e-12, otherwise
-    ``min_singular`` computes it, and the full inverse, on first read.
+    ``min_singular`` computes it on first read.  I - A_i is the identity on
+    the other factors, so its singular values are those of its factor's own
+    I - A (``_min_singular``).
     """
-    import scipy.sparse as sp
-
     if trunc.n != X.n:
         raise ValueError(f"truncation shape {trunc.n} does not match point shape {X.n}")
-    V = creation_tuple(trunc, side)
     m, h = trunc.dim, X.h_dim
     dim = m * h
-    acc = sp.eye(dim, dtype=complex, format="csr") if rhs is None else np.asarray(rhs, dtype=complex)
-    if acc.ndim != 2 or acc.shape[0] != dim:
-        raise ValueError(f"rhs needs shape ({dim}, c), got {acc.shape}")
+    if rhs is not None:
+        rhs = np.asarray(rhs, dtype=complex)
+        if rhs.ndim != 2 or rhs.shape[0] != dim:
+            raise ValueError(f"rhs needs shape ({dim}, c), got {rhs.shape}")
     rho = X.row_norms()
-    parts = []
     for i in reversed(range(X.k)):
-        a = sum(sp.kron(v, xij.conj().T, format="csr") for v, xij in zip(V[i], X.X[i]))
         # a NaN rho_i fails the comparison and takes the exact path
-        if not 1.0 - rho[i] > 1e-12 and (sv := _min_singular(a)) <= 1e-12:
+        if not 1.0 - rho[i] > 1e-12 and (sv := _min_singular(*_factor(trunc, X, i), side)) <= 1e-12:
             raise SingularResolventError(sv)
-        parts.append(a)
-        acc = _nilpotent_series(a, acc)
     root, _, _ = la.psd_sqrt(defect(X))
-    if sp.issparse(acc):
-        out = sp.kron(sp.eye(m), root, format="csr") @ acc
-    else:
-        out = (root @ acc.reshape(m, h, -1)).reshape(acc.shape)
-    return CauchyResult(out, parts)
+    if rhs is None:
+        return CauchyResult(_creation_gather(trunc, X, side, root=root), trunc, X, side)
+    out = rhs.reshape(*trunc.factor_dims, h, -1)
+    for i in reversed(range(X.k)):
+        r = _creation_gather(*_factor(trunc, X, i), side)
+        # factor i's words and the point's space, major, against everything else
+        moved = np.moveaxis(out, (i, X.k), (0, 1))
+        out = np.moveaxis((r @ moved.reshape(r.shape[0], -1)).reshape(moved.shape), (0, 1), (i, X.k))
+    out = (root @ out.reshape(m, h, -1)).reshape(rhs.shape)
+    return CauchyResult(out, trunc, X, side)
 
 
 @dataclass

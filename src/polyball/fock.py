@@ -25,7 +25,8 @@ Nothing keyed by data (a coefficient, a point, an operator) is cached.
 
 The table is grouped by pair id, so every reader slices its own pairs'
 cells.  Sums over coefficient index pairs (a symbol's monomials, the Poisson
-kernel's pairings) gather them in one pass (``pair_operator``).  A single
+kernel's pairings, the resolvent's creation words) gather them in one pass
+(``pair_operator``).  A single
 word monomial S_a S_b* (R_a R_b* on the right side), lambda pair or not,
 composes two pairings (``monomial_indices``): S_b* is the pairing at (b~, e)
 and S_a the one at (e, a~).  An annihilation never leaves the truncation, so
@@ -195,6 +196,15 @@ class FockTruncation:
         Built once per shape and side (``_pair_table``), read-only."""
         _require_side(side)
         return _pair_table(self.n, self.degrees, side)
+
+    def pair_cells(self, side: Side, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, owner): the positions in ``pair_table(side)`` of the cells
+        of the pairs with ids ``pids`` (each >= 0), pair after pair, and the
+        index in ``pids`` of each cell's pair."""
+        indptr = self.pair_table(side)[0]
+        counts = indptr[pids + 1] - indptr[pids]
+        owner = np.repeat(np.arange(len(pids)), counts)
+        return np.arange(owner.size) + (indptr[pids] - np.cumsum(counts) + counts)[owner], owner
 
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, degrees={self.degrees}, dim={self.dim})"
@@ -399,27 +409,31 @@ def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
     """Sum of blocks[j] (x) the pairing at pair id pids[j], as a CSR matrix;
     ids of -1 (pairs off the box) contribute nothing, repeated ids are refused.
 
-    Only the given pairs' cells are read from ``pair_table``.  No cell is hit
-    twice, so every stored entry is one block entry, and ``dense()`` has
-    every bit of the pair-by-pair sum onto zeros: the ``+ 0.0`` turns a -0.0
-    entry into +0.0, as that sum does."""
+    Only the given pairs' cells are read from ``pair_table``.  Distinct pairs
+    share no cell, so each cell is one stored e x e block and a repeated id
+    is a repeated cell.  The cells are sorted by (target, source), the
+    block-row order, and their blocks are a block CSR (BSR) matrix, whose
+    conversion is canonical CSR with cells * e^2 stored entries, explicit
+    zeros included (for e = 1 the BSR arrays are the CSR arrays).  ``dense()``
+    has every bit of the pair-by-pair sum onto zeros: the ``+ 0.0`` turns a
+    -0.0 entry into +0.0, as that sum does."""
     import scipy.sparse as sp
 
     e = blocks.shape[1]
     slots = np.flatnonzero(pids >= 0)
-    kept = pids[slots]
-    if np.unique(kept).size < kept.size:
+    _, src, dst = trunc.pair_table(side)
+    cells, owner = trunc.pair_cells(side, pids[slots])
+    key = dst[cells] * trunc.dim + src[cells]
+    order = np.argsort(key)
+    if (np.diff(key[order]) == 0).any():
         raise ValueError("pair ids must be distinct")
-    indptr, src, dst = trunc.pair_table(side)
-    counts = indptr[kept + 1] - indptr[kept]
-    cells = np.arange(counts.sum()) + np.repeat(indptr[kept] - np.cumsum(counts) + counts, counts)
-    p, q = np.indices((e, e))
-    n = trunc.dim * e
-    key = (dst[cells, None, None] * e + p) * n + src[cells, None, None] * e + q
-    order = np.argsort(key, axis=None)  # the CSR order: by row, then column
-    data = (blocks[np.repeat(slots, counts)] + 0.0).ravel()[order]
-    rows, cols = np.divmod(key.ravel()[order], n)
-    matrix = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    cells, owner = cells[order], slots[owner[order]]
+    rows = np.searchsorted(dst[cells], np.arange(trunc.dim + 1))
+    data, n = blocks[owner] + 0.0, trunc.dim * e
+    if e == 1:
+        matrix = sp.csr_matrix((data.ravel(), src[cells], rows), shape=(n, n))
+    else:
+        matrix = sp.bsr_matrix((data, src[cells], rows), shape=(n, n), blocksize=(e, e)).tocsr()
     return FockOperator(trunc, matrix, coeff_dim=e)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _linalg as la
 from .berezin import (
+    GramFactor,
     PolyballPoint,
     berezin_kernel,
     berezin_transform,
@@ -341,10 +342,10 @@ def _id_berezin_cp(cfg: RunConfig, rng) -> tuple[str, float, float]:
     worst = 0.0
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.6)
-        # a thin factor gives a PSD g = raw raw^H in O(dim^2 r); r = 8 >= h_dim
-        # makes its transform almost surely positive definite, not merely PSD
+        # a thin factor gives a PSD g = raw raw^H, applied in O(dim r) per column;
+        # r = 8 >= h_dim makes its transform almost surely positive definite
         raw = rng.standard_normal((trunc.dim, 8)) + 1j * rng.standard_normal((trunc.dim, 8))
-        out = berezin_transform(raw @ raw.conj().T, x, trunc=trunc)
+        out = berezin_transform(GramFactor(raw), x, trunc=trunc)
         # max diag <= ||out||: never loosens the 1e-12 tolerance; none positive fails
         scale = float(np.max(out.diagonal().real))
         worst = max(worst, -la.min_eig_hermitian(out / scale) if scale > 0 else 1.0)

@@ -31,6 +31,28 @@ def refuse_dense(monkeypatch):
 
 
 @pytest.fixture
+def refuse_sparse(monkeypatch):
+    """``refuse_sparse(dim=None)`` makes every product of two SciPy sparse
+    matrices raise and, given dim, also making any sparse matrix whose
+    sides are both at least dim.  A later call adds to an earlier one."""
+    def refuse(dim=None):
+        for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix,
+                    scipy.sparse.coo_matrix, scipy.sparse.bsr_matrix):
+            def product(self, other):
+                raise AssertionError(f"sparse product {self.shape} @ {other.shape}")
+
+            monkeypatch.setattr(cls, "_matmul_sparse", product)
+            if dim is not None:
+                def init(self, *args, _init=cls.__init__, **kwargs):
+                    _init(self, *args, **kwargs)
+                    if min(self.shape) >= dim:
+                        raise AssertionError(f"{type(self).__name__} of shape {self.shape}")
+
+                monkeypatch.setattr(cls, "__init__", init)
+    return refuse
+
+
+@pytest.fixture
 def cold_caches():
     """Clears every memoized shape structure of polyball (each
     ``functools.lru_cache`` in its modules) and returns the caches, so a

@@ -9,6 +9,7 @@ from polyball import berezin
 from polyball._linalg import EXACT_DIM, hermitian_norm, psd_sqrt
 from polyball.berezin import (
     DivergenceError,
+    GramFactor,
     PolyballPoint,
     SingularResolventError,
     dropped_shell_mass,
@@ -157,6 +158,19 @@ def test_transform_positive(rng):
     assert np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0] > -1e-12
 
 
+@pytest.mark.parametrize("e", [1, 2])
+def test_gram_factor_transform_is_the_dense_gram_transform(rng, e):
+    """A ``GramFactor`` F transforms as the dense g = F F*, applied as
+    F (F* cols), with and without a coefficient space."""
+    t = FockTruncation([2, 1], [2, 2])
+    x = random_point(rng, (2, 1), 2, 0.6)
+    raw = rng.standard_normal((t.dim * e, 5)) + 1j * rng.standard_normal((t.dim * e, 5))
+    want = berezin_transform(raw @ raw.conj().T, x, trunc=t)
+    got = berezin_transform(GramFactor(raw), x, trunc=t)
+    assert got.shape == want.shape == (2 * e, 2 * e)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_cauchy_neumann_oracle():
     t = FockTruncation([1], [6])
     r = creation_matrix(t, "right", 1, 1)
@@ -224,13 +238,16 @@ def test_cauchy_graded_matches_dense_oracle(rng, n, degrees, side, kind):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cauchy_graded_inverse_iteration_branch(rng, side):
-    """Above EXACT_DIM the smallest singular value is 1 / ||R_i|| by Lanczos
-    on the explicit CSR resolvents R_i = (I - A_i)^-1; it matches the exact
-    SVD of the dense factors I - A_i, with the full and with a thin rhs."""
-    t = FockTruncation((2, 1), (5, 5))
+    """I - A_i acts as the identity on the other factors, so its smallest
+    singular value is taken on factor i's own truncation: at (2,1)@(6,2)
+    with h = 2 factor 1 has dimension 254 > EXACT_DIM, and the value is
+    1 / ||R_1|| by Lanczos on its CSR resolvent R_1 = (I - A_1)^-1, factor 2
+    (dimension 6) the exact SVD.  It matches the SVD of the dense factors
+    I - A_i on the whole space, with the full and with a thin rhs."""
+    t = FockTruncation((2, 1), (6, 2))
     X = random_point(rng, (2, 1), 2, 0.6)
     dim = t.dim * X.h_dim
-    assert dim > EXACT_DIM
+    assert t.factor_dims[0] * X.h_dim > EXACT_DIM >= t.factor_dims[1] * X.h_dim
     c = cauchy_operator(t, X, side)
     ref_sv = _assert_matches_oracle(c, creation_tuple(t, side), X)
     assert c.min_singular == pytest.approx(ref_sv, rel=1e-12)
@@ -243,38 +260,55 @@ def test_cauchy_graded_inverse_iteration_branch(rng, side):
 def test_cauchy_min_singular_is_computed_on_read(rng, monkeypatch, side, kind):
     """Inside the ball the certificate 1 - rho_i > 1e-12 decides the guard,
     so neither the full operator nor a thin rhs calls ``_min_singular``
-    before ``min_singular`` is read, and a thin rhs runs the series on its
-    own columns only, never on the identity that builds the full inverse.
+    before ``min_singular`` is read.  The full operator is one gather on the
+    whole truncation; a thin rhs gathers each factor's resolvent on that
+    factor's own truncation, last factor first, and never the whole space.
     Read afterwards, the value matches the SVD of the dense factors and is
-    the same for thin and full.  (2,1)@(5,5) is above EXACT_DIM, so the
-    read runs Lanczos on the CSR resolvents."""
+    the same for thin and full."""
     t = FockTruncation((2, 1), (5, 5))
     X = _oracle_point(rng, kind, (2, 1), 2)
     dim = t.dim * X.h_dim
-    assert dim > EXACT_DIM
     rhs = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
-    series = berezin._nilpotent_series
-    widths = []
+    gather = berezin._creation_gather
+    shapes = []
 
     def refuse(*args):
         raise AssertionError("_min_singular before min_singular is read")
 
-    def recorded(a, x):
-        widths.append(x.shape[1])
-        return series(a, x)
+    def recorded(trunc, *args, **kwargs):
+        shapes.append((trunc.n, trunc.degrees))
+        return gather(trunc, *args, **kwargs)
 
     with monkeypatch.context() as patched:
         patched.setattr(berezin, "_min_singular", refuse)
-        patched.setattr(berezin, "_nilpotent_series", recorded)
+        patched.setattr(berezin, "_creation_gather", recorded)
         full = cauchy_operator(t, X, side)
-        assert widths == [dim, dim]
-        widths.clear()
+        assert shapes == [((2, 1), (5, 5))]
+        shapes.clear()
         thin = cauchy_operator(t, X, side, rhs=rhs)
-        assert widths == [3, 3]
+        assert shapes == [((1,), (5,)), ((2,), (5,))]
     ref = min(np.linalg.svd(f, compute_uv=False)[-1]
               for f in _dense_factors(creation_tuple(t, side), X))
     assert full.min_singular == pytest.approx(ref, rel=1e-12)
     assert thin.min_singular == full.min_singular
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cauchy_multiplies_no_sparse_matrices(refuse_sparse, rng, side):
+    """The resolvent is gathered, not multiplied out: while ``cauchy_operator``
+    runs no product of two sparse matrices is taken, and with a thin rhs no
+    sparse matrix on the whole space (both sides >= dim) is built at all,
+    only each factor's resolvent on its own truncation."""
+    t = FockTruncation((2, 1), (3, 3))
+    X = random_point(rng, (2, 1), 2, 0.6)
+    dim = t.dim * X.h_dim
+    rhs = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+    refuse_sparse()
+    full = cauchy_operator(t, X, side)
+    refuse_sparse(dim)
+    thin = cauchy_operator(t, X, side, rhs=rhs)
+    want = full.matrix @ rhs
+    assert np.abs(thin.matrix - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_cauchy_graded_guard_takes_the_exact_value_where_the_certificate_fails():
@@ -313,36 +347,33 @@ def test_creation_rows_are_contractions(n, degrees):
             assert np.linalg.norm(np.hstack([v.toarray() for v in row]), 2) <= 1.0 + 1e-15
 
 
-def _dense_identity_series(V, X):
-    """The resolvent as the exact Neumann series run on a dense identity,
-    factor by factor, then the defect root by the CSR product
-    (I (x) Delta^(1/2)) R."""
-    m = V[0][0].shape[0]
-    acc = np.eye(m * X.h_dim, dtype=complex)
-    for i in reversed(range(X.k)):
-        a = sum(scipy.sparse.kron(v, x.conj().T, format="csr") for v, x in zip(V[i], X.X[i]))
-        total = acc.copy()
-        term = acc
-        while True:
-            term = a @ term
-            if not term.any():
-                break
-            total += term
-        acc = total
+def _dense_word_sum(t, X, side):
+    """The resolvent expanded word by word: the sum over the basis words b
+    of kron(V_b~, Delta^(1/2) X_b*) onto a dense zero matrix, V_b~ the
+    compression ``word_matrix(t, b~, e, side)`` (S_b~, or R_b~ on the right
+    side) and each block one 2-D product with ``X.monomial(b)``."""
     root, _, _ = psd_sqrt(defect(X))
-    return scipy.sparse.kron(scipy.sparse.eye(m), root, format="csr") @ acc
+    e = identity_multiword(t.n)
+    out = np.zeros((t.dim * X.h_dim,) * 2, dtype=complex)
+    for f in range(t.dim):
+        b = t.basis_word(f)
+        out += np.kron(word_matrix(t, b.reverse(), e, side).toarray(), root @ X.monomial(b).conj().T)
+    return out
 
 
 @pytest.mark.parametrize("kind", ["nilpotent", "inside", "outside"])
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((2, 1), (5, 5)), ((1, 1, 2), (2, 2, 2))])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2)),
+                                        ((2,), (4,))])
 def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side, kind):
-    """The full operator, a CSR matrix whose series runs on a CSR identity,
-    equals the series on a dense identity bit for bit."""
+    """The full operator, the series (I - A)^-1 I gathered in closed form,
+    is a CSR matrix equal bit for bit to the series expanded word by word
+    on a dense identity.  Single-factor points do not commute within their
+    factor, so the shapes (3,) and (2,) tell a word from its reversal."""
     t = FockTruncation(n, degrees)
     X = _oracle_point(rng, kind, n, 2)
     c = cauchy_operator(t, X, side)
-    want = _dense_identity_series(creation_tuple(t, side), X)
+    want = _dense_word_sum(t, X, side)
     assert isinstance(c.matrix, scipy.sparse.csr_matrix)
     assert c.matrix.dtype == want.dtype and c.matrix.shape == want.shape
     assert c.matrix.toarray().tobytes() == want.tobytes()
@@ -351,9 +382,9 @@ def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cauchy_rhs_is_matrix_times_rhs(rng, side):
     """A thin rhs gives the full operator's product with it, and the same
-    min_singular, with left and right creations at (2,1)@(5,5) (dim 756, so
-    min_singular runs Lanczos)."""
-    t = FockTruncation((2, 1), (5, 5))
+    min_singular, with left and right creations at (2,1)@(6,2) (factor 1
+    has dimension 254 with h = 2, so min_singular runs Lanczos there)."""
+    t = FockTruncation((2, 1), (6, 2))
     X = random_point(rng, (2, 1), 2, 0.6)
     dim = t.dim * X.h_dim
     rhs = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
@@ -554,29 +585,38 @@ def _dense_pair_scatter(trunc, side, pids, blocks):
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("ids", ["all", "some"])
 def test_pair_operator_dense_is_the_dense_scatter(ids, side):
-    """``pair_operator`` is CSR and its ``dense()`` has the bytes of the dense
-    += scatter, at a nilpotent point whose monomials hold -0.0 entries, for
-    every pair id in order and for a shuffled subset with ids off the box;
-    each stored entry has the bits of its dense entry, -0.0 turned +0.0."""
+    """``pair_operator`` is canonical CSR with one stored e x e block per
+    cell (cells * e^2 entries, explicit zeros included), and its ``dense()``
+    has the bytes of the dense += scatter, for every pair id in order and
+    for a shuffled subset with ids off the box, with e = 1, 2 and 3.  The
+    blocks are corners of the pair monomials at a nilpotent point, some
+    set to -0.0; each stored entry has the bits of its dense entry, -0.0
+    turned +0.0."""
     t = FockTruncation((2, 1), (3, 2))
     x = random_nilpotent_point(np.random.default_rng(7), t.n, 3, 0.8)
     pairs = lambda_pairs_within_degrees(t.n, t.degrees)
     table = x.monomial_table(t)
     xa = table[[t.basis_index(a) for a, _ in pairs]]
     xb = table[[t.basis_index(b) for _, b in pairs]]
-    xm = xa @ xb.conj().transpose(0, 2, 1)
+    monomials = xa @ xb.conj().transpose(0, 2, 1)
     pids = np.arange(len(pairs))
     if ids == "some":
         pids = np.random.default_rng(8).permutation(len(pairs))[: len(pairs) // 2]
         pids[::5] = -1
-        xm = xm[: pids.size]
-    assert np.signbit(xm.real[xm.real == 0]).any()
-    op = pair_operator(t, side, pids, xm)
-    assert isinstance(op.matrix, scipy.sparse.csr_matrix)
-    want = _dense_pair_scatter(t, side, pids, xm)
-    assert op.dense().tobytes() == want.tobytes()
-    stored = op.matrix.tocoo()
-    assert stored.data.tobytes() == want[stored.row, stored.col].tobytes()
+    indptr, _, _ = t.pair_table(side)
+    kept = pids[pids >= 0]
+    cells = int((indptr[kept + 1] - indptr[kept]).sum())
+    for e in (1, 2, 3):
+        xm = monomials[: pids.size, :e, :e].copy()
+        xm[::4, 0, 0] = -0.0
+        assert np.signbit(xm.real[xm.real == 0]).any()
+        op = pair_operator(t, side, pids, xm)
+        assert isinstance(op.matrix, scipy.sparse.csr_matrix)
+        assert op.matrix.has_canonical_format and op.matrix.nnz == cells * e * e
+        want = _dense_pair_scatter(t, side, pids, xm)
+        assert op.dense().tobytes() == want.tobytes()
+        stored = op.matrix.tocoo()
+        assert stored.data.tobytes() == want[stored.row, stored.col].tobytes()
 
 
 def _word_product(x, i, letters):

@@ -3,6 +3,7 @@ import pytest
 
 from polyball import verify
 from polyball._linalg import EXACT_DIM
+from polyball.berezin import GramFactor
 from polyball.fock import FockTruncation
 from polyball.verify import RunConfig
 
@@ -218,3 +219,24 @@ def test_verify_lanczos_calls(monkeypatch, degrees, max_len, calls):
     results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
     assert all(r.passed for r in results)
     assert len(dims) == calls
+
+
+@pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)])
+def test_complete_positivity_forms_no_dense_gram(monkeypatch, degrees, max_len):
+    """The item's PSD operators reach the transform as thin factors, never
+    as a dim x dim Gram matrix, at both benchmark configurations."""
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
+    dim = FockTruncation(cfg.n, cfg.degrees).dim
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.complete_positivity")
+    transform = verify.berezin_transform
+    shapes = []
+
+    def thin_only(g, x, **kwargs):
+        assert isinstance(g, GramFactor)
+        shapes.append(g.factor.shape)
+        return transform(g, x, **kwargs)
+
+    monkeypatch.setattr(verify, "berezin_transform", thin_only)
+    _, err, tol = verify._id_berezin_cp(cfg, verify._rng(cfg, idx))
+    assert err <= tol
+    assert shapes == [(dim, 8)] * 3
