@@ -414,9 +414,8 @@ def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
     is a repeated cell.  The cells are sorted by (target, source), the
     block-row order, and their blocks are a block CSR (BSR) matrix, whose
     conversion is canonical CSR with cells * e^2 stored entries, explicit
-    zeros included (for e = 1 the BSR arrays are the CSR arrays).  ``dense()``
-    has every bit of the pair-by-pair sum onto zeros: the ``+ 0.0`` turns a
-    -0.0 entry into +0.0, as that sum does."""
+    zeros included.  ``dense()`` has every bit of the pair-by-pair sum onto
+    zeros: the ``+ 0.0`` turns a -0.0 entry into +0.0, as that sum does."""
     import scipy.sparse as sp
 
     e = blocks.shape[1]
@@ -429,12 +428,9 @@ def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
         raise ValueError("pair ids must be distinct")
     cells, owner = cells[order], slots[owner[order]]
     rows = np.searchsorted(dst[cells], np.arange(trunc.dim + 1))
-    data, n = blocks[owner] + 0.0, trunc.dim * e
-    if e == 1:
-        matrix = sp.csr_matrix((data.ravel(), src[cells], rows), shape=(n, n))
-    else:
-        matrix = sp.bsr_matrix((data, src[cells], rows), shape=(n, n), blocksize=(e, e)).tocsr()
-    return FockOperator(trunc, matrix, coeff_dim=e)
+    n = trunc.dim * e
+    matrix = sp.bsr_matrix((blocks[owner] + 0.0, src[cells], rows), shape=(n, n), blocksize=(e, e))
+    return FockOperator(trunc, matrix.tocsr(), coeff_dim=e)
 
 
 def word_matrix(trunc: FockTruncation, a: MultiWord, b: MultiWord,

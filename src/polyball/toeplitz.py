@@ -127,7 +127,7 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     # the block (target, source) key of each stored entry and of each cell
     stored = np.repeat(np.arange(m.shape[0]) // e, np.diff(m.indptr)) * trunc.dim + m.indices // e
     off = ~np.isin(stored, dst[cells] * trunc.dim + src[cells])
-    worst = float(max(np.max(on, initial=0.0), np.max(np.abs(m.data[off]), initial=0.0)))
+    worst = float(np.max(np.concatenate([on.ravel(), np.abs(m.data[off])]), initial=0.0))
     return ToeplitzReport(worst <= tol, worst, tol)
 
 

@@ -363,13 +363,14 @@ def _dense_word_sum(t, X, side):
 
 @pytest.mark.parametrize("kind", ["nilpotent", "inside", "outside"])
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2)),
-                                        ((2,), (4,))])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((2, 1), (5, 5)), ((1, 1, 2), (2, 2, 2)),
+                                        ((3,), (4,)), ((2,), (4,))])
 def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side, kind):
     """The full operator, the series (I - A)^-1 I gathered in closed form,
     is a CSR matrix equal bit for bit to the series expanded word by word
-    on a dense identity.  Single-factor points do not commute within their
-    factor, so the shapes (3,) and (2,) tell a word from its reversal."""
+    on a dense identity.  (2,1)@(5,5) is the shape of the deep verify run.
+    Single-factor points do not commute within their factor, so the shapes
+    (3,) and (2,) tell a word from its reversal."""
     t = FockTruncation(n, degrees)
     X = _oracle_point(rng, kind, n, 2)
     c = cauchy_operator(t, X, side)

@@ -131,6 +131,21 @@ def test_membership_rejects_unit_at_top_of_another_factor():
     assert not rep.passed and rep.max_violation == 1.0
 
 
+@pytest.mark.parametrize("base", ["zero", "creation"])
+def test_membership_propagates_nan_off_the_coefficient_cells(base):
+    """A NaN stored at ((g1g1, f^2), (g1g1, f^2)) on (2,1)@(2,2), a cell of
+    the identity pairing, whose coefficient T[e, e] is 0, is a violation of
+    NaN: the operator is not reported a member, with or without the
+    member S_g1 added."""
+    t = FockTruncation([2, 1], [2, 2])
+    p = t.basis_index(multiword([[1, 1], [1, 1]], t.n))
+    m = scipy.sparse.csr_matrix(([np.nan], ([p], [p])), shape=(t.dim, t.dim))
+    if base == "creation":
+        m = m + word_operator(t, multiword([[1], []], t.n), identity_multiword(t.n)).matrix
+    rep = is_k_multi_toeplitz(FockOperator(t, m.tocsr()))
+    assert not rep.passed and np.isnan(rep.max_violation)
+
+
 def test_single_creation_is_toeplitz():
     t = FockTruncation([2], [3])
     op = word_operator(t, multiword([[1]], [2]), identity_multiword([2]))
