@@ -55,16 +55,6 @@ def hermitian_norm(m) -> float:
     return float(max(-w[0], w[-1]))
 
 
-def schur_bound(m) -> float:
-    """Schur-test bound ``sqrt(||m||_1 ||m||_inf) >= ||m||`` for a dense or
-    SciPy-sparse m, in O(nnz): the largest absolute row sum when m is
-    Hermitian, exact when m is diagonal."""
-    if 0 in m.shape:
-        return 0.0
-    a = abs(m)
-    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
-
-
 def min_eig_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian matrix."""
     if m.shape[0] == 0:

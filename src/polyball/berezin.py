@@ -14,7 +14,8 @@ truncation, bit for bit the per-word ``monomial``, which keeps its own
 per-word cache so that one long word costs only its length in products.
 ``berezin_kernel`` is one batched product with the table, ``poisson_kernel``
 gathers X_a X_b* from it at each pair's first cell a -> b in the right
-pair table (``FockTruncation.pair_table``), and ``berezin_transform``
+pair table (``FockTruncation.pair_table``), ``poisson_window`` does so only
+for the cells inside one window, and ``berezin_transform``
 applies a dense or SciPy-sparse g once, to the kernel's columns.
 
 Truncated series report explicit geometric tail bounds computed from the row
@@ -500,3 +501,28 @@ def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
     xm = table[a] @ table[b].conj().transpose(0, 2, 1)  # X_a X_b* per pair, one batched matmul
     op = pair_operator(trunc, side, np.arange(a.size), xm)
     return PoissonKernelResult(op, tail, fact_bound)
+
+
+def poisson_window(X: PolyballPoint, trunc: FockTruncation, window: np.ndarray) -> np.ndarray:
+    """The right-side Poisson kernel on window x window, dense, for the
+    boolean ``window`` over the basis: rows and columns the window's basis
+    words in basis order, the point's space minor.
+
+    Only the cells of the right pair table whose source and target both lie
+    in the window are read, and X_a X_b* is formed only for their pairs;
+    each block is scattered onto zeros as ``pair_operator`` stores it, so the
+    result has every bit of ``poisson_kernel(X, trunc).op`` sliced to the
+    window, and no operator on the whole box is built."""
+    if X.n != trunc.n:
+        raise ValueError("point and truncation have different factor shapes")
+    indptr, src, dst = trunc.pair_table("right")
+    cells = np.flatnonzero(window[src] & window[dst])
+    # the table is grouped by pair id, and a pair's first cell is a -> b
+    pids, owner = np.unique(np.searchsorted(indptr, cells, side="right") - 1, return_inverse=True)
+    table = X.monomial_table(trunc)
+    xm = table[src[indptr[pids]]] @ table[dst[indptr[pids]]].conj().transpose(0, 2, 1)
+    place = np.cumsum(window) - 1
+    size, h = int(place[-1]) + 1, X.h_dim
+    out = np.zeros((size, h, size, h), dtype=complex)
+    out[place[dst[cells]], :, place[src[cells]], :] = xm[owner] + 0.0
+    return out.reshape(size * h, size * h)

@@ -32,14 +32,18 @@ def refuse_dense(monkeypatch):
 
 @pytest.fixture
 def refuse_sparse(monkeypatch):
-    """``refuse_sparse(dim=None)`` makes every product of two SciPy sparse
-    matrices raise and, given dim, also making any sparse matrix whose
-    sides are both at least dim.  A later call adds to an earlier one."""
-    def refuse(dim=None):
+    """``refuse_sparse(dim=None, operand=None)`` makes every product of two
+    SciPy sparse matrices raise or, given operand, only a product with an
+    operand whose sides are both at least operand; given dim, it also makes
+    building any sparse matrix whose sides are both at least dim raise.  A
+    later call adds to an earlier one."""
+    def refuse(dim=None, operand=None):
         for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix,
                     scipy.sparse.coo_matrix, scipy.sparse.bsr_matrix):
-            def product(self, other):
-                raise AssertionError(f"sparse product {self.shape} @ {other.shape}")
+            def product(self, other, _product=cls._matmul_sparse):
+                if operand is None or max(min(self.shape), min(other.shape)) >= operand:
+                    raise AssertionError(f"sparse product {self.shape} @ {other.shape}")
+                return _product(self, other)
 
             monkeypatch.setattr(cls, "_matmul_sparse", product)
             if dim is not None:

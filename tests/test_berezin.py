@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from polyball.berezin import (
     defect,
     in_polyball,
     poisson_kernel,
+    poisson_window,
     spectral_radius,
 )
 from polyball.fock import (
@@ -348,17 +350,24 @@ def test_creation_rows_are_contractions(n, degrees):
 
 
 def _dense_word_sum(t, X, side):
-    """The resolvent expanded word by word: the sum over the basis words b
-    of kron(V_b~, Delta^(1/2) X_b*) onto a dense zero matrix, V_b~ the
-    compression ``word_matrix(t, b~, e, side)`` (S_b~, or R_b~ on the right
-    side) and each block one 2-D product with ``X.monomial(b)``."""
+    """The resolvent expanded word by word: for each basis word b the block
+    Delta^(1/2) X_b* (one 2-D product with ``X.monomial(b)``), plus 0.0,
+    scattered onto a dense zero matrix at the cells of V_b~, the compression
+    ``word_matrix(t, b~, e, side)`` (S_b~, or R_b~ on the right side).  No
+    cell is hit twice (checked), so this is bit for bit the sum of
+    kron(V_b~, block) onto zeros, without the dense kron products."""
     root, _, _ = psd_sqrt(defect(X))
     e = identity_multiword(t.n)
-    out = np.zeros((t.dim * X.h_dim,) * 2, dtype=complex)
+    h = X.h_dim
+    out = np.zeros((t.dim, h, t.dim, h), dtype=complex)
+    hit = np.zeros((t.dim, t.dim), dtype=bool)
     for f in range(t.dim):
         b = t.basis_word(f)
-        out += np.kron(word_matrix(t, b.reverse(), e, side).toarray(), root @ X.monomial(b).conj().T)
-    return out
+        cells = word_matrix(t, b.reverse(), e, side).tocoo()
+        assert not hit[cells.row, cells.col].any()
+        hit[cells.row, cells.col] = True
+        out[cells.row, :, cells.col, :] = root @ X.monomial(b).conj().T + 0.0
+    return out.reshape(t.dim * h, t.dim * h)
 
 
 @pytest.mark.parametrize("kind", ["nilpotent", "inside", "outside"])
@@ -480,6 +489,28 @@ def test_factorization_window_exact_nilpotent(rng):
     d = pk.op.dense() - c.conj().T @ c
     mask = np.repeat(t.window_mask([2, 2]), x.h_dim)
     assert np.abs(d[np.ix_(mask, mask)]).max() < 1e-12
+
+
+WINDOW_SHAPES = [((2, 1), (3, 3)), ((1,), (6,)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2)), ((2, 2), (3, 2))]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n, degrees", WINDOW_SHAPES)
+def test_poisson_window_is_the_full_kernel_sliced(rng, n, degrees, h):
+    """On the window of every room of the box, ``poisson_window`` has every
+    bit of the full-box ``poisson_kernel(x, t).op`` sliced to the window, at
+    random points (row norm up to 0.9), a nilpotent point and the zero point."""
+    t = FockTruncation(n, degrees)
+    points = [random_point(rng, n, h, 0.9), random_point(rng, n, h, 0.3),
+              PolyballPoint([[np.zeros((h, h))] * ni for ni in n])]
+    if h > 1:
+        points.append(random_nilpotent_point(rng, n, h, 0.9))
+    for x in points:
+        full = poisson_kernel(x, t).op.dense()
+        for room in itertools.product(*(range(d + 1) for d in degrees)):
+            window = t.window_mask(room)
+            keep = np.repeat(window, h)
+            assert poisson_window(x, t, window).tobytes() == full[np.ix_(keep, keep)].tobytes()
 
 
 def test_poisson_kernel_left_mirror_single_generator(rng):

@@ -1,10 +1,21 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from polyball import verify
-from polyball._linalg import EXACT_DIM
-from polyball.berezin import GramFactor
+from polyball import berezin, verify
+from polyball._linalg import EXACT_DIM, opnorm
+from polyball.berezin import (
+    GramFactor,
+    PolyballPoint,
+    cauchy_operator,
+    defect,
+    dropped_shell_mass,
+    poisson_kernel,
+)
 from polyball.fock import FockTruncation
+from polyball.sampling import random_nilpotent_point, random_point
 from polyball.verify import RunConfig
 
 
@@ -114,9 +125,7 @@ def test_complete_positivity_draws_no_dim_by_dim_matrix():
 def test_poisson_factorization_catches_a_scaled_resolvent(monkeypatch, degrees, max_len, factor):
     """At seed 0 the factorization item passes with the true resolvent and
     fails with the resolvent's matrix scaled by 1.5 at both benchmark
-    configurations, and by 1.2 at verify-deep, where the norm of
-    P - C^H C stays within the bound but its Schur-test certificate does
-    not."""
+    configurations, and by 1.2 at verify-deep."""
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
     idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
     _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
@@ -131,6 +140,96 @@ def test_poisson_factorization_catches_a_scaled_resolvent(monkeypatch, degrees, 
     monkeypatch.setattr(verify, "cauchy_operator", scaled)
     _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
     assert err > tol
+
+
+@pytest.mark.parametrize("degrees, max_len, factor", [((3, 3), 3, 1.1), ((5, 5), 2, 1.1),
+                                                      ((5, 5), 2, 1.01)],
+                         ids=["small-x1.1", "deep-x1.1", "deep-x1.01"])
+def test_poisson_factorization_windows_catch_a_slightly_scaled_resolvent(monkeypatch, degrees,
+                                                                         max_len, factor):
+    """At seed 0 the room-graded windows pass the true resolvent and fail it
+    scaled by 1.1 at both benchmark configurations and by 1.01 at
+    verify-deep: on the deepest windows the scaled square misses P by about
+    2e-2, far above the dropped word shells."""
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
+    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
+    assert err <= tol == 1.0
+    resolvent = verify.cauchy_operator
+
+    def scaled(*args, **kwargs):
+        res = resolvent(*args, **kwargs)
+        res.matrix = factor * res.matrix
+        return res
+
+    monkeypatch.setattr(verify, "cauchy_operator", scaled)
+    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
+    assert err > tol
+
+
+def test_poisson_factorization_fails_on_a_nan_resolvent(monkeypatch):
+    """A NaN in one entry of the resolvent reaches the item's figure, which
+    then fails its tolerance instead of reading as 0."""
+    cfg = RunConfig(n=(2, 1), degrees=(3, 3), max_len=3, seed=0)
+    resolvent = verify.cauchy_operator
+
+    def poisoned(*args, **kwargs):
+        res = resolvent(*args, **kwargs)
+        res.matrix.data[0] = np.nan
+        return res
+
+    monkeypatch.setattr(verify, "cauchy_operator", poisoned)
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
+    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
+    assert math.isnan(err) and not err <= tol
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((1,), (6,)), ((3,), (4,)),
+                                        ((1, 1, 2), (2, 2, 2)), ((2, 2), (3, 2))])
+def test_poisson_factorization_rooms_stay_within_their_bounds(n, degrees, h):
+    """Against the dense full-box P - C^H C, the largest entry on the window
+    of every room b of the box is at most the item's bound
+    ||Delta|| dropped_shell_mass(rho^2, pairs=False, box=b) plus its stated
+    rounding allowance, at random points with row norms up to 0.9,
+    nilpotent points and the zero point.  Without the allowance 7 of these
+    15 cases fail, most at h = 1, where the bound is attained; with a
+    quarter of it 1 case fails."""
+    rng = np.random.default_rng([len(n), *degrees, h])
+    t = FockTruncation(n, degrees)
+    points = [PolyballPoint([[np.zeros((h, h))] * ni for ni in n])]
+    points += [random_point(rng, n, h, r) for r in rng.uniform(0.05, 0.9, 8)]
+    if h > 1:
+        points += [random_nilpotent_point(rng, n, h, r) for r in rng.uniform(0.05, 0.9, 4)]
+    for x in points:
+        c = cauchy_operator(t, x).matrix.toarray()
+        diff = poisson_kernel(x, t).op.dense() - c.conj().T @ c
+        dnorm = opnorm(defect(x))
+        rho2 = [r * r for r in x.row_norms()]
+        mass = math.prod(1.0 / (1.0 - q) for q in rho2)
+        allowance = verify.FACTORIZATION_ALLOWANCE * np.finfo(float).eps * dnorm * mass
+        for room in itertools.product(*(range(d + 1) for d in degrees)):
+            keep = np.repeat(t.window_mask(room), h)
+            err = np.abs(diff[np.ix_(keep, keep)]).max()
+            assert err <= dnorm * dropped_shell_mass(rho2, pairs=False, box=room) + allowance
+
+
+def test_poisson_factorization_builds_no_full_box_product(monkeypatch, refuse_sparse):
+    """At (2,1)@(5,5) the item builds no full-box Poisson kernel and
+    multiplies no sparse operand whose sides both reach the truncation's
+    dimension: only the window's columns of the resolvent are squared."""
+    cfg = RunConfig(n=(2, 1), degrees=(5, 5), max_len=2, seed=0)
+    dim = FockTruncation(cfg.n, cfg.degrees).dim
+
+    def full_box(*args, **kwargs):
+        raise AssertionError("poisson_kernel on the full box")
+
+    monkeypatch.setattr(berezin, "poisson_kernel", full_box)
+    monkeypatch.setattr(verify, "poisson_kernel", full_box, raising=False)
+    refuse_sparse(operand=dim)
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
+    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
+    assert err <= tol
 
 
 @pytest.mark.parametrize("degrees, max_len", [((5, 5), 2), ((3, 3), 3)], ids=["deep", "small"])
@@ -203,9 +302,8 @@ def test_verify_results_do_not_depend_on_earlier_runs(cold_caches):
 def test_verify_lanczos_calls(monkeypatch, degrees, max_len, calls):
     """Lanczos runs only where verify reads a spectral value above EXACT_DIM:
     at verify-deep the five symbol-operator norms of norm_monotonicity, at
-    verify-small nowhere.  The factorization item reads a Schur-test
-    certificate, and no item reads a resolvent's min_singular, so neither
-    runs it."""
+    verify-small nowhere.  The factorization item reads no spectral value,
+    and no item reads a resolvent's min_singular, so neither runs it."""
     from polyball import _linalg
 
     top = _linalg.lanczos_top
