@@ -16,7 +16,10 @@ per-word cache so that one long word costs only its length in products.
 gathers X_a X_b* from it at each pair's first cell a -> b in the right
 pair table (``FockTruncation.pair_table``), ``poisson_window`` does so only
 for the cells inside one window, and ``berezin_transform``
-applies a dense or SciPy-sparse g once, to the kernel's columns.
+applies a dense or SciPy-sparse g once, to the kernel's columns.  The
+transforms of pairings need no operator: ``pair_transforms`` reads the
+cells of all the given pairs once, gathers the kernel at them and sums the
+per-cell products pair by pair.
 
 Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
@@ -324,6 +327,34 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
     gk = (g @ cols).reshape(trunc.dim, e, kernel.defect_rank, -1)
     out = np.tensordot(kernel.as_tensor().conj(), gk, axes=([0, 1], [0, 2]))
     return out.reshape(X.h_dim * e, X.h_dim * e)
+
+
+def pair_transforms(kernel: BerezinKernelMatrix, pids: np.ndarray) -> np.ndarray:
+    """The transforms K_X* (P (x) I) K_X of the pairings P at the pair ids
+    ``pids`` of the left pair table, a (len(pids), h, h) array; an id of -1
+    (a pair off the box) gives zero.  The pairing at (b~, a~) is S_a S_b*
+    (``fock.word_matrix``).
+
+    A pairing sends source to target at each of its cells, so its
+    transform is the sum of K[target]* K[source] over them, K[f] the
+    kernel's (defect rank, h) rows at the basis word f: one gather at all
+    pairs' cells, one batched product and one segment sum."""
+    trunc, h = kernel.trunc, kernel.h_dim
+    pids = np.asarray(pids, dtype=np.int64)
+    out = np.zeros((len(pids), h, h), dtype=complex)
+    slots = np.flatnonzero(pids >= 0)
+    _, src, dst = trunc.pair_table("left")
+    cells, owner = trunc.pair_cells("left", pids[slots])
+    k = kernel.as_tensor()
+    target, source = k[dst[cells]].conj(), k[src[cells]]
+    # the per-cell products, one defect direction at a time: numpy's batched
+    # matmul is slower on so many (h, rank) @ (rank, h) products
+    products = target[:, 0, :, None] * source[:, 0, None, :]
+    for d in range(1, kernel.defect_rank):
+        products += target[:, d, :, None] * source[:, d, None, :]
+    # every pair in the box has a cell, its first; the cells come pair by pair
+    out[slots] = np.add.reduceat(products, np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -133,16 +133,39 @@ def kernel_from_generator(side: Side, gen: MultiToeplitzSymbol, max_len: int,
     n, e, unit = gen.n, gen.e_dim, identity_multiword(gen.n)
     if require_unit and np.max(np.abs(gen.coeff(unit, unit) - np.eye(e))) > 1e-10:
         raise GeneratorError("generator value at the unit pair must be the identity")
-    if (defect := gen.hermitian_defect()) > 1e-10:
-        raise GeneratorError(f"generator is not Hermitian (defect {defect:.3e})")
+    require_hermitian(gen)
+    blocks = gen.blocks()
+    p, q, owner = gram_cells(side, gen, max_len)
     m = len(_graded_monomials(n, max_len)[0])
     k = ToeplitzKernel(side, n, e, max_len, np.zeros((m * e, m * e), dtype=complex))
-    g = k.gram().reshape(m, e, m, e)  # a view: the held Gram is filled in place
-    for (a, b), v in gen.items():
-        if np.any(v != 0):  # both cut to the tails with max(|a|, |b|) + |t| <= L
-            ta, tb = (_tail_positions(side, n, max_len, x) for x in (a, b))
-            g[ta[: tb.size], :, tb[: ta.size]] = v
+    k.gram().reshape(m, e, m, e)[p, :, q] = blocks[owner]  # a view: filled in place
     return k
+
+
+def require_hermitian(gen: MultiToeplitzSymbol) -> None:
+    """Refuse a generator whose Hermitian defect is above 1e-10 or NaN."""
+    if not (defect := gen.hermitian_defect()) <= 1e-10:
+        raise GeneratorError(f"generator is not Hermitian (defect {defect:.3e})")
+
+
+def gram_cells(side: Side, gen: MultiToeplitzSymbol, max_len: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, owner): the Gram blocks (p, q), among the monomials of total
+    length <= max_len, that the kernel generated by ``gen`` fills, and the
+    index in key order of the coefficient at each.  A key (a, b) and a tail
+    t with max(|a|, |b|) + |t| <= L make the comparable pair (a.t, b.t) of a
+    right kernel, (t.a, t.b) of a left one; an all-zero coefficient fills
+    nothing.  Distinct keys fill distinct blocks."""
+    keys = list(gen.coeffs)
+    live = np.flatnonzero(gen.blocks().any(axis=(1, 2)))
+    p, q, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
+    for j in live:
+        ta, tb = (_tail_positions(side, gen.n, max_len, x) for x in keys[j])
+        # both cut to the tails with max(|a|, |b|) + |t| <= L
+        p.append(ta[: tb.size])
+        q.append(tb[: ta.size])
+        counts.append(min(ta.size, tb.size))
+    return np.concatenate(p), np.concatenate(q), np.repeat(live, np.array(counts, dtype=np.int64))
 
 
 def word_columns(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,

@@ -9,6 +9,10 @@ map on the operator system is fixed by its values on the quotient index
 monomials (these span the system), which form a symbol too: ``CbMapData``
 holds that symbol with the map's metadata, and the Herglotz class is a
 declared zero-pattern validated at construction.
+
+The Schur-type test compares two matrices per r whose cells depend on the
+symbol's keys and the shape alone: it reads them once per call and scatters
+only the r-scaled values (``MultiToeplitzSymbol.scaled``) per r.
 """
 
 from __future__ import annotations
@@ -23,8 +27,14 @@ import numpy as np
 from ._linalg import min_eig_hermitian
 from .berezin import DivergenceError, PolyballPoint, dropped_shell_mass
 from .fock import FockTruncation
-from .naimark import ToeplitzKernel, kernel_from_generator, word_columns
-from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator
+from .naimark import (
+    ToeplitzKernel,
+    gram_cells,
+    kernel_from_generator,
+    require_hermitian,
+    word_columns,
+)
+from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator, symbol_pair_ids
 from .words import (
     MultiWord,
     identity_multiword,
@@ -109,14 +119,39 @@ def schur_positivity(F: MultiToeplitzSymbol, r_grid: Iterable[float],
     The two matrices are compressions of the same operator computed along
     independent code paths (creation monomial assembly vs. word
     comparability), so the verdicts must agree.
+
+    The symbol must be Hermitian (``naimark.require_hermitian``).  The cells
+    depend on the keys and the shape alone, so they are read once per call:
+    the keys' left pair-table cells inside the window and the right
+    kernel's Gram blocks (``naimark.gram_cells``).  Per r the blocks of
+    ``F.scaled(r)`` are scattered onto dense zeros, giving every bit of
+    ``symbol_operator`` on the window (+ 0.0, as ``pair_operator`` stores
+    them) and of ``gamma_kernel``'s Gram (a block that scales to zero is
+    left out, as there); no sparse matrix is built.
     """
+    require_hermitian(F)
+    e = F.e_dim
     trunc = FockTruncation(F.n, [max_len] * len(F.n))
-    window = np.flatnonzero(np.repeat(trunc.total_length_mask(max_len), F.e_dim))
+    window = trunc.total_length_mask(max_len)
+    pids = symbol_pair_ids(F, trunc)
+    slots = np.flatnonzero(pids >= 0)
+    _, src, dst = trunc.pair_table("left")
+    cells, owner = trunc.pair_cells("left", pids[slots])
+    inside = window[src[cells]] & window[dst[cells]]
+    cells, op_owner = cells[inside], slots[owner[inside]]
+    place = np.cumsum(window) - 1
+    rows, cols, size = place[dst[cells]], place[src[cells]], int(place[-1]) + 1
+    p, q, gram_owner = gram_cells("right", F, max_len)
     points = []
     for r in r_grid:
-        m = symbol_operator(F, trunc, r).matrix[window][:, window]
-        op_min = min_eig_hermitian(m.toarray())
-        gram_min = min_eig_hermitian(gamma_kernel(F, r, max_len).gram())
+        blocks = F.scaled(r).blocks()
+        op = np.zeros((size, e, size, e), dtype=complex)
+        op[rows, :, cols, :] = blocks[op_owner] + 0.0
+        # the window's words are the kernel's monomials, in another order
+        gram = np.zeros((size, e, size, e), dtype=complex)
+        gram[p, :, q] = np.where(blocks.any(axis=(1, 2))[:, None, None], blocks, 0)[gram_owner]
+        op_min = min_eig_hermitian(op.reshape(size * e, size * e))
+        gram_min = min_eig_hermitian(gram.reshape(size * e, size * e))
         points.append(
             SchurPoint(r, op_min, gram_min, op_min >= -tol, gram_min >= -tol)
         )

@@ -79,17 +79,21 @@ class MultiToeplitzSymbol:
         return out
 
     def hermitian_defect(self) -> float:
-        worst = 0.0
-        for (a, b), m in self.coeffs.items():
-            worst = max(worst, float(np.max(np.abs(m - self.coeff(b, a).conj().T))))
-        return worst
+        """Largest |c(a, b) - c(b, a)*| entry; NaN when a coefficient is NaN."""
+        blocks = self.blocks()
+        partners = np.array([self.coeff(b, a) for a, b in self.coeffs]).reshape(blocks.shape)
+        return float(np.max(np.abs(blocks - partners.conj().transpose(0, 2, 1)), initial=0.0))
 
     def max_difference(self, other: "MultiToeplitzSymbol") -> float:
+        """Largest entry of |self - other| over both supports; NaN when a
+        coefficient is NaN."""
         keys = set(self.coeffs) | set(other.coeffs)
-        return max(
-            (float(np.max(np.abs(self.coeff(a, b) - other.coeff(a, b)))) for a, b in keys),
-            default=0.0,
-        )
+        return float(np.max([np.max(np.abs(self.coeff(a, b) - other.coeff(a, b)))
+                             for a, b in keys], initial=0.0))
+
+    def blocks(self) -> np.ndarray:
+        """The coefficients in key order, a (len(self), e, e) array."""
+        return np.array(list(self.coeffs.values())).reshape(len(self), self.e_dim, self.e_dim)
 
     @staticmethod
     def constant(n: Iterable[int], matrix: np.ndarray) -> "MultiToeplitzSymbol":
@@ -171,13 +175,16 @@ def symbol_operator(sym: MultiToeplitzSymbol, trunc: FockTruncation,
     untruncated operator, equivalent to (but cheaper than) evaluate_symbol at
     the creation point.  The monomial at a key (a, b) is the pairing at the
     lambda pair (b~, a~), so the sum is one scatter from the pair table."""
+    return pair_operator(trunc, side, symbol_pair_ids(sym, trunc), sym.scaled(r).blocks())
+
+
+def symbol_pair_ids(sym: MultiToeplitzSymbol, trunc: FockTruncation) -> np.ndarray:
+    """The pair id of each key's monomial, in key order: the key (a, b) is
+    the pairing at (b~, a~); -1 where a word is beyond its degree."""
     if trunc.n != sym.n:
         raise ValueError(f"truncation shape {trunc.n} does not match symbol shape {sym.n}")
-    coeffs = sym.scaled(r).coeffs
-    pids = np.array([trunc.pair_id(b.reverse(), a.reverse()) for a, b in coeffs],
+    return np.array([trunc.pair_id(b.reverse(), a.reverse()) for a, b in sym.coeffs],
                     dtype=np.int64)
-    blocks = np.array(list(coeffs.values())).reshape(len(coeffs), sym.e_dim, sym.e_dim)
-    return pair_operator(trunc, side, pids, blocks)
 
 
 def creation_pair_symbol(p: Mapping[MultiWord, complex],

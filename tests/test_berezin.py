@@ -20,6 +20,7 @@ from polyball.berezin import (
     creation_point,
     defect,
     in_polyball,
+    pair_transforms,
     poisson_kernel,
     poisson_window,
     spectral_radius,
@@ -140,6 +141,31 @@ def test_moment_identity_nilpotent(rng):
         got = berezin_transform(m, x, trunc=t, kernel=k)
         want = x.monomial(a) @ x.monomial(b).conj().T
         assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (4, 4)), ((2, 1), (5, 5)), ((3,), (4,)),
+                                        ((1, 1, 2), (2, 2, 2))])
+def test_pair_transforms_are_the_word_matrix_transforms(rng, n, degrees, h):
+    """The transform gathered at the pairing at (b~, a~) is, to 1e-14 of its
+    norm, ``berezin_transform`` of S_a S_b* as ``word_matrix`` builds it, for
+    every lambda pair of total length <= 4 and for two pairs whose words
+    leave the box (id -1), whose transforms are exactly zero."""
+    t = FockTruncation(n, degrees)
+    e = identity_multiword(n)
+    # a word one letter past the degree of factor 1
+    long = MultiWord((Word((1,) * (degrees[0] + 1), n[0]),) + e.parts[1:])
+    pairs = lambda_pairs_up_to_total(n, 4) + [(long, e), (e, long)]
+    pids = np.array([t.pair_id(b.reverse(), a.reverse()) for a, b in pairs])
+    assert (pids[-2:] == -1).all()
+    for x in (random_point(rng, n, h, 0.6), random_point(rng, n, h, 0.95)):
+        k = berezin_kernel(x, t)
+        got = pair_transforms(k, pids)
+        for (a, b), pid, g in zip(pairs, pids, got):
+            want = berezin_transform(word_matrix(t, a, b), x, trunc=t, kernel=k)
+            if pid < 0:
+                assert not want.any() and not g.any()
+            assert np.abs(g - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
 
 
 def test_transform_scalar_creation():

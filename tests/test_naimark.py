@@ -108,6 +108,17 @@ def test_generator_missing_adjoint_partner_raises():
     assert kernel_from_generator("left", gen, 2).value(w, g)[0, 0] == 0.25
 
 
+def test_generator_refuses_a_nan_coefficient():
+    """A NaN coefficient makes the Hermitian defect NaN, which the guard
+    refuses like a defect above 1e-10."""
+    g = identity_multiword([1])
+    w = multiword([[1]], [1])
+    gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1), (w, g): [[np.nan]],
+                                       (g, w): [[np.nan]]})
+    with pytest.raises(GeneratorError, match="not Hermitian"):
+        kernel_from_generator("left", gen, 2)
+
+
 def test_generator_refuses_non_lambda_key():
     """A key with both words nontrivial in one factor is refused when the
     generator symbol is built, before any kernel is filled."""

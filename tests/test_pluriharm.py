@@ -104,8 +104,36 @@ def _gamma_gram_by_pair_fill(F, r, max_len, side="right"):
     return g.reshape(len(monos) * e, -1)
 
 
-@pytest.mark.parametrize("shape", ["small", "verify-small", "verify-small-structure",
-                                   "left", "n=(1,1,2)", "e=1", "zero-block"])
+PAIR_FILL_SHAPES = ["small", "verify-small", "verify-small-structure", "left", "n=(1,1,2)",
+                    "e=1", "zero-block"]
+
+
+def _pair_fill_case(shape):
+    """(symbols, max_len) of a ``PAIR_FILL_SHAPES`` case, drawn from seed 8;
+    "left" draws the symbol of "small"."""
+    rng = np.random.default_rng(8)
+    n = (2, 1)
+    if shape in ("small", "left"):
+        return [random_hermitian_symbol(rng, n, 2, 2)], 2
+    if shape == "verify-small":
+        return [random_hermitian_symbol(rng, n, 2, 3, density=0.5) for _ in range(3)], 3
+    if shape == "verify-small-structure":
+        t = FockTruncation(n, [6, 6])
+        v = [[creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
+             for i, ni in enumerate(n, start=1)]
+        e_basis = np.linalg.qr(rng.standard_normal((t.dim, 2)))[0]
+        return [from_row_isometries(v, e_basis, 3)], 3
+    if shape == "n=(1,1,2)":
+        return [random_hermitian_symbol(rng, (1, 1, 2), 2, 3, density=0.6)], 3
+    if shape == "e=1":
+        return [random_hermitian_symbol(rng, n, 1, 3, density=0.6)], 3
+    sym = random_hermitian_symbol(rng, n, 2, 2)
+    a, g = multiword([[2], [1]], n), identity_multiword(n)
+    sym[a, g] = sym[g, a] = np.full((2, 2), complex(-0.0, -0.0))
+    return [sym], 3
+
+
+@pytest.mark.parametrize("shape", PAIR_FILL_SHAPES)
 def test_gamma_kernel_matches_pair_fill(shape):
     """The Gram filled per quotient is bitwise the one of the per-pair
     ``compare`` fill: at a small shape, at the shapes of the verify-small
@@ -113,28 +141,8 @@ def test_gamma_kernel_matches_pair_fill(shape):
     three factors, with scalar coefficients, and with an explicitly zero
     coefficient block (of -0.0 entries), which must leave +0.0 in the Gram.
     On the right side the kernel is ``gamma_kernel``."""
-    rng = np.random.default_rng(8)
-    n, side = (2, 1), "left" if shape == "left" else "right"
-    if shape in ("small", "left"):
-        syms, max_len = [random_hermitian_symbol(rng, n, 2, 2)], 2
-    elif shape == "verify-small":
-        syms = [random_hermitian_symbol(rng, n, 2, 3, density=0.5) for _ in range(3)]
-        max_len = 3
-    elif shape == "verify-small-structure":
-        t = FockTruncation(n, [6, 6])
-        v = [[creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
-             for i, ni in enumerate(n, start=1)]
-        e_basis = np.linalg.qr(rng.standard_normal((t.dim, 2)))[0]
-        syms, max_len = [from_row_isometries(v, e_basis, 3)], 3
-    elif shape == "n=(1,1,2)":
-        syms, max_len = [random_hermitian_symbol(rng, (1, 1, 2), 2, 3, density=0.6)], 3
-    elif shape == "e=1":
-        syms, max_len = [random_hermitian_symbol(rng, n, 1, 3, density=0.6)], 3
-    else:
-        sym = random_hermitian_symbol(rng, n, 2, 2)
-        a, g = multiword([[2], [1]], n), identity_multiword(n)
-        sym[a, g] = sym[g, a] = np.full((2, 2), complex(-0.0, -0.0))
-        syms, max_len = [sym], 3
+    side = "left" if shape == "left" else "right"
+    syms, max_len = _pair_fill_case(shape)
     for sym in syms:
         for r in (0.3, 0.6, 0.9, 1.0):
             k = (gamma_kernel(sym, r, max_len) if side == "right" else
@@ -142,8 +150,48 @@ def test_gamma_kernel_matches_pair_fill(shape):
             got = k.gram()
             assert got.tobytes() == _gamma_gram_by_pair_fill(sym, r, max_len, side).tobytes()
     if shape == "zero-block":
-        block = k.value(a, g)
+        n = syms[0].n
+        block = k.value(multiword([[2], [1]], n), identity_multiword(n))
         assert not block.any() and not np.signbit(block.view(float)).any()
+
+
+@pytest.mark.parametrize("shape", [s for s in PAIR_FILL_SHAPES if s != "left"])
+def test_schur_positivity_is_bitwise_the_per_r_oracle(shape):
+    """Both smallest eigenvalues have every bit of the per-r assembly's: the
+    dense symbol operator at the r-scaled creations on the total-length
+    window, and the Gram of ``gamma_kernel``, at the shapes of
+    ``test_gamma_kernel_matches_pair_fill`` (the Schur test is right-sided,
+    so "left" would repeat "small"), its -0.0 zero block included."""
+    syms, max_len = _pair_fill_case(shape)
+    grid = (0.3, 0.6, 0.9, 1.0)
+    for sym in syms:
+        trunc = FockTruncation(sym.n, [max_len] * len(sym.n))
+        keep = np.repeat(trunc.total_length_mask(max_len), sym.e_dim)
+        rep = schur_positivity(sym, grid, max_len)
+        for r, p in zip(grid, rep.points):
+            op = min_eig_hermitian(symbol_operator(sym, trunc, r).dense()[np.ix_(keep, keep)])
+            gram = min_eig_hermitian(gamma_kernel(sym, r, max_len).gram())
+            assert np.float64(p.operator_min_eig).tobytes() == np.float64(op).tobytes()
+            assert np.float64(p.gram_min_eig).tobytes() == np.float64(gram).tobytes()
+
+
+def test_schur_positivity_builds_no_sparse_matrix(refuse_sparse, rng):
+    """The operator window and the Gram are scattered onto dense zeros: no
+    SciPy sparse matrix of any size is built, and none is multiplied."""
+    sym = random_hermitian_symbol(rng, (2, 1), 2, 3, density=0.5)
+    refuse_sparse(dim=1)
+    rep = schur_positivity(sym, [0.3, 0.6, 0.9], 3)
+    assert rep.all_agree
+
+
+@pytest.mark.parametrize("defect", [1e-6, np.nan])
+def test_schur_positivity_refuses_a_non_hermitian_symbol(defect):
+    """The Hermitian check runs once per call on the symbol itself, and a NaN
+    defect is refused like a large one."""
+    f = tridiagonal_symbol(0.5)
+    f[identity_multiword([1]), multiword([[1]], [1])] = [[0.5 + defect]]
+    with pytest.raises(GeneratorError, match="not Hermitian"):
+        schur_positivity(f, [0.3, 0.6], 2)
 
 
 def test_gamma_kernel_refuses_non_hermitian_symbol():

@@ -146,6 +146,27 @@ def test_membership_propagates_nan_off_the_coefficient_cells(base):
     assert not rep.passed and np.isnan(rep.max_violation)
 
 
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_symbol_defects_propagate_nan(position):
+    """A NaN entry in one coefficient, stored first or last, makes both the
+    Hermitian defect and the difference against a clean copy NaN: neither
+    fold drops it."""
+    n = (2, 1)
+    g, w = identity_multiword(n), multiword([[1], []], n)
+    keys = [(g, g), (w, g), (g, w)]
+    clean = MultiToeplitzSymbol(n, 2, {k: np.eye(2) for k in keys})
+    poisoned = MultiToeplitzSymbol(n, 2, {k: np.eye(2) for k in keys})
+    poisoned[keys[0] if position == "first" else keys[-1]] = [[1.0, np.nan], [0.0, 1.0]]
+    assert clean.hermitian_defect() == 0.0 and clean.max_difference(clean) == 0.0
+    assert np.isnan(poisoned.hermitian_defect())
+    assert np.isnan(poisoned.max_difference(clean)) and np.isnan(clean.max_difference(poisoned))
+
+
+def test_symbol_defects_of_the_empty_symbol_are_zero():
+    empty = MultiToeplitzSymbol((2, 1), 2)
+    assert empty.hermitian_defect() == 0.0 and empty.max_difference(empty) == 0.0
+
+
 def test_single_creation_is_toeplitz():
     t = FockTruncation([2], [3])
     op = word_operator(t, multiword([[1]], [2]), identity_multiword([2]))

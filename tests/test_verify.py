@@ -184,6 +184,48 @@ def test_poisson_factorization_fails_on_a_nan_resolvent(monkeypatch):
     assert math.isnan(err) and not err <= tol
 
 
+def _poison_first(result):
+    """Puts a NaN in the first entry of a kernel, symbol or list of blocks."""
+    if isinstance(result, list):
+        result[0] = np.full_like(result[0], np.nan)
+    elif hasattr(result, "coeffs"):
+        key = next(iter(result.coeffs))
+        result.coeffs[key] = np.full_like(result.coeffs[key], np.nan)
+    else:
+        result.matrix[0, 0] = np.nan
+    return result
+
+
+@pytest.mark.parametrize("item, function", [
+    ("berezin.moment_identity", "berezin_kernel"),
+    ("toeplitz.fourier_roundtrip", "extract_symbol"),
+    ("pluriharm.nu_roundtrip", "nu_trace_form"),
+])
+@pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
+def test_items_fail_on_a_nan(monkeypatch, item, function, degrees, max_len):
+    """A NaN in what the item compares (the Berezin kernel's vacuum row, the
+    first coefficient of the recovered symbol, the first trace-form block)
+    reaches the item's figure, which then fails its tolerance instead of
+    reading as 0."""
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
+    original = getattr(verify, function)
+    monkeypatch.setattr(verify, function, lambda *args: _poison_first(original(*args)))
+    idx = [name for name, _ in verify._IDENTITIES].index(item)
+    _, err, tol = verify._IDENTITIES[idx][1](cfg, verify._rng(cfg, idx))
+    assert math.isnan(err) and not err <= tol
+
+
+@pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
+def test_moment_identity_catches_a_scaled_transform(monkeypatch, degrees, max_len):
+    """The gathered transforms scaled by 1.1 fail the item at seed 0."""
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
+    transforms = verify.pair_transforms
+    monkeypatch.setattr(verify, "pair_transforms", lambda *args: 1.1 * transforms(*args))
+    idx = [name for name, _ in verify._IDENTITIES].index("berezin.moment_identity")
+    _, err, tol = verify._id_berezin_moment(cfg, verify._rng(cfg, idx))
+    assert err > tol
+
+
 @pytest.mark.parametrize("h", [1, 2, 3])
 @pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((1,), (6,)), ((3,), (4,)),
                                         ((1, 1, 2), (2, 2, 2)), ((2, 2), (3, 2))])
