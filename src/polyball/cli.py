@@ -160,7 +160,7 @@ def cmd_dilate(args) -> int:
     print(f"dilated to dimension {dil.space_dim}; "
           f"max defect {rep.max_defect:.3e}; minimal={rep.minimal}")
     _emit(report, cfg.output)
-    if rep.max_defect > cfg.tol or not rep.minimal:
+    if not rep.max_defect <= cfg.tol or not rep.minimal:
         print(f"dilation failed verification: max defect {rep.max_defect:.3e} "
               f"(tolerance {cfg.tol:.3e}), minimal={rep.minimal}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -22,6 +22,7 @@ dense and sparse letters alike.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -306,8 +307,10 @@ class DilationReport:
 
     @property
     def max_defect(self) -> float:
-        return max(self.reproduction_error, self.isometry_defect,
+        """The largest defect, or NaN if any defect is NaN."""
+        defects = (self.reproduction_error, self.isometry_defect,
                    self.commutator_defect, self.embedding_defect)
+        return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
 def dilation_verify(D: NaimarkDilation, K: ToeplitzKernel,

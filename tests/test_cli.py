@@ -1,9 +1,11 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from polyball import serialize
+from polyball import cli, serialize, verify
 from polyball.berezin import PolyballPoint
 from polyball.cli import main
 from polyball.fock import FockTruncation
@@ -111,6 +113,48 @@ def test_dilate_fails_above_tolerance(tmp_path, capsys):
     assert 0 < max_defect <= 1e-9
     assert report["kernel"]["gram_min_eig"] > 1e-20  # PSD at this tolerance
     assert "failed verification" in capsys.readouterr().err
+
+
+def test_dilate_fails_on_a_nan_defect(tmp_path, monkeypatch, capsys):
+    """A NaN defect fails the dilation as a NaN error fails a verify item:
+    exit 1, with the report written."""
+    real = cli.dilation_verify
+
+    def nan_defect(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), isometry_defect=math.nan)
+
+    monkeypatch.setattr(cli, "dilation_verify", nan_defect)
+    out = tmp_path / "dilation.json"
+    assert run(["dilate", str(_rho_kernel_file(tmp_path)), "--output", str(out)]) == 1
+    assert math.isnan(json.loads(out.read_text())["defects"]["isometry_defect"])
+    assert "failed verification: max defect nan" in capsys.readouterr().err
+
+
+def test_verify_fails_on_a_nan_berezin_kernel(tmp_path, monkeypatch, capsys):
+    """With a NaN at the Berezin kernel's (0, 0) entry, the three items that
+    read the kernel print FAIL with max_error=nan, the report marks them
+    failed, and verify exits 1."""
+    real = verify.berezin_kernel
+
+    def poisoned(*args):
+        k = real(*args)
+        k.matrix[0, 0] = np.nan
+        return k
+
+    monkeypatch.setattr(verify, "berezin_kernel", poisoned)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--n", "2,1", "--degrees", "2,2", "--max-len", "2",
+                "--seed", "0", "--output", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split(":")[0] for line in lines if not line.startswith("PASS")]
+    assert failed == ["FAIL berezin.kernel_isometry", "FAIL berezin.intertwining",
+                      "FAIL berezin.moment_identity"]
+    assert any(line.startswith("FAIL berezin.kernel_isometry: max_error=nan ") for line in lines)
+    report = json.loads(out.read_text())
+    item = next(i for i in report["identities"] if i["name"] == "berezin.kernel_isometry")
+    assert math.isnan(item["max_error"]) and item["pass"] is False
+    assert report["all_pass"] is False
+    assert '"pass": false' in out.read_text()
 
 
 def test_dilate_singular_psd_kernel_at_tight_tolerance(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +9,7 @@ from polyball import naimark, serialize, verify
 from polyball._linalg import opnorm
 from polyball.fock import FockTruncation, apply_creation, creation_matrix, creation_tuple
 from polyball.naimark import (
+    DilationReport,
     GeneratorError,
     KernelNotPSDError,
     NaimarkDilation,
@@ -552,10 +556,18 @@ def test_verify_small_seed_84_dilation_item_passes():
     """verify --n 2,1 --degrees 3,3 --max-len 3 --seed 84: the dilation item
     once failed with 4.7e-4 against 1e-8."""
     cfg = verify.RunConfig(n=(2, 1), degrees=(3, 3), max_len=3, seed=84)
-    idx, fn = next((i, fn) for i, (name, fn) in enumerate(verify._IDENTITIES)
-                   if name == "naimark.dilation_reproduction")
-    _, err, tol = fn(cfg, verify._rng(cfg, idx))
-    assert err <= tol
+    assert verify.run_item("naimark.dilation_reproduction", cfg).passed
+
+
+@pytest.mark.parametrize("field", ["reproduction_error", "isometry_defect",
+                                   "commutator_defect", "embedding_defect"])
+def test_max_defect_keeps_a_nan(field):
+    """A NaN in any defect is the report's max_defect, which then fails every
+    tolerance; without one it is the largest defect."""
+    rep = DilationReport(1e-3, 2e-3, 0.0, 5e-4, True, 0)
+    assert rep.max_defect == 2e-3
+    nan_rep = dataclasses.replace(rep, **{field: math.nan})
+    assert math.isnan(nan_rep.max_defect) and not nan_rep.max_defect <= 1.0
 
 
 def test_kernels_share_read_only_word_structure():

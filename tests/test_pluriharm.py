@@ -678,10 +678,9 @@ def test_structure_items_keep_the_letters_sparse(item):
     from polyball import verify
 
     cfg = verify.RunConfig(n=(2, 1), degrees=(3, 3), max_len=3, seed=23)
-    idx, fn = next((i, fn) for i, (name, fn) in enumerate(verify._IDENTITIES) if name == item)
     tracemalloc.start()
     try:
-        fn(cfg, verify._rng(cfg, idx))
+        verify.run_item(item, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polyball import berezin, verify
 from polyball._linalg import EXACT_DIM, opnorm
@@ -20,8 +21,8 @@ from polyball.verify import RunConfig
 
 
 def test_vacuum_cyclicity_spans_the_truncation():
-    _, gap, tol = verify._id_fock_cyclicity(RunConfig(n=(2, 1), degrees=(3, 2)), None)
-    assert gap == tol == 0.0
+    res = verify.run_item("fock.vacuum_cyclicity", RunConfig(n=(2, 1), degrees=(3, 2)))
+    assert res.max_error == res.tolerance == 0.0
 
 
 def test_vacuum_cyclicity_reports_a_dropped_letter(monkeypatch):
@@ -35,10 +36,10 @@ def test_vacuum_cyclicity_reports_a_dropped_letter(monkeypatch):
 
     monkeypatch.setattr(verify, "creation_tuple", without_s12)
     cfg = RunConfig(n=(2, 1), degrees=(3, 2))
-    _, gap, tol = verify._id_fock_cyclicity(cfg, None)
+    res = verify.run_item("fock.vacuum_cyclicity", cfg)
     # the words of factor 1 written in the letter 1 alone: one per length
-    assert gap == 15 * 3 - 4 * 3
-    assert gap > tol
+    assert res.max_error == 15 * 3 - 4 * 3
+    assert res.max_error > res.tolerance
 
 
 def _vacuum_span_rank(trunc, letters):
@@ -67,7 +68,7 @@ def test_vacuum_cyclicity_gap_is_the_rank_deficit(monkeypatch, n, degrees, drop)
     monkeypatch.setattr(verify, "creation_tuple", letters)
     trunc = verify.FockTruncation(n, degrees)
     rank = _vacuum_span_rank(trunc, [s for row in letters(trunc) for s in row])
-    _, gap, _ = verify._id_fock_cyclicity(RunConfig(n=n, degrees=degrees), None)
+    gap = verify.run_item("fock.vacuum_cyclicity", RunConfig(n=n, degrees=degrees)).max_error
     assert gap == trunc.dim - rank
     assert (gap > 0) == drop
 
@@ -86,21 +87,18 @@ def test_complete_positivity_catches_a_negative_shift(monkeypatch, degrees, max_
         return out - (w[0] + 1e-11 * np.abs(w).max()) * np.eye(len(out))
 
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len)
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.complete_positivity")
-    _, err, tol = verify._id_berezin_cp(cfg, verify._rng(cfg, idx))
-    assert err <= tol
+    assert verify.run_item("berezin.complete_positivity", cfg).passed
     monkeypatch.setattr(verify, "berezin_transform", shifted)
-    _, err, tol = verify._id_berezin_cp(cfg, verify._rng(cfg, idx))
-    assert err > tol
+    res = verify.run_item("berezin.complete_positivity", cfg)
+    assert res.max_error > res.tolerance
 
 
-def test_complete_positivity_draws_no_dim_by_dim_matrix():
+def test_complete_positivity_draws_no_dim_by_dim_matrix(monkeypatch):
     """At (2,1)@(5,5) the item's PSD operators come from thin factors: a
     generator that passes every call through refuses any standard_normal
     draw whose two sides both reach the truncation's dimension."""
     cfg = RunConfig(n=(2, 1), degrees=(5, 5), max_len=2, seed=23)
     dim = FockTruncation(cfg.n, cfg.degrees).dim
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.complete_positivity")
 
     class ThinDraws:
         def __init__(self, rng):
@@ -115,8 +113,9 @@ def test_complete_positivity_draws_no_dim_by_dim_matrix():
                 raise AssertionError(f"standard_normal draw of shape {size}")
             return self.rng.standard_normal(size, *args, **kwargs)
 
-    _, err, tol = verify._id_berezin_cp(cfg, ThinDraws(verify._rng(cfg, idx)))
-    assert err <= tol
+    rng = verify._rng
+    monkeypatch.setattr(verify, "_rng", lambda cfg, salt: ThinDraws(rng(cfg, salt)))
+    assert verify.run_item("berezin.complete_positivity", cfg).passed
 
 
 @pytest.mark.parametrize("degrees, max_len, factor", [((3, 3), 3, 1.5), ((5, 5), 2, 1.5),
@@ -127,9 +126,7 @@ def test_poisson_factorization_catches_a_scaled_resolvent(monkeypatch, degrees, 
     fails with the resolvent's matrix scaled by 1.5 at both benchmark
     configurations, and by 1.2 at verify-deep."""
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
-    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
-    assert err <= tol
+    assert verify.run_item("berezin.poisson_factorization", cfg).passed
     resolvent = verify.cauchy_operator
 
     def scaled(*args, **kwargs):
@@ -138,8 +135,8 @@ def test_poisson_factorization_catches_a_scaled_resolvent(monkeypatch, degrees, 
         return res
 
     monkeypatch.setattr(verify, "cauchy_operator", scaled)
-    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
-    assert err > tol
+    res = verify.run_item("berezin.poisson_factorization", cfg)
+    assert res.max_error > res.tolerance
 
 
 @pytest.mark.parametrize("degrees, max_len, factor", [((3, 3), 3, 1.1), ((5, 5), 2, 1.1),
@@ -152,9 +149,8 @@ def test_poisson_factorization_windows_catch_a_slightly_scaled_resolvent(monkeyp
     verify-deep: on the deepest windows the scaled square misses P by about
     2e-2, far above the dropped word shells."""
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
-    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
-    assert err <= tol == 1.0
+    res = verify.run_item("berezin.poisson_factorization", cfg)
+    assert res.passed and res.tolerance == 1.0
     resolvent = verify.cauchy_operator
 
     def scaled(*args, **kwargs):
@@ -163,8 +159,8 @@ def test_poisson_factorization_windows_catch_a_slightly_scaled_resolvent(monkeyp
         return res
 
     monkeypatch.setattr(verify, "cauchy_operator", scaled)
-    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
-    assert err > tol
+    res = verify.run_item("berezin.poisson_factorization", cfg)
+    assert res.max_error > res.tolerance
 
 
 def test_poisson_factorization_fails_on_a_nan_resolvent(monkeypatch):
@@ -179,18 +175,20 @@ def test_poisson_factorization_fails_on_a_nan_resolvent(monkeypatch):
         return res
 
     monkeypatch.setattr(verify, "cauchy_operator", poisoned)
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
-    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
-    assert math.isnan(err) and not err <= tol
+    res = verify.run_item("berezin.poisson_factorization", cfg)
+    assert math.isnan(res.max_error) and not res.passed
 
 
 def _poison_first(result):
-    """Puts a NaN in the first entry of a kernel, symbol or list of blocks."""
+    """Puts a NaN in the first entry of a kernel, symbol or list of blocks,
+    or in the first stored entry of a sparse operator."""
     if isinstance(result, list):
         result[0] = np.full_like(result[0], np.nan)
     elif hasattr(result, "coeffs"):
         key = next(iter(result.coeffs))
         result.coeffs[key] = np.full_like(result.coeffs[key], np.nan)
+    elif sp.issparse(result.matrix):
+        result.matrix.data[0] = np.nan
     else:
         result.matrix[0, 0] = np.nan
     return result
@@ -200,19 +198,75 @@ def _poison_first(result):
     ("berezin.moment_identity", "berezin_kernel"),
     ("toeplitz.fourier_roundtrip", "extract_symbol"),
     ("pluriharm.nu_roundtrip", "nu_trace_form"),
+    ("toeplitz.membership", "word_operator"),
+    ("berezin.kernel_isometry", "berezin_kernel"),
+    ("berezin.intertwining", "berezin_kernel"),
 ])
 @pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
 def test_items_fail_on_a_nan(monkeypatch, item, function, degrees, max_len):
-    """A NaN in what the item compares (the Berezin kernel's vacuum row, the
-    first coefficient of the recovered symbol, the first trace-form block)
-    reaches the item's figure, which then fails its tolerance instead of
-    reading as 0."""
+    """A NaN in what the item compares (the Berezin kernel's vacuum entry,
+    the first coefficient of the recovered symbol, the first trace-form
+    block, the first stored entry of a word operator) reaches the item's
+    figure, which then fails its tolerance instead of reading as 0."""
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
     original = getattr(verify, function)
     monkeypatch.setattr(verify, function, lambda *args: _poison_first(original(*args)))
-    idx = [name for name, _ in verify._IDENTITIES].index(item)
-    _, err, tol = verify._IDENTITIES[idx][1](cfg, verify._rng(cfg, idx))
-    assert math.isnan(err) and not err <= tol
+    res = verify.run_item(item, cfg)
+    assert math.isnan(res.max_error) and not res.passed
+
+
+ITEM_NAMES = [
+    "words.comparability_reversal", "words.lambda_membership",
+    "fock.isometry_on_window", "fock.cross_factor_commutation", "fock.adjoint_consistency",
+    "fock.vacuum_cyclicity",
+    "toeplitz.membership", "toeplitz.fourier_roundtrip", "toeplitz.norm_monotonicity",
+    "berezin.kernel_isometry", "berezin.intertwining", "berezin.moment_identity",
+    "berezin.complete_positivity", "berezin.poisson_factorization",
+    "berezin.defect_factor_order", "berezin.spectral_radius",
+    "naimark.dilation_reproduction", "naimark.psd_refusal",
+    "pluriharm.schur_equivalence", "pluriharm.structure_positivity",
+    "pluriharm.poisson_transform_cp", "pluriharm.herglotz_real_part", "pluriharm.nu_roundtrip",
+]
+
+
+def test_item_names_keep_their_order():
+    """A row's position salts its draws, so an inserted or moved row would
+    re-seed every later item."""
+    assert [name for name, *_ in verify._IDENTITIES] == ITEM_NAMES
+
+
+@pytest.mark.parametrize("name", ITEM_NAMES)
+def test_run_item_folds_errors_to_their_maximum_and_keeps_a_nan(monkeypatch, name):
+    """Every item's figure is Python's max(0.0, *errors) over the errors it
+    yields, +0.0 for none or only -0.0, and NaN when a NaN comes first,
+    last or between real errors.  The item gets the draws of its row."""
+    cfg = RunConfig(seed=5)
+    idx = ITEM_NAMES.index(name)
+    _, anchor, tol, _ = verify._IDENTITIES[idx]
+    draws = []
+
+    def fold(errors):
+        def item(cfg, rng):
+            draws.append(rng.random())
+            yield from errors
+        rows = list(verify._IDENTITIES)
+        rows[idx] = (name, anchor, tol, item)
+        monkeypatch.setattr(verify, "_IDENTITIES", rows)
+        return verify.run_item(name, cfg)
+
+    for errors in ([math.nan, 0.5, 2.0], [0.5, np.float64(np.nan), 2.0], [0.5, 2.0, math.nan]):
+        res = fold(errors)
+        assert math.isnan(res.max_error) and not res.passed
+    for errors in ([], [-0.0, -0.0], [-1.0, -0.0]):
+        res = fold(errors)
+        assert res.max_error == 0.0 and math.copysign(1.0, res.max_error) == 1.0
+        assert res.passed
+    res = fold([-1.0, np.float64(3e-13), 2e-13, 1])
+    assert res.max_error == 1.0 and type(res.max_error) is float
+    assert res.max_error == max(0.0, -1.0, 3e-13, 2e-13, 1)
+    assert (res.name, res.anchor) == (name, anchor)
+    assert res.tolerance == (cfg.tol if tol is None else tol)
+    assert draws == [verify._rng(cfg, idx).random()] * len(draws)
 
 
 @pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
@@ -221,9 +275,8 @@ def test_moment_identity_catches_a_scaled_transform(monkeypatch, degrees, max_le
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
     transforms = verify.pair_transforms
     monkeypatch.setattr(verify, "pair_transforms", lambda *args: 1.1 * transforms(*args))
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.moment_identity")
-    _, err, tol = verify._id_berezin_moment(cfg, verify._rng(cfg, idx))
-    assert err > tol
+    res = verify.run_item("berezin.moment_identity", cfg)
+    assert res.max_error > res.tolerance
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -269,9 +322,7 @@ def test_poisson_factorization_builds_no_full_box_product(monkeypatch, refuse_sp
     monkeypatch.setattr(berezin, "poisson_kernel", full_box)
     monkeypatch.setattr(verify, "poisson_kernel", full_box, raising=False)
     refuse_sparse(operand=dim)
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.poisson_factorization")
-    _, err, tol = verify._id_berezin_factorization(cfg, verify._rng(cfg, idx))
-    assert err <= tol
+    assert verify.run_item("berezin.poisson_factorization", cfg).passed
 
 
 @pytest.mark.parametrize("degrees, max_len", [((5, 5), 2), ((3, 3), 3)], ids=["deep", "small"])
@@ -308,9 +359,7 @@ def test_verify_items_read_operators_without_densifying(refuse_dense, item):
     whose sides are both at least the truncation's dimension."""
     cfg = RunConfig(n=(2, 1), degrees=(5, 5), max_len=2, seed=0)
     refuse_dense(FockTruncation(cfg.n, cfg.degrees).dim)
-    idx = [name for name, _ in verify._IDENTITIES].index(item)
-    _, err, tol = verify._IDENTITIES[idx][1](cfg, verify._rng(cfg, idx))
-    assert err <= tol
+    assert verify.run_item(item, cfg).passed
 
 
 def test_verify_builds_each_shape_structure_once(cold_caches):
@@ -367,7 +416,6 @@ def test_complete_positivity_forms_no_dense_gram(monkeypatch, degrees, max_len):
     as a dim x dim Gram matrix, at both benchmark configurations."""
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
     dim = FockTruncation(cfg.n, cfg.degrees).dim
-    idx = [name for name, _ in verify._IDENTITIES].index("berezin.complete_positivity")
     transform = verify.berezin_transform
     shapes = []
 
@@ -377,6 +425,5 @@ def test_complete_positivity_forms_no_dense_gram(monkeypatch, degrees, max_len):
         return transform(g, x, **kwargs)
 
     monkeypatch.setattr(verify, "berezin_transform", thin_only)
-    _, err, tol = verify._id_berezin_cp(cfg, verify._rng(cfg, idx))
-    assert err <= tol
+    assert verify.run_item("berezin.complete_positivity", cfg).passed
     assert shapes == [(dim, 8)] * 3
