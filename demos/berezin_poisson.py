@@ -43,7 +43,7 @@ print("\n=== moment identity ===")
 a = multiword([[1], [1]], n)
 b = multiword([[2], []], n)
 m = word_operator(t, a, b).dense()
-got = berezin_transform(m, xn, trunc=t, kernel=k)
+got = berezin_transform(m, xn, trunc=t)
 want = xn.monomial(a) @ xn.monomial(b).conj().T
 print("|| B_X(S_a S_b*) - X_a X_b* || =", np.linalg.norm(got - want, 2))
 

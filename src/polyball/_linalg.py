@@ -24,11 +24,11 @@ against 5.6 ms at 252 and 33.8 against 7.0 ms at 378."""
 
 def lanczos_top(op) -> float:
     """The eigenvalue of largest modulus of the Hermitian square ``op`` (an
-    ndarray, a SciPy sparse matrix or a ``LinearOperator``), by Lanczos
-    (``eigsh``, k=1) converged to a relative tolerance of 1e-12, from a
-    fixed start vector.  The value is repeatable run to run only with BLAS on
-    one thread: on several threads the reductions' order, and with it the
-    last bits, can differ between runs."""
+    ndarray or a SciPy sparse matrix), by Lanczos (``eigsh``, k=1)
+    converged to a relative tolerance of 1e-12, from a fixed start vector.
+    The value is repeatable run to run only with BLAS on one thread: on
+    several threads the reductions' order, and with it the last bits, can
+    differ between runs."""
     from scipy.sparse.linalg import eigsh
 
     dim = op.shape[0]
@@ -71,21 +71,13 @@ def psd_verdict(m: np.ndarray) -> tuple[bool, float, float]:
     return float(w[0]) >= -1e-8 * scale, float(w[0]), scale
 
 
-def psd_sqrt(m: np.ndarray):
-    """Square root of a PSD matrix via eigendecomposition.
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """The PSD square root of ``m``'s Hermitian part, by eigendecomposition.
 
     Eigenvalues at or below 1e-12 * max(largest, 1) are set to zero, so
-    nearly-singular defect operators do not produce NaNs.  Returns
-    ``(root, factor, rank)`` where ``root = factor.conj().T @ factor`` is the
-    full square root and ``factor`` has shape (rank, dim), i.e. only the
-    numerically nonzero directions.
-    """
+    nearly-singular defect operators do not produce NaNs."""
     h = 0.5 * (m + m.conj().T)
     w, u = np.linalg.eigh(h)
     cutoff = 1e-12 * max(float(w[-1]), 1.0) if w.size else 0.0
-    keep = w > cutoff
-    w = np.where(keep, w, 0.0)
-    factor = (np.sqrt(w[keep])[:, None] * u[:, keep].conj().T)
-    root = u @ (np.sqrt(w)[:, None] * u.conj().T)
-    return root, factor, int(np.count_nonzero(keep))
-
+    w = np.where(w > cutoff, w, 0.0)
+    return u @ (np.sqrt(w)[:, None] * u.conj().T)

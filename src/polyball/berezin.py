@@ -12,14 +12,14 @@ rank order, and level p+1 is X_{i,j} @ (level p) over the letters j.
 ``monomial_table`` combines the levels into X_b for every basis word b of a
 truncation, bit for bit the per-word ``monomial``, which keeps its own
 per-word cache so that one long word costs only its length in products.
-``berezin_kernel`` is one batched product with the table, ``poisson_kernel``
-gathers X_a X_b* from it at each pair's first cell a -> b in the right
-pair table (``FockTruncation.pair_table``), ``poisson_window`` does so only
-for the cells inside one window, and ``berezin_transform``
-applies a dense or SciPy-sparse g once, to the kernel's columns.  The
-transforms of pairings need no operator: ``pair_transforms`` reads the
-cells of all the given pairs once, gathers the kernel at them and sums the
-per-cell products pair by pair.
+``berezin_kernel`` is one batched product of Delta^(1/2) with the table,
+``poisson_kernel`` gathers X_a X_b* from it at each pair's first cell
+a -> b in the right pair table (``FockTruncation.pair_table``),
+``poisson_window`` does so only for the cells inside one window, and
+``berezin_transform`` applies a dense or SciPy-sparse g once, to the
+kernel's columns.  The transforms of pairings need no operator:
+``pair_transforms`` reads the cells of all the given pairs once, gathers
+the kernel at them and sums the per-cell products pair by pair.
 
 Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
@@ -27,15 +27,17 @@ bounds collapse to zero.
 
 The resolvent is built at the universal model, the truncated creations.
 They are nilpotent, so prod_i (I - A_i)^-1 is the finite word sum of
-V_b~ (x) X_b*, like the Berezin kernel's, in closed form: the full operator
-is one gather from the pair table and the monomial table, and a thin
-``rhs`` is applied factor by factor, each factor's resolvent gathered on
-its own truncation.  The creation rows have norm at most 1, so the factors have
+V_b~ (x) X_b*, in closed form: the full operator is one gather from the
+pair table and the monomial table, and a thin ``rhs`` is applied factor by
+factor, each factor's resolvent gathered on its own truncation.  Times
+Delta^(1/2), the one square root of the defect, its vacuum column is the
+Berezin kernel on the right side (where V_b~ e = e_b), bit for bit.  The
+creation rows have norm at most 1, so the factors have
 sigma_min(I - A_i) >= 1 - rho_i, rho_i the row norm of X_i, and I - A_i is
-the identity on the other factors, so ``min_singular`` is taken on each
-factor's own truncation (exactly up to ``_linalg.EXACT_DIM``, by Lanczos
-above it).  It is computed at once only where the certificate cannot clear
-the 1e-12 guard, otherwise on reading ``min_singular``.
+the identity on the other factors, so ``min_singular`` is the exact SVD of
+each factor's own I - A.  It is computed at once only where the
+certificate cannot clear the 1e-12 guard, otherwise on reading
+``min_singular``.
 """
 
 from __future__ import annotations
@@ -247,14 +249,13 @@ def spectral_radius(X: PolyballPoint, max_p: int = 8) -> SpectralRadiusReport:
 
 @dataclass
 class BerezinKernelMatrix:
-    matrix: np.ndarray          # (trunc.dim * defect_rank, h_dim)
+    matrix: np.ndarray          # (trunc.dim * h_dim, h_dim)
     trunc: FockTruncation
-    defect_rank: int
     h_dim: int
     tail_bound: float
 
     def as_tensor(self) -> np.ndarray:
-        return self.matrix.reshape(self.trunc.dim, self.defect_rank, self.h_dim)
+        return self.matrix.reshape(self.trunc.dim, self.h_dim, self.h_dim)
 
 
 def _nilpotent_exact(X: PolyballPoint, trunc: FockTruncation) -> bool:
@@ -274,7 +275,9 @@ def _kernel_tail_bound(X: PolyballPoint, trunc: FockTruncation, dnorm: float) ->
 
 
 def berezin_kernel(X: PolyballPoint, trunc: FockTruncation) -> BerezinKernelMatrix:
-    """K_X h = sum_b  e_b (x) Delta^(1/2) X_b* h, truncated at the box.
+    """K_X h = sum_b  e_b (x) Delta^(1/2) X_b* h, truncated at the box: the
+    blocks Delta^(1/2) X_b* that ``_creation_gather`` places, so bit for bit
+    the vacuum column of the right-side resolvent ``cauchy_operator``.
 
     The tail bound caps the norm of the dropped rows; it is zero for jointly
     nilpotent points once the degrees cover the nilpotency index.
@@ -282,13 +285,9 @@ def berezin_kernel(X: PolyballPoint, trunc: FockTruncation) -> BerezinKernelMatr
     if X.n != trunc.n:
         raise ValueError("point and truncation have different factor shapes")
     delta = defect(X)
-    _, factor, rank = la.psd_sqrt(delta)
-    rank = max(rank, 1)
-    if factor.shape[0] == 0:
-        factor = np.zeros((1, X.h_dim), dtype=complex)
     tail = _kernel_tail_bound(X, trunc, la.opnorm(delta))
-    mat = factor @ X.monomial_table(trunc).conj().transpose(0, 2, 1)
-    return BerezinKernelMatrix(mat.reshape(trunc.dim * rank, X.h_dim), trunc, rank, X.h_dim, tail)
+    mat = la.psd_sqrt(delta) @ X.monomial_table(trunc).conj().transpose(0, 2, 1)
+    return BerezinKernelMatrix(mat.reshape(trunc.dim * X.h_dim, X.h_dim), trunc, X.h_dim, tail)
 
 
 class GramFactor:
@@ -303,8 +302,7 @@ class GramFactor:
         return self.factor @ (self.factor.conj().T @ cols)
 
 
-def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
-                      kernel: BerezinKernelMatrix | None = None) -> np.ndarray:
+def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None) -> np.ndarray:
     """K_X* (g (x) I) K_X; the extended form when g carries a coefficient
     space (output is then laid out h-major, coefficient minor).
 
@@ -318,15 +316,14 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None,
         raise ValueError("trunc required when g is a plain matrix")
     if not (hasattr(g, "toarray") or isinstance(g, GramFactor)):
         g = np.asarray(g, dtype=complex)
-    e = g.shape[0] // trunc.dim
-    if kernel is None:
-        kernel = berezin_kernel(X, trunc)
-    cols = kernel.matrix.reshape(trunc.dim, -1)  # row p: the kernel rows (p, d), d-major
+    e, h = g.shape[0] // trunc.dim, X.h_dim
+    k3 = berezin_kernel(X, trunc).as_tensor()
+    cols = k3.reshape(trunc.dim, -1)  # row p: the kernel rows (p, d), d-major
     if e > 1:
         cols = np.kron(cols, np.eye(e))  # row (q, j), column (d, y, j)
-    gk = (g @ cols).reshape(trunc.dim, e, kernel.defect_rank, -1)
-    out = np.tensordot(kernel.as_tensor().conj(), gk, axes=([0, 1], [0, 2]))
-    return out.reshape(X.h_dim * e, X.h_dim * e)
+    gk = (g @ cols).reshape(trunc.dim, e, h, -1)
+    out = np.tensordot(k3.conj(), gk, axes=([0, 1], [0, 2]))
+    return out.reshape(h * e, h * e)
 
 
 def pair_transforms(kernel: BerezinKernelMatrix, pids: np.ndarray) -> np.ndarray:
@@ -337,8 +334,8 @@ def pair_transforms(kernel: BerezinKernelMatrix, pids: np.ndarray) -> np.ndarray
 
     A pairing sends source to target at each of its cells, so its
     transform is the sum of K[target]* K[source] over them, K[f] the
-    kernel's (defect rank, h) rows at the basis word f: one gather at all
-    pairs' cells, one batched product and one segment sum."""
+    kernel's (h, h) rows at the basis word f: one gather at all pairs'
+    cells, one batched product and one segment sum."""
     trunc, h = kernel.trunc, kernel.h_dim
     pids = np.asarray(pids, dtype=np.int64)
     out = np.zeros((len(pids), h, h), dtype=complex)
@@ -347,10 +344,10 @@ def pair_transforms(kernel: BerezinKernelMatrix, pids: np.ndarray) -> np.ndarray
     cells, owner = trunc.pair_cells("left", pids[slots])
     k = kernel.as_tensor()
     target, source = k[dst[cells]].conj(), k[src[cells]]
-    # the per-cell products, one defect direction at a time: numpy's batched
-    # matmul is slower on so many (h, rank) @ (rank, h) products
+    # the per-cell products, one row of Delta^(1/2) at a time: numpy's batched
+    # matmul is slower on so many (h, h) @ (h, h) products
     products = target[:, 0, :, None] * source[:, 0, None, :]
-    for d in range(1, kernel.defect_rank):
+    for d in range(1, h):
         products += target[:, d, :, None] * source[:, d, None, :]
     # every pair in the box has a cell, its first; the cells come pair by pair
     out[slots] = np.add.reduceat(products, np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
@@ -401,20 +398,9 @@ def _creation_gather(trunc: FockTruncation, X: PolyballPoint, side: Side,
 def _min_singular(trunc: FockTruncation, X: PolyballPoint, side: Side) -> float:
     """Smallest singular value of I - A for a one-factor point X on a
     one-factor truncation, A the gather over the one-letter words: the exact
-    SVD of the dense I - A up to ``_linalg.EXACT_DIM``, above it 1 / ||R||
-    by Lanczos on R^H R, with R = (I - A)^-1 the gather over all words."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import LinearOperator
-
-    dim = trunc.dim * X.h_dim
-    if dim <= la.EXACT_DIM:
-        a = _creation_gather(trunc, X, side, slice(1, trunc.n[0] + 1))
-        eye = sp.eye(dim, dtype=complex, format="csr")
-        return float(np.linalg.svd((eye - a).toarray(), compute_uv=False)[-1])
-    inverse = _creation_gather(trunc, X, side)
-    inverse_h = inverse.conj().T.tocsr()
-    op = LinearOperator((dim, dim), matvec=lambda x: inverse_h.dot(inverse.dot(x)), dtype=complex)
-    return la.lanczos_top(op) ** -0.5
+    SVD of the dense I - A."""
+    a = _creation_gather(trunc, X, side, slice(1, trunc.n[0] + 1)).toarray()
+    return float(np.linalg.svd(np.eye(a.shape[0]) - a, compute_uv=False)[-1])
 
 
 def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right",
@@ -454,7 +440,7 @@ def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right
         # a NaN rho_i fails the comparison and takes the exact path
         if not 1.0 - rho[i] > 1e-12 and (sv := _min_singular(*_factor(trunc, X, i), side)) <= 1e-12:
             raise SingularResolventError(sv)
-    root, _, _ = la.psd_sqrt(defect(X))
+    root = la.psd_sqrt(defect(X))
     if rhs is None:
         return CauchyResult(_creation_gather(trunc, X, side, root=root), trunc, X, side)
     out = rhs.reshape(*trunc.factor_dims, h, -1)

@@ -106,7 +106,7 @@ def test_kernel_at_zero_is_vacuum_embedding():
     k = berezin_kernel(PolyballPoint([[np.zeros((2, 2)), np.zeros((2, 2))]]), t)
     g = k.matrix.conj().T @ k.matrix
     np.testing.assert_allclose(g, np.eye(2), atol=1e-14)
-    assert np.abs(k.matrix[2 * k.defect_rank :, :]).max() == 0.0
+    assert np.abs(k.matrix[2 * k.h_dim :, :]).max() == 0.0
 
 
 def test_kernel_isometry_nilpotent(rng):
@@ -138,7 +138,7 @@ def test_moment_identity_nilpotent(rng):
     k = berezin_kernel(x, t)
     for a, b in lambda_pairs_up_to_total(t.n, 3):
         m = word_operator(t, a, b).dense()
-        got = berezin_transform(m, x, trunc=t, kernel=k)
+        got = berezin_transform(m, x, trunc=t)
         want = x.monomial(a) @ x.monomial(b).conj().T
         assert np.abs(got - want).max() < 1e-12
 
@@ -162,7 +162,7 @@ def test_pair_transforms_are_the_word_matrix_transforms(rng, n, degrees, h):
         k = berezin_kernel(x, t)
         got = pair_transforms(k, pids)
         for (a, b), pid, g in zip(pairs, pids, got):
-            want = berezin_transform(word_matrix(t, a, b), x, trunc=t, kernel=k)
+            want = berezin_transform(word_matrix(t, a, b), x, trunc=t)
             if pid < 0:
                 assert not want.any() and not g.any()
             assert np.abs(g - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
@@ -269,9 +269,9 @@ def test_cauchy_graded_inverse_iteration_branch(rng, side):
     """I - A_i acts as the identity on the other factors, so its smallest
     singular value is taken on factor i's own truncation: at (2,1)@(6,2)
     with h = 2 factor 1 has dimension 254 > EXACT_DIM, and the value is
-    1 / ||R_1|| by Lanczos on its CSR resolvent R_1 = (I - A_1)^-1, factor 2
-    (dimension 6) the exact SVD.  It matches the SVD of the dense factors
-    I - A_i on the whole space, with the full and with a thin rhs."""
+    still the exact SVD of its dense I - A_1, as for factor 2 (dimension
+    6).  It matches the SVD of the dense factors I - A_i on the whole
+    space, with the full and with a thin rhs."""
     t = FockTruncation((2, 1), (6, 2))
     X = random_point(rng, (2, 1), 2, 0.6)
     dim = t.dim * X.h_dim
@@ -382,7 +382,7 @@ def _dense_word_sum(t, X, side):
     ``word_matrix(t, b~, e, side)`` (S_b~, or R_b~ on the right side).  No
     cell is hit twice (checked), so this is bit for bit the sum of
     kron(V_b~, block) onto zeros, without the dense kron products."""
-    root, _, _ = psd_sqrt(defect(X))
+    root = psd_sqrt(defect(X))
     e = identity_multiword(t.n)
     h = X.h_dim
     out = np.zeros((t.dim, h, t.dim, h), dtype=complex)
@@ -419,7 +419,8 @@ def test_cauchy_full_operator_is_the_dense_identity_series(rng, n, degrees, side
 def test_cauchy_rhs_is_matrix_times_rhs(rng, side):
     """A thin rhs gives the full operator's product with it, and the same
     min_singular, with left and right creations at (2,1)@(6,2) (factor 1
-    has dimension 254 with h = 2, so min_singular runs Lanczos there)."""
+    has dimension 254 with h = 2, above EXACT_DIM, where min_singular is
+    still the exact SVD of its own dense I - A)."""
     t = FockTruncation((2, 1), (6, 2))
     X = random_point(rng, (2, 1), 2, 0.6)
     dim = t.dim * X.h_dim
@@ -757,13 +758,10 @@ def test_a_long_symbol_key_costs_its_length_not_its_level(monkeypatch):
 
 def _berezin_kernel_by_words(x, t):
     """The per-basis-word loop: row block f is Delta^(1/2) X_b* for b = basis_word(f)."""
-    _, factor, rank = psd_sqrt(defect(x))
-    rank = max(rank, 1)
-    if factor.shape[0] == 0:
-        factor = np.zeros((1, x.h_dim), dtype=complex)
-    mat = np.zeros((t.dim * rank, x.h_dim), dtype=complex)
+    root, h = psd_sqrt(defect(x)), x.h_dim
+    mat = np.zeros((t.dim * h, h), dtype=complex)
     for f in range(t.dim):
-        mat[f * rank : (f + 1) * rank, :] = factor @ x.monomial(t.basis_word(f)).conj().T
+        mat[f * h : (f + 1) * h, :] = root @ x.monomial(t.basis_word(f)).conj().T
     return mat
 
 
@@ -780,19 +778,58 @@ def test_berezin_kernel_is_bitwise_the_per_word_loop(rng, n, degrees, h, kind):
 
 
 @pytest.mark.parametrize("kind", ["inside", "nilpotent"])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n, degrees", TABLE_SHAPES)
+def test_berezin_kernel_is_the_right_resolvents_vacuum_column(rng, n, degrees, h, kind):
+    """The kernel's blocks Delta^(1/2) X_b* are the ones the right-side
+    resolvent places at R_b~ e = e_b, so its vacuum column (the first h
+    columns) holds the kernel, equal entry for entry (the CSR round trip
+    may change the sign of a zero)."""
+    t = FockTruncation(n, degrees)
+    x = _table_point(rng, n, h, kind)
+    column = cauchy_operator(t, x, "right").matrix[:, :h].toarray()
+    assert np.array_equal(berezin_kernel(x, t).matrix, column)
+
+
+def _berezin_transform_by_rank_factor(gm, x, t):
+    """The transform through the rank factor of Delta: rank(Delta) rows
+    sqrt(w) u* per basis word, over the eigenvalues w of Delta above
+    1e-12 * max(largest, 1), and K* (g (x) I) K summed over them."""
+    w, u = np.linalg.eigh(defect(x))
+    keep = w > 1e-12 * max(w[-1], 1.0)
+    factor = np.sqrt(w[keep])[:, None] * u[:, keep].conj().T
+    k3 = factor @ x.monomial_table(t).conj().transpose(0, 2, 1)
+    return np.einsum("adx,ab,bdy->xy", k3.conj(), gm, k3)
+
+
+def test_berezin_transform_at_a_singular_defect_keeps_the_rank_factor_value(rng):
+    """At the creation tuple on (2)@(2) the defect is the vacuum projection,
+    of rank 1 on h = 7: the full root's h rows per word give the transform
+    of a Hermitian symbol operator that the rank-1 factor gave, to 1e-14."""
+    x = creation_point(FockTruncation([2], [2]), 1.0)
+    w = np.linalg.eigvalsh(defect(x))
+    assert x.h_dim == 7 and np.count_nonzero(w > 1e-12) == 1
+    t = FockTruncation([2], [3])
+    op = symbol_operator(random_hermitian_symbol(rng, (2,), 1, 3, density=0.6), t)
+    got = berezin_transform(op, x)
+    want = _berezin_transform_by_rank_factor(op.dense(), x, t)
+    assert np.abs(want).max() > 0.1
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["inside", "nilpotent"])
 def test_berezin_transform_sparse_and_dense_agree(rng, kind):
     """A monomial S_a S_b* as CSR, as a dense array and as a FockOperator
     gives one value to 1e-14."""
     n = (2, 1)
     t = FockTruncation(n, (3, 3))
     x = _table_point(rng, n, 2, kind)
-    k = berezin_kernel(x, t)
     for a, b in lambda_pairs_up_to_total(n, 3):
         sparse = word_matrix(t, a, b)
         dense = word_operator(t, a, b)
-        got = berezin_transform(sparse, x, trunc=t, kernel=k)
-        assert np.abs(got - berezin_transform(dense.dense(), x, trunc=t, kernel=k)).max() <= 1e-14
-        assert np.abs(got - berezin_transform(dense, x, kernel=k)).max() <= 1e-14
+        got = berezin_transform(sparse, x, trunc=t)
+        assert np.abs(got - berezin_transform(dense.dense(), x, trunc=t)).max() <= 1e-14
+        assert np.abs(got - berezin_transform(dense, x)).max() <= 1e-14
 
 
 def _berezin_transform_by_einsum(gm, k3, e):
@@ -816,9 +853,8 @@ def test_berezin_transform_extended_keeps_its_values(rng, e_dim, sparse):
     sym = random_hermitian_symbol(rng, n, e_dim, 3, density=0.6)
     op = symbol_operator(sym, t)
     g = scipy.sparse.csr_matrix(op.dense()) if sparse else op
-    k = berezin_kernel(x, t)
-    got = berezin_transform(g, x, trunc=t, kernel=k)
-    want = _berezin_transform_by_einsum(op.dense(), k.as_tensor(), e_dim)
+    got = berezin_transform(g, x, trunc=t)
+    want = _berezin_transform_by_einsum(op.dense(), berezin_kernel(x, t).as_tensor(), e_dim)
     assert got.shape == (3 * e_dim, 3 * e_dim)
     assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polyball._linalg import EXACT_DIM, hermitian_norm, opnorm
+from polyball._linalg import EXACT_DIM, hermitian_norm, opnorm, psd_sqrt
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 40])
@@ -42,3 +42,25 @@ def test_hermitian_norm_of_zero_is_zero(dim):
     operator would map to zero."""
     assert hermitian_norm(sp.csr_matrix((dim, dim), dtype=complex)) == 0.0
     assert hermitian_norm(np.zeros((dim, dim), dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_psd_sqrt_is_the_hermitian_root(rng, dim):
+    """A PSD matrix of rank dim - 1 (one eigenvalue zero): the root is
+    Hermitian and squares back to the matrix."""
+    a = rng.standard_normal((dim, dim - 1)) + 1j * rng.standard_normal((dim, dim - 1))
+    m = a @ a.conj().T
+    root = psd_sqrt(m)
+    scale = max(opnorm(m), 1.0)
+    assert np.abs(root - root.conj().T).max() <= 1e-14 * scale
+    assert np.abs(root @ root - m).max() <= 1e-13 * scale
+
+
+def test_psd_sqrt_of_a_tiny_negative_eigenvalue_is_not_nan():
+    """An eigenvalue of -1e-17, which a plain sqrt would turn into NaN, is
+    clipped to zero."""
+    m = np.diag([2.0, 0.5, -1e-17]).astype(complex)
+    assert np.linalg.eigvalsh(m)[0] < 0.0
+    root = psd_sqrt(m)
+    assert not np.isnan(root).any()
+    np.testing.assert_allclose(root, np.diag(np.sqrt([2.0, 0.5, 0.0])), atol=1e-15)

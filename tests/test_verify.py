@@ -394,7 +394,7 @@ def test_verify_lanczos_calls(monkeypatch, degrees, max_len, calls):
     """Lanczos runs only where verify reads a spectral value above EXACT_DIM:
     at verify-deep the five symbol-operator norms of norm_monotonicity, at
     verify-small nowhere.  The factorization item reads no spectral value,
-    and no item reads a resolvent's min_singular, so neither runs it."""
+    and a resolvent's min_singular is an exact SVD, so neither runs it."""
     from polyball import _linalg
 
     top = _linalg.lanczos_top
