@@ -6,10 +6,12 @@ import numpy as np
 
 
 def opnorm(m: np.ndarray) -> float:
-    """Operator (spectral) norm of a matrix."""
+    """Operator (spectral) norm of a matrix: its largest singular value, the
+    first of LAPACK's descending ones.  The same call as
+    ``np.linalg.norm(m, 2)`` makes, without that function's dispatch."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(np.atleast_2d(m), 2))
+    return float(np.linalg.svd(np.atleast_2d(m), compute_uv=False)[0])
 
 
 EXACT_DIM = 192

@@ -164,12 +164,14 @@ class PolyballPoint:
 
     def nilpotency_indices(self) -> list[float]:
         """Per factor, the first p with Phi_i^p(I) = 0 (norm <= 1e-300): all its
-        words of length p vanish; infinity if none (the index is at most h)."""
+        words of length p vanish; infinity if none (the index is at most h).
+        ||y|| >= max |y_ij|, so an entry above 1e-300 settles the verdict
+        without the SVD."""
         def index(row) -> float:
             y = np.eye(self.h_dim, dtype=complex)
             for p in range(1, self.h_dim + 1):
                 y = phi_map(row, y)
-                if la.opnorm(y) <= 1e-300:
+                if not np.max(np.abs(y)) > 1e-300 and la.opnorm(y) <= 1e-300:
                     return p
             return math.inf
         return [index(row) for row in self.X]

@@ -21,6 +21,9 @@ per (n, degrees, side) and process and shared by every truncation of that
 shape (at most ``PAIR_TABLE_CACHE_SIZE`` of them); its arrays are read-only.
 ``FockTruncation.pair_id`` is memoized per (n, degrees, a, b) in the same
 way, up to ``PAIR_ID_CACHE_SIZE`` keys; a refused key raises every time.
+The creation letters of ``creation_tuple`` are built once per (n, degrees,
+side) too (at most ``LETTER_CACHE_SIZE`` shapes), their arrays read-only,
+and every call returns fresh lists of the shared letters.
 Nothing keyed by data (a coefficient, a point, an operator) is cached.
 
 The table is grouped by pair id, so every reader slices its own pairs'
@@ -47,6 +50,7 @@ whatever it is built from, and is read by ``blocks``; ``dense()`` is for LAPACK.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -56,8 +60,9 @@ import numpy as np
 from .words import MultiWord, Side, Word, _require_side, identity_multiword, words_up_to
 
 
-# shapes kept in the pair-table cache, and keys in the pair-id cache
+# shapes kept in the pair-table and letter caches, and keys in the pair-id cache
 PAIR_TABLE_CACHE_SIZE = 16
+LETTER_CACHE_SIZE = 16
 PAIR_ID_CACHE_SIZE = 1 << 14
 
 
@@ -379,9 +384,23 @@ def creation_matrix(trunc: FockTruncation, side: Side, i: int, j: int,
 
 def creation_tuple(trunc: FockTruncation, side: Side = "left") -> list[list]:
     """The truncated creation tuple [[S_i1 ... S_in_i] ...] (R on the right
-    side), its letters CSR as ``creation_matrix`` builds them."""
-    return [[creation_matrix(trunc, side, i, j) for j in range(1, ni + 1)]
-            for i, ni in enumerate(trunc.n, start=1)]
+    side), its letters CSR as ``creation_matrix`` builds them.  The letters
+    are built once per shape and side (``_creation_letters``) and shared,
+    their arrays read-only; each call returns fresh lists."""
+    _require_side(side)
+    return [list(row) for row in _creation_letters(trunc.n, trunc.degrees, side)]
+
+
+@lru_cache(maxsize=LETTER_CACHE_SIZE)
+def _creation_letters(n: tuple[int, ...], degrees: tuple[int, ...], side: Side) -> tuple:
+    """``creation_tuple`` on the shape (n, degrees), rows as tuples."""
+    trunc = FockTruncation(n, degrees)
+    letters = tuple(tuple(creation_matrix(trunc, side, i, j) for j in range(1, ni + 1))
+                    for i, ni in enumerate(n, start=1))
+    for m in itertools.chain.from_iterable(letters):
+        for array in (m.data, m.indices, m.indptr):
+            array.flags.writeable = False
+    return letters
 
 
 def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,

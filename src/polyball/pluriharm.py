@@ -64,12 +64,12 @@ def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
                 for a, ac in zip(V[i], vc[i]) for b, bc in zip(V[i2], vc[i2]))
         if d > 1e-8:
             raise ValueError(f"factors {i + 1} and {i2 + 1} do not commute (defect {d:.3e})")
-    sym = MultiToeplitzSymbol(n, e_basis.shape[1])
+    coeffs = {}
     for a, b in lambda_pairs_up_to_total(n, max_total_len):
         c = cols[a.reverse()].conj().T @ cols[b.reverse()]
         if np.max(np.abs(c)) > 0:
-            sym[a, b] = c
-    return sym
+            coeffs[a, b] = c
+    return MultiToeplitzSymbol._unchecked(n, e_basis.shape[1], coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,9 @@ class CbMapData:
                  coeff_bound: float | None = None,
                  max_total_len: int | None = None,
                  per_factor_cap: tuple[int, ...] | None = None):
-        self.symbol = MultiToeplitzSymbol(
-            symbol.n, symbol.e_dim, {k: v for k, v in symbol.items() if np.any(v != 0)})
+        keep = symbol.blocks().any(axis=(1, 2))
+        self.symbol = MultiToeplitzSymbol._unchecked(symbol.n, symbol.e_dim, {
+            k: v for (k, v), nonzero in zip(symbol.items(), keep) if nonzero})
         g = identity_multiword(self.n)
         if unit is not None:
             self.symbol[g, g] = unit

@@ -93,19 +93,19 @@ def random_hermitian_symbol(rng: np.random.Generator, n, e_dim: int,
     """Hermitian-symmetric symbol with random coefficients on index pairs of
     total length <= max_total_len."""
     n = tuple(n)
-    sym = MultiToeplitzSymbol(n, e_dim)
+    coeffs = {}
     for a, b in lambda_pairs_up_to_total(n, max_total_len):
-        if (b, a) in sym.coeffs:
+        if (b, a) in coeffs:
             continue
         if rng.uniform() > density:
             continue
         m = scale * _rand_complex(rng, e_dim, e_dim)
         if a == b:
             m = 0.5 * (m + m.conj().T)
-        sym[a, b] = m
+        coeffs[a, b] = m
         if a != b:
-            sym[b, a] = m.conj().T
-    return sym
+            coeffs[b, a] = m.conj().T
+    return MultiToeplitzSymbol._unchecked(n, e_dim, coeffs)
 
 
 def random_embedding(rng: np.random.Generator, trunc: FockTruncation,

@@ -22,6 +22,7 @@ from .berezin import PolyballPoint
 from .fock import FockOperator, FockTruncation, pair_operator
 from .words import (
     MultiWord,
+    ShapeMismatchError,
     Side,
     compare,
     identity_multiword,
@@ -38,15 +39,36 @@ SymbolKey = tuple[MultiWord, MultiWord]
 
 
 class MultiToeplitzSymbol:
-    """Finitely supported Fourier symbol: {(a, b) -> e x e matrix}."""
+    """Finitely supported Fourier symbol: {(a, b) -> e x e matrix}.
+
+    What the keys imply is worked out once per key set, not per call: each
+    key's total length |a| + |b|, the key order's adjoint partners and, per
+    truncation shape, each key's pair id (``symbol_pair_ids``).  They are
+    derived again whenever the keys (compared in order) have changed since,
+    however ``coeffs`` was changed; the values are read fresh on every call.
+    """
 
     def __init__(self, n: Iterable[int], e_dim: int,
                  coeffs: Mapping[SymbolKey, np.ndarray] | None = None):
         self.n = tuple(int(x) for x in n)
         self.e_dim = int(e_dim)
         self.coeffs: dict[SymbolKey, np.ndarray] = {}
+        self._keys: tuple[SymbolKey, ...] = ()
+        self._lengths = np.zeros(0, dtype=np.int64)
+        self._partners: np.ndarray | None = None
+        self._pair_ids: dict[tuple[int, ...], np.ndarray] = {}
         for (a, b), m in (coeffs or {}).items():
             self[a, b] = m
+
+    @classmethod
+    def _unchecked(cls, n: tuple[int, ...], e_dim: int,
+                   coeffs: dict[SymbolKey, np.ndarray]) -> "MultiToeplitzSymbol":
+        """The symbol holding ``coeffs`` as given, without ``__setitem__``'s
+        checks: for derivations whose keys are lambda pairs of shape n and
+        whose values are complex (e, e) arrays by construction."""
+        sym = cls(n, e_dim)
+        sym.coeffs = coeffs
+        return sym
 
     def __setitem__(self, key: SymbolKey, m: np.ndarray) -> None:
         a, b = key
@@ -59,6 +81,15 @@ class MultiToeplitzSymbol:
             raise ValueError(f"coefficient shape {m.shape} != ({self.e_dim}, {self.e_dim})")
         self.coeffs[(a, b)] = m
 
+    def _current_keys(self) -> tuple[SymbolKey, ...]:
+        """The keys in order; the key-derived data is reset when they changed."""
+        keys = tuple(self.coeffs)
+        if keys != self._keys:
+            self._keys, self._partners, self._pair_ids = keys, None, {}
+            self._lengths = np.array([a.total_length + b.total_length for a, b in keys],
+                                     dtype=np.int64)
+        return keys
+
     def coeff(self, a: MultiWord, b: MultiWord) -> np.ndarray:
         return self.coeffs.get((a, b), np.zeros((self.e_dim, self.e_dim), dtype=complex))
 
@@ -70,26 +101,45 @@ class MultiToeplitzSymbol:
 
     def scaled(self, r: float) -> "MultiToeplitzSymbol":
         """Coefficientwise r^(|a|+|b|) scaling: the symbol of the r-scaled
-        function.  The only place the package computes this scaling."""
-        out = MultiToeplitzSymbol(self.n, self.e_dim)
-        out.coeffs = {
-            k: (r ** (k[0].total_length + k[1].total_length)) * m
-            for k, m in self.coeffs.items()
-        }
+        function.  The only place the package computes this scaling.
+
+        One product of the blocks with the per-key powers, each Python's
+        ``r ** (|a|+|b|)`` (NumPy's array power can differ in the last bit),
+        so every bit is the per-key product's.  The result has the same
+        keys and shares what they imply."""
+        keys = self._current_keys()
+        powers = np.array([r ** p for p in range(int(self._lengths.max(initial=0)) + 1)])
+        blocks = powers[self._lengths][:, None, None] * self.blocks()
+        out = MultiToeplitzSymbol._unchecked(self.n, self.e_dim, dict(zip(keys, blocks)))
+        out._keys, out._lengths = keys, self._lengths
+        out._partners, out._pair_ids = self._partners, self._pair_ids
         return out
 
     def hermitian_defect(self) -> float:
         """Largest |c(a, b) - c(b, a)*| entry; NaN when a coefficient is NaN."""
-        blocks = self.blocks()
-        partners = np.array([self.coeff(b, a) for a, b in self.coeffs]).reshape(blocks.shape)
-        return float(np.max(np.abs(blocks - partners.conj().transpose(0, 2, 1)), initial=0.0))
+        keys = self._current_keys()
+        if self._partners is None:
+            # per key (a, b), the position of (b, a), -1 where it is absent
+            pos = {k: i for i, k in enumerate(keys)}
+            self._partners = np.array([pos.get((b, a), -1) for a, b in keys], dtype=np.int64)
+        blocks, partners = self.blocks(), self._partners
+        adjoints = np.where((partners >= 0)[:, None, None], blocks[partners], 0)
+        return float(np.max(np.abs(blocks - adjoints.conj().transpose(0, 2, 1)), initial=0.0))
 
     def max_difference(self, other: "MultiToeplitzSymbol") -> float:
         """Largest entry of |self - other| over both supports; NaN when a
-        coefficient is NaN."""
-        keys = set(self.coeffs) | set(other.coeffs)
-        return float(np.max([np.max(np.abs(self.coeff(a, b) - other.coeff(a, b)))
-                             for a, b in keys], initial=0.0))
+        coefficient is NaN.  Symbols of different shapes or coefficient
+        dimensions raise ``ShapeMismatchError``."""
+        if (self.n, self.e_dim) != (other.n, other.e_dim):
+            raise ShapeMismatchError(f"symbols over {self.n} with e = {self.e_dim} and over "
+                                     f"{other.n} with e = {other.e_dim}")
+        # the union of the keys, self's first; each of other's keys at its slot
+        slot = {k: i for i, k in enumerate(self.coeffs)}
+        where = [slot.setdefault(k, len(slot)) for k in other.coeffs]
+        diff = np.zeros((len(slot), self.e_dim, self.e_dim), dtype=complex)
+        diff[: len(self)] = self.blocks()
+        diff[where] -= other.blocks()
+        return float(np.max(np.abs(diff), initial=0.0))
 
     def blocks(self) -> np.ndarray:
         """The coefficients in key order, a (len(self), e, e) array."""
@@ -146,14 +196,12 @@ def fourier_coefficient(T: FockOperator, a: MultiWord, b: MultiWord) -> np.ndarr
 def extract_symbol(T: FockOperator, max_total_len: int) -> MultiToeplitzSymbol:
     """All Fourier coefficients with |a| + |b| <= max_total_len, read in one
     lookup; exactly zero blocks are not stored."""
-    sym = MultiToeplitzSymbol(T.trunc.n, T.coeff_dim)
     pairs = lambda_pairs_up_to_total(T.trunc.n, max_total_len)
     index = T.trunc.basis_index
-    blocks = T.blocks([index(a) for a, _ in pairs], [index(b) for _, b in pairs])
-    for (a, b), c in zip(pairs, blocks):
-        if np.any(c != 0):
-            sym[a, b] = c
-    return sym
+    blocks = np.asarray(T.blocks([index(a) for a, _ in pairs], [index(b) for _, b in pairs]),
+                        dtype=complex)
+    coeffs = {pairs[j]: blocks[j] for j in np.flatnonzero(blocks.any(axis=(1, 2)))}
+    return MultiToeplitzSymbol._unchecked(T.trunc.n, T.coeff_dim, coeffs)
 
 
 def evaluate_symbol(sym: MultiToeplitzSymbol, X: PolyballPoint) -> np.ndarray:
@@ -180,11 +228,18 @@ def symbol_operator(sym: MultiToeplitzSymbol, trunc: FockTruncation,
 
 def symbol_pair_ids(sym: MultiToeplitzSymbol, trunc: FockTruncation) -> np.ndarray:
     """The pair id of each key's monomial, in key order: the key (a, b) is
-    the pairing at (b~, a~); -1 where a word is beyond its degree."""
+    the pairing at (b~, a~); -1 where a word is beyond its degree.  Derived
+    once per key set and truncation shape and kept on the symbol, read-only."""
     if trunc.n != sym.n:
         raise ValueError(f"truncation shape {trunc.n} does not match symbol shape {sym.n}")
-    return np.array([trunc.pair_id(b.reverse(), a.reverse()) for a, b in sym.coeffs],
-                    dtype=np.int64)
+    keys = sym._current_keys()
+    pids = sym._pair_ids.get(trunc.degrees)
+    if pids is None:
+        pids = np.array([trunc.pair_id(b.reverse(), a.reverse()) for a, b in keys],
+                        dtype=np.int64)
+        pids.flags.writeable = False
+        sym._pair_ids[trunc.degrees] = pids
+    return pids
 
 
 def creation_pair_symbol(p: Mapping[MultiWord, complex],

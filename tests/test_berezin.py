@@ -967,6 +967,32 @@ def test_nilpotency_index_is_per_factor_not_h_dim(r, e_dim):
     assert np.abs(got - symbol_operator(sym, small, r).dense()).max() <= 1e-15
 
 
+def _nilpotency_by_svd(x):
+    """Reference: the first p with ||Phi_i^p(I)||_2 <= 1e-300, per factor."""
+    def index(row):
+        y = np.eye(x.h_dim, dtype=complex)
+        for p in range(1, x.h_dim + 1):
+            y = sum(m @ y @ m.conj().T for m in row)
+            if np.linalg.norm(y, 2) <= 1e-300:
+                return p
+        return math.inf
+    return [index(row) for row in x.X]
+
+
+@pytest.mark.parametrize("t2", [1.5e-301, 3e-301])
+def test_nilpotency_indices_are_the_svd_verdicts(rng, t2):
+    """The max-entry shortcut keeps the SVD verdict: on nilpotent and
+    non-nilpotent points, and on X = t [[1, 1], [1, 1]], whose Phi(I) has
+    entries 2 t^2 of about 1e-301 below 1e-300 and norm 4 t^2 on either
+    side of it (index 1 for the smaller t, 2 for the larger)."""
+    t = math.sqrt(t2)
+    tiny = PolyballPoint([[t * np.ones((2, 2))]])
+    assert tiny.nilpotency_indices() == _nilpotency_by_svd(tiny) == [1 if t2 < 2e-301 else 2]
+    for x in (random_nilpotent_point(rng, (2, 1), 3, 0.9), random_point(rng, (2, 1), 3, 0.6),
+              PolyballPoint([[np.diag([1.0, 1.0], -1)], [0.5 * np.eye(3)]])):
+        assert x.nilpotency_indices() == _nilpotency_by_svd(x)
+
+
 def test_nilpotency_indices():
     """The first p with Phi_i^p(I) = 0, factor by factor; infinity for a
     factor that is not nilpotent."""

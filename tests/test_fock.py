@@ -506,6 +506,22 @@ def test_pair_table_is_shared_and_read_only(side):
             array[0] = 0
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_creation_letters_are_shared_and_read_only(side):
+    """Truncations of one shape share their letters per side, built once;
+    each call gets fresh lists, and the letters' arrays refuse writes."""
+    first = creation_tuple(FockTruncation((2, 1), (3, 3)), side)
+    again = creation_tuple(FockTruncation([2, 1], [3, 3]), side)
+    assert first is not again and all(x is not y for x, y in zip(first, again))
+    assert all(a is b for x, y in zip(first, again) for a, b in zip(x, y))
+    first[0].pop()
+    assert len(creation_tuple(FockTruncation((2, 1), (3, 3)), side)[0]) == 2
+    for letter in again[0] + again[1]:
+        for array in (letter.data, letter.indices, letter.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2
+
+
 def test_pair_id_refuses_other_shapes():
     """A pair whose shape differs from the truncation's has no id there:
     on (2,1)@(2,2), (g3, e) of shape (3,1) and a three-factor pair raise
@@ -520,13 +536,13 @@ def test_pair_id_refuses_other_shapes():
 @pytest.mark.parametrize("side", ["Left", "lft", "", None])
 def test_unknown_side_is_refused(side):
     """Only "left" and "right" name a side: any other value raises instead
-    of being read as the right side, and the pair table caches nothing
-    under it."""
+    of being read as the right side, and neither the pair table nor the
+    letters cache anything under it."""
     t = FockTruncation((2, 1), (2, 2))
     a = multiword([[1], []], t.n)
-    built = fock._pair_table.cache_info()
+    built = fock._pair_table.cache_info(), fock._creation_letters.cache_info()
     for call in (lambda: creation_tuple(t, side), lambda: t.pair_table(side),
                  lambda: monomial_indices(t, a, a, side)):
         with pytest.raises(ValueError, match="side must be"):
             call()
-    assert fock._pair_table.cache_info() == built
+    assert (fock._pair_table.cache_info(), fock._creation_letters.cache_info()) == built

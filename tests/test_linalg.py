@@ -15,6 +15,17 @@ def test_hermitian_norm_matches_opnorm(rng, dim):
         assert hermitian_norm(h) == pytest.approx(opnorm(h), rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (6, 3), (3, 6), (1, 1)])
+@pytest.mark.parametrize("zero", [False, True])
+def test_opnorm_is_numpys_spectral_norm(rng, shape, zero):
+    """The first singular value is every bit of np.linalg.norm(m, 2), on
+    square, tall, wide, 1 x 1 and zero matrices."""
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if zero:
+        m = np.zeros(shape, dtype=complex)
+    assert np.float64(opnorm(m)).tobytes() == np.linalg.norm(m, 2).tobytes()
+
+
 def test_hermitian_norm_empty():
     assert hermitian_norm(np.zeros((0, 0), dtype=complex)) == 0.0
 

@@ -17,6 +17,7 @@ from polyball.toeplitz import (
     symbol_operator,
 )
 from polyball.words import (
+    ShapeMismatchError,
     identity_multiword,
     lambda_pairs_up_to_total,
     lambda_pairs_within_degrees,
@@ -165,6 +166,76 @@ def test_symbol_defects_propagate_nan(position):
 def test_symbol_defects_of_the_empty_symbol_are_zero():
     empty = MultiToeplitzSymbol((2, 1), 2)
     assert empty.hermitian_defect() == 0.0 and empty.max_difference(empty) == 0.0
+
+
+def test_max_difference_refuses_symbols_of_other_shapes():
+    """Symbols over different coefficient spaces or free-monoid products are
+    not compared: a constant 3 (e = 1) against I_2 (e = 2) read 3.0 by
+    broadcasting, and the units over (2,) and (1, 1) read 1.0."""
+    with pytest.raises(ShapeMismatchError):
+        MultiToeplitzSymbol.constant((2,), 3.0).max_difference(
+            MultiToeplitzSymbol.constant((2,), np.eye(2)))
+    with pytest.raises(ShapeMismatchError):
+        MultiToeplitzSymbol.constant((2,), 1.0).max_difference(
+            MultiToeplitzSymbol.constant((1, 1), 1.0))
+
+
+def _bits(blocks):
+    return np.asarray(blocks, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 1.0])
+def test_scaled_is_bitwise_the_per_key_product(r):
+    """One product of the blocks with the per-length powers has every bit
+    of the per-key r ** (|a|+|b|) * m (NumPy's array power misses some, e.g.
+    0.3 ** 4), a -0.0 and a NaN coefficient included, and the empty symbol
+    scales to the empty symbol."""
+    rng = np.random.default_rng(3)
+    sym = random_hermitian_symbol(rng, (2, 1), 2, 4)
+    keys = list(sym.coeffs)
+    sym[keys[1]] = np.full((2, 2), -0.0)
+    sym[keys[-1]] = [[np.nan, 1.0], [0.0, -0.0]]
+    got = sym.scaled(r)
+    assert list(got.coeffs) == keys
+    want = [(r ** (a.total_length + b.total_length)) * m for (a, b), m in sym.items()]
+    assert np.array_equal(_bits(got.blocks()), _bits(want))
+    empty = MultiToeplitzSymbol((2, 1), 2).scaled(r)
+    assert len(empty) == 0 and empty.blocks().shape == (0, 2, 2)
+
+
+def test_symbol_key_data_follows_the_keys():
+    """The key data a symbol keeps (lengths, pair ids, adjoint partners)
+    never goes stale: a key added after a scatter, through __setitem__ or
+    straight into ``coeffs``, is in the next scatter and defect, and a
+    removed one is gone from them."""
+    t = FockTruncation([2, 1], [3, 3])
+    g, w = identity_multiword(t.n), multiword([[1, 2], []], t.n)
+    sym = MultiToeplitzSymbol.constant(t.n, 1.0)
+    symbol_operator(sym, t, 0.5)
+    sym[w, g] = [[2.0]]
+    want = word_operator(t, g, g).dense() + 0.25 * 2.0 * word_operator(t, w, g).dense()
+    np.testing.assert_array_equal(symbol_operator(sym, t, 0.5).dense(), want)
+    assert sym.hermitian_defect() == 2.0
+    sym.coeffs.pop((g, g))
+    sym.coeffs[g, w] = np.array([[3.0 + 0j]])
+    want = 0.5 * word_operator(t, w, g).dense() + 0.25 * 3.0 * word_operator(t, g, w).dense()
+    np.testing.assert_array_equal(symbol_operator(sym, t, 0.5).dense(), want)
+    assert sym.hermitian_defect() == 1.0
+
+
+def test_symbol_values_are_read_fresh():
+    """A value written into ``coeffs`` after the key data was derived (as
+    ``_poison_first`` in the verify tests does) reaches every later read."""
+    t = FockTruncation([2, 1], [2, 2])
+    sym = random_hermitian_symbol(np.random.default_rng(4), t.n, 2, 2)
+    clean = sym.scaled(1.0)
+    symbol_operator(sym, t, 0.5)
+    assert sym.hermitian_defect() == 0.0 and sym.max_difference(clean) == 0.0
+    key = next(iter(sym.coeffs))
+    sym.coeffs[key] = np.full_like(sym.coeffs[key], np.nan)
+    assert np.isnan(symbol_operator(sym, t, 0.5).dense()).any()
+    assert np.isnan(sym.scaled(0.5).blocks()[0]).all()
+    assert np.isnan(sym.hermitian_defect()) and np.isnan(sym.max_difference(clean))
 
 
 def test_single_creation_is_toeplitz():

@@ -201,16 +201,20 @@ def _poison_first(result):
     ("toeplitz.membership", "word_operator"),
     ("berezin.kernel_isometry", "berezin_kernel"),
     ("berezin.intertwining", "berezin_kernel"),
+    ("toeplitz.fourier_roundtrip", "random_hermitian_symbol"),
+    ("pluriharm.nu_roundtrip", "random_hermitian_symbol"),
 ])
 @pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
 def test_items_fail_on_a_nan(monkeypatch, item, function, degrees, max_len):
     """A NaN in what the item compares (the Berezin kernel's vacuum entry,
     the first coefficient of the recovered symbol, the first trace-form
-    block, the first stored entry of a word operator) reaches the item's
-    figure, which then fails its tolerance instead of reading as 0."""
+    block, the first stored entry of a word operator, the first coefficient
+    of a drawn symbol, which the item scatters and scales) reaches the
+    item's figure, which then fails its tolerance instead of reading as 0."""
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
     original = getattr(verify, function)
-    monkeypatch.setattr(verify, function, lambda *args: _poison_first(original(*args)))
+    monkeypatch.setattr(verify, function,
+                        lambda *args, **kwargs: _poison_first(original(*args, **kwargs)))
     res = verify.run_item(item, cfg)
     assert math.isnan(res.max_error) and not res.passed
 
@@ -364,14 +368,15 @@ def test_verify_items_read_operators_without_densifying(refuse_dense, item):
 
 def test_verify_builds_each_shape_structure_once(cold_caches):
     """From cold caches, verify at both benchmark configurations builds each
-    memoized shape structure (pair table per (n, degrees, side), word
-    enumeration per argument, kernel monomials and tails) at most once:
+    memoized shape structure (pair table and creation letters per (n,
+    degrees, side), word enumeration per argument, kernel monomials and
+    tails) at most once:
     every miss stored an entry, and none was evicted and built again."""
     for degrees, max_len in (((3, 3), 3), ((5, 5), 2)):
         results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
         assert all(r.passed for r in results)
     names = {cache.__name__ for cache in cold_caches}
-    assert {"_pair_table", "_words_up_to", "_multiwords_up_to_total",
+    assert {"_pair_table", "_creation_letters", "_words_up_to", "_multiwords_up_to_total",
             "_lambda_pairs_up_to_total"} <= names
     for cache in cold_caches:
         info = cache.cache_info()
