@@ -5,6 +5,8 @@ moment identity, the resolvent factorization with its tail bound, and the
 classical product-of-disc-kernels limit in the scalar case.
 """
 
+import math
+
 import numpy as np
 
 from polyball import (
@@ -14,13 +16,15 @@ from polyball import (
     berezin_kernel,
     berezin_transform,
     cauchy_operator,
+    defect,
     in_polyball,
     multiword,
-    poisson_kernel,
     poisson_transform,
+    poisson_window,
     spectral_radius,
     word_operator,
 )
+from polyball.berezin import dropped_shell_mass
 
 n = (2, 1)
 t = FockTruncation(n, [3, 3])
@@ -48,12 +52,15 @@ want = xn.monomial(a) @ xn.monomial(b).conj().T
 print("|| B_X(S_a S_b*) - X_a X_b* || =", np.linalg.norm(got - want, 2))
 
 print("\n=== Poisson kernel factors through the resolvent ===")
-pk = poisson_kernel(x, t)
+p = poisson_window(x, t, np.ones(t.dim, dtype=bool))  # the whole box
 c = cauchy_operator(t, x, "right").matrix.toarray()
-diff = np.linalg.norm(pk.op.dense() - c.conj().T @ c, 2)
-print(f"difference {diff:.4f} <= factorization bound {pk.factorization_bound:.4f}")
-print(f"series tail bound {pk.tail_bound:.4f}; "
-      f"min eigenvalue {np.linalg.eigvalsh(pk.op.dense())[0]:.4f}")
+diff = np.linalg.norm(p - c.conj().T @ c, 2)
+# the index pairs the box drops, plus the Gram columns of the dropped creation shells
+rho = rep.row_norms
+tail = dropped_shell_mass(rho, pairs=True, box=t.degrees)
+bound = tail + np.linalg.norm(defect(x), 2) * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
+print(f"difference {diff:.4f} <= factorization bound {bound:.4f}")
+print(f"series tail bound {tail:.4f}; min eigenvalue {np.linalg.eigvalsh(p)[0]:.4f}")
 
 print("\n=== the scalar case recovers the classical disc kernels ===")
 mu = CbMapData.point_mass([1.0, 1.0], 24)

@@ -56,7 +56,7 @@ from .berezin import (
     creation_point,
     defect,
     in_polyball,
-    poisson_kernel,
+    poisson_window,
     spectral_radius,
 )
 from .naimark import (

@@ -13,13 +13,14 @@ rank order, and level p+1 is X_{i,j} @ (level p) over the letters j.
 truncation, bit for bit the per-word ``monomial``, which keeps its own
 per-word cache so that one long word costs only its length in products.
 ``berezin_kernel`` is one batched product of Delta^(1/2) with the table,
-``poisson_kernel`` gathers X_a X_b* from it at each pair's first cell
-a -> b in the right pair table (``FockTruncation.pair_table``),
-``poisson_window`` does so only for the cells inside one window, and
+``poisson_window`` gathers X_a X_b* from it at each pair's first cell
+a -> b in the right pair table (``FockTruncation.pair_table``), only for
+the cells inside one window (the whole box for an all-true window), and
 ``berezin_transform`` applies a dense or SciPy-sparse g once, to the
-kernel's columns.  The transforms of pairings need no operator:
-``pair_transforms`` reads the cells of all the given pairs once, gathers
-the kernel at them and sums the per-cell products pair by pair.
+kernel's columns.  The compressions of pairings need no operator:
+``pair_transforms`` reads the cells of all the given pairs once, gathers a
+row-blocked K (the Berezin kernel, or the embedding W of a compression of
+the universal model) at them and sums the per-cell products pair by pair.
 
 Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
@@ -328,28 +329,36 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None) 
     return out.reshape(h * e, h * e)
 
 
-def pair_transforms(kernel: BerezinKernelMatrix, pids: np.ndarray) -> np.ndarray:
-    """The transforms K_X* (P (x) I) K_X of the pairings P at the pair ids
-    ``pids`` of the left pair table, a (len(pids), h, h) array; an id of -1
-    (a pair off the box) gives zero.  The pairing at (b~, a~) is S_a S_b*
+def pair_transforms(kernel, pids: np.ndarray, trunc: FockTruncation | None = None,
+                    side: Side = "left") -> np.ndarray:
+    """K* (P (x) I_r) K for the pairings P at the pair ids ``pids`` of the
+    pair table of ``side``, a (len(pids), e, e) array; an id of -1 (a pair
+    off the box) gives zero.
+
+    ``kernel`` is a ``BerezinKernelMatrix``, on its own truncation, or a
+    row-blocked (dim, r, e) array K on ``trunc``, K[f] its (r, e) rows at
+    the basis word f.  For the Berezin kernel and the left table these are
+    the transforms of the pairings; the pairing at (b~, a~) is S_a S_b*
     (``fock.word_matrix``).
 
-    A pairing sends source to target at each of its cells, so its
-    transform is the sum of K[target]* K[source] over them, K[f] the
-    kernel's (h, h) rows at the basis word f: one gather at all pairs'
+    A pairing sends source to target at each of its cells, so K* (P (x) I) K
+    is the sum of K[target]* K[source] over them: one gather at all pairs'
     cells, one batched product and one segment sum."""
-    trunc, h = kernel.trunc, kernel.h_dim
+    if isinstance(kernel, BerezinKernelMatrix):
+        trunc, kernel = kernel.trunc, kernel.as_tensor()
+    elif trunc is None:
+        raise ValueError("trunc required when the kernel is a plain array")
     pids = np.asarray(pids, dtype=np.int64)
-    out = np.zeros((len(pids), h, h), dtype=complex)
+    r, e = kernel.shape[1:]
+    out = np.zeros((len(pids), e, e), dtype=complex)
     slots = np.flatnonzero(pids >= 0)
-    _, src, dst = trunc.pair_table("left")
-    cells, owner = trunc.pair_cells("left", pids[slots])
-    k = kernel.as_tensor()
-    target, source = k[dst[cells]].conj(), k[src[cells]]
-    # the per-cell products, one row of Delta^(1/2) at a time: numpy's batched
-    # matmul is slower on so many (h, h) @ (h, h) products
+    _, src, dst = trunc.pair_table(side)
+    cells, owner = trunc.pair_cells(side, pids[slots])
+    target, source = kernel[dst[cells]].conj(), kernel[src[cells]]
+    # the per-cell products, one row of K[f] at a time: numpy's batched
+    # matmul is slower on so many small products
     products = target[:, 0, :, None] * source[:, 0, None, :]
-    for d in range(1, h):
+    for d in range(1, r):
         products += target[:, d, :, None] * source[:, d, None, :]
     # every pair in the box has a cell, its first; the cells come pair by pair
     out[slots] = np.add.reduceat(products, np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
@@ -455,13 +464,6 @@ def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right
     return CauchyResult(out, trunc, X, side)
 
 
-@dataclass
-class PoissonKernelResult:
-    op: FockOperator
-    tail_bound: float
-    factorization_bound: float
-
-
 def dropped_shell_mass(q: Sequence[float], pairs: bool,
                        box: Sequence[int] | None = None,
                        cap: int | None = None) -> float:
@@ -487,51 +489,18 @@ def dropped_shell_mass(q: Sequence[float], pairs: bool,
     return full - kept
 
 
-def poisson_kernel(X: PolyballPoint, trunc: FockTruncation,
-                   side: Side = "right") -> PoissonKernelResult:
-    """Pluriharmonic Poisson kernel sum over index pairs within the box.
-
-    The term at (a, b) pairs X_a X_b* with the universal-tuple monomial at
-    (b~, a~) on the chosen side (right by default: append b and strip the
-    tail a); terms are assembled as exact compressions.  Self-adjoint; PSD
-    up to the reported tail.  The factorization bound additionally covers
-    the discrepancy against the resolvent-product factorization.
-    """
-    if X.n != trunc.n:
-        raise ValueError("point and truncation have different factor shapes")
-    rho = X.row_norms()
-    dnorm = la.opnorm(defect(X))
-    if _nilpotent_exact(X, trunc):
-        # the index-pair sum is finite and fully inside the box
-        tail = 0.0
-    elif any(r >= 1.0 for r in rho):
-        raise DivergenceError(f"row norms {rho} outside the open ball")
-    else:
-        tail = dropped_shell_mass(rho, pairs=True, box=trunc.degrees)
-    if all(r < 1.0 for r in rho):
-        # covers the resolvent-side truncation defect as well (Gram columns
-        # of the dropped creation shells)
-        fact_bound = tail + dnorm * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
-    else:
-        fact_bound = math.inf
-    indptr, src, dst = trunc.pair_table("right")
-    a, b = src[indptr[:-1]], dst[indptr[:-1]]
-    table = X.monomial_table(trunc)
-    xm = table[a] @ table[b].conj().transpose(0, 2, 1)  # X_a X_b* per pair, one batched matmul
-    op = pair_operator(trunc, side, np.arange(a.size), xm)
-    return PoissonKernelResult(op, tail, fact_bound)
-
-
 def poisson_window(X: PolyballPoint, trunc: FockTruncation, window: np.ndarray) -> np.ndarray:
-    """The right-side Poisson kernel on window x window, dense, for the
-    boolean ``window`` over the basis: rows and columns the window's basis
-    words in basis order, the point's space minor.
+    """The right-side Poisson kernel, the sum over the lambda pairs (a, b)
+    of the box of X_a X_b* (x) the right pairing at (a, b), on window x
+    window, dense, for the boolean ``window`` over the basis: rows and
+    columns the window's basis words in basis order, the point's space
+    minor.  An all-true window gives the kernel on the whole box.
 
     Only the cells of the right pair table whose source and target both lie
     in the window are read, and X_a X_b* is formed only for their pairs;
     each block is scattered onto zeros as ``pair_operator`` stores it, so the
-    result has every bit of ``poisson_kernel(X, trunc).op`` sliced to the
-    window, and no operator on the whole box is built."""
+    result has every bit of the pair-by-pair sum sliced to the window, and no
+    operator on the whole box is built."""
     if X.n != trunc.n:
         raise ValueError("point and truncation have different factor shapes")
     indptr, src, dst = trunc.pair_table("right")

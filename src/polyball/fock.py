@@ -29,7 +29,8 @@ Nothing keyed by data (a coefficient, a point, an operator) is cached.
 The table is grouped by pair id, so every reader slices its own pairs'
 cells.  Sums over coefficient index pairs (a symbol's monomials, the Poisson
 kernel's pairings, the resolvent's creation words) gather them in one pass
-(``pair_operator``).  A single
+(``pair_operator``); a compression K* P K of a pairing P is the sum of
+K[target]* K[source] over its cells (``berezin.pair_transforms``).  A single
 word monomial S_a S_b* (R_a R_b* on the right side), lambda pair or not,
 composes two pairings (``monomial_indices``): S_b* is the pairing at (b~, e)
 and S_a the one at (e, a~).  An annihilation never leaves the truncation, so

@@ -16,7 +16,8 @@ kernels are dilated through the reversal reduction.  All dilation identities
 carry a window qualifier: they are exact on words of total length <= L - 1.
 
 A dilation is read off its columns V_w E, which ``word_columns`` builds for
-dense and sparse letters alike.
+dense and sparse letters alike: one column per word, for abstract row
+isometries (``pluriharm.universal_compression`` serves the creations).
 """
 
 from __future__ import annotations

@@ -3,6 +3,10 @@ test, the structure construction from commuting row isometries, and the
 Poisson / Fantappie / Herglotz transforms of linear maps on the
 right-creation operator system.
 
+The structure construction reads W* V_{a~}* V_{b~} W off the columns V_w W
+for abstract row isometries V (``from_row_isometries``); at the universal
+model each is a sum over one pairing's cells (``universal_compression``).
+
 A free pluriharmonic function is its finitely supported symbol, a
 ``MultiToeplitzSymbol``; the functions here take and return one.  A linear
 map on the operator system is fixed by its values on the quotient index
@@ -25,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import min_eig_hermitian
-from .berezin import DivergenceError, PolyballPoint, dropped_shell_mass
+from .berezin import DivergenceError, PolyballPoint, dropped_shell_mass, pair_transforms
 from .fock import FockTruncation
 from .naimark import (
     ToeplitzKernel,
@@ -37,6 +41,7 @@ from .naimark import (
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_operator, symbol_pair_ids
 from .words import (
     MultiWord,
+    Side,
     identity_multiword,
     lambda_pairs_up_to_total,
     lambda_pairs_within_degrees,
@@ -70,6 +75,35 @@ def from_row_isometries(V: Sequence[Sequence[np.ndarray]], e_basis: np.ndarray,
         if np.max(np.abs(c)) > 0:
             coeffs[a, b] = c
     return MultiToeplitzSymbol._unchecked(n, e_basis.shape[1], coeffs)
+
+
+def universal_compression(trunc: FockTruncation, side: Side, w: np.ndarray,
+                          max_total_len: int) -> MultiToeplitzSymbol:
+    """``from_row_isometries`` of V = ``creation_tuple(trunc, side)``: the
+    values W* V_{a~}* V_{b~} W, W the (dim, e) array ``w``, at the pairs of
+    ``lambda_pairs_up_to_total(n, max_total_len)`` in order, zeros dropped.
+
+    At a lambda pair V_{a~}* V_{b~} is the pairing at (a, b), so the value
+    is the sum of W[target]* W[source] over its cells (``pair_transforms``).
+    A cell counts only with both its words in W's row support.  It relates
+    them by word arithmetic alone, stripping a_i and attaching b_i, so it is
+    in every truncation holding both words, and |a_i|, |b_i| are at most the
+    longest support word's length in factor i.  The gather runs on the
+    smallest truncation holding the support, where a longer key is off the
+    box (zero), and the values do not depend on the degrees of ``trunc``."""
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != trunc.dim:
+        raise ValueError(f"w needs shape ({trunc.dim}, e), got {w.shape}")
+    rows = np.flatnonzero(w.any(axis=1))
+    words = [trunc.basis_word(int(f)) for f in rows]
+    box = FockTruncation(trunc.n, [max((len(mw.parts[i]) for mw in words), default=0)
+                                   for i in range(trunc.k)])
+    k = np.zeros((box.dim, 1, w.shape[1]), dtype=complex)
+    k[np.array([box.basis_index(mw) for mw in words], dtype=np.int64), 0] = w[rows]
+    pairs = lambda_pairs_up_to_total(trunc.n, max_total_len)
+    values = pair_transforms(k, [box.pair_id(a, b) for a, b in pairs], box, side)
+    return MultiToeplitzSymbol._unchecked(trunc.n, w.shape[1], {
+        pairs[j]: values[j] for j in np.flatnonzero(values.any(axis=(1, 2)))})
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +270,6 @@ class CbMapData:
                 v *= zi ** (len(bi) - len(ai))
             sym[a, b] = [[v]]
         return CbMapData(sym, coeff_bound=1.0, per_factor_cap=tuple(max_len for _ in n))
-
-    @staticmethod
-    def from_isometries(V: Sequence[Sequence[np.ndarray]], w: np.ndarray,
-                        max_total_len: int) -> "CbMapData":
-        """Compression data of a row-isometry tuple: the value at (a, b) is
-        W* V_{a~}* V_{b~} W; completely positive by construction."""
-        return CbMapData(from_row_isometries(V, w, max_total_len),
-                         max_total_len=max_total_len)
 
     @staticmethod
     def from_holomorphic(sym: MultiToeplitzSymbol, scale: float = 1.0) -> "CbMapData":

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .berezin import PolyballPoint, in_polyball
-from .fock import FockTruncation, creation_tuple
+from .fock import FockTruncation
 from .naimark import ToeplitzKernel, kernel_from_generator
-from .pluriharm import from_row_isometries
+from .pluriharm import universal_compression
 from .toeplitz import MultiToeplitzSymbol
 from .words import (
     Side,
@@ -123,14 +123,15 @@ def random_psd_kernel(rng: np.random.Generator, side: Side, n, e_dim: int,
                       max_len: int) -> ToeplitzKernel:
     """Genuinely PSD multi-Toeplitz kernel, the structure theorem run forwards:
     generated by the symbol (S_a~ E)* (S_b~ E) of the left creations compressed
-    to a random subspace E of the words of total length <= 1.
+    to a random subspace E of the words of total length <= 1
+    (``pluriharm.universal_compression``).
 
-    A depth-2 truncation holds that symbol exactly: at a λ-pair (a, b) one of
-    a_i, b_i is empty in each factor, so (S_a E)* (S_b E) is nonzero only when
-    |a|, |b| <= 1, and one-letter words are their own reversals.
+    E's words have total length at most 1, so the symbol is nonzero only at
+    λ-pairs (a, b) with |a|, |b| <= 1.  The depth-2 truncation fixes the
+    random draw of E.
     """
     trunc = FockTruncation(tuple(n), [2] * len(n))
-    sym = from_row_isometries(creation_tuple(trunc), random_embedding(rng, trunc, e_dim), 2)
+    sym = universal_compression(trunc, "left", random_embedding(rng, trunc, e_dim), 2)
     return kernel_from_generator(side, sym, max_len)
 
 

@@ -41,13 +41,13 @@ from .fock import (
 from .naimark import KernelNotPSDError, dilation_verify, kernel_is_psd, naimark_dilate
 from .pluriharm import (
     CbMapData,
-    from_row_isometries,
     herglotz_transform,
     mu_r_scale,
     nu_of,
     nu_trace_form,
     poisson_transform,
     schur_positivity,
+    universal_compression,
 )
 from .sampling import (
     random_creation_polynomial,
@@ -211,9 +211,8 @@ def _id_fock_commutation(cfg: RunConfig, rng) -> Iterator[float]:
 def _id_fock_adjoint(cfg: RunConfig, rng) -> Iterator[float]:
     trunc = FockTruncation(cfg.n, cfg.degrees)
     for side in ("left", "right"):
-        for i, ni in enumerate(trunc.n, 1):
-            for j in range(1, ni + 1):
-                m = creation_matrix(trunc, side, i, j)
+        for i, row in enumerate(creation_tuple(trunc, side), 1):
+            for j, m in enumerate(row, 1):
                 ma = creation_matrix(trunc, side, i, j, adjoint=True)
                 yield abs(ma - m.conj().T).max()
                 # matrix-free application agrees with the matrix
@@ -410,8 +409,7 @@ def _id_schur(cfg: RunConfig, rng) -> Iterator[float]:
 
 def _id_structure_positive(cfg: RunConfig, rng) -> Iterator[float]:
     trunc = FockTruncation(cfg.n, [2 * cfg.max_len] * len(cfg.n))
-    v = creation_tuple(trunc, side="right")
-    f = from_row_isometries(v, random_embedding(rng, trunc, 2), cfg.max_len)
+    f = universal_compression(trunc, "right", random_embedding(rng, trunc, 2), cfg.max_len)
     rep = schur_positivity(f, cfg.r_grid, cfg.max_len, cfg.tol)
     yield float(not (rep.positive and rep.all_agree))
     for p in rep.points:
@@ -423,9 +421,8 @@ def _id_poisson_transform_cp(cfg: RunConfig, rng) -> Iterator[float]:
     cap = 2 * (h_dim - 1)  # point monomials vanish beyond the nilpotency index
     depth = cap + 1
     trunc = FockTruncation(cfg.n, [depth] * len(cfg.n))
-    v = creation_tuple(trunc, side="right")
     w = random_embedding(rng, trunc, 2)
-    mu = CbMapData.from_isometries(v, w, cap)
+    mu = CbMapData(universal_compression(trunc, "right", w, cap), max_total_len=cap)
     for _ in range(2):
         x = random_nilpotent_point(rng, cfg.n, h_dim, 0.8)
         val = poisson_transform(mu, x).value

@@ -5,14 +5,19 @@ throughout: k <= 2, n_i <= 2, degrees <= 6, coefficient and point spaces of
 dimension <= 3.
 """
 
+import math
+
 import numpy as np
 
+from polyball._linalg import opnorm
 from polyball.berezin import (
     PolyballPoint,
     berezin_kernel,
     cauchy_operator,
     creation_point,
-    poisson_kernel,
+    defect,
+    dropped_shell_mass,
+    poisson_window,
     spectral_radius,
 )
 from polyball.fock import FockOperator, FockTruncation, creation_matrix, monomial_indices
@@ -112,17 +117,25 @@ def test_criterion_2_kernel_isometry_intertwining():
 
 
 def test_criterion_3_poisson_factorization():
-    """20 random points with row norms <= 0.5, both sides independent."""
+    """20 random points with row norms <= 0.5, both sides independent.
+
+    The bound is the index-pair shell mass the box drops plus
+    ||Delta|| (prod_i 1/(1 - rho_i) - 1)^2, which covers the Gram columns
+    of the dropped creation shells (the points are inside the ball and not
+    jointly nilpotent)."""
     n = (2, 1)
     trunc = FockTruncation(n, (3, 3))
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(20):
         x = random_point(rng, n, 2, 0.5)
-        pk = poisson_kernel(x, trunc)
+        rho = x.row_norms()
+        tail = dropped_shell_mass(rho, pairs=True, box=trunc.degrees)
+        bound = tail + opnorm(defect(x)) * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
         c = cauchy_operator(trunc, x, "right").matrix.toarray()
-        diff = np.linalg.norm(pk.op.dense() - c.conj().T @ c, 2)
-        worst = max(worst, diff - pk.factorization_bound)
+        p = poisson_window(x, trunc, np.ones(trunc.dim, dtype=bool))
+        diff = np.linalg.norm(p - c.conj().T @ c, 2)
+        worst = max(worst, diff - bound)
     _report("3 poisson factorization", worst <= 0.0,
             f"(worst error minus bound {worst:.3e})")
 

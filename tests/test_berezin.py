@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse
 
 from polyball import berezin
-from polyball._linalg import EXACT_DIM, hermitian_norm, psd_sqrt
+from polyball._linalg import EXACT_DIM, hermitian_norm, opnorm, psd_sqrt
 from polyball.berezin import (
     DivergenceError,
     GramFactor,
@@ -21,7 +21,6 @@ from polyball.berezin import (
     defect,
     in_polyball,
     pair_transforms,
-    poisson_kernel,
     poisson_window,
     spectral_radius,
 )
@@ -450,46 +449,59 @@ def test_cauchy_truncation_shape_checked(n):
 
 @pytest.mark.parametrize("side", ["Left", "lft"])
 def test_unknown_side_is_refused_by_the_kernel_and_the_resolvent(rng, side):
-    """A misspelt side raises, instead of giving the right-side Poisson
-    kernel or resolvent."""
+    """A misspelt side raises, instead of gathering the kernel at the
+    right pair table's cells or giving the right-side resolvent."""
     t = FockTruncation((2, 1), (2, 2))
     x = random_point(rng, (2, 1), 2, 0.5)
     with pytest.raises(ValueError, match="side must be"):
-        poisson_kernel(x, t, side=side)
+        pair_transforms(berezin_kernel(x, t), [0], side=side)
     with pytest.raises(ValueError, match="side must be"):
         cauchy_operator(t, x, side)
 
 
+def _whole_box(t):
+    return np.ones(t.dim, dtype=bool)
+
+
 def test_poisson_kernel_at_zero():
     t = FockTruncation([2], [2])
-    pk = poisson_kernel(PolyballPoint([[np.zeros((1, 1)), np.zeros((1, 1))]]), t)
-    np.testing.assert_allclose(pk.op.dense(), np.eye(t.dim), atol=1e-15)
-    assert pk.tail_bound == 0.0
+    p = poisson_window(PolyballPoint([[np.zeros((1, 1)), np.zeros((1, 1))]]), t, _whole_box(t))
+    np.testing.assert_allclose(p, np.eye(t.dim), atol=1e-15)
 
 
-def test_poisson_kernel_diverges_outside_ball():
+def test_berezin_kernel_diverges_outside_ball():
     t = FockTruncation([1], [3])
     with pytest.raises(DivergenceError):
-        poisson_kernel(PolyballPoint.from_scalars([[1.2]]), t)
+        berezin_kernel(PolyballPoint.from_scalars([[1.2]]), t)
 
 
 def test_poisson_kernel_psd_up_to_tail(rng):
+    """Hermitian, and PSD up to the index-pair shell mass the box drops."""
     t = FockTruncation([2, 1], [3, 3])
     x = random_point(rng, (2, 1), 2, 0.5)
-    pk = poisson_kernel(x, t)
-    m = pk.op.dense()
+    m = poisson_window(x, t, _whole_box(t))
+    tail = dropped_shell_mass(x.row_norms(), pairs=True, box=t.degrees)
+    assert tail > 0.0
     assert np.abs(m - m.conj().T).max() < 1e-12
-    assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -pk.tail_bound
+    assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -tail
+
+
+def _factorization_bound(x, t):
+    """||P - C^H C|| <= the index-pair tail plus ||Delta|| (prod 1/(1 - rho_i) - 1)^2,
+    which covers the Gram columns of the dropped creation shells, for a
+    point inside the ball that is not jointly nilpotent."""
+    rho = x.row_norms()
+    tail = dropped_shell_mass(rho, pairs=True, box=t.degrees)
+    return tail + opnorm(defect(x)) * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
 
 
 def test_factorization_random(rng):
     t = FockTruncation([2, 1], [3, 3])
     for _ in range(5):
         x = random_point(rng, (2, 1), 2, 0.5)
-        pk = poisson_kernel(x, t)
         c = cauchy_operator(t, x, "right").matrix.toarray()
-        diff = np.linalg.norm(pk.op.dense() - c.conj().T @ c, 2)
-        assert diff <= pk.factorization_bound
+        diff = np.linalg.norm(poisson_window(x, t, _whole_box(t)) - c.conj().T @ c, 2)
+        assert diff <= _factorization_bound(x, t)
 
 
 def test_factorization_sparse_difference_norm(rng):
@@ -497,7 +509,7 @@ def test_factorization_sparse_difference_norm(rng):
     CSR difference P - C^H C matches eigvalsh of the dense difference."""
     t = FockTruncation([2, 1], [5, 5])
     x = random_point(rng, (2, 1), 2, 0.5)
-    p = poisson_kernel(x, t).op.dense()
+    p = poisson_window(x, t, _whole_box(t))
     cs = cauchy_operator(t, x, "right").matrix
     c = cs.toarray()
     d = scipy.sparse.csr_matrix(p) - cs.conj().T @ cs
@@ -511,9 +523,8 @@ def test_factorization_window_exact_nilpotent(rng):
     compressed to the window with budget equal to the nilpotency reach."""
     t = FockTruncation([2, 1], [4, 4])
     x = random_nilpotent_point(rng, (2, 1), 3, 0.8)
-    pk = poisson_kernel(x, t)
     c = cauchy_operator(t, x, "right").matrix.toarray()
-    d = pk.op.dense() - c.conj().T @ c
+    d = poisson_window(x, t, _whole_box(t)) - c.conj().T @ c
     mask = np.repeat(t.window_mask([2, 2]), x.h_dim)
     assert np.abs(d[np.ix_(mask, mask)]).max() < 1e-12
 
@@ -525,28 +536,19 @@ WINDOW_SHAPES = [((2, 1), (3, 3)), ((1,), (6,)), ((3,), (4,)), ((1, 1, 2), (2, 2
 @pytest.mark.parametrize("n, degrees", WINDOW_SHAPES)
 def test_poisson_window_is_the_full_kernel_sliced(rng, n, degrees, h):
     """On the window of every room of the box, ``poisson_window`` has every
-    bit of the full-box ``poisson_kernel(x, t).op`` sliced to the window, at
-    random points (row norm up to 0.9), a nilpotent point and the zero point."""
+    bit of the word-by-word full-box kernel sliced to the window, at random
+    points (row norm up to 0.9), a nilpotent point and the zero point."""
     t = FockTruncation(n, degrees)
     points = [random_point(rng, n, h, 0.9), random_point(rng, n, h, 0.3),
               PolyballPoint([[np.zeros((h, h))] * ni for ni in n])]
     if h > 1:
         points.append(random_nilpotent_point(rng, n, h, 0.9))
     for x in points:
-        full = poisson_kernel(x, t).op.dense()
+        full = _poisson_kernel_by_words(x, t, "right")
         for room in itertools.product(*(range(d + 1) for d in degrees)):
             window = t.window_mask(room)
             keep = np.repeat(window, h)
             assert poisson_window(x, t, window).tobytes() == full[np.ix_(keep, keep)].tobytes()
-
-
-def test_poisson_kernel_left_mirror_single_generator(rng):
-    # with one generator per factor, appending and prepending coincide
-    t = FockTruncation([1, 1], [3, 3])
-    x = random_point(rng, (1, 1), 2, 0.5)
-    right = poisson_kernel(x, t, side="right").op.dense()
-    left = poisson_kernel(x, t, side="left").op.dense()
-    np.testing.assert_allclose(left, right, atol=1e-14)
 
 
 def test_defect_factor_order(rng):
@@ -605,15 +607,24 @@ def _poisson_kernel_by_words(x, t, side):
     pytest.param((1, 1, 2), (1, 1, 2), "nilpotent", id="n2-degrees2-nilpotent"),
 ])
 def test_poisson_kernel_matches_word_reference(rng, n, degrees, kind, side):
+    """The blocks X_a X_b*, placed at the pairings of the side's pair table,
+    are the word-by-word sum, and on the right side so is ``poisson_window``
+    on the whole box: the left table's cells are the ones the universal
+    model's left compressions gather."""
     t = FockTruncation(n, degrees)
     x = random_point(rng, n, 2, 0.5) if kind == "inside" else random_nilpotent_point(rng, n, 3, 0.8)
-    got = poisson_kernel(x, t, side=side).op.dense()
+    pairs = lambda_pairs_within_degrees(n, degrees)
+    xm = np.stack([x.monomial(a) @ x.monomial(b).conj().T for a, b in pairs])
+    got = [pair_operator(t, side, np.arange(len(pairs)), xm).dense()]
+    if side == "right":
+        got.append(poisson_window(x, t, _whole_box(t)))
     want = _poisson_kernel_by_words(x, t, side)
     # bit for bit, signed zeros of the nilpotent monomials included
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for g in got:
+        np.testing.assert_array_equal(g.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("side", ["right"])
 @pytest.mark.parametrize("kind, h", [("inside", 2), ("inside", 3), ("nilpotent", 3)])
 def test_poisson_kernel_batched_products_match_per_pair_loop(rng, kind, h, side):
     """The X_a X_b* of all lambda pairs come from one batched matmul; the
@@ -624,7 +635,7 @@ def test_poisson_kernel_batched_products_match_per_pair_loop(rng, kind, h, side)
     pairs = lambda_pairs_within_degrees(n, degrees)
     xm = np.stack([x.monomial(a) @ x.monomial(b).conj().T for a, b in pairs])
     want = pair_operator(t, side, np.arange(len(pairs)), xm).dense()
-    got = poisson_kernel(x, t, side=side).op.dense()
+    got = poisson_window(x, t, _whole_box(t))
     assert got.tobytes() == want.tobytes()
 
 
@@ -937,16 +948,14 @@ def test_kernel_tail_matches_closed_form(rng):
 
 
 def test_nilpotent_exactness_needs_degrees_covering_the_index(rng):
-    """Both the kernel and the Poisson kernel drop their tails only when
-    every degree covers its factor's nilpotency index (d_i + 1 >= p_i)."""
+    """The kernel drops its tail only when every degree covers its factor's
+    nilpotency index (d_i + 1 >= p_i)."""
     x = random_nilpotent_point(rng, (2, 1), 3, 0.8)
     for degrees, exact in [((2, 2), True), ((3, 2), True), ((2, 1), False), ((1, 4), False)]:
-        t = FockTruncation((2, 1), degrees)
-        tails = (berezin_kernel(x, t).tail_bound, poisson_kernel(x, t).tail_bound)
-        assert all((tail == 0.0) == exact for tail in tails), (degrees, tails)
+        tail = berezin_kernel(x, FockTruncation((2, 1), degrees)).tail_bound
+        assert (tail == 0.0) == exact, (degrees, tail)
     y = random_point(rng, (2, 1), 3, 0.5)
-    t = FockTruncation((2, 1), (4, 4))
-    assert berezin_kernel(y, t).tail_bound > 0.0 and poisson_kernel(y, t).tail_bound > 0.0
+    assert berezin_kernel(y, FockTruncation((2, 1), (4, 4))).tail_bound > 0.0
 
 
 @pytest.mark.parametrize("e_dim", [1, 2])
@@ -954,14 +963,13 @@ def test_nilpotent_exactness_needs_degrees_covering_the_index(rng):
 def test_nilpotency_index_is_per_factor_not_h_dim(r, e_dim):
     """r times the left creations on (2,1)@(2,2): h = 21, yet every word of
     length 3 vanishes in each factor, so the (3,3) box holds the whole
-    series.  Both tails are 0 (they were 0.0126, 4.33 and 5.0e5 for the
-    Berezin kernel when h was taken as the index), and the Berezin transform
+    series.  The kernel's tail is 0 (it was 0.0126, 4.33 and 5.0e5 when h
+    was taken as the index), and the Berezin transform
     of a symbol's operator is the r-scaled symbol at the creations."""
     small, box = FockTruncation((2, 1), (2, 2)), FockTruncation((2, 1), (3, 3))
     x = creation_point(small, r)
     assert x.h_dim == 21 and x.nilpotency_indices() == [3, 3]
     assert berezin_kernel(x, box).tail_bound == 0.0
-    assert poisson_kernel(x, box).tail_bound == 0.0
     sym = random_hermitian_symbol(np.random.default_rng(4), (2, 1), e_dim, 3)
     got = berezin_transform(symbol_operator(sym, box), x)
     assert np.abs(got - symbol_operator(sym, small, r).dense()).max() <= 1e-15

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from polyball._linalg import min_eig_hermitian
-from polyball.berezin import PolyballPoint, berezin_transform, cauchy_operator
-from polyball.fock import FockTruncation, creation_matrix, word_operator
+from polyball.berezin import PolyballPoint, berezin_transform, cauchy_operator, pair_transforms
+from polyball.fock import FockTruncation, creation_matrix, creation_tuple, word_operator
 from polyball.naimark import GeneratorError, kernel_from_generator, naimark_dilate
 from polyball.pluriharm import (
     CbMapData,
@@ -16,6 +16,7 @@ from polyball.pluriharm import (
     nu_trace_form,
     poisson_transform,
     schur_positivity,
+    universal_compression,
 )
 from polyball.sampling import (
     random_hermitian_symbol,
@@ -340,6 +341,52 @@ def test_from_row_isometries_matches_per_word_loop(n):
         np.testing.assert_array_equal(f.coeffs[key], c)
 
 
+UNIVERSAL_SHAPES = [((2, 1), (3, 3)), ((1,), (5,)), ((3,), (3,)), ((1, 1, 2), (2, 2, 2)),
+                    ((2, 2), (3, 2))]
+
+
+def _embedding(rng, t, e, support):
+    """A random isometric embedding of C^e on the words of total length <= support."""
+    low = np.flatnonzero(t.total_length_mask(support))
+    raw = np.zeros((t.dim, e), dtype=complex)
+    raw[low] = rng.standard_normal((low.size, e)) + 1j * rng.standard_normal((low.size, e))
+    return np.linalg.qr(raw)[0]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", UNIVERSAL_SHAPES)
+def test_universal_compression_is_from_row_isometries_of_the_creations(n, degrees, side):
+    """The gather gives the keys of ``from_row_isometries`` on the creation
+    tuple, in its order, and its values to rounding, for e = 1, 2, 3 and
+    embeddings on the words of total length <= 1 and <= 2."""
+    rng = np.random.default_rng([len(n), *degrees])
+    t = FockTruncation(n, degrees)
+    for e in (1, 2, 3):
+        for support in (1, 2):
+            w = _embedding(rng, t, e, support)
+            got = universal_compression(t, side, w, 3)
+            want = from_row_isometries(creation_tuple(t, side), w, 3)
+            assert list(got.coeffs) == list(want.coeffs)
+            assert got.max_difference(want) <= 1e-15
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", UNIVERSAL_SHAPES)
+def test_universal_compression_on_the_support_box_is_the_full_gather(n, degrees, side):
+    """Gathering W on the whole truncation, every lambda pair of total
+    length <= 4 at its id there, gives the same keys and, to rounding, the
+    same values as the gather on the smallest box that holds W's support
+    (the segment sums group the extra zero products differently)."""
+    t = FockTruncation(n, degrees)
+    w = _embedding(np.random.default_rng(len(n)), t, 2, 2)
+    pairs = lambda_pairs_up_to_total(n, 4)
+    full = pair_transforms(w[:, None, :], [t.pair_id(a, b) for a, b in pairs], t, side)
+    want = {pairs[j]: full[j] for j in np.flatnonzero(full.any(axis=(1, 2)))}
+    got = universal_compression(t, side, w, 4)
+    assert list(got.coeffs) == list(want)
+    assert max(np.abs(got.coeffs[key] - c).max() for key, c in want.items()) <= 1e-15
+
+
 def test_from_row_isometries_commutation_guard(rng):
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3))
@@ -585,16 +632,12 @@ def test_cp_data_positive_and_factored(rng):
     h_dim = 3
     cap = 2 * (h_dim - 1)
     t = FockTruncation(n, [cap + 1] * 2)
-    v = [
-        [creation_matrix(t, "right", i, j) for j in range(1, ni + 1)]
-        for i, ni in enumerate(t.n, 1)
-    ]
     raw = np.zeros((t.dim, 2), dtype=complex)
     for w in multiwords_up_to_total(n, 1):
         raw[t.basis_index(w), :] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     wmat, _ = np.linalg.qr(raw)
     wmat = wmat[:, :2]
-    mu = CbMapData.from_isometries(v, wmat, cap)
+    mu = CbMapData(universal_compression(t, "right", wmat, cap), max_total_len=cap)
     x = random_nilpotent_point(rng, n, h_dim, 0.8)
     val = poisson_transform(mu, x).value
     assert np.linalg.eigvalsh(0.5 * (val + val.conj().T))[0] > -1e-10

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse
 
 from polyball._linalg import opnorm
-from polyball.berezin import PolyballPoint, creation_point, poisson_kernel
+from polyball.berezin import PolyballPoint, creation_point, poisson_window
 from polyball.fock import FockOperator, FockTruncation, monomial_indices, word_matrix, word_operator
 from polyball.toeplitz import (
     MultiToeplitzSymbol,
@@ -322,9 +322,9 @@ def test_extract_poisson_kernel_scalar_point():
     prepending coincide, so the kernel is also multi-Toeplitz there."""
     t1 = FockTruncation([1, 1], [3, 3])
     z1 = PolyballPoint.from_scalars([[0.5], [0.5]])
-    pk1 = poisson_kernel(z1, t1)
-    assert is_k_multi_toeplitz(pk1.op).passed
-    sym1 = extract_symbol(pk1.op, 3)
+    pk1 = FockOperator(t1, poisson_window(z1, t1, np.ones(t1.dim, dtype=bool)))
+    assert is_k_multi_toeplitz(pk1).passed
+    sym1 = extract_symbol(pk1, 3)
     assert len(sym1) == len(lambda_pairs_up_to_total([1, 1], 3))
     for (a, b), m in sym1.items():
         assert abs(m[0, 0] - 0.5 ** (a.total_length + b.total_length)) < 1e-13
@@ -334,7 +334,7 @@ def test_extract_poisson_kernel_scalar_point():
     # invariant under right compressions
     t = FockTruncation([2, 1], [3, 3])
     z = PolyballPoint.from_scalars([[0.5, 0.0], [0.5]])
-    sym = extract_symbol(poisson_kernel(z, t).op, 3)
+    sym = extract_symbol(FockOperator(t, poisson_window(z, t, np.ones(t.dim, dtype=bool))), 3)
     for (a, b), m in sym.items():
         assert abs(m[0, 0] - 0.5 ** (a.total_length + b.total_length)) < 1e-13
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polyball import berezin, verify
+from polyball import fock, naimark, pluriharm, sampling, verify
 from polyball._linalg import EXACT_DIM, opnorm
 from polyball.berezin import (
     GramFactor,
@@ -13,7 +13,7 @@ from polyball.berezin import (
     cauchy_operator,
     defect,
     dropped_shell_mass,
-    poisson_kernel,
+    poisson_window,
 )
 from polyball.fock import FockTruncation
 from polyball.sampling import random_nilpotent_point, random_point
@@ -302,7 +302,7 @@ def test_poisson_factorization_rooms_stay_within_their_bounds(n, degrees, h):
         points += [random_nilpotent_point(rng, n, h, r) for r in rng.uniform(0.05, 0.9, 4)]
     for x in points:
         c = cauchy_operator(t, x).matrix.toarray()
-        diff = poisson_kernel(x, t).op.dense() - c.conj().T @ c
+        diff = poisson_window(x, t, np.ones(t.dim, dtype=bool)) - c.conj().T @ c
         dnorm = opnorm(defect(x))
         rho2 = [r * r for r in x.row_norms()]
         mass = math.prod(1.0 / (1.0 - q) for q in rho2)
@@ -314,17 +314,11 @@ def test_poisson_factorization_rooms_stay_within_their_bounds(n, degrees, h):
 
 
 def test_poisson_factorization_builds_no_full_box_product(monkeypatch, refuse_sparse):
-    """At (2,1)@(5,5) the item builds no full-box Poisson kernel and
-    multiplies no sparse operand whose sides both reach the truncation's
-    dimension: only the window's columns of the resolvent are squared."""
+    """At (2,1)@(5,5) the item multiplies no sparse operand whose sides both
+    reach the truncation's dimension: only the window's columns of the
+    resolvent are squared."""
     cfg = RunConfig(n=(2, 1), degrees=(5, 5), max_len=2, seed=0)
     dim = FockTruncation(cfg.n, cfg.degrees).dim
-
-    def full_box(*args, **kwargs):
-        raise AssertionError("poisson_kernel on the full box")
-
-    monkeypatch.setattr(berezin, "poisson_kernel", full_box)
-    monkeypatch.setattr(verify, "poisson_kernel", full_box, raising=False)
     refuse_sparse(operand=dim)
     assert verify.run_item("berezin.poisson_factorization", cfg).passed
 
@@ -364,6 +358,49 @@ def test_verify_items_read_operators_without_densifying(refuse_dense, item):
     cfg = RunConfig(n=(2, 1), degrees=(5, 5), max_len=2, seed=0)
     refuse_dense(FockTruncation(cfg.n, cfg.degrees).dim)
     assert verify.run_item(item, cfg).passed
+
+
+def test_adjoint_item_builds_only_the_adjoint_letters(monkeypatch):
+    """Warm, ``fock.adjoint_consistency`` at n = (2, 1) builds the 3 adjoint
+    letters per side it checks and takes the letters from ``creation_tuple``:
+    6 ``creation_matrix`` calls, and the same result."""
+    cfg = RunConfig(n=(2, 1), degrees=(3, 3))
+    first = verify.run_item("fock.adjoint_consistency", cfg)
+    build, calls = fock.creation_matrix, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "creation_matrix", counted)
+    monkeypatch.setattr(verify, "creation_matrix", counted)
+    assert verify.run_item("fock.adjoint_consistency", cfg) == first
+    assert len(calls) == 6
+
+
+def _refused(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+def test_poisson_transform_cp_reads_no_word_columns(monkeypatch):
+    """At (3,3)@(4,4) the item passes without ``naimark.word_columns``: its
+    compression data is gathered at the pair table's cells, not read off
+    one column per word of the depth-5 truncation (dim 132,496)."""
+    for module in (naimark, pluriharm):
+        monkeypatch.setattr(module, "word_columns", _refused("word_columns"))
+    cfg = RunConfig(n=(3, 3), degrees=(4, 4), max_len=2, seed=23)
+    assert verify.run_item("pluriharm.poisson_transform_cp", cfg).passed
+
+
+def test_verify_suite_makes_no_from_row_isometries_call(monkeypatch):
+    """Every structure-theorem item reads the universal model, so the suite
+    passes with ``from_row_isometries`` refused wherever it could be looked up."""
+    for module in (pluriharm, sampling, verify):
+        monkeypatch.setattr(module, "from_row_isometries", _refused("from_row_isometries"),
+                            raising=False)
+    assert all(r.passed for r in verify.verify_suite(RunConfig(n=(2, 1), degrees=(3, 3))))
 
 
 def test_verify_builds_each_shape_structure_once(cold_caches):
