@@ -15,7 +15,6 @@ from polyball import (
     creation_point,
     evaluate_symbol,
     extract_symbol,
-    fourier_coefficient,
     identity_multiword,
     is_k_multi_toeplitz,
     multiword,
@@ -47,7 +46,8 @@ sym[g, a] = [[0.5 + 0.25j]]
 top = symbol_operator(sym, t)
 back = extract_symbol(top, 3)
 print("coefficients recovered with max difference", back.max_difference(sym))
-print("single coefficient read:", fourier_coefficient(top, a, g)[0, 0])
+index = t.basis_index
+print("single coefficient read:", top.blocks(index(a), index(g))[0, 0])
 
 print("\n=== evaluation at a matrix point ===")
 x = PolyballPoint.from_scalars([[0.3, 0.1], [0.4]])

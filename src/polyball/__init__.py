@@ -19,7 +19,6 @@ from .words import (
     lambda_pairs_within_degrees,
     multiword,
     multiwords_up_to_total,
-    word,
     words_up_to,
 )
 from .fock import (
@@ -39,7 +38,6 @@ from .toeplitz import (
     creation_pair_symbol,
     evaluate_symbol,
     extract_symbol,
-    fourier_coefficient,
     is_k_multi_toeplitz,
     norm_on_grid,
     symbol_operator,
@@ -75,8 +73,6 @@ from .pluriharm import (
     from_row_isometries,
     gamma_kernel,
     herglotz_transform,
-    mu_r_scale,
-    nu_of,
     nu_trace_form,
     poisson_transform,
     schur_positivity,

@@ -19,8 +19,9 @@ the cells inside one window (the whole box for an all-true window), and
 ``berezin_transform`` applies a dense or SciPy-sparse g once, to the
 kernel's columns.  The compressions of pairings need no operator:
 ``pair_transforms`` reads the cells of all the given pairs once, gathers a
-row-blocked K (the Berezin kernel, or the embedding W of a compression of
-the universal model) at them and sums the per-cell products pair by pair.
+row-blocked (dim, r, e) array K on a truncation (the Berezin kernel's
+``as_tensor``, or the embedding W of a compression of the universal model)
+at them and sums the per-cell products pair by pair.
 
 Truncated series report explicit geometric tail bounds computed from the row
 norms; when the point is jointly nilpotent the series are finite and the
@@ -329,25 +330,21 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None) 
     return out.reshape(h * e, h * e)
 
 
-def pair_transforms(kernel, pids: np.ndarray, trunc: FockTruncation | None = None,
+def pair_transforms(kernel: np.ndarray, pids: np.ndarray, trunc: FockTruncation,
                     side: Side = "left") -> np.ndarray:
     """K* (P (x) I_r) K for the pairings P at the pair ids ``pids`` of the
     pair table of ``side``, a (len(pids), e, e) array; an id of -1 (a pair
     off the box) gives zero.
 
-    ``kernel`` is a ``BerezinKernelMatrix``, on its own truncation, or a
-    row-blocked (dim, r, e) array K on ``trunc``, K[f] its (r, e) rows at
-    the basis word f.  For the Berezin kernel and the left table these are
-    the transforms of the pairings; the pairing at (b~, a~) is S_a S_b*
+    ``kernel`` is a row-blocked (dim, r, e) array K on ``trunc``, K[f] its
+    (r, e) rows at the basis word f.  For the Berezin kernel
+    (``BerezinKernelMatrix.as_tensor``) and the left table these are the
+    transforms of the pairings; the pairing at (b~, a~) is S_a S_b*
     (``fock.word_matrix``).
 
     A pairing sends source to target at each of its cells, so K* (P (x) I) K
     is the sum of K[target]* K[source] over them: one gather at all pairs'
     cells, one batched product and one segment sum."""
-    if isinstance(kernel, BerezinKernelMatrix):
-        trunc, kernel = kernel.trunc, kernel.as_tensor()
-    elif trunc is None:
-        raise ValueError("trunc required when the kernel is a plain array")
     pids = np.asarray(pids, dtype=np.int64)
     r, e = kernel.shape[1:]
     out = np.zeros((len(pids), e, e), dtype=complex)

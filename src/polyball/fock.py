@@ -9,12 +9,14 @@ except on the top degree slice of its factor.
 Word arithmetic is integer arithmetic on basis indices.  In factor i a word
 w of length p has index offset[p] + rank(w), where offset[p] = sum of n_i^q
 over q < p and rank(w) reads the letters minus one as base-n_i digits, first
-letter most significant.  The table for words, one formula for letters:
-every word index map is read from one table per truncation and side,
+letter most significant.  One table for words and letters: every word
+index map is read from one table per truncation and side,
 ``FockTruncation.pair_table``, whose pairing at the lambda pair (a, b) is the
-monomial at (b~, a~), ~ the reversal; a creation letter is the formula
-rank(g_j.w) = (j - 1) n_i^|w| + rank(w), rank(w.g_j) = rank(w) n_i + j - 1
-(``FockTruncation.letter_map``).
+monomial at (b~, a~), ~ the reversal.  A creation letter is the pairing at
+(e, g), g the one-letter multiword, and its adjoint the pairing at (g, e).
+Only the matrix-free oracle ``apply_creation`` reads the letters from the
+formula rank(g_j.w) = (j - 1) n_i^|w| + rank(w), rank(w.g_j) = rank(w) n_i +
+j - 1 (``FockTruncation.letter_map``), so the two are independent.
 
 The table is a pure function of the shape and the side, so it is built once
 per (n, degrees, side) and process and shared by every truncation of that
@@ -37,10 +39,8 @@ and S_a the one at (e, a~).  An annihilation never leaves the truncation, so
 P S_a P S_b* P = P S_a S_b* P: the exact compression of the monomial.
 
 The creation letters are CSR matrices with entries 1 (``creation_matrix``,
-the tuple ``creation_tuple``): each sends a basis vector to a basis vector or
-to zero (``FockTruncation.letter_image``), and every module applies them with
-``@``.  ``apply_creation`` is their matrix-free action, the oracle the
-letters are checked against.
+the tuple ``creation_tuple``), the word monomials of one letter
+(``word_matrix``), and every module applies them with ``@``.
 
 Dense or sparse: an operator supported on comparable word pairs (a letter, a
 word monomial, a pair or symbol operator) is CSR; a vector is a plain
@@ -58,7 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import MultiWord, Side, Word, _require_side, identity_multiword, words_up_to
+from .words import (MultiWord, Side, Word, _require_side, identity_multiword, multiword,
+                    words_up_to)
 
 
 # shapes kept in the pair-table and letter caches, and keys in the pair-id cache
@@ -178,14 +179,6 @@ class FockTruncation:
         n, length, rank = self.n[i - 1], self._factor_degree[i - 1], self._rank[i - 1]
         rank = (j - 1) * n ** length + rank if side == "left" else rank * n + j - 1
         return np.where(length < self.degrees[i - 1], self._offset[i - 1][length + 1] + rank, -1)
-
-    def letter_image(self, side: Side, i: int, j: int, flat: np.ndarray) -> np.ndarray:
-        """Basis index of the image of each basis index in ``flat`` under the
-        truncated creation letter (i, j); -1 where the letter maps it to zero."""
-        stride = self._strides[i - 1]
-        word = flat // stride % self.factor_dims[i - 1]
-        image = self.letter_map(side, i, j)[word]
-        return np.where(image >= 0, flat + (image - word) * stride, -1)
 
     # -- lambda-pair table -----------------------------------------------------
 
@@ -376,11 +369,13 @@ def _unit_matrix(dim: int, rows: np.ndarray, cols: np.ndarray):
 def creation_matrix(trunc: FockTruncation, side: Side, i: int, j: int,
                     adjoint: bool = False):
     """The truncated creation letter (or its adjoint) as a CSR matrix with
-    entries 1: it sends each basis vector to a basis vector or to zero."""
-    image = trunc.letter_image(side, i, j, np.arange(trunc.dim))
-    src = np.flatnonzero(image >= 0)
-    dst = image[src]
-    return _unit_matrix(trunc.dim, src, dst) if adjoint else _unit_matrix(trunc.dim, dst, src)
+    entries 1: ``word_matrix`` at (g, e), or at (e, g) for the adjoint, g the
+    one-letter multiword g_j in factor i."""
+    if not 1 <= i <= trunc.k:
+        raise ValueError(f"factor index {i} out of range")
+    g = multiword([[j] if m == i else [] for m in range(1, trunc.k + 1)], trunc.n)
+    e = identity_multiword(trunc.n)
+    return word_matrix(trunc, e, g, side) if adjoint else word_matrix(trunc, g, e, side)
 
 
 def creation_tuple(trunc: FockTruncation, side: Side = "left") -> list[list]:

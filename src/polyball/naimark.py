@@ -217,11 +217,6 @@ class NaimarkDilation:
         """{w: V_w E} over the monomials, by ``word_columns``."""
         return word_columns(self.isometries, self.embedding, self.window_len + 1)
 
-    def reproduce(self, s: MultiWord, w: MultiWord) -> np.ndarray:
-        """P_E V_s* V_w |_E, which matches the kernel on the window (for a
-        right kernel, the table entry at the reversed pair)."""
-        return self.columns[s].conj().T @ self.columns[w]
-
 
 def _graded_cholesky(g: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factor of the Hermitian PSD ``g`` in its own column order.

@@ -8,11 +8,14 @@ for abstract row isometries V (``from_row_isometries``); at the universal
 model each is a sum over one pairing's cells (``universal_compression``).
 
 A free pluriharmonic function is its finitely supported symbol, a
-``MultiToeplitzSymbol``; the functions here take and return one.  A linear
-map on the operator system is fixed by its values on the quotient index
-monomials (these span the system), which form a symbol too: ``CbMapData``
-holds that symbol with the map's metadata, and the Herglotz class is a
-declared zero-pattern validated at construction.
+``MultiToeplitzSymbol``; the functions here take and return one, and the
+r-scaled function is its ``scaled(r)``.  A linear map on the operator
+system is fixed by its values on the quotient index monomials (these span
+the system), which form a symbol too: ``CbMapData`` holds that symbol with
+the map's metadata, and the Herglotz class is a declared zero-pattern
+validated at construction.  Its transforms are one evaluation of symbols
+at a point (``toeplitz.evaluate_symbol``): the Poisson transform of every
+value, the Fantappie transform of the annihilation-monomial values only.
 
 The Schur-type test compares two matrices per r whose cells depend on the
 symbol's keys and the shape alone: it reads them once per call and scatters
@@ -289,19 +292,6 @@ class CbMapData:
         return CbMapData(vals, unit=0.5 * (a0 + a0.conj().T), herglotz_class=True)
 
 
-def mu_r_scale(mu: CbMapData, r: float) -> CbMapData:
-    """The map data of the r-scaled family: its symbol scaled by r."""
-    return CbMapData(mu.symbol.scaled(r), herglotz_class=mu.herglotz_class,
-                     coeff_bound=mu.coeff_bound, max_total_len=mu.max_total_len,
-                     per_factor_cap=mu.per_factor_cap)
-
-
-def nu_of(F: MultiToeplitzSymbol, r: float) -> CbMapData:
-    """The linear-map data of the r-scaled function: coefficientwise
-    r^(|a|+|b|) scaling of the symbol."""
-    return CbMapData(F.scaled(r))
-
-
 def nu_trace_form(F: MultiToeplitzSymbol, r: float, trunc: FockTruncation,
                   words: Sequence[MultiWord]) -> list[np.ndarray]:
     """Radial-function extraction of the annihilation-monomial values, one
@@ -352,17 +342,14 @@ def poisson_transform(mu: CbMapData, X: PolyballPoint) -> TransformResult:
 
 
 def fantappie_transform(mu: CbMapData, X: PolyballPoint) -> TransformResult:
-    """Resolvent-product pairing; only annihilation-monomial values are read."""
+    """Resolvent-product pairing: the Poisson-type evaluation restricted to
+    the annihilation-monomial values, the keys (a, e), where X_a X_e* = X_a."""
     if X.n != mu.n:
         raise ValueError(f"point shape {X.n} does not match map shape {mu.n}")
     tail = _transform_tail(mu, X, holomorphic=True)
-    he = X.h_dim * mu.e_dim
-    out = np.zeros((he, he), dtype=complex)
-    for (a, b), v in mu.symbol.items():
-        if not b.is_identity:
-            continue
-        out += np.kron(X.monomial(a), v)
-    return TransformResult(out, tail)
+    values = MultiToeplitzSymbol._unchecked(mu.n, mu.e_dim, {
+        (a, b): v for (a, b), v in mu.symbol.items() if b.is_identity})
+    return TransformResult(evaluate_symbol(values, X), tail)
 
 
 def herglotz_transform(mu: CbMapData, X: PolyballPoint) -> TransformResult:

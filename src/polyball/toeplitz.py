@@ -25,7 +25,6 @@ from .words import (
     ShapeMismatchError,
     Side,
     compare,
-    identity_multiword,
     lambda_membership,
     lambda_pairs_up_to_total,
 )
@@ -145,15 +144,6 @@ class MultiToeplitzSymbol:
         """The coefficients in key order, a (len(self), e, e) array."""
         return np.array(list(self.coeffs.values())).reshape(len(self), self.e_dim, self.e_dim)
 
-    @staticmethod
-    def constant(n: Iterable[int], matrix: np.ndarray) -> "MultiToeplitzSymbol":
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        n = tuple(n)
-        sym = MultiToeplitzSymbol(n, matrix.shape[0])
-        g = identity_multiword(n)
-        sym[g, g] = matrix
-        return sym
-
 
 @dataclass
 class ToeplitzReport:
@@ -183,14 +173,6 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     off = ~np.isin(stored, dst[cells] * trunc.dim + src[cells])
     worst = float(np.max(np.concatenate([on.ravel(), np.abs(m.data[off])]), initial=0.0))
     return ToeplitzReport(worst <= tol, worst, tol)
-
-
-def fourier_coefficient(T: FockOperator, a: MultiWord, b: MultiWord) -> np.ndarray:
-    """Coefficient block of T at the index pair (a, b): the e x e block at
-    basis row a and basis column b, read from the stored entries."""
-    if not lambda_membership(a, b):
-        raise NotLambdaPairError(f"({a!r}; {b!r}) is not a coefficient index pair")
-    return T.blocks(T.trunc.basis_index(a), T.trunc.basis_index(b))
 
 
 def extract_symbol(T: FockOperator, max_total_len: int) -> MultiToeplitzSymbol:

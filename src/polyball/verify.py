@@ -42,8 +42,6 @@ from .naimark import KernelNotPSDError, dilation_verify, kernel_is_psd, naimark_
 from .pluriharm import (
     CbMapData,
     herglotz_transform,
-    mu_r_scale,
-    nu_of,
     nu_trace_form,
     poisson_transform,
     schur_positivity,
@@ -307,7 +305,7 @@ def _id_berezin_moment(cfg: RunConfig, rng) -> Iterator[float]:
         bound = max(cfg.tol, 2.0 * k.tail_bound + k.tail_bound ** 2)
         table = x.monomial_table(trunc)
         want = table[a_idx] @ table[b_idx].conj().transpose(0, 2, 1)
-        yield np.max(np.abs(pair_transforms(k, pids) - want)) - bound
+        yield np.max(np.abs(pair_transforms(k.as_tensor(), pids, trunc) - want)) - bound
 
 
 def _id_berezin_cp(cfg: RunConfig, rng) -> Iterator[float]:
@@ -457,14 +455,12 @@ def _id_nu_roundtrip(cfg: RunConfig, rng) -> Iterator[float]:
     cap = min(cfg.max_len, min(cfg.degrees))
     trunc = FockTruncation(cfg.n, cfg.degrees)
     sym = random_hermitian_symbol(rng, cfg.n, 1, cap, density=0.6)
-    mu = CbMapData(sym)
     g = identity_multiword(cfg.n)
     words = [a for a, b in sym.coeffs if b.is_identity]
     for r in cfg.r_grid:
-        nu = nu_of(sym, r)
-        yield nu.symbol.max_difference(mu_r_scale(mu, r).symbol)
+        scaled = sym.scaled(r)
         for a, got in zip(words, nu_trace_form(sym, r, trunc, words)):
-            yield np.max(np.abs(got - nu.symbol.coeff(a, g)))
+            yield np.max(np.abs(got - scaled.coeff(a, g)))
 
 
 # (name, anchor, tolerance, errors); a row's position salts its random draws,

@@ -68,10 +68,6 @@ class Word:
         return "".join(f"g{j}" for j in self.letters)
 
 
-def word(letters: Sequence[int], n: int) -> Word:
-    return Word(tuple(letters), n)
-
-
 def empty_word(n: int) -> Word:
     return Word((), n)
 

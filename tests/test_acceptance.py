@@ -268,11 +268,12 @@ def test_criterion_7_naimark_dilation():
         k = random_psd_kernel(rng, "right", (2, 1), 2, 3)
         d = naimark_dilate(k)
         dl = naimark_dilate(k.reversed())
+        # P_E V_s* V_w |_E of each dilation, read off its columns V_w E
+        c, cl = d.columns, dl.columns
         for s in multiwords_up_to_total(k.n, 2):
             for w in multiwords_up_to_total(k.n, 2):
-                worst_dual = max(
-                    worst_dual, np.abs(d.reproduce(s, w) - dl.reproduce(s, w)).max()
-                )
+                worst_dual = max(worst_dual, np.abs(
+                    c[s].conj().T @ c[w] - cl[s].conj().T @ cl[w]).max())
     ok = (
         worst_rep <= 1e-8
         and worst_defect <= 1e-9

@@ -159,7 +159,7 @@ def test_pair_transforms_are_the_word_matrix_transforms(rng, n, degrees, h):
     assert (pids[-2:] == -1).all()
     for x in (random_point(rng, n, h, 0.6), random_point(rng, n, h, 0.95)):
         k = berezin_kernel(x, t)
-        got = pair_transforms(k, pids)
+        got = pair_transforms(k.as_tensor(), pids, t)
         for (a, b), pid, g in zip(pairs, pids, got):
             want = berezin_transform(word_matrix(t, a, b), x, trunc=t)
             if pid < 0:
@@ -454,7 +454,7 @@ def test_unknown_side_is_refused_by_the_kernel_and_the_resolvent(rng, side):
     t = FockTruncation((2, 1), (2, 2))
     x = random_point(rng, (2, 1), 2, 0.5)
     with pytest.raises(ValueError, match="side must be"):
-        pair_transforms(berezin_kernel(x, t), [0], side=side)
+        pair_transforms(berezin_kernel(x, t).as_tensor(), [0], t, side=side)
     with pytest.raises(ValueError, match="side must be"):
         cauchy_operator(t, x, side)
 

@@ -140,6 +140,52 @@ def test_creation_matrix_is_apply_creation_on_identity(n, degrees, side, adjoint
                 assert (letters[i - 1][j - 1] != m).nnz == 0
 
 
+def _letter_image_matrix(t, side, i, j, adjoint):
+    """The letter as it was built before it was read from the pair table: the
+    image of every basis index under the factor-i letter map, moved along
+    the factor's stride, -1 where the letter leaves the truncation."""
+    flat = np.arange(t.dim)
+    stride = int(np.prod(t.factor_dims[i:]))
+    word = flat // stride % t.factor_dims[i - 1]
+    image = t.letter_map(side, i, j)[word]
+    image = np.where(image >= 0, flat + (image - word) * stride, -1)
+    src = np.flatnonzero(image >= 0)
+    rows, cols = (src, image[src]) if adjoint else (image[src], src)
+    return scipy.sparse.csr_matrix(
+        (np.ones(src.size, dtype=complex), cols, np.searchsorted(rows, np.arange(t.dim + 1))),
+        shape=(t.dim, t.dim))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (4,)), ((1, 1, 2), (2, 2, 2)),
+                                        ((2, 2), (3, 2)), ((2, 1), (5, 5))])
+def test_creation_matrix_is_the_letter_image_construction(n, degrees, side, adjoint):
+    """Each letter, read from the pair table as the word monomial at (g, e)
+    or (e, g), has the CSR arrays of the former construction from the
+    letter map, bit for bit and dtype for dtype."""
+    t = FockTruncation(n, degrees)
+    for i, ni in enumerate(n, 1):
+        for j in range(1, ni + 1):
+            got, want = creation_matrix(t, side, i, j, adjoint), _letter_image_matrix(
+                t, side, i, j, adjoint)
+            assert got.shape == want.shape
+            for field in ("data", "indices", "indptr"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, j, field)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_creation_matrix_refuses_letters_out_of_range(side, adjoint):
+    """A factor index outside 1..k or a generator outside 1..n_i raises,
+    rather than reading the unit multiword's identity."""
+    t = FockTruncation([2, 1], [2, 2])
+    for i, j in [(0, 1), (3, 1), (1, 0), (1, 3), (2, 0), (2, 2)]:
+        with pytest.raises(ValueError):
+            creation_matrix(t, side, i, j, adjoint)
+
+
 def test_adjoint_matrices_are_conjugate_transposes():
     t = FockTruncation([2, 2], [2, 2])
     for side in ("left", "right"):

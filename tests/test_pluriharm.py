@@ -11,8 +11,6 @@ from polyball.pluriharm import (
     from_row_isometries,
     gamma_kernel,
     herglotz_transform,
-    mu_r_scale,
-    nu_of,
     nu_trace_form,
     poisson_transform,
     schur_positivity,
@@ -50,8 +48,14 @@ def tridiagonal_symbol(c):
     return sym
 
 
+def _constant(n, matrix):
+    """The symbol with the single value ``matrix`` at the pair of unit words."""
+    g = identity_multiword(n)
+    return MultiToeplitzSymbol(n, matrix.shape[0], {(g, g): matrix})
+
+
 def test_gamma_kernel_constant():
-    f = MultiToeplitzSymbol.constant([2, 1], np.eye(1))
+    f = _constant([2, 1], np.eye(1))
     k = gamma_kernel(f, 0.5, 2)
     for s in multiwords_up_to_total((2, 1), 2):
         assert k.value(s, s)[0, 0] == 1.0
@@ -205,7 +209,7 @@ def test_gamma_kernel_refuses_non_hermitian_symbol():
 
 
 def test_schur_identity_function():
-    rep = schur_positivity(MultiToeplitzSymbol.constant([2], np.eye(1)),
+    rep = schur_positivity(_constant([2], np.eye(1)),
                            [0.3, 0.6, 0.9], 3)
     assert rep.all_agree and rep.positive
 
@@ -445,32 +449,29 @@ def test_point_mass_matches_disc_kernel():
         assert abs(got - want) < 1e-6
 
 
-def test_mu_r_scale_limits():
+def test_scaled_map_data_limits():
+    """The map data of the r-scaled family, ``CbMapData`` of the r-scaled
+    symbol: at r = 0 only the unit survives, at r = 1 it is the map itself,
+    and its Poisson transform at z is the map's at r z."""
     mu = CbMapData.point_mass([1.0], 6)
     z = PolyballPoint.from_scalars([[0.4]])
-    m0 = mu_r_scale(mu, 0.0)
+    m0 = CbMapData(mu.symbol.scaled(0.0))
     assert len(m0.symbol) == 1  # only the unit survives
-    m1 = mu_r_scale(mu, 1.0)
+    m1 = CbMapData(mu.symbol.scaled(1.0))
     assert m1.symbol.hermitian_defect() < 1e-14
     np.testing.assert_allclose(
         poisson_transform(m1, z).value, poisson_transform(mu, z).value
     )
     r = 0.6
     np.testing.assert_allclose(
-        poisson_transform(mu_r_scale(mu, r), z).value,
+        poisson_transform(CbMapData(mu.symbol.scaled(r)), z).value,
         poisson_transform(mu, z.scaled(r)).value,
         atol=1e-12,
     )
 
 
-def test_nu_roundtrip_and_scaling():
-    mu = CbMapData.point_mass([np.exp(0.3j), 1.0], 4)
-    for r in (0.0, 0.5, 1.0):
-        nu = nu_of(mu.symbol, r)
-        mur = mu_r_scale(mu, r)
-        assert set(nu.symbol.coeffs) == set(mur.symbol.coeffs)
-        assert nu.symbol.max_difference(mur.symbol) < 1e-14
-    # single-coefficient scaling arithmetic
+def test_scaled_coefficient_arithmetic():
+    """A coefficient at a key of total length 3 scales by r^3."""
     n = (2, 1)
     g = identity_multiword(n)
     a = multiword([[1, 2], [1]], n)
@@ -478,8 +479,7 @@ def test_nu_roundtrip_and_scaling():
     sym[g, g] = [[1.0]]
     sym[a, g] = [[1.0]]
     sym[g, a] = [[1.0]]
-    nu = nu_of(sym, 0.5)
-    assert abs(nu.symbol.coeff(a, g)[0, 0] - 0.125) < 1e-15
+    assert abs(sym.scaled(0.5).coeff(a, g)[0, 0] - 0.125) < 1e-15
 
 
 def test_nu_trace_form(rng):
@@ -489,11 +489,11 @@ def test_nu_trace_form(rng):
     g = identity_multiword(n)
     words = [a for a, b in sym.coeffs if b.is_identity]
     for r in (0.3, 0.8):
-        nu = nu_of(sym, r)
+        scaled = sym.scaled(r)
         blocks = nu_trace_form(sym, r, trunc, words)
         assert len(blocks) == len(words)
         for a, got in zip(words, blocks):
-            assert np.abs(got - nu.symbol.coeff(a, g)).max() < 1e-12
+            assert np.abs(got - scaled.coeff(a, g)).max() < 1e-12
 
 
 def test_nu_trace_form_reads_the_kron_product_block(rng):
@@ -516,6 +516,47 @@ def test_nu_trace_form_reads_the_kron_product_block(rng):
             else:
                 want = np.zeros((2, 2), dtype=complex)
             np.testing.assert_array_equal(got, want, err_msg=repr(a))
+
+
+def _fantappie_per_key(mu, x):
+    """The Fantappie transform as a loop of its own: the sum over the keys
+    (a, e) of kron(X_a, value), onto zeros."""
+    out = np.zeros((x.h_dim * mu.e_dim,) * 2, dtype=complex)
+    for (a, b), v in mu.symbol.items():
+        if b.is_identity:
+            out += np.kron(x.monomial(a), v)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["inside", "nilpotent"])
+@pytest.mark.parametrize("h", [1, 3])
+@pytest.mark.parametrize("n", [(2, 1), (1, 1, 2)])
+def test_fantappie_and_herglotz_are_the_per_key_sums(n, h, kind):
+    """The creation-only part of the symbol evaluated at the point has every
+    bit of the per-key sum of kron(X_a, value), and the Herglotz transform
+    is twice it minus the unit, also when a value holds -0.0 and when the
+    point's long words vanish."""
+    rng = np.random.default_rng([len(n), h])
+    g = identity_multiword(n)
+    sym = MultiToeplitzSymbol(n, 2)
+    sym[g, g] = np.eye(2)
+    for a, _ in lambda_pairs_up_to_total(n, 3):
+        if not a.is_identity:
+            sym[a, g] = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    mu = CbMapData.from_holomorphic(sym)
+    first = next(a for a, _ in sym.coeffs if a.total_length == 2)
+    mu.symbol[first, g] = np.array([[complex(-0.0, -0.0), 0.5], [-0.0, -0.25j]])
+    assert np.signbit(mu.symbol.coeff(first, g)[0, 0].real)
+    if kind == "inside":
+        x = random_point(rng, n, h, 0.5)
+    else:  # at h = 1 the jointly nilpotent point is zero
+        x = random_nilpotent_point(rng, n, h, 0.7) if h > 1 else PolyballPoint(
+            [[np.zeros((1, 1))] * ni for ni in n])
+    want = _fantappie_per_key(mu, x)
+    f = fantappie_transform(mu, x).value
+    assert f.tobytes() == want.tobytes()
+    herglotz = 2.0 * want - np.kron(np.eye(h, dtype=complex), mu.unit)
+    assert herglotz_transform(mu, x).value.tobytes() == herglotz.tobytes()
 
 
 def test_fantappie_geometric():
@@ -693,7 +734,7 @@ def test_cbmap_keeps_nonzero_values_and_the_given_unit():
     {"max_total_len": -1},
 ])
 def test_cbmap_rejects_bad_metadata(bad):
-    sym = MultiToeplitzSymbol.constant((2, 1), np.eye(1))
+    sym = _constant((2, 1), np.eye(1))
     with pytest.raises(ValueError):
         CbMapData(sym, **bad)
 

@@ -4,14 +4,13 @@ import scipy.sparse
 
 from polyball._linalg import opnorm
 from polyball.berezin import PolyballPoint, creation_point, poisson_window
-from polyball.fock import FockOperator, FockTruncation, monomial_indices, word_matrix, word_operator
+from polyball.fock import (FockOperator, FockTruncation, creation_tuple, monomial_indices,
+                           word_matrix, word_operator)
 from polyball.toeplitz import (
     MultiToeplitzSymbol,
-    NotLambdaPairError,
     creation_pair_symbol,
     evaluate_symbol,
     extract_symbol,
-    fourier_coefficient,
     is_k_multi_toeplitz,
     norm_on_grid,
     symbol_operator,
@@ -24,6 +23,19 @@ from polyball.words import (
     multiword,
 )
 from polyball.sampling import random_creation_polynomial, random_hermitian_symbol
+
+
+def _constant(n, matrix):
+    """The symbol with the single value ``matrix`` at the pair of unit words."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    g = identity_multiword(n)
+    return MultiToeplitzSymbol(n, matrix.shape[0], {(g, g): matrix})
+
+
+def _coefficient(op, a, b):
+    """The Fourier coefficient of ``op`` at the index pair (a, b): its block
+    at basis row a and basis column b."""
+    return op.blocks(op.trunc.basis_index(a), op.trunc.basis_index(b))
 
 
 def test_word_operators_are_toeplitz():
@@ -65,7 +77,9 @@ def _membership_by_dense_gather(T):
         budget[i - 1] = 1
         widx = np.flatnonzero(trunc.window_mask(budget))
         base = block(widx, widx)
-        images = [trunc.letter_image("right", i, j, widx) for j in range(1, ni + 1)]
+        # the image of each window word under R_ij: its letter's entry in that column
+        letters = [m.tocsc() for m in creation_tuple(trunc, "right")[i - 1]]
+        images = [c.indices[c.indptr[widx]] for c in letters]
         for s, rows in enumerate(images):
             for t, cols in enumerate(images):
                 d = block(rows, cols) - (base if s == t else 0)
@@ -173,11 +187,11 @@ def test_max_difference_refuses_symbols_of_other_shapes():
     not compared: a constant 3 (e = 1) against I_2 (e = 2) read 3.0 by
     broadcasting, and the units over (2,) and (1, 1) read 1.0."""
     with pytest.raises(ShapeMismatchError):
-        MultiToeplitzSymbol.constant((2,), 3.0).max_difference(
-            MultiToeplitzSymbol.constant((2,), np.eye(2)))
+        _constant((2,), 3.0).max_difference(
+            _constant((2,), np.eye(2)))
     with pytest.raises(ShapeMismatchError):
-        MultiToeplitzSymbol.constant((2,), 1.0).max_difference(
-            MultiToeplitzSymbol.constant((1, 1), 1.0))
+        _constant((2,), 1.0).max_difference(
+            _constant((1, 1), 1.0))
 
 
 def _bits(blocks):
@@ -210,7 +224,7 @@ def test_symbol_key_data_follows_the_keys():
     removed one is gone from them."""
     t = FockTruncation([2, 1], [3, 3])
     g, w = identity_multiword(t.n), multiword([[1, 2], []], t.n)
-    sym = MultiToeplitzSymbol.constant(t.n, 1.0)
+    sym = _constant(t.n, 1.0)
     symbol_operator(sym, t, 0.5)
     sym[w, g] = [[2.0]]
     want = word_operator(t, g, g).dense() + 0.25 * 2.0 * word_operator(t, w, g).dense()
@@ -269,18 +283,18 @@ def test_fourier_coefficient_reads_block():
     b = multiword([[], [2]], [2, 2])
     c = np.array([[1.0, 2.0j], [0.0, -1.0]])
     op = word_operator(t, a, b, c)
-    np.testing.assert_allclose(fourier_coefficient(op, a, b), c)
+    np.testing.assert_allclose(_coefficient(op, a, b), c)
     g = identity_multiword([2, 2])
-    assert np.abs(fourier_coefficient(op, g, g)).max() == 0.0
+    assert np.abs(_coefficient(op, g, g)).max() == 0.0
 
 
 def test_fourier_coefficient_identity():
     t = FockTruncation([2], [2])
     g = identity_multiword([2])
     op = FockOperator(t, np.eye(t.dim))
-    np.testing.assert_allclose(fourier_coefficient(op, g, g), np.eye(1))
+    np.testing.assert_allclose(_coefficient(op, g, g), np.eye(1))
     w = multiword([[1]], [2])
-    assert np.abs(fourier_coefficient(op, w, g)).max() == 0.0
+    assert np.abs(_coefficient(op, w, g)).max() == 0.0
 
 
 def test_fourier_coefficient_mixed_factors():
@@ -291,15 +305,8 @@ def test_fourier_coefficient_mixed_factors():
     b2 = multiword([[], [1]], [2, 1])
     m = 2 * word_operator(t, a1, g).dense() + 3 * word_operator(t, g, b2).dense()
     op = FockOperator(t, m)
-    np.testing.assert_allclose(fourier_coefficient(op, a1, g), 2 * np.eye(1))
-    np.testing.assert_allclose(fourier_coefficient(op, g, b2), 3 * np.eye(1))
-
-
-def test_fourier_rejects_non_index_pairs():
-    t = FockTruncation([2], [2])
-    w = multiword([[1]], [2])
-    with pytest.raises(NotLambdaPairError):
-        fourier_coefficient(FockOperator(t, np.eye(t.dim)), w, w)
+    np.testing.assert_allclose(_coefficient(op, a1, g), 2 * np.eye(1))
+    np.testing.assert_allclose(_coefficient(op, g, b2), 3 * np.eye(1))
 
 
 def test_extract_roundtrip(rng):
@@ -340,7 +347,7 @@ def test_extract_poisson_kernel_scalar_point():
 
 
 def test_evaluate_symbol_examples():
-    sym = MultiToeplitzSymbol.constant([2, 1], np.eye(2))
+    sym = _constant([2, 1], np.eye(2))
     x = PolyballPoint.from_scalars([[0.2, 0.3], [0.4]])
     np.testing.assert_allclose(evaluate_symbol(sym, x), np.eye(2))
 

@@ -219,6 +219,35 @@ def test_items_fail_on_a_nan(monkeypatch, item, function, degrees, max_len):
     assert math.isnan(res.max_error) and not res.passed
 
 
+@pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
+def test_nu_roundtrip_catches_scaled_trace_form_blocks(monkeypatch, degrees, max_len):
+    """At seed 0 the item passes the trace-form blocks and fails them scaled
+    by 1.1: it compares them with the r-scaled symbol, not a map with itself."""
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
+    assert verify.run_item("pluriharm.nu_roundtrip", cfg).passed
+    form = verify.nu_trace_form
+    monkeypatch.setattr(verify, "nu_trace_form", lambda *args: [1.1 * b for b in form(*args)])
+    res = verify.run_item("pluriharm.nu_roundtrip", cfg)
+    assert res.max_error > res.tolerance
+
+
+@pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
+def test_one_op_computes_nilpotency_indices_once_per_point(monkeypatch, degrees, max_len):
+    """In one verify op every point is asked for its nilpotency indices at
+    most once, so none computes them twice and the point needs no memo."""
+    cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=1)
+    reads = []  # the points, kept alive so that their ids stay distinct
+    indices = PolyballPoint.nilpotency_indices
+
+    def counted(self):
+        reads.append(self)
+        return indices(self)
+
+    monkeypatch.setattr(PolyballPoint, "nilpotency_indices", counted)
+    verify.verify_suite(cfg)
+    assert len(reads) == len({id(x) for x in reads}) > 0
+
+
 ITEM_NAMES = [
     "words.comparability_reversal", "words.lambda_membership",
     "fock.isometry_on_window", "fock.cross_factor_commutation", "fock.adjoint_consistency",

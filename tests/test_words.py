@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from polyball.words import (
     MultiWord,
     ShapeMismatchError,
+    Word,
     compare,
     identity_multiword,
     lambda_membership,
     lambda_pairs_up_to_total,
     multiword,
     multiwords_up_to_total,
-    word,
     words_up_to,
 )
 
@@ -180,9 +180,9 @@ def test_total_length_is_computed_once_and_not_a_field():
 
 def test_generator_range_validation():
     with pytest.raises(ValueError):
-        word([3], 2)
+        Word((3,), 2)
     with pytest.raises(ValueError):
-        word([0], 2)
+        Word((0,), 2)
 
 
 @st.composite
@@ -190,7 +190,7 @@ def word_pairs(draw):
     n = draw(st.integers(1, 3))
     a = draw(st.lists(st.integers(1, n), max_size=5))
     b = draw(st.lists(st.integers(1, n), max_size=5))
-    return word(a, n), word(b, n)
+    return Word(tuple(a), n), Word(tuple(b), n)
 
 
 @given(word_pairs())
