@@ -10,8 +10,8 @@ Both kernels are sums over basis words, so a point keeps its word operators
 as one graded table: per factor, level p stacks the X_{i,w} with |w| = p in
 rank order, and level p+1 is X_{i,j} @ (level p) over the letters j.
 ``monomial_table`` combines the levels into X_b for every basis word b of a
-truncation, bit for bit the per-word ``monomial``, which keeps its own
-per-word cache so that one long word costs only its length in products.
+truncation, bit for bit the per-word ``monomial``, which multiplies one
+word's letters in the levels' order and stores nothing on the point.
 ``berezin_kernel`` is one batched product of Delta^(1/2) with the table,
 ``poisson_window`` gathers X_a X_b* from it at each pair's first cell
 a -> b in the right pair table (``FockTruncation.pair_table``), only for
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import _linalg as la
 from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator
-from .words import MultiWord, Side, Word
+from .words import MultiWord, Side
 
 
 class DivergenceError(ValueError):
@@ -83,9 +83,6 @@ class PolyballPoint:
         self.h_dim = h
         self.k = len(self.X)
         self.n = tuple(len(row) for row in self.X)
-        self._word_cache: list[dict[tuple[int, ...], np.ndarray]] = [
-            {(): np.eye(h, dtype=complex)} for _ in range(self.k)
-        ]
         # _levels[i][p]: the (n_i^p, h, h) level p of factor i, see the module doc
         self._levels: list[list[np.ndarray]] = [
             [np.eye(h, dtype=complex)[None]] for _ in range(self.k)
@@ -109,27 +106,20 @@ class PolyballPoint:
             levels.append(np.concatenate([m @ levels[-1] for m in self.X[i - 1]]))
         return levels[: d + 1]
 
-    def factor_word(self, i: int, w: Word) -> np.ndarray:
-        """X_{i,w} = X_{i,j1} (X_{i,j2} (... (X_{i,jp} I))), cached per word.
-
-        The product order is that of the levels, so the bits agree, but a
-        single word costs |w| products, not the n_i^p words of each level."""
-        cache = self._word_cache[i - 1]
-        letters = w.letters
-        if letters not in cache:
-            cache[letters] = self.entry(i, letters[0]) @ self.factor_word(
-                i, Word(letters[1:], w.n)
-            )
-        return cache[letters]
-
     def monomial(self, mw: MultiWord) -> np.ndarray:
-        """X_mw: product of the per-factor word operators, factor order."""
+        """X_mw: product of the per-factor word operators, factor order.  A
+        word is the chain X_{i,j1} (X_{i,j2} (... (X_{i,jp} I))), the product
+        order of the levels, so the bits agree, but it costs |w| products,
+        not the n_i^p words of a level."""
         if mw.n != self.n:
             raise ValueError(f"multiword shape {mw.n} does not match point shape {self.n}")
         out = np.eye(self.h_dim, dtype=complex)
-        for i, w in enumerate(mw.parts, start=1):
+        for row, w in zip(self.X, mw.parts):
             if not w.is_identity:
-                out = out @ self.factor_word(i, w)
+                word = np.eye(self.h_dim, dtype=complex)
+                for j in reversed(w.letters):
+                    word = row[j - 1] @ word
+                out = out @ word
         return out
 
     def monomial_table(self, trunc: FockTruncation) -> np.ndarray:
@@ -345,20 +335,18 @@ def pair_transforms(kernel: np.ndarray, pids: np.ndarray, trunc: FockTruncation,
     A pairing sends source to target at each of its cells, so K* (P (x) I) K
     is the sum of K[target]* K[source] over them: one gather at all pairs'
     cells, one batched product and one segment sum."""
-    pids = np.asarray(pids, dtype=np.int64)
     r, e = kernel.shape[1:]
     out = np.zeros((len(pids), e, e), dtype=complex)
-    slots = np.flatnonzero(pids >= 0)
-    _, src, dst = trunc.pair_table(side)
-    cells, owner = trunc.pair_cells(side, pids[slots])
-    target, source = kernel[dst[cells]].conj(), kernel[src[cells]]
+    src, dst, owner = trunc.pair_cells(side, pids)
+    target, source = kernel[dst].conj(), kernel[src]
     # the per-cell products, one row of K[f] at a time: numpy's batched
     # matmul is slower on so many small products
     products = target[:, 0, :, None] * source[:, 0, None, :]
     for d in range(1, r):
         products += target[:, d, :, None] * source[:, d, None, :]
     # every pair in the box has a cell, its first; the cells come pair by pair
-    out[slots] = np.add.reduceat(products, np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+    out[owner[firsts]] = np.add.reduceat(products, firsts, axis=0)
     return out
 
 

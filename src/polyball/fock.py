@@ -9,7 +9,9 @@ except on the top degree slice of its factor.
 Word arithmetic is integer arithmetic on basis indices.  In factor i a word
 w of length p has index offset[p] + rank(w), where offset[p] = sum of n_i^q
 over q < p and rank(w) reads the letters minus one as base-n_i digits, first
-letter most significant.  One table for words and letters: every word
+letter most significant.  A truncation keeps these integer tables and no
+word list: ``basis_word`` reads a MultiWord back from the shared
+``words.words_up_to`` enumeration.  One table for words and letters: every word
 index map is read from one table per truncation and side,
 ``FockTruncation.pair_table``, whose pairing at the lambda pair (a, b) is the
 monomial at (b~, a~), ~ the reversal.  A creation letter is the pairing at
@@ -29,7 +31,9 @@ and every call returns fresh lists of the shared letters.
 Nothing keyed by data (a coefficient, a point, an operator) is cached.
 
 The table is grouped by pair id, so every reader slices its own pairs'
-cells.  Sums over coefficient index pairs (a symbol's monomials, the Poisson
+cells: ``FockTruncation.pair_cells`` gives their (source, target) words and
+the index of each cell's pair, an id of -1 (a pair off the box) owning no
+cell.  Sums over coefficient index pairs (a symbol's monomials, the Poisson
 kernel's pairings, the resolvent's creation words) gather them in one pass
 (``pair_operator``); a compression K* P K of a pairing P is the sum of
 K[target]* K[source] over its cells (``berezin.pair_transforms``).  A single
@@ -58,8 +62,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import (MultiWord, Side, Word, _require_side, identity_multiword, multiword,
-                    words_up_to)
+from .words import (MultiWord, Side, Word, _require_side, _words_up_to, identity_multiword,
+                    multiword)
 
 
 # shapes kept in the pair-table and letter caches, and keys in the pair-id cache
@@ -91,9 +95,6 @@ class FockTruncation:
         self.n = tuple(int(x) for x in n)
         self.degrees = tuple(int(d) for d in degrees)
         self.k = len(self.n)
-        self._factor_words: list[list[Word]] = [
-            words_up_to(ni, di) for ni, di in zip(self.n, self.degrees)
-        ]
         # per factor: offset[p] = index of the first word of length p, and the
         # length and base-n rank of every basis word
         self._offset: list[np.ndarray] = []
@@ -105,7 +106,7 @@ class FockTruncation:
             self._offset.append(offset)
             self._factor_degree.append(length)
             self._rank.append(np.arange(offset[-1], dtype=np.int64) - offset[length])
-        self.factor_dims = tuple(len(ws) for ws in self._factor_words)
+        self.factor_dims = tuple(int(offset[-1]) for offset in self._offset)
         self.dim = int(np.prod(self.factor_dims))
         self._strides = tuple(
             int(np.prod(self.factor_dims[i + 1 :])) for i in range(self.k)
@@ -127,10 +128,11 @@ class FockTruncation:
         return flat
 
     def basis_word(self, flat: int) -> MultiWord:
+        """The basis word at ``flat``, its parts read from the shared ``words_up_to``."""
         parts = []
         for i in range(self.k):
             idx, flat = divmod(flat, self._strides[i])
-            parts.append(self._factor_words[i][idx])
+            parts.append(_words_up_to(self.n[i], self.degrees[i])[idx])
         return MultiWord(tuple(parts))
 
     def admits(self, mw: MultiWord) -> bool:
@@ -196,14 +198,18 @@ class FockTruncation:
         _require_side(side)
         return _pair_table(self.n, self.degrees, side)
 
-    def pair_cells(self, side: Side, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cells, owner): the positions in ``pair_table(side)`` of the cells
-        of the pairs with ids ``pids`` (each >= 0), pair after pair, and the
-        index in ``pids`` of each cell's pair."""
-        indptr = self.pair_table(side)[0]
-        counts = indptr[pids + 1] - indptr[pids]
+    def pair_cells(self, side: Side, pids: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source, target, owner) of the cells in ``pair_table(side)`` of
+        the pairs with ids ``pids``, pair after pair, by ascending source
+        within a pair, and the index in ``pids`` of each cell's pair; an id
+        of -1 (a pair off the box) owns no cell."""
+        indptr, src, dst = self.pair_table(side)
+        pids = np.asarray(pids, dtype=np.int64)
+        counts = np.where(pids >= 0, indptr[pids + 1] - indptr[pids], 0)
         owner = np.repeat(np.arange(len(pids)), counts)
-        return np.arange(owner.size) + (indptr[pids] - np.cumsum(counts) + counts)[owner], owner
+        cells = np.arange(owner.size) + (indptr[pids] - np.cumsum(counts) + counts)[owner]
+        return src[cells], dst[cells], owner
 
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, degrees={self.degrees}, dim={self.dim})"
@@ -434,17 +440,15 @@ def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
     import scipy.sparse as sp
 
     e = blocks.shape[1]
-    slots = np.flatnonzero(pids >= 0)
-    _, src, dst = trunc.pair_table(side)
-    cells, owner = trunc.pair_cells(side, pids[slots])
-    key = dst[cells] * trunc.dim + src[cells]
+    src, dst, owner = trunc.pair_cells(side, pids)
+    key = dst * trunc.dim + src
     order = np.argsort(key)
     if (np.diff(key[order]) == 0).any():
         raise ValueError("pair ids must be distinct")
-    cells, owner = cells[order], slots[owner[order]]
-    rows = np.searchsorted(dst[cells], np.arange(trunc.dim + 1))
+    src, dst, owner = src[order], dst[order], owner[order]
+    rows = np.searchsorted(dst, np.arange(trunc.dim + 1))
     n = trunc.dim * e
-    matrix = sp.bsr_matrix((blocks[owner] + 0.0, src[cells], rows), shape=(n, n), blocksize=(e, e))
+    matrix = sp.bsr_matrix((blocks[owner] + 0.0, src, rows), shape=(n, n), blocksize=(e, e))
     return FockOperator(trunc, matrix.tocsr(), coeff_dim=e)
 
 

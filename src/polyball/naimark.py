@@ -11,7 +11,9 @@ kernel is constant along left-comparability quotients; its Gram matrix is
 Cholesky-factored in that order, a numerically dependent word column adding no
 row, and the row isometries act by prepending a generator to the indexing word.
 Since shorter words come first, the window words span a coordinate prefix of
-the factor space, on which the isometries are one triangular solve.  Right
+the factor space, on which the isometries are one triangular solve; the
+window words are the first monomials, so the column of g.w is read from the
+tail table of the letter g, at the position of w.  Right
 kernels are dilated through the reversal reduction.  All dilation identities
 carry a window qualifier: they are exact on words of total length <= L - 1.
 
@@ -40,6 +42,7 @@ from .words import (
     Side,
     Word,
     identity_multiword,
+    multiword,
     multiwords_up_to_total,
 )
 
@@ -238,11 +241,6 @@ def _graded_cholesky(g: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]
     return r[: len(piv)], np.array(piv, dtype=np.int64)
 
 
-def _prepend(mw: MultiWord, i: int, j: int) -> MultiWord:
-    p = mw.parts[i]
-    return MultiWord(mw.parts[:i] + (Word((j,) + p.letters, p.n),) + mw.parts[i + 1:])
-
-
 def naimark_dilate(K: ToeplitzKernel, rank_tol: float = 1e-10) -> NaimarkDilation:
     """Minimal dilation by commuting row isometries, exact on the window.
 
@@ -270,9 +268,12 @@ def naimark_dilate(K: ToeplitzKernel, rank_tol: float = 1e-10) -> NaimarkDilatio
     e, monos, L = work.e_dim, work.monomials, work.max_len
     rank = frame.shape[0]
     dom = piv[: np.searchsorted(piv, sum(w.total_length < L for w in monos) * e)]
-    # per letter (i, j), the column of each window pivot's word with j prepended in factor i
-    shifted = np.array([[work._position[_prepend(monos[p // e], i, j)] * e + p % e for p in dom]
-                        for i, ni in enumerate(work.n) for j in range(1, ni + 1)], dtype=np.int64)
+    # per letter g, the column of g.w for each window pivot's word w: the
+    # window words are the first monomials, the tails of g
+    letters = [multiword([[j] if m == i else [] for m in range(len(work.n))], work.n)
+               for i, ni in enumerate(work.n) for j in range(1, ni + 1)]
+    shifted = np.array([_tail_positions("right", work.n, L, g)[dom // e] * e + dom % e
+                        for g in letters], dtype=np.int64)
     # every letter's R[:, shifted] stacked, times T^-1 in one solve
     x = frame[:, shifted].transpose(1, 0, 2).reshape(-1, dom.size)
     v = np.zeros((len(shifted), rank, rank), dtype=complex)

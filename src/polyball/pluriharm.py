@@ -98,11 +98,12 @@ def universal_compression(trunc: FockTruncation, side: Side, w: np.ndarray,
     if w.ndim != 2 or w.shape[0] != trunc.dim:
         raise ValueError(f"w needs shape ({trunc.dim}, e), got {w.shape}")
     rows = np.flatnonzero(w.any(axis=1))
-    words = [trunc.basis_word(int(f)) for f in rows]
-    box = FockTruncation(trunc.n, [max((len(mw.parts[i]) for mw in words), default=0)
-                                   for i in range(trunc.k)])
+    # a word's index in its factor does not depend on the factor's degree
+    factor_rows = np.unravel_index(rows, trunc.factor_dims)
+    box = FockTruncation(trunc.n, [int(length[f].max(initial=0))
+                                   for length, f in zip(trunc._factor_degree, factor_rows)])
     k = np.zeros((box.dim, 1, w.shape[1]), dtype=complex)
-    k[np.array([box.basis_index(mw) for mw in words], dtype=np.int64), 0] = w[rows]
+    k[np.ravel_multi_index(factor_rows, box.factor_dims), 0] = w[rows]
     pairs = lambda_pairs_up_to_total(trunc.n, max_total_len)
     values = pair_transforms(k, [box.pair_id(a, b) for a, b in pairs], box, side)
     return MultiToeplitzSymbol._unchecked(trunc.n, w.shape[1], {
@@ -170,14 +171,11 @@ def schur_positivity(F: MultiToeplitzSymbol, r_grid: Iterable[float],
     e = F.e_dim
     trunc = FockTruncation(F.n, [max_len] * len(F.n))
     window = trunc.total_length_mask(max_len)
-    pids = symbol_pair_ids(F, trunc)
-    slots = np.flatnonzero(pids >= 0)
-    _, src, dst = trunc.pair_table("left")
-    cells, owner = trunc.pair_cells("left", pids[slots])
-    inside = window[src[cells]] & window[dst[cells]]
-    cells, op_owner = cells[inside], slots[owner[inside]]
+    src, dst, owner = trunc.pair_cells("left", symbol_pair_ids(F, trunc))
+    inside = window[src] & window[dst]
     place = np.cumsum(window) - 1
-    rows, cols, size = place[dst[cells]], place[src[cells]], int(place[-1]) + 1
+    rows, cols, op_owner = place[dst[inside]], place[src[inside]], owner[inside]
+    size = int(place[-1]) + 1
     p, q, gram_owner = gram_cells("right", F, max_len)
     points = []
     for r in r_grid:

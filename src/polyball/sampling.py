@@ -48,21 +48,7 @@ def _row_rescaled(rows: list[list[np.ndarray]], targets: list[float]) -> Polybal
 def random_point(rng: np.random.Generator, n, h_dim: int,
                  row_norm: float) -> PolyballPoint:
     """Random point with commuting factors and row norms <= row_norm."""
-    n = tuple(n)
-    targets = [row_norm * rng.uniform(0.5, 1.0) for _ in n]
-    if len(n) == 1:
-        rows = [[_rand_complex(rng, h_dim, h_dim) for _ in range(n[0])]]
-    else:
-        c = _rand_complex(rng, h_dim, h_dim)
-        powers = [np.linalg.matrix_power(c, p) for p in range(h_dim)]
-        rows = [
-            [
-                sum(_rand_complex(rng) * powers[p] for p in range(h_dim))
-                for _ in range(ni)
-            ]
-            for ni in n
-        ]
-    return _row_rescaled(rows, targets)
+    return _commuting_point(rng, n, h_dim, row_norm, nilpotent=False)
 
 
 def random_nilpotent_point(rng: np.random.Generator, n, h_dim: int,
@@ -71,19 +57,33 @@ def random_nilpotent_point(rng: np.random.Generator, n, h_dim: int,
 
     Single factor: independent strictly upper-triangular entries.  Several
     factors: polynomials without constant term in a shared strictly
-    upper-triangular seed, so the factors commute.
+    upper-triangular seed, so the factors commute; at h_dim = 1 there is no
+    such power and every entry is zero.
     """
+    return _commuting_point(rng, n, h_dim, row_norm, nilpotent=True)
+
+
+def _commuting_point(rng: np.random.Generator, n, h_dim: int, row_norm: float,
+                     nilpotent: bool) -> PolyballPoint:
+    """The draws of ``random_point`` and ``random_nilpotent_point``: a
+    nilpotent point takes the strict upper part of each seed and starts its
+    polynomials at the first power.  Each entry's sum starts from the h x h
+    zero matrix, whose +0.0 + x has the bits of 0 + x."""
     n = tuple(n)
     targets = [row_norm * rng.uniform(0.5, 1.0) for _ in n]
+
+    def seed() -> np.ndarray:
+        m = _rand_complex(rng, h_dim, h_dim)
+        return np.triu(m, 1) if nilpotent else m
+
     if len(n) == 1:
-        rows = [[np.triu(_rand_complex(rng, h_dim, h_dim), 1) for _ in range(n[0])]]
+        rows = [[seed() for _ in range(n[0])]]
     else:
-        c = np.triu(_rand_complex(rng, h_dim, h_dim), 1)
-        powers = [np.linalg.matrix_power(c, p) for p in range(1, h_dim)]
-        rows = [
-            [sum(_rand_complex(rng) * m for m in powers) for _ in range(ni)]
-            for ni in n
-        ]
+        c = seed()
+        powers = [np.linalg.matrix_power(c, p) for p in range(int(nilpotent), h_dim)]
+        zero = np.zeros((h_dim, h_dim), dtype=complex)
+        rows = [[sum((_rand_complex(rng) * m for m in powers), zero) for _ in range(ni)]
+                for ni in n]
     return _row_rescaled(rows, targets)
 
 

@@ -166,11 +166,11 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     indptr, src, dst = trunc.pair_table("left")
     coeffs = T.blocks(dst[indptr[:-1]], src[indptr[:-1]])
     pids = np.flatnonzero(coeffs.any(axis=(1, 2)))
-    cells, owner = trunc.pair_cells("left", pids)
-    on = np.abs(T.blocks(dst[cells], src[cells]) - coeffs[pids[owner]])
+    source, target, owner = trunc.pair_cells("left", pids)
+    on = np.abs(T.blocks(target, source) - coeffs[pids[owner]])
     # the block (target, source) key of each stored entry and of each cell
     stored = np.repeat(np.arange(m.shape[0]) // e, np.diff(m.indptr)) * trunc.dim + m.indices // e
-    off = ~np.isin(stored, dst[cells] * trunc.dim + src[cells])
+    off = ~np.isin(stored, target * trunc.dim + source)
     worst = float(np.max(np.concatenate([on.ravel(), np.abs(m.data[off])]), initial=0.0))
     return ToeplitzReport(worst <= tol, worst, tol)
 

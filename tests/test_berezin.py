@@ -743,9 +743,9 @@ def test_monomial_table_rejects_a_foreign_truncation():
 
 
 def test_a_long_symbol_key_costs_its_length_not_its_level(monkeypatch):
-    """A key of 40 letters in a 2-letter factor is 40 products through the
-    per-word cache; the level holding it would be 2^40 matrices, so building
-    any level past the short ones fails the test before it can allocate."""
+    """A key of 40 letters in a 2-letter factor is a chain of 40 products;
+    the level holding it would be 2^40 matrices, so building any level past
+    the short ones fails the test before it can allocate."""
     build = PolyballPoint._factor_levels
 
     def short_levels_only(self, i, d):
@@ -765,6 +765,28 @@ def test_a_long_symbol_key_costs_its_length_not_its_level(monkeypatch):
     # the table still builds its short levels
     t = FockTruncation(n, (3, 1))
     assert x.monomial_table(t).shape == (t.dim, 2, 2)
+
+
+def _stored_arrays(value) -> int:
+    """The number of arrays held in ``value``, through lists, tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return 1
+    if isinstance(value, dict):
+        return sum(map(_stored_arrays, value.values()))
+    if isinstance(value, (list, tuple)):
+        return sum(map(_stored_arrays, value))
+    return 0
+
+
+def test_monomial_stores_nothing_on_the_point():
+    """The graded levels are a point's one product store: ``monomial`` adds
+    no attribute and no array to the point, however many words it forms."""
+    n = (2, 1)
+    x = random_point(np.random.default_rng(5), n, 2, 0.8)
+    before = {name: _stored_arrays(value) for name, value in vars(x).items()}
+    for letters in ([1, 2, 1], [2], [1, 1, 1, 1], [2, 1]):
+        x.monomial(multiword([letters, [1]], n))
+    assert {name: _stored_arrays(value) for name, value in vars(x).items()} == before
 
 
 def _berezin_kernel_by_words(x, t):

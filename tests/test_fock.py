@@ -592,3 +592,26 @@ def test_unknown_side_is_refused(side):
         with pytest.raises(ValueError, match="side must be"):
             call()
     assert (fock._pair_table.cache_info(), fock._creation_letters.cache_info()) == built
+
+
+@pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (3,)), ((1, 1, 2), (2, 2, 2)),
+                                        ((2, 2), (3, 2))])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_pair_cells_are_the_table_slices(n, degrees, side):
+    """``pair_cells`` gives, pair after pair, the slice indptr[p]:indptr[p + 1]
+    of the pair table's sources and targets, owned by the pair's index in
+    ``pids``; an id of -1 owns no cell wherever it stands."""
+    t = FockTruncation(n, degrees)
+    indptr, src, dst = t.pair_table(side)
+    rng = np.random.default_rng(3)
+    drawn = rng.choice(len(indptr) - 1, size=12, replace=False)
+    for pids in (np.insert(drawn, [0, 5, 12], -1), drawn[::-1], np.full(3, -1),
+                 np.zeros(0, dtype=np.int64)):
+        source, target, owner = t.pair_cells(side, pids)
+        want = ([], [], [])
+        for j, p in enumerate(pids):
+            if p >= 0:
+                cut = slice(indptr[p], indptr[p + 1])
+                for cells, part in zip(want, (src[cut], dst[cut], [j] * (cut.stop - cut.start))):
+                    cells.extend(part)
+        assert (source.tolist(), target.tolist(), owner.tolist()) == want

@@ -24,7 +24,9 @@ from polyball.pluriharm import from_row_isometries
 from polyball.sampling import random_embedding, random_non_psd_kernel, random_psd_kernel
 from polyball.toeplitz import MultiToeplitzSymbol, NotLambdaPairError
 from polyball.words import (
+    MultiWord,
     ShapeMismatchError,
+    Word,
     identity_multiword,
     lambda_membership,
     multiword,
@@ -590,3 +592,28 @@ def test_kernels_share_read_only_word_structure():
     np.testing.assert_array_equal(tails, np.arange(len(k1.monomials)))
     with pytest.raises(ValueError, match="read-only"):
         tails[0] = 1
+
+
+def _prepend(mw, i, j):
+    """The former shift of ``naimark_dilate``: generator j prepended to the
+    word of factor i (0-based)."""
+    p = mw.parts[i]
+    return MultiWord(mw.parts[:i] + (Word((j,) + p.letters, p.n),) + mw.parts[i + 1:])
+
+
+@pytest.mark.parametrize("n", [(2, 1), (1, 1), (3,), (1, 1, 1), (2, 2)])
+def test_tail_table_of_a_letter_gives_the_prepended_words(n):
+    """``naimark_dilate`` reads the column of g.w, w a window word, at
+    ``_tail_positions("right", n, L, g)[position(w)]``: the window words are
+    the first monomials, and the tails of g are g.t over them in order."""
+    for L in range(1, 5):
+        monos = multiwords_up_to_total(n, L)
+        position = {w: p for p, w in enumerate(monos)}
+        window = [w for w in monos if w.total_length < L]
+        assert [position[w] for w in window] == list(range(len(window)))
+        for i, ni in enumerate(n):
+            for j in range(1, ni + 1):
+                g = multiword([[j] if m == i else [] for m in range(len(n))], n)
+                tail = naimark._tail_positions("right", n, L, g)
+                want = [position[_prepend(w, i, j)] for w in window]
+                assert tail[[position[w] for w in window]].tolist() == want

@@ -391,6 +391,45 @@ def test_universal_compression_on_the_support_box_is_the_full_gather(n, degrees,
     assert max(np.abs(got.coeffs[key] - c).max() for key, c in want.items()) <= 1e-15
 
 
+def _compression_by_words(trunc, side, w, max_total_len):
+    """The former word route of ``universal_compression``: each support row
+    to its basis word, and back to its index on the smallest box holding
+    them.  Returns the box and the nonzero values by key."""
+    rows = np.flatnonzero(w.any(axis=1))
+    words = [trunc.basis_word(int(f)) for f in rows]
+    box = FockTruncation(trunc.n, [max((len(mw.parts[i]) for mw in words), default=0)
+                                   for i in range(trunc.k)])
+    k = np.zeros((box.dim, 1, w.shape[1]), dtype=complex)
+    k[[box.basis_index(mw) for mw in words], 0] = w[rows]
+    pairs = lambda_pairs_up_to_total(trunc.n, max_total_len)
+    values = pair_transforms(k, [box.pair_id(a, b) for a, b in pairs], box, side)
+    return box, {pairs[j]: values[j] for j in np.flatnonzero(values.any(axis=(1, 2)))}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees, budget", [
+    ((2, 1), (4, 3), (2, 2)), ((3,), (3,), (1,)), ((1, 1, 2), (3, 2, 2), (1, 0, 1)),
+    ((2, 2), (3, 3), (1, 2)), ((1,), (5,), (3,)), ((2, 1, 1), (2, 2, 3), (1, 1, 2))])
+def test_universal_compression_indices_are_the_word_indices(n, degrees, budget, side):
+    """On a truncation deeper than the support's box, a support row's index
+    on the box, by integer arithmetic on the factor indices, is
+    ``box.basis_index(trunc.basis_word(f))``, and the compression has every
+    bit of the former word route."""
+    t = FockTruncation(n, degrees)
+    rng = np.random.default_rng([len(n), *degrees])
+    window = np.flatnonzero(t.window_mask(budget))
+    rows = np.sort(rng.choice(window, size=min(8, window.size), replace=False))
+    w = np.zeros((t.dim, 2), dtype=complex)
+    w[rows] = rng.standard_normal((rows.size, 2)) + 1j * rng.standard_normal((rows.size, 2))
+    box, want = _compression_by_words(t, side, w, 3)
+    assert box.dim < t.dim
+    on_box = np.ravel_multi_index(np.unravel_index(rows, t.factor_dims), box.factor_dims)
+    assert on_box.tolist() == [box.basis_index(t.basis_word(int(f))) for f in rows]
+    got = universal_compression(t, side, w, 3)
+    assert list(got.coeffs) == list(want)
+    assert all(got.coeffs[key].tobytes() == c.tobytes() for key, c in want.items())
+
+
 def test_from_row_isometries_commutation_guard(rng):
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3))
