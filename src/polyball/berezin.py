@@ -6,12 +6,12 @@ X[i][n_i]) on a common space of dimension h; entries of different rows must
 commute.  All operators on tensor products are laid out with the main space
 major and the coefficient space minor, matching ``fock.FockOperator``.
 
-Both kernels are sums over basis words, so a point keeps its word operators
-as one graded table: per factor, level p stacks the X_{i,w} with |w| = p in
-rank order, and level p+1 is X_{i,j} @ (level p) over the letters j.
-``monomial_table`` combines the levels into X_b for every basis word b of a
-truncation, bit for bit the per-word ``monomial``, which multiplies one
-word's letters in the levels' order and stores nothing on the point.
+Both kernels are sums over basis words, built as one graded table: per
+factor, level p stacks the X_{i,w} with |w| = p in rank order, and level
+p+1 is X_{i,j} @ (level p) over the letters j.  ``monomial_table`` builds
+the levels on each call and combines them into X_b for every basis word b
+of a truncation, bit for bit the per-word ``monomial``, which multiplies
+one word's letters in the levels' order.  A point stores only its entries.
 ``berezin_kernel`` is one batched product of Delta^(1/2) with the table,
 ``poisson_window`` gathers X_a X_b* from it at each pair's first cell
 a -> b in the right pair table (``FockTruncation.pair_table``), only for
@@ -83,10 +83,6 @@ class PolyballPoint:
         self.h_dim = h
         self.k = len(self.X)
         self.n = tuple(len(row) for row in self.X)
-        # _levels[i][p]: the (n_i^p, h, h) level p of factor i, see the module doc
-        self._levels: list[list[np.ndarray]] = [
-            [np.eye(h, dtype=complex)[None]] for _ in range(self.k)
-        ]
 
     @classmethod
     def from_scalars(cls, values: Sequence[Sequence[complex]]) -> "PolyballPoint":
@@ -99,12 +95,12 @@ class PolyballPoint:
         return PolyballPoint([[r * m for m in row] for row in self.X])
 
     def _factor_levels(self, i: int, d: int) -> list[np.ndarray]:
-        """Levels 0..d of factor i, built on first use; the first letter is
-        the most significant, as in the base-n_i rank."""
-        levels = self._levels[i - 1]
-        while len(levels) <= d:
+        """Levels 0..d of factor i, level p the (n_i^p, h, h) words of length
+        p; the first letter is the most significant, as in the base-n_i rank."""
+        levels = [np.eye(self.h_dim, dtype=complex)[None]]
+        for _ in range(d):
             levels.append(np.concatenate([m @ levels[-1] for m in self.X[i - 1]]))
-        return levels[: d + 1]
+        return levels
 
     def monomial(self, mw: MultiWord) -> np.ndarray:
         """X_mw: product of the per-factor word operators, factor order.  A

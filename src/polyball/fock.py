@@ -28,7 +28,9 @@ way, up to ``PAIR_ID_CACHE_SIZE`` keys; a refused key raises every time.
 The creation letters of ``creation_tuple`` are built once per (n, degrees,
 side) too (at most ``LETTER_CACHE_SIZE`` shapes), their arrays read-only,
 and every call returns fresh lists of the shared letters.
-Nothing keyed by data (a coefficient, a point, an operator) is cached.
+Nothing keyed by data (a coefficient, a point, an operator) is cached,
+and no such object keeps what it implies: ``FockOperator.blocks`` reads
+the stored keys from the CSR matrix on each call.
 
 The table is grouped by pair id, so every reader slices its own pairs'
 cells: ``FockTruncation.pair_cells`` gives their (source, target) words and
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -92,6 +94,8 @@ class FockTruncation:
             raise ValueError("n and degrees must have the same length")
         if any(d < 0 for d in degrees):
             raise ValueError("degrees must be >= 0")
+        if any(ni < 1 for ni in n):
+            raise ValueError(f"n must be >= 1, got {list(n)}")
         self.n = tuple(int(x) for x in n)
         self.degrees = tuple(int(d) for d in degrees)
         self.k = len(self.n)
@@ -321,21 +325,17 @@ class FockOperator:
         """The matrix as an ndarray (a copy), for LAPACK."""
         return self.matrix.toarray()
 
-    @cached_property
-    def _sorted_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row * size + column, value) of each stored entry, ascending in the
-        key (the CSR order), closed by (size**2, 0): every search position is valid."""
-        m, size = self.matrix, self.matrix.shape[0]
-        rows = np.repeat(np.arange(size, dtype=np.int64), np.diff(m.indptr))
-        return np.append(rows * size + m.indices, size * size), np.append(m.data, 0)
-
     def blocks(self, rows, cols) -> np.ndarray:
         """The (..., e, e) blocks at basis rows ``rows`` and columns ``cols``
-        (broadcast): binary search in the sorted CSR keys, 0 where none is stored."""
-        e, (keys, values) = self.coeff_dim, self._sorted_entries
+        (broadcast), 0 where none is stored: a binary search in the keys
+        row * size + column of the stored entries, ascending in the CSR
+        order and closed by (size**2, 0) so that every search position is valid."""
+        e, m, size = self.coeff_dim, self.matrix, self.matrix.shape[0]
+        stored = np.repeat(np.arange(size, dtype=np.int64), np.diff(m.indptr)) * size + m.indices
+        keys, values = np.append(stored, size * size), np.append(m.data, 0)
         r = np.asarray(rows, dtype=np.int64)[..., None, None] * e + np.arange(e)[:, None]
         c = np.asarray(cols, dtype=np.int64)[..., None, None] * e + np.arange(e)
-        want = r * self.matrix.shape[1] + c
+        want = r * size + c
         pos = np.searchsorted(keys, want)
         return np.where(keys[pos] == want, values[pos], 0)
 

@@ -33,6 +33,13 @@ def _json_typed(value, field: str, kind: type = int):
     return value
 
 
+def _json_dimension(value, field: str) -> int:
+    """``value`` if it is a JSON integer >= 1."""
+    if _json_typed(value, field) < 1:
+        raise ValueError(f"{field} must be a positive dimension, got {value!r}")
+    return value
+
+
 def _json_container(value, field: str, kind: type):
     """``value`` if it is a JSON array (``list``) or object (``dict``)."""
     if type(value) is not kind:
@@ -57,10 +64,14 @@ def matrix_to_json(m: np.ndarray) -> list[float]:
     return out
 
 
-def matrix_from_json(data, rows: int, cols: int | None = None) -> np.ndarray:
+def matrix_from_json(data, rows: int, cols: int | None = None,
+                     field: str = "matrix") -> np.ndarray:
     cols = rows if cols is None else cols
     if type(data) is not list:
-        raise ValueError(f"matrix must be a JSON array of numbers, got {data!r}")
+        raise ValueError(f"{field} must be a JSON array of numbers, got {data!r}")
+    if len(data) != 2 * rows * cols:
+        raise ValueError(f"{field} has {len(data)} numbers, not the {2 * rows * cols} "
+                         f"(re, im) of a {rows} x {cols} matrix")
     arr = np.array([_json_typed(v, "matrix entry", float) for v in data],
                    dtype=float).reshape(rows * cols, 2)
     if not np.all(np.isfinite(arr)):
@@ -87,7 +98,7 @@ def operator_from_json(data) -> FockOperator:
 
     _json_container(data, "g", dict)
     trunc = FockTruncation(*(_json_typed(data[f], f, list) for f in ("n", "degrees")))
-    e = _json_typed(data["coeff_dim"], "coeff_dim")
+    e = _json_dimension(data["coeff_dim"], "coeff_dim")
     size = trunc.dim * e
     rows, cols, values = [], [], []
     last = (-1, -1)
@@ -129,12 +140,15 @@ def symbol_to_json(sym: MultiToeplitzSymbol) -> dict[str, Any]:
 
 def symbol_from_json(data) -> MultiToeplitzSymbol:
     n = _json_typed(data["n"], "n", list)
-    e = _json_typed(data["e_dim"], "e_dim")
+    e = _json_dimension(data["e_dim"], "e_dim")
     sym = MultiToeplitzSymbol(n, e)
     for item in _json_container(data["coeffs"], "coeffs", list):
         _json_container(item, "coeffs item", dict)
         a, b = (multiword_from_json(_json_container(item[f], f, list), n)
                 for f in ("alpha", "beta"))
+        if (a, b) in sym.coeffs:
+            raise ValueError(f"the key (alpha {item['alpha']}, beta {item['beta']}) "
+                             "is listed twice")
         sym[a, b] = matrix_from_json(item["matrix"], e)
     return sym
 
@@ -150,10 +164,11 @@ def point_to_json(X: PolyballPoint) -> dict[str, Any]:
 def point_from_json(data) -> PolyballPoint:
     _json_container(data, "X", dict)
     n = _json_typed(data["n"], "n", list)
-    h = _json_typed(data["h_dim"], "h_dim")
+    h = _json_dimension(data["h_dim"], "h_dim")
     rows = [_json_container(row, "a row of X", list)
             for row in _json_container(data["X"], "the point's X", list)]
-    point = PolyballPoint([[matrix_from_json(m, h) for m in row] for row in rows])
+    point = PolyballPoint([[matrix_from_json(m, h, field="an entry of X") for m in row]
+                           for row in rows])
     if point.n != tuple(n):
         raise ValueError(f"point n {n} does not match its row lengths {list(point.n)}")
     return point
@@ -200,7 +215,7 @@ def cbmap_from_json(data) -> CbMapData:
     cap, total, bound = (data.get(f) for f in ("per_factor_cap", "max_total_len", "coeff_bound"))
     return CbMapData(
         sym,
-        unit=matrix_from_json(data["unit"], sym.e_dim),
+        unit=matrix_from_json(data["unit"], sym.e_dim, field="unit"),
         herglotz_class=_json_typed(data.get("herglotz_class", False), "herglotz_class", bool),
         coeff_bound=bound if bound is None else _json_typed(bound, "coeff_bound", float),
         max_total_len=None if total is None else _json_typed(total, "max_total_len"),

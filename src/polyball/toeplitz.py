@@ -40,11 +40,9 @@ SymbolKey = tuple[MultiWord, MultiWord]
 class MultiToeplitzSymbol:
     """Finitely supported Fourier symbol: {(a, b) -> e x e matrix}.
 
-    What the keys imply is worked out once per key set, not per call: each
-    key's total length |a| + |b|, the key order's adjoint partners and, per
-    truncation shape, each key's pair id (``symbol_pair_ids``).  They are
-    derived again whenever the keys (compared in order) have changed since,
-    however ``coeffs`` was changed; the values are read fresh on every call.
+    A symbol is its shape, its coefficient dimension and ``coeffs``, nothing
+    else: what the keys imply (lengths, adjoint partners, pair ids) is
+    derived on each call, so every change to ``coeffs`` reaches every read.
     """
 
     def __init__(self, n: Iterable[int], e_dim: int,
@@ -52,10 +50,6 @@ class MultiToeplitzSymbol:
         self.n = tuple(int(x) for x in n)
         self.e_dim = int(e_dim)
         self.coeffs: dict[SymbolKey, np.ndarray] = {}
-        self._keys: tuple[SymbolKey, ...] = ()
-        self._lengths = np.zeros(0, dtype=np.int64)
-        self._partners: np.ndarray | None = None
-        self._pair_ids: dict[tuple[int, ...], np.ndarray] = {}
         for (a, b), m in (coeffs or {}).items():
             self[a, b] = m
 
@@ -80,15 +74,6 @@ class MultiToeplitzSymbol:
             raise ValueError(f"coefficient shape {m.shape} != ({self.e_dim}, {self.e_dim})")
         self.coeffs[(a, b)] = m
 
-    def _current_keys(self) -> tuple[SymbolKey, ...]:
-        """The keys in order; the key-derived data is reset when they changed."""
-        keys = tuple(self.coeffs)
-        if keys != self._keys:
-            self._keys, self._partners, self._pair_ids = keys, None, {}
-            self._lengths = np.array([a.total_length + b.total_length for a, b in keys],
-                                     dtype=np.int64)
-        return keys
-
     def coeff(self, a: MultiWord, b: MultiWord) -> np.ndarray:
         return self.coeffs.get((a, b), np.zeros((self.e_dim, self.e_dim), dtype=complex))
 
@@ -104,24 +89,19 @@ class MultiToeplitzSymbol:
 
         One product of the blocks with the per-key powers, each Python's
         ``r ** (|a|+|b|)`` (NumPy's array power can differ in the last bit),
-        so every bit is the per-key product's.  The result has the same
-        keys and shares what they imply."""
-        keys = self._current_keys()
-        powers = np.array([r ** p for p in range(int(self._lengths.max(initial=0)) + 1)])
-        blocks = powers[self._lengths][:, None, None] * self.blocks()
-        out = MultiToeplitzSymbol._unchecked(self.n, self.e_dim, dict(zip(keys, blocks)))
-        out._keys, out._lengths = keys, self._lengths
-        out._partners, out._pair_ids = self._partners, self._pair_ids
-        return out
+        so every bit is the per-key product's."""
+        lengths = np.array([a.total_length + b.total_length for a, b in self.coeffs],
+                           dtype=np.int64)
+        powers = np.array([r ** p for p in range(int(lengths.max(initial=0)) + 1)])
+        blocks = powers[lengths][:, None, None] * self.blocks()
+        return MultiToeplitzSymbol._unchecked(self.n, self.e_dim, dict(zip(self.coeffs, blocks)))
 
     def hermitian_defect(self) -> float:
         """Largest |c(a, b) - c(b, a)*| entry; NaN when a coefficient is NaN."""
-        keys = self._current_keys()
-        if self._partners is None:
-            # per key (a, b), the position of (b, a), -1 where it is absent
-            pos = {k: i for i, k in enumerate(keys)}
-            self._partners = np.array([pos.get((b, a), -1) for a, b in keys], dtype=np.int64)
-        blocks, partners = self.blocks(), self._partners
+        # per key (a, b), the position of (b, a), -1 where it is absent
+        pos = {k: i for i, k in enumerate(self.coeffs)}
+        partners = np.array([pos.get((b, a), -1) for a, b in self.coeffs], dtype=np.int64)
+        blocks = self.blocks()
         adjoints = np.where((partners >= 0)[:, None, None], blocks[partners], 0)
         return float(np.max(np.abs(blocks - adjoints.conj().transpose(0, 2, 1)), initial=0.0))
 
@@ -210,18 +190,11 @@ def symbol_operator(sym: MultiToeplitzSymbol, trunc: FockTruncation,
 
 def symbol_pair_ids(sym: MultiToeplitzSymbol, trunc: FockTruncation) -> np.ndarray:
     """The pair id of each key's monomial, in key order: the key (a, b) is
-    the pairing at (b~, a~); -1 where a word is beyond its degree.  Derived
-    once per key set and truncation shape and kept on the symbol, read-only."""
+    the pairing at (b~, a~); -1 where a word is beyond its degree."""
     if trunc.n != sym.n:
         raise ValueError(f"truncation shape {trunc.n} does not match symbol shape {sym.n}")
-    keys = sym._current_keys()
-    pids = sym._pair_ids.get(trunc.degrees)
-    if pids is None:
-        pids = np.array([trunc.pair_id(b.reverse(), a.reverse()) for a, b in keys],
-                        dtype=np.int64)
-        pids.flags.writeable = False
-        sym._pair_ids[trunc.degrees] = pids
-    return pids
+    return np.array([trunc.pair_id(b.reverse(), a.reverse()) for a, b in sym.coeffs],
+                    dtype=np.int64)
 
 
 def creation_pair_symbol(p: Mapping[MultiWord, complex],

@@ -779,14 +779,29 @@ def _stored_arrays(value) -> int:
 
 
 def test_monomial_stores_nothing_on_the_point():
-    """The graded levels are a point's one product store: ``monomial`` adds
-    no attribute and no array to the point, however many words it forms."""
+    """``monomial`` adds no attribute and no array to the point, however
+    many words it forms."""
     n = (2, 1)
     x = random_point(np.random.default_rng(5), n, 2, 0.8)
     before = {name: _stored_arrays(value) for name, value in vars(x).items()}
     for letters in ([1, 2, 1], [2], [1, 1, 1, 1], [2, 1]):
         x.monomial(multiword([letters, [1]], n))
     assert {name: _stored_arrays(value) for name, value in vars(x).items()} == before
+
+
+def test_a_point_written_in_place_gives_the_new_table():
+    """An entry changed in place after a table reaches the next table, which
+    agrees bit for bit with ``monomial`` on every basis word."""
+    n = (2, 1)
+    t = FockTruncation(n, (2, 2))
+    x = random_point(np.random.default_rng(3), n, 2, 0.8)
+    before = x.monomial_table(t)
+    x.X[0][0][0, 0] += 1
+    table = x.monomial_table(t)
+    assert not np.array_equal(table, before)
+    for f in range(t.dim):
+        want = x.monomial(t.basis_word(f))
+        assert np.array_equal(table[f].view(np.uint8), want.view(np.uint8))
 
 
 def _berezin_kernel_by_words(x, t):

@@ -315,6 +315,34 @@ def test_transform_rejects_malformed_point(tmp_path, capsys, key, value, field):
     assert "configuration error" in err and field in err
 
 
+def test_dilate_rejects_a_repeated_generator_key(tmp_path, capsys):
+    """A generator listing the unit pair twice exits 2 naming the key,
+    instead of one copy silently overwriting the other."""
+    g = identity_multiword([1])
+    k = kernel_from_generator("left", MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)}), 2)
+    data = serialize.kernel_to_json(k)
+    data["generator"] = data["generator"] * 2
+    kfile = tmp_path / "kernel.json"
+    serialize.dump(data, str(kfile))
+    assert run(["dilate", str(kfile)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "(alpha [[]], beta [[]]) is listed twice" in err
+
+
+def test_transform_rejects_a_repeated_map_key(tmp_path, capsys):
+    """A map listing ([1], []) twice, with two values, exits 2 naming the
+    key: otherwise the Poisson value would depend on which copy is last."""
+    mu = serialize.cbmap_to_json(CbMapData.point_mass([1.0], 2))
+    item = next(c for c in mu["coeffs"] if c["alpha"] == [[1]] and c["beta"] == [[]])
+    mu["coeffs"].append({**item, "matrix": [0.5, 0.0]})
+    x = PolyballPoint.from_scalars([[0.3]])
+    inputs = tmp_path / "inputs.json"
+    serialize.dump({"mu": mu, "X": serialize.point_to_json(x)}, str(inputs))
+    assert run(["transform", str(inputs), "--kind", "poisson"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "(alpha [[1]], beta [[]]) is listed twice" in err
+
+
 def test_dilate_rejects_non_finite_kernel(tmp_path, capsys):
     g = identity_multiword([1])
     w = multiword([[1]], [1])
@@ -523,19 +551,46 @@ def _put(*path, value):
     ("poisson", lambda doc: [doc], "must be a JSON object"),
     ("poisson", _put("mu", "coeffs", 0, "alpha", value=5), "alpha must be a JSON array"),
     ("dilate", _put("generator", value=None), "generator must be a JSON array"),
+    ("berezin", _put("g", "coeff_dim", value=0), "coeff_dim must be a positive dimension, got 0"),
+    ("berezin", _put("g", "coeff_dim", value=-1),
+     "coeff_dim must be a positive dimension, got -1"),
+    ("poisson", _put("X", "h_dim", value=-1), "h_dim must be a positive dimension, got -1"),
+    ("poisson", _put("mu", "e_dim", value=0), "e_dim must be a positive dimension, got 0"),
+    ("poisson", _put("mu", "e_dim", value=-1), "e_dim must be a positive dimension, got -1"),
+    ("dilate", _put("e_dim", value=0), "e_dim must be a positive dimension, got 0"),
+    ("dilate", _put("e_dim", value=-1), "e_dim must be a positive dimension, got -1"),
+    ("poisson", _put("mu", "coeffs", 0, "matrix", value=[1.0, 0.0, 2.0]),
+     "matrix has 3 numbers, not the 2 (re, im) of a 1 x 1 matrix"),
+    ("poisson", _put("mu", "unit", value=[1.0, 0.0, 0.0, 0.0]),
+     "unit has 4 numbers, not the 2 (re, im) of a 1 x 1 matrix"),
+    ("poisson", _put("X", "X", 0, 0, value=[0.2]),
+     "an entry of X has 1 numbers, not the 2 (re, im) of a 1 x 1 matrix"),
+    ("berezin", _put("g", "n", value=[-2, 1]), "n must be >= 1, got [-2, 1]"),
 ], ids=["X-number", "X-rows-null", "coeffs-null", "coeffs-object", "coeffs-item-array",
-         "mu-array", "top-level-array", "alpha-number", "generator-null"])
+         "mu-array", "top-level-array", "alpha-number", "generator-null", "coeff_dim-zero",
+         "coeff_dim-negative", "h_dim-negative", "e_dim-zero", "e_dim-negative",
+         "kernel-e_dim-zero", "kernel-e_dim-negative", "matrix-count", "unit-count",
+         "point-entry-count", "operator-n-negative"])
 def test_malformed_json_containers_are_configuration_errors(tmp_path, capsys, command,
                                                             mutate, field):
-    """A JSON array or object of the wrong kind exits 2 naming the field,
-    instead of failing as an internal error."""
+    """A JSON array or object of the wrong kind, a dimension below 1, a
+    matrix with the wrong count of numbers and an operator over n_i < 1 exit
+    2 naming the field, instead of failing as an internal error or with
+    NumPy's own text."""
+    x = PolyballPoint.from_scalars([[0.2], [0.3]])
     if command == "dilate":
         g = identity_multiword([1])
         gen = MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)})
         doc = serialize.kernel_to_json(kernel_from_generator("left", gen, 2))
         argv = ["dilate"]
+    elif command == "berezin":
+        from polyball.fock import FockOperator
+
+        t = FockTruncation([1, 1], [2, 2])
+        doc = {"g": serialize.operator_to_json(FockOperator(t, np.eye(t.dim))),
+               "X": serialize.point_to_json(x)}
+        argv = ["transform", "--kind", command]
     else:
-        x = PolyballPoint.from_scalars([[0.2], [0.3]])
         doc = {"mu": serialize.cbmap_to_json(CbMapData.point_mass([1.0, 1.0], 2)),
                "X": serialize.point_to_json(x)}
         argv = ["transform", "--kind", command]
@@ -544,4 +599,3 @@ def test_malformed_json_containers_are_configuration_errors(tmp_path, capsys, co
     assert run(argv[:1] + [str(path)] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
-

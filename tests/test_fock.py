@@ -72,6 +72,12 @@ def test_basis_index_rejects_long_words():
         t.basis_index(multiword([[1, 1, 1]], [2]))
 
 
+@pytest.mark.parametrize("n", [[-2], [2, 0]])
+def test_truncation_refuses_fewer_than_one_generator(n):
+    with pytest.raises(ValueError, match=r"n must be >= 1"):
+        FockTruncation(n, [2] * len(n))
+
+
 def test_left_creation_action():
     t = FockTruncation([2], [3])
     v = _basis_vector(t, identity_multiword([2]))

@@ -218,8 +218,8 @@ def test_scaled_is_bitwise_the_per_key_product(r):
 
 
 def test_symbol_key_data_follows_the_keys():
-    """The key data a symbol keeps (lengths, pair ids, adjoint partners)
-    never goes stale: a key added after a scatter, through __setitem__ or
+    """What the keys imply (lengths, pair ids, adjoint partners) is derived
+    on each call: a key added after a scatter, through __setitem__ or
     straight into ``coeffs``, is in the next scatter and defect, and a
     removed one is gone from them."""
     t = FockTruncation([2, 1], [3, 3])
@@ -250,6 +250,17 @@ def test_symbol_values_are_read_fresh():
     assert np.isnan(symbol_operator(sym, t, 0.5).dense()).any()
     assert np.isnan(sym.scaled(0.5).blocks()[0]).all()
     assert np.isnan(sym.hermitian_defect()) and np.isnan(sym.max_difference(clean))
+
+
+def test_an_operator_poisoned_after_a_check_fails_the_next():
+    """A NaN written into the stored entries after one check reaches the
+    next: the violation is NaN and the check fails."""
+    t = FockTruncation([2], [3])
+    op = word_operator(t, multiword([[1]], [2]), identity_multiword([2]))
+    assert is_k_multi_toeplitz(op).max_violation == 0.0
+    op.matrix.data[0] = np.nan
+    report = is_k_multi_toeplitz(op)
+    assert np.isnan(report.max_violation) and not report.passed
 
 
 def test_single_creation_is_toeplitz():
