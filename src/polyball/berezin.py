@@ -30,8 +30,11 @@ bounds collapse to zero.
 The resolvent is built at the universal model, the truncated creations.
 They are nilpotent, so prod_i (I - A_i)^-1 is the finite word sum of
 V_b~ (x) X_b*, in closed form: the full operator is one gather from the
-pair table and the monomial table, and a thin ``rhs`` is applied factor by
-factor, each factor's resolvent gathered on its own truncation.  Times
+pair table and the monomial table, the operator on a set of columns is the
+same gather on the cells whose source lies in the set (the Poisson
+factorization reads only its window's columns), and a thin ``rhs`` is
+applied factor by factor, each factor's resolvent gathered on its own
+truncation.  Times
 Delta^(1/2), the one square root of the defect, its vacuum column is the
 Berezin kernel on the right side (where V_b~ e = e_b), bit for bit.  The
 creation rows have norm at most 1, so the factors have
@@ -52,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg as la
-from .fock import FockOperator, FockTruncation, creation_tuple, pair_operator
+from .fock import FockOperator, FockTruncation, creation_tuple, pair_matrix
 from .words import MultiWord, Side
 
 
@@ -372,19 +375,22 @@ def _factor(trunc: FockTruncation, X: PolyballPoint, i: int):
 
 
 def _creation_gather(trunc: FockTruncation, X: PolyballPoint, side: Side,
-                     words=slice(None), root: np.ndarray | None = None):
+                     words=slice(None), root: np.ndarray | None = None,
+                     columns: np.ndarray | None = None):
     """sum of V_b~ (x) root X_b* over the basis words b in ``words`` (basis
-    indices; all by default), as CSR; no root is the identity.
+    indices; all by default), as CSR on the columns of the source words in
+    the boolean basis mask ``columns`` (all by default); no root is the
+    identity.
 
     V_b~ = S_b~ (R_b~ on the right side) is the pairing at the creation pair
     (e, b), whose first cell leaves the vacuum, so the creation pairs are the
     ids with source 0 at their first cell: exactly dim of them, in the basis
     order of b.  X_b is read from the point's monomial table, and
-    ``pair_operator`` places one h x h block at each cell."""
+    ``pair_matrix`` places one h x h block at each cell."""
     indptr, src, _ = trunc.pair_table(side)
     pids = np.flatnonzero(src[indptr[:-1]] == 0)[words]
     blocks = X.monomial_table(trunc)[words].conj().transpose(0, 2, 1)
-    return pair_operator(trunc, side, pids, blocks if root is None else root @ blocks).matrix
+    return pair_matrix(trunc, side, pids, blocks if root is None else root @ blocks, columns)
 
 
 def _min_singular(trunc: FockTruncation, X: PolyballPoint, side: Side) -> float:
@@ -396,7 +402,8 @@ def _min_singular(trunc: FockTruncation, X: PolyballPoint, side: Side) -> float:
 
 
 def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right",
-                    rhs: np.ndarray | None = None) -> CauchyResult:
+                    rhs: np.ndarray | None = None,
+                    columns: np.ndarray | None = None) -> CauchyResult:
     """(I (x) Delta_X(I)^(1/2)) prod_i (I - A_i)^(-1) rhs at the universal
     model: A_i = sum_j V_ij (x) X_ij* with V = ``creation_tuple(trunc, side)``.
 
@@ -404,12 +411,16 @@ def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right
     sum_b V_b~ (x) Delta^(1/2) X_b* over the basis words b, one h x h block
     per cell and no cell hit twice.  The full operator (``rhs`` None) is that
     one gather (``_creation_gather``), CSR, with no series and no product of
-    sparse matrices.  ``rhs``, an (m*h, c) matrix on the truncation (x) C^h
-    (main index major), gives the dense (m*h, c) product
-    Delta^(1/2) R_1 (R_2 (... rhs)), each R_i = (I - A_i)^-1 the gather on
-    factor i's own truncation (``_factor``) applied along that factor's
-    axis: a thin ``rhs`` costs c columns, and with several factors no
-    operator on the whole space is built.
+    sparse matrices.  ``columns``, a boolean mask over the basis, gathers
+    only the cells whose source word lies in it: the CSR (m*h, |columns|*h)
+    matrix of the full operator's columns at those words, bit for bit, in
+    basis order and the point's space minor.  ``rhs``, an (m*h, c) matrix
+    on the truncation (x) C^h (main index major), gives the dense (m*h, c)
+    product Delta^(1/2) R_1 (R_2 (... rhs)), each R_i = (I - A_i)^-1 the
+    gather on factor i's own truncation (``_factor``) applied along that
+    factor's axis: a thin ``rhs`` costs c columns, and with several factors
+    no operator on the whole space is built.  ``columns`` and ``rhs`` are
+    exclusive.
 
     A factor with smallest singular value <= 1e-12 raises
     ``SingularResolventError``.  A creation row has norm at most 1, so
@@ -423,6 +434,13 @@ def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right
         raise ValueError(f"truncation shape {trunc.n} does not match point shape {X.n}")
     m, h = trunc.dim, X.h_dim
     dim = m * h
+    if columns is not None:
+        if rhs is not None:
+            raise ValueError("columns and rhs are exclusive: a thin rhs has no columns to gather")
+        columns = np.asarray(columns)
+        if columns.dtype != bool or columns.shape != (m,):
+            raise ValueError(f"columns needs a boolean mask of shape ({m},), got "
+                             f"{columns.dtype} {columns.shape}")
     if rhs is not None:
         rhs = np.asarray(rhs, dtype=complex)
         if rhs.ndim != 2 or rhs.shape[0] != dim:
@@ -434,7 +452,8 @@ def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right
             raise SingularResolventError(sv)
     root = la.psd_sqrt(defect(X))
     if rhs is None:
-        return CauchyResult(_creation_gather(trunc, X, side, root=root), trunc, X, side)
+        return CauchyResult(_creation_gather(trunc, X, side, root=root, columns=columns),
+                            trunc, X, side)
     out = rhs.reshape(*trunc.factor_dims, h, -1)
     for i in reversed(range(X.k)):
         r = _creation_gather(*_factor(trunc, X, i), side)

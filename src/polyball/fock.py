@@ -427,29 +427,44 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
 
 def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
                   blocks: np.ndarray) -> FockOperator:
-    """Sum of blocks[j] (x) the pairing at pair id pids[j], as a CSR matrix;
-    ids of -1 (pairs off the box) contribute nothing, repeated ids are refused.
+    """Sum of blocks[j] (x) the pairing at pair id pids[j], as the CSR
+    ``FockOperator`` that ``pair_matrix`` assembles."""
+    return FockOperator(trunc, pair_matrix(trunc, side, pids, blocks), coeff_dim=blocks.shape[1])
 
-    Only the given pairs' cells are read from ``pair_table``.  Distinct pairs
-    share no cell, so each cell is one stored e x e block and a repeated id
-    is a repeated cell.  The cells are sorted by (target, source), the
-    block-row order, and their blocks are a block CSR (BSR) matrix, whose
-    conversion is canonical CSR with cells * e^2 stored entries, explicit
-    zeros included.  ``dense()`` has every bit of the pair-by-pair sum onto
-    zeros: the ``+ 0.0`` turns a -0.0 entry into +0.0, as that sum does."""
+
+def pair_matrix(trunc: FockTruncation, side: Side, pids: np.ndarray, blocks: np.ndarray,
+                columns: np.ndarray | None = None):
+    """Sum of blocks[j] (x) the pairing at pair id pids[j], as a CSR matrix,
+    on the columns of the source words in the boolean basis mask ``columns``
+    (all of them by default): shape (dim e, |columns| e), the columns in
+    basis order.  Ids of -1 (pairs off the box) contribute nothing, repeated
+    ids are refused.
+
+    Only the given pairs' cells whose source lies in the mask are read from
+    ``pair_table``.  Distinct pairs share no cell, so each cell is one stored
+    e x e block.  The cells are sorted by (target, source), the block-row
+    order, and their blocks are a block CSR (BSR) matrix, whose conversion
+    is canonical CSR with cells * e^2 stored entries, explicit zeros
+    included: bit for bit the full matrix's columns at the mask.  Its dense
+    form has every bit of the pair-by-pair sum onto zeros: the ``+ 0.0``
+    turns a -0.0 entry into +0.0, as that sum does."""
     import scipy.sparse as sp
 
+    pids = np.asarray(pids, dtype=np.int64)
+    if np.unique(pids[pids >= 0]).size < np.count_nonzero(pids >= 0):
+        raise ValueError("pair ids must be distinct")
     e = blocks.shape[1]
     src, dst, owner = trunc.pair_cells(side, pids)
-    key = dst * trunc.dim + src
-    order = np.argsort(key)
-    if (np.diff(key[order]) == 0).any():
-        raise ValueError("pair ids must be distinct")
+    width = trunc.dim
+    if columns is not None:
+        keep = columns[src]
+        src, dst, owner = (np.cumsum(columns) - 1)[src[keep]], dst[keep], owner[keep]
+        width = int(np.count_nonzero(columns))
+    order = np.argsort(dst * width + src)
     src, dst, owner = src[order], dst[order], owner[order]
     rows = np.searchsorted(dst, np.arange(trunc.dim + 1))
-    n = trunc.dim * e
-    matrix = sp.bsr_matrix((blocks[owner] + 0.0, src, rows), shape=(n, n), blocksize=(e, e))
-    return FockOperator(trunc, matrix.tocsr(), coeff_dim=e)
+    return sp.bsr_matrix((blocks[owner] + 0.0, src, rows), shape=(trunc.dim * e, width * e),
+                         blocksize=(e, e)).tocsr()
 
 
 def word_matrix(trunc: FockTruncation, a: MultiWord, b: MultiWord,

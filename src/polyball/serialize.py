@@ -33,6 +33,14 @@ def _json_typed(value, field: str, kind: type = int):
     return value
 
 
+def _json_shape(value) -> list[int]:
+    """``value`` if it is a non-empty JSON array of integers >= 1: the
+    generators per factor, the field ``n``."""
+    if not _json_typed(value, "n", list) or min(value) < 1:
+        raise ValueError(f"n must be a non-empty array of integers >= 1, got {value!r}")
+    return value
+
+
 def _json_dimension(value, field: str) -> int:
     """``value`` if it is a JSON integer >= 1."""
     if _json_typed(value, field) < 1:
@@ -139,7 +147,7 @@ def symbol_to_json(sym: MultiToeplitzSymbol) -> dict[str, Any]:
 
 
 def symbol_from_json(data) -> MultiToeplitzSymbol:
-    n = _json_typed(data["n"], "n", list)
+    n = _json_shape(data["n"])
     e = _json_dimension(data["e_dim"], "e_dim")
     sym = MultiToeplitzSymbol(n, e)
     for item in _json_container(data["coeffs"], "coeffs", list):

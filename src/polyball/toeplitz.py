@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._linalg import hermitian_norm, opnorm
+from ._linalg import hermitian_norms, opnorm
 from .berezin import PolyballPoint
 from .fock import FockOperator, FockTruncation, pair_operator
 from .words import (
@@ -225,9 +225,12 @@ def norm_on_grid(sym: MultiToeplitzSymbol, trunc: FockTruncation,
                  r_grid: Iterable[float]) -> list[float]:
     """Operator norms of the symbol at r-scaled truncated creations.  A
     symbol with zero Hermitian defect gives exactly Hermitian operators,
-    whose norm ``hermitian_norm`` takes from the CSR matrix; any other
-    symbol's, ``opnorm`` of the dense one."""
+    whose norms ``hermitian_norms`` takes from the CSR matrices in one call
+    (one batched Lanczos recurrence above ``EXACT_DIM``); any other symbol's,
+    ``opnorm`` of the dense one.  A NaN coefficient makes the defect NaN,
+    which shows no asymmetry, so the symbol takes the Hermitian path, where
+    every norm is NaN."""
     ops = [symbol_operator(sym, trunc, r) for r in r_grid]
-    if sym.hermitian_defect() == 0:
-        return [hermitian_norm(op.matrix) for op in ops]
+    if not sym.hermitian_defect() > 0:
+        return hermitian_norms([op.matrix for op in ops])
     return [opnorm(op.dense()) for op in ops]

@@ -339,12 +339,11 @@ def _id_berezin_factorization(cfg: RunConfig, rng) -> Iterator[float]:
     window = trunc.window_mask(low)
     rooms = list(itertools.product(*(range(b, d + 1) for b, d in zip(low, trunc.degrees))))
     room_masks = [trunc.window_mask(room)[window] for room in rooms]
-    cols = np.flatnonzero(window)
     for _ in range(3):
         x = random_point(rng, cfg.n, 2, 0.5)
         h = x.h_dim
-        # C in full, sliced to the window's columns: only C_W^H C_W is formed
-        c = cauchy_operator(trunc, x).matrix[:, (cols[:, None] * h + np.arange(h)).ravel()]
+        # C gathered on the window's columns only: C_W^H C_W is the window of C^H C
+        c = cauchy_operator(trunc, x, columns=window).matrix
         diff = poisson_window(x, trunc, window) - (c.conj().T @ c).toarray()
         dnorm = la.opnorm(defect(x))
         rho2 = [r * r for r in x.row_norms()]

@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse
 
 from polyball import berezin
-from polyball._linalg import EXACT_DIM, hermitian_norm, opnorm, psd_sqrt
+from polyball._linalg import EXACT_DIM, hermitian_norms, opnorm, psd_sqrt
 from polyball.berezin import (
     DivergenceError,
     GramFactor,
@@ -506,7 +506,8 @@ def test_factorization_random(rng):
 
 def test_factorization_sparse_difference_norm(rng):
     """At (2,1)@(5,5) (dim 756, above EXACT_DIM) the Lanczos norm of the
-    CSR difference P - C^H C matches eigvalsh of the dense difference."""
+    CSR difference P - C^H C (``hermitian_norms``) matches eigvalsh of the
+    dense difference."""
     t = FockTruncation([2, 1], [5, 5])
     x = random_point(rng, (2, 1), 2, 0.5)
     p = poisson_window(x, t, _whole_box(t))
@@ -515,7 +516,7 @@ def test_factorization_sparse_difference_norm(rng):
     d = scipy.sparse.csr_matrix(p) - cs.conj().T @ cs
     assert d.shape[0] > EXACT_DIM
     w = np.linalg.eigvalsh(p - c.conj().T @ c)
-    assert hermitian_norm(d) == pytest.approx(max(-w[0], w[-1]), rel=1e-12)
+    assert hermitian_norms([d])[0] == pytest.approx(max(-w[0], w[-1]), rel=1e-12)
 
 
 def test_factorization_window_exact_nilpotent(rng):
@@ -837,6 +838,45 @@ def test_berezin_kernel_is_the_right_resolvents_vacuum_column(rng, n, degrees, h
     x = _table_point(rng, n, h, kind)
     column = cauchy_operator(t, x, "right").matrix[:, :h].toarray()
     assert np.array_equal(berezin_kernel(x, t).matrix, column)
+
+
+def _same_csr(a, b) -> bool:
+    return a.shape == b.shape and all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                                      for f in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("kind", ["inside", "nilpotent"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", TABLE_SHAPES)
+def test_cauchy_columns_are_the_full_operators_columns(n, degrees, side, kind):
+    """Gathered on a basis mask (a random one, the smallest window, every
+    word), the resolvent is the full operator's columns at the mask's words,
+    the point's h columns each: the same CSR arrays, byte for byte.  The
+    all-true mask gives the full operator itself."""
+    t = FockTruncation(n, degrees)
+    rng = np.random.default_rng([3, len(n)])
+    x = _table_point(rng, n, 2, kind)
+    full = cauchy_operator(t, x, side).matrix
+    masks = [rng.random(t.dim) < 0.5, t.window_mask([1] * len(n)), np.ones(t.dim, dtype=bool)]
+    for mask in masks:
+        cols = np.flatnonzero(mask)
+        got = cauchy_operator(t, x, side, columns=mask).matrix
+        assert got.shape == (t.dim * 2, cols.size * 2)
+        assert _same_csr(got, full[:, (cols[:, None] * 2 + np.arange(2)).ravel()])
+    assert _same_csr(got, full)
+
+
+def test_cauchy_columns_and_rhs_are_exclusive(rng):
+    """A thin rhs has no columns to gather: both together are refused, as
+    is a mask that is not a boolean over the basis."""
+    t = FockTruncation((2, 1), (2, 2))
+    x = random_point(rng, (2, 1), 2, 0.5)
+    mask = np.ones(t.dim, dtype=bool)
+    with pytest.raises(ValueError, match="exclusive"):
+        cauchy_operator(t, x, columns=mask, rhs=np.ones((t.dim * 2, 1)))
+    for bad in (mask[1:], mask.astype(int)):
+        with pytest.raises(ValueError, match="columns needs"):
+            cauchy_operator(t, x, columns=bad)
 
 
 def _berezin_transform_by_rank_factor(gm, x, t):

@@ -315,6 +315,31 @@ def test_transform_rejects_malformed_point(tmp_path, capsys, key, value, field):
     assert "configuration error" in err and field in err
 
 
+@pytest.mark.parametrize("n", [[-2], [0], []], ids=["negative", "zero", "empty"])
+@pytest.mark.parametrize("command", ["transform", "dilate"])
+def test_a_symbol_over_no_letters_names_n(tmp_path, capsys, command, n):
+    """A map's or a generator's n must be a non-empty array of sizes >= 1:
+    n = [-2], [0] or [] exits 2 naming n, not with the message of the word
+    or truncation that it would otherwise reach."""
+    if command == "dilate":
+        g = identity_multiword([1])
+        doc = serialize.kernel_to_json(
+            kernel_from_generator("left", MultiToeplitzSymbol([1], 1, {(g, g): np.eye(1)}), 2))
+        doc["n"] = n
+        argv = ["dilate"]
+    else:
+        mu = serialize.cbmap_to_json(CbMapData.point_mass([1.0], 2))
+        mu["n"] = n
+        doc = {"mu": mu, "X": serialize.point_to_json(PolyballPoint.from_scalars([[0.3]]))}
+        argv = ["transform", "--kind", "poisson"]
+    path = tmp_path / "input.json"
+    serialize.dump(doc, str(path))
+    assert run(argv[:1] + [str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"n must be a non-empty array of integers >= 1, got {n}" in err
+
+
 def test_dilate_rejects_a_repeated_generator_key(tmp_path, capsys):
     """A generator listing the unit pair twice exits 2 naming the key,
     instead of one copy silently overwriting the other."""

@@ -29,6 +29,16 @@ def test_cauchy_operator_matrix_has_dim_times_h_rows(thin):
     assert x.k == len(n)
 
 
+def test_cauchy_operator_on_a_window_still_has_dim_times_h_rows():
+    """Gathered on a window's columns only, the resolvent keeps every row."""
+    n, h = (2, 1), 2
+    t = FockTruncation(n, (2, 2))
+    x = random_point(np.random.default_rng(1), n, h, 0.7)
+    window = t.window_mask((1, 1))
+    result = cauchy_operator(t, x, "right", columns=window)
+    assert result.matrix.shape == (t.dim * h, int(window.sum()) * h)
+
+
 def test_naimark_dilation_has_dimension_monomials_and_coefficient_size():
     kernel = random_psd_kernel(np.random.default_rng(2), "left", (2, 1), 2, 3)
     d = naimark_dilate(kernel)

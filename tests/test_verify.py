@@ -203,14 +203,16 @@ def _poison_first(result):
     ("berezin.intertwining", "berezin_kernel"),
     ("toeplitz.fourier_roundtrip", "random_hermitian_symbol"),
     ("pluriharm.nu_roundtrip", "random_hermitian_symbol"),
+    ("toeplitz.norm_monotonicity", "random_hermitian_symbol"),
 ])
 @pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)], ids=["small", "deep"])
 def test_items_fail_on_a_nan(monkeypatch, item, function, degrees, max_len):
     """A NaN in what the item compares (the Berezin kernel's vacuum entry,
     the first coefficient of the recovered symbol, the first trace-form
     block, the first stored entry of a word operator, the first coefficient
-    of a drawn symbol, which the item scatters and scales) reaches the
-    item's figure, which then fails its tolerance instead of reading as 0."""
+    of a drawn symbol, which the item scatters, scales or takes the norms
+    of) reaches the item's figure, which then fails its tolerance instead of
+    reading as 0 or raising."""
     cfg = RunConfig(n=(2, 1), degrees=degrees, max_len=max_len, seed=0)
     original = getattr(verify, function)
     monkeypatch.setattr(verify, function,
@@ -460,25 +462,27 @@ def test_verify_results_do_not_depend_on_earlier_runs(cold_caches):
     assert warm == cold
 
 
-@pytest.mark.parametrize("degrees, max_len, calls", [((5, 5), 2, 5), ((3, 3), 3, 0)], ids=["deep", "small"])
-def test_verify_lanczos_calls(monkeypatch, degrees, max_len, calls):
+@pytest.mark.parametrize("degrees, max_len, batches", [((5, 5), 2, [5]), ((3, 3), 3, [])],
+                         ids=["deep", "small"])
+def test_verify_lanczos_calls(monkeypatch, degrees, max_len, batches):
     """Lanczos runs only where verify reads a spectral value above EXACT_DIM:
-    at verify-deep the five symbol-operator norms of norm_monotonicity, at
-    verify-small nowhere.  The factorization item reads no spectral value,
-    and a resolvent's min_singular is an exact SVD, so neither runs it."""
+    at verify-deep one batched recurrence holding the five symbol-operator
+    norms of norm_monotonicity, at verify-small none.  The factorization
+    item reads no spectral value, and a resolvent's min_singular is an exact
+    SVD, so neither runs it."""
     from polyball import _linalg
 
-    top = _linalg.lanczos_top
-    dims = []
+    lanczos = _linalg._lanczos_norms
+    sizes = []
 
-    def counted(op):
-        dims.append(op.shape[0])
-        return top(op)
+    def counted(mats):
+        sizes.append(len(mats))
+        return lanczos(mats)
 
-    monkeypatch.setattr(_linalg, "lanczos_top", counted)
+    monkeypatch.setattr(_linalg, "_lanczos_norms", counted)
     results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
     assert all(r.passed for r in results)
-    assert len(dims) == calls
+    assert sizes == batches
 
 
 @pytest.mark.parametrize("degrees, max_len", [((3, 3), 3), ((5, 5), 2)])
