@@ -52,7 +52,7 @@ want = xn.monomial(a) @ xn.monomial(b).conj().T
 print("|| B_X(S_a S_b*) - X_a X_b* || =", np.linalg.norm(got - want, 2))
 
 print("\n=== Poisson kernel factors through the resolvent ===")
-p = poisson_window(x, t, np.ones(t.dim, dtype=bool))  # the whole box
+p = poisson_window(x, t, [0] * t.k)  # the whole box
 c = cauchy_operator(t, x, "right").matrix.toarray()
 diff = np.linalg.norm(p - c.conj().T @ c, 2)
 # the index pairs the box drops, plus the Gram columns of the dropped creation shells

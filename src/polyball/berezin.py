@@ -13,9 +13,9 @@ the levels on each call and combines them into X_b for every basis word b
 of a truncation, bit for bit the per-word ``monomial``, which multiplies
 one word's letters in the levels' order.  A point stores only its entries.
 ``berezin_kernel`` is one batched product of Delta^(1/2) with the table,
-``poisson_window`` gathers X_a X_b* from it at each pair's first cell
-a -> b in the right pair table (``FockTruncation.pair_table``), only for
-the cells inside one window (the whole box for an all-true window), and
+``poisson_window`` gathers X_a X_b* from it at each right pairing's first
+cell a -> b (``FockTruncation.first_cells``), only for the cells inside one
+room's window (the whole box for a zero budget), and
 ``berezin_transform`` applies a dense or SciPy-sparse g once, to the
 kernel's columns.  The compressions of pairings need no operator:
 ``pair_transforms`` reads the cells of all the given pairs once, gathers a
@@ -29,8 +29,8 @@ bounds collapse to zero.
 
 The resolvent is built at the universal model, the truncated creations.
 They are nilpotent, so prod_i (I - A_i)^-1 is the finite word sum of
-V_b~ (x) X_b*, in closed form: the full operator is one gather from the
-pair table and the monomial table, the operator on a set of columns is the
+V_b~ (x) X_b*, in closed form: the full operator is one gather at the
+creation pairs and the monomial table, the operator on a set of columns is the
 same gather on the cells whose source lies in the set (the Poisson
 factorization reads only its window's columns), and a thin ``rhs`` is
 applied factor by factor, each factor's resolvent gathered on its own
@@ -321,13 +321,13 @@ def berezin_transform(g, X: PolyballPoint, trunc: FockTruncation | None = None) 
 
 def pair_transforms(kernel: np.ndarray, pids: np.ndarray, trunc: FockTruncation,
                     side: Side = "left") -> np.ndarray:
-    """K* (P (x) I_r) K for the pairings P at the pair ids ``pids`` of the
-    pair table of ``side``, a (len(pids), e, e) array; an id of -1 (a pair
-    off the box) gives zero.
+    """K* (P (x) I_r) K for the pairings P on ``side`` at the pair ids
+    ``pids``, a (len(pids), e, e) array; an id of -1 (a pair off the box)
+    gives zero.
 
     ``kernel`` is a row-blocked (dim, r, e) array K on ``trunc``, K[f] its
     (r, e) rows at the basis word f.  For the Berezin kernel
-    (``BerezinKernelMatrix.as_tensor``) and the left table these are the
+    (``BerezinKernelMatrix.as_tensor``) and the left side these are the
     transforms of the pairings; the pairing at (b~, a~) is S_a S_b*
     (``fock.word_matrix``).
 
@@ -383,12 +383,10 @@ def _creation_gather(trunc: FockTruncation, X: PolyballPoint, side: Side,
     identity.
 
     V_b~ = S_b~ (R_b~ on the right side) is the pairing at the creation pair
-    (e, b), whose first cell leaves the vacuum, so the creation pairs are the
-    ids with source 0 at their first cell: exactly dim of them, in the basis
-    order of b.  X_b is read from the point's monomial table, and
-    ``pair_matrix`` places one h x h block at each cell."""
-    indptr, src, _ = trunc.pair_table(side)
-    pids = np.flatnonzero(src[indptr[:-1]] == 0)[words]
+    (e, b) (``FockTruncation.creation_ids``, in the basis order of b).  X_b
+    is read from the point's monomial table, and ``pair_matrix`` places one
+    h x h block at each cell."""
+    pids = trunc.creation_ids()[words]
     blocks = X.monomial_table(trunc)[words].conj().transpose(0, 2, 1)
     return pair_matrix(trunc, side, pids, blocks if root is None else root @ blocks, columns)
 
@@ -489,28 +487,28 @@ def dropped_shell_mass(q: Sequence[float], pairs: bool,
     return full - kept
 
 
-def poisson_window(X: PolyballPoint, trunc: FockTruncation, window: np.ndarray) -> np.ndarray:
+def poisson_window(X: PolyballPoint, trunc: FockTruncation, budget: Sequence[int]) -> np.ndarray:
     """The right-side Poisson kernel, the sum over the lambda pairs (a, b)
     of the box of X_a X_b* (x) the right pairing at (a, b), on window x
-    window, dense, for the boolean ``window`` over the basis: rows and
+    window, dense, for the window ``trunc.window_mask(budget)``: rows and
     columns the window's basis words in basis order, the point's space
-    minor.  An all-true window gives the kernel on the whole box.
+    minor.  A zero budget gives the kernel on the whole box.
 
-    Only the cells of the right pair table whose source and target both lie
-    in the window are read, and X_a X_b* is formed only for their pairs;
-    each block is scattered onto zeros as ``pair_operator`` stores it, so the
-    result has every bit of the pair-by-pair sum sliced to the window, and no
-    operator on the whole box is built."""
+    Only the cells inside the window are formed (``pair_cells`` with the
+    budget), and X_a X_b* only for their pairs, whose first cell a -> b lies
+    inside too.  Each block is scattered onto zeros as ``pair_operator``
+    stores it, so the result has every bit of the pair-by-pair sum sliced
+    to the window, and nothing on the whole box is built."""
     if X.n != trunc.n:
         raise ValueError("point and truncation have different factor shapes")
-    indptr, src, dst = trunc.pair_table("right")
-    cells = np.flatnonzero(window[src] & window[dst])
-    # the table is grouped by pair id, and a pair's first cell is a -> b
-    pids, owner = np.unique(np.searchsorted(indptr, cells, side="right") - 1, return_inverse=True)
+    window = trunc.window_mask(budget)
+    first_src, first_dst = trunc.first_cells("right")
+    pids = np.flatnonzero(window[first_src] & window[first_dst])
+    src, dst, owner = trunc.pair_cells("right", pids, budget)
     table = X.monomial_table(trunc)
-    xm = table[src[indptr[pids]]] @ table[dst[indptr[pids]]].conj().transpose(0, 2, 1)
+    xm = table[first_src[pids]] @ table[first_dst[pids]].conj().transpose(0, 2, 1)
     place = np.cumsum(window) - 1
     size, h = int(place[-1]) + 1, X.h_dim
     out = np.zeros((size, h, size, h), dtype=complex)
-    out[place[dst[cells]], :, place[src[cells]], :] = xm[owner] + 0.0
+    out[place[dst], :, place[src], :] = xm[owner] + 0.0
     return out.reshape(size * h, size * h)

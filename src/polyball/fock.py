@@ -11,38 +11,35 @@ w of length p has index offset[p] + rank(w), where offset[p] = sum of n_i^q
 over q < p and rank(w) reads the letters minus one as base-n_i digits, first
 letter most significant.  A truncation keeps these integer tables and no
 word list: ``basis_word`` reads a MultiWord back from the shared
-``words.words_up_to`` enumeration.  One table for words and letters: every word
-index map is read from one table per truncation and side,
-``FockTruncation.pair_table``, whose pairing at the lambda pair (a, b) is the
-monomial at (b~, a~), ~ the reversal.  A creation letter is the pairing at
-(e, g), g the one-letter multiword, and its adjoint the pairing at (g, e).
-Only the matrix-free oracle ``apply_creation`` reads the letters from the
-formula rank(g_j.w) = (j - 1) n_i^|w| + rank(w), rank(w.g_j) = rank(w) n_i +
-j - 1 (``FockTruncation.letter_map``), so the two are independent.
+``words.words_up_to`` enumeration.  Every word index map is read from the
+pairings of lambda pairs: the pairing at (a, b) is the monomial at (b~, a~),
+~ the reversal.  A creation letter is the pairing at (e, g), g the
+one-letter multiword, and its adjoint the pairing at (g, e).  Only the
+matrix-free oracle ``apply_creation`` reads the letters from the formula
+rank(g_j.w) = (j - 1) n_i^|w| + rank(w), rank(w.g_j) = rank(w) n_i + j - 1
+(``FockTruncation.letter_map``), so the two are independent.
 
-The table is a pure function of the shape and the side, so it is built once
-per (n, degrees, side) and process and shared by every truncation of that
-shape (at most ``PAIR_TABLE_CACHE_SIZE`` of them); its arrays are read-only.
-``FockTruncation.pair_id`` is memoized per (n, degrees, a, b) in the same
-way, up to ``PAIR_ID_CACHE_SIZE`` keys; a refused key raises every time.
-The creation letters of ``creation_tuple`` are built once per (n, degrees,
-side) too (at most ``LETTER_CACHE_SIZE`` shapes), their arrays read-only,
-and every call returns fresh lists of the shared letters.
-Nothing keyed by data (a coefficient, a point, an operator) is cached,
-and no such object keeps what it implies: ``FockOperator.blocks`` reads
-the stored keys from the CSR matrix on each call.
+A pairing is a tensor product of single-factor pairings, so its cells are
+the product of theirs: the one cell structure is a read-only table per
+factor (``_factor_table``, built once per alphabet size, degree and side),
+and the rest is index arithmetic on it, a pair id mixed radix over the
+factor ids (radix 2 dim_i - 1).  ``pair_cells`` multiplies out the given
+pairs' factor cell ranges (within a window on request), ``first_cells`` and
+``creation_ids`` combine per-factor values.  ``pair_id`` is memoized per
+(n, degrees, a, b), up to ``PAIR_ID_CACHE_SIZE`` keys, and the letters of
+``creation_tuple`` per (n, degrees, side), up to ``LETTER_CACHE_SIZE``
+shapes, read-only, each call returning fresh lists.  Nothing keyed by data
+(a coefficient, a point, an operator) is cached, and no such object keeps
+what it implies: ``FockOperator.blocks`` reads the stored keys from the CSR
+matrix on each call.
 
-The table is grouped by pair id, so every reader slices its own pairs'
-cells: ``FockTruncation.pair_cells`` gives their (source, target) words and
-the index of each cell's pair, an id of -1 (a pair off the box) owning no
-cell.  Sums over coefficient index pairs (a symbol's monomials, the Poisson
-kernel's pairings, the resolvent's creation words) gather them in one pass
-(``pair_operator``); a compression K* P K of a pairing P is the sum of
-K[target]* K[source] over its cells (``berezin.pair_transforms``).  A single
-word monomial S_a S_b* (R_a R_b* on the right side), lambda pair or not,
-composes two pairings (``monomial_indices``): S_b* is the pairing at (b~, e)
-and S_a the one at (e, a~).  An annihilation never leaves the truncation, so
-P S_a P S_b* P = P S_a S_b* P: the exact compression of the monomial.
+Sums over coefficient index pairs (a symbol's monomials, the Poisson
+kernel's pairings, the resolvent's creation words) gather their cells in
+one pass (``pair_operator``); a compression K* P K of a pairing P is the
+sum of K[target]* K[source] over its cells (``berezin.pair_transforms``).
+A word monomial S_a S_b*, lambda pair or not, composes the pairings at
+(b~, e) and (e, a~) (``monomial_indices``): an annihilation never leaves
+the truncation, so P S_a P S_b* P = P S_a S_b* P exactly.
 
 The creation letters are CSR matrices with entries 1 (``creation_matrix``,
 the tuple ``creation_tuple``), the word monomials of one letter
@@ -59,17 +56,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
-from .words import (MultiWord, Side, Word, _require_side, _words_up_to, identity_multiword,
-                    multiword)
+from .words import (ENUMERATION_CACHE_SIZE, MultiWord, Side, Word, _require_side, _words_up_to,
+                    identity_multiword, multiword)
 
 
-# shapes kept in the pair-table and letter caches, and keys in the pair-id cache
-PAIR_TABLE_CACHE_SIZE = 16
+# shapes kept in the letter cache, and keys in the pair-id cache
 LETTER_CACHE_SIZE = 16
 PAIR_ID_CACHE_SIZE = 1 << 14
 
@@ -152,25 +148,18 @@ class FockTruncation:
 
     def window_mask(self, budget: Sequence[int]) -> np.ndarray:
         """Boolean mask over the basis: per-factor degree <= d_i - budget_i."""
+        return reduce(np.logical_and.outer, self._factor_windows(budget)).ravel()
+
+    def _factor_windows(self, budget: Sequence[int]) -> list[np.ndarray]:
+        """Per factor, the boolean mask of its words of length <= d_i - budget_i."""
         if len(budget) != self.k:
             raise ValueError("budget length must equal number of factors")
-        for b, d in zip(budget, self.degrees):
-            if b < 0 or b > d:
-                raise ValueError(f"budget {budget} exceeds degrees {self.degrees}")
-        mask = np.ones(self.dim, dtype=bool)
-        for i in range(self.k):
-            mask &= self._expand_factor(i, self._factor_degree[i] <= self.degrees[i] - budget[i])
-        return mask
-
-    def _expand_factor(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Per-factor values over factor i's words, broadcast over the basis."""
-        shape = [1] * self.k
-        shape[i] = self.factor_dims[i]
-        return np.broadcast_to(values.reshape(shape), self.factor_dims).ravel()
+        if any(b < 0 or b > d for b, d in zip(budget, self.degrees)):
+            raise ValueError(f"budget {budget} exceeds degrees {self.degrees}")
+        return [length <= d - b for length, d, b in zip(self._factor_degree, self.degrees, budget)]
 
     def total_length_mask(self, max_total: int) -> np.ndarray:
-        degs = map(self._expand_factor, range(self.k), self._factor_degree)
-        return sum(degs, np.zeros(self.dim, dtype=np.int64)) <= max_total
+        return reduce(np.add.outer, self._factor_degree).ravel() <= max_total
 
     # -- per-factor letter maps ----------------------------------------------
 
@@ -186,7 +175,7 @@ class FockTruncation:
         rank = (j - 1) * n ** length + rank if side == "left" else rank * n + j - 1
         return np.where(length < self.degrees[i - 1], self._offset[i - 1][length + 1] + rank, -1)
 
-    # -- lambda-pair table -----------------------------------------------------
+    # -- lambda pairs and their cells ------------------------------------------
 
     def pair_id(self, a: MultiWord, b: MultiWord) -> int:
         """Position of the lambda pair (a, b) in ``lambda_pairs_within_degrees``;
@@ -194,26 +183,45 @@ class FockTruncation:
         pair raises ``ValueError`` wherever its words lie."""
         return _pair_id(self.n, self.degrees, a, b)
 
-    def pair_table(self, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, source, target) of the pairings: at the lambda pair (a, b)
-        with id p the monomial at (b~, a~), cells indptr[p]:indptr[p + 1] by
-        ascending source, the first a~ -> b~ (left side) or a -> b (right).
-        Built once per shape and side (``_pair_table``), read-only."""
-        _require_side(side)
-        return _pair_table(self.n, self.degrees, side)
-
-    def pair_cells(self, side: Side, pids: np.ndarray
+    def pair_cells(self, side: Side, pids: np.ndarray, budget: Sequence[int] | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(source, target, owner) of the cells in ``pair_table(side)`` of
-        the pairs with ids ``pids``, pair after pair, by ascending source
-        within a pair, and the index in ``pids`` of each cell's pair; an id
-        of -1 (a pair off the box) owns no cell."""
-        indptr, src, dst = self.pair_table(side)
+        """(source, target, owner) of the pairings with ids ``pids``: their
+        cells pair after pair, by ascending source within a pair, and the
+        index in ``pids`` of each cell's pair, an id of -1 (a pair off the
+        box) owning none; with a ``budget``, only the cells inside
+        ``window_mask(budget)``, each factor's cells filtered first."""
+        tables = self._factor_tables(side)
+        if budget is not None:
+            tables = list(map(_in_window, tables, self._factor_windows(budget)))
         pids = np.asarray(pids, dtype=np.int64)
-        counts = np.where(pids >= 0, indptr[pids + 1] - indptr[pids], 0)
-        owner = np.repeat(np.arange(len(pids)), counts)
-        cells = np.arange(owner.size) + (indptr[pids] - np.cumsum(counts) + counts)[owner]
-        return src[cells], dst[cells], owner
+        ids = np.unravel_index(np.where(pids >= 0, pids, 0), [t[0].size - 1 for t in tables])
+        starts = [t[0][p] for t, p in zip(tables, ids)]
+        sizes = [t[0][p + 1] - start for t, p, start in zip(tables, ids, starts)]
+        counts = np.where(pids >= 0, math.prod(sizes), 0)
+        owner = np.repeat(np.arange(pids.size), counts)
+        position = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+        src, dst, stride = 0, 0, 1
+        for (_, s, t), start, size, dim in list(zip(tables, starts, sizes, self.factor_dims))[::-1]:
+            position, at = np.divmod(position, size[owner])
+            at += start[owner]
+            src, dst, stride = src + s[at] * stride, dst + t[at] * stride, stride * dim
+        return src, dst, owner
+
+    def first_cells(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) of every pair's first cell, by pair id: a~ -> b~
+        (left side) or a -> b (right) at the lambda pair (a, b)."""
+        tables = self._factor_tables(side)
+        return tuple(_outer([t[k][t[0][:-1]] for t in tables], self.factor_dims) for k in (1, 2))
+
+    def creation_ids(self) -> np.ndarray:
+        """Ids of the creation pairs (e, b) in the basis order of b: per
+        factor 0 for an empty b_i, index(b_i) + dim_i - 1 otherwise."""
+        dims = self.factor_dims
+        return _outer([np.r_[0, dim : 2 * dim - 1] for dim in dims], [2 * d - 1 for d in dims])
+
+    def _factor_tables(self, side: Side) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        _require_side(side)
+        return [_factor_table(ni, di, side) for ni, di in zip(self.n, self.degrees)]
 
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, degrees={self.degrees}, dim={self.dim})"
@@ -244,36 +252,28 @@ def _pair_id(n: tuple[int, ...], degrees: tuple[int, ...], a: MultiWord, b: Mult
     return pid
 
 
-@lru_cache(maxsize=PAIR_TABLE_CACHE_SIZE)
-def _pair_table(n: tuple[int, ...], degrees: tuple[int, ...],
-                side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``FockTruncation.pair_table`` on the shape (n, degrees).
-
-    Per factor the cells come from ``_factor_pair_cells``; a multiword
-    pair's cells are the product of its factors' cells, combined with the
-    strides and stably sorted by pair id once.  No (target, source) cell
-    occurs twice: per factor, source and target determine the stripped
-    and the attached word."""
-    pid = src = dst = np.zeros(1, dtype=np.int64)
-    dims = []
-    for ni, d in zip(n, degrees):
-        p_i, s_i, t_i = _factor_pair_cells(ni, d, side)
-        dim = int(_factor_offset(ni, d)[-1])
-        pid = (pid[:, None] * (2 * dim - 1) + p_i).ravel()
-        src = (src[:, None] * dim + s_i).ravel()
-        dst = (dst[:, None] * dim + t_i).ravel()
-        dims.append(dim)
-    order = np.argsort(pid, kind="stable")
-    counts = np.bincount(pid, minlength=math.prod(2 * d - 1 for d in dims))
-    table = np.concatenate(([0], np.cumsum(counts))), src[order], dst[order]
-    for array in table:
-        array.flags.writeable = False
-    return table
+def _outer(parts: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """The mixed-radix outer combination: at (j_1, ..., j_k), j_k fastest,
+    sum_i parts[i][j_i] * prod of the radices after i."""
+    out = np.zeros(1, dtype=np.int64)
+    for part, radix in zip(parts, radices):
+        out = (out[:, None] * radix + part).ravel()
+    return out
 
 
-def _factor_pair_cells(n: int, d: int, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pair id, source, target) cells of the single-factor lambda pairs of
-    a factor with n generators and degree d, in ``factor_lambda_pairs`` order.
+def _in_window(table: tuple[np.ndarray, np.ndarray, np.ndarray], window: np.ndarray):
+    """A factor table's cells with source and target in ``window``, by factor id."""
+    indptr, src, dst = table
+    keep = window[src] & window[dst]
+    return np.concatenate(([0], np.cumsum(keep)))[indptr], src[keep], dst[keep]
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _factor_table(n: int, d: int, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, source, target) of the single-factor lambda pairs of a
+    factor with n generators and degree d: the pair with factor id p (in
+    ``factor_lambda_pairs`` order) owns the cells indptr[p]:indptr[p + 1].
+    Built once per (n, d, side), read-only.
 
     The pair (u, e) strips u from the long word and (e, u) attaches it to
     the short one: the long word is t.u on the right side and u~.t on the
@@ -281,9 +281,10 @@ def _factor_pair_cells(n: int, d: int, side: Side) -> tuple[np.ndarray, np.ndarr
     pairs with |u| = m and the kept words with |t| = p are one (n^m, n^p)
     block, an outer product of their ranks, read long to short for (u, e)
     and short to long for (e, u); per m, the blocks over p side by side,
-    read row by row, give each pair's cells by ascending source."""
+    read row by row, give each pair's cells by ascending source.  Every pair
+    owns a cell, and none occurs twice: source and target determine the
+    stripped and the attached word."""
     offset = _factor_offset(n, d)
-    dim = int(offset[-1])
     strip, attach = [], []
     for m in range(d + 1):
         u = np.arange(n ** m, dtype=np.int64)
@@ -299,11 +300,15 @@ def _factor_pair_cells(n: int, d: int, side: Side) -> tuple[np.ndarray, np.ndarr
             longs.append(offset[m + p] + rank)
             shorts.append(np.broadcast_to(offset[p] + t, rank.shape))
         long, short = np.hstack(longs).ravel(), np.hstack(shorts).ravel()
-        ids = (offset[m] + np.arange(n ** m)).repeat(long.size // n ** m)
-        strip.append((ids, long, short))
+        sizes = np.full(n ** m, long.size // n ** m, dtype=np.int64)
+        strip.append((sizes, long, short))
         if m:
-            attach.append((ids + dim - 1, short, long))
-    return tuple(np.concatenate(c) for c in zip(*strip, *attach))
+            attach.append((sizes, short, long))
+    sizes, src, dst = (np.concatenate(c) for c in zip(*strip, *attach))
+    table = np.concatenate(([0], np.cumsum(sizes))), src, dst
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 class FockOperator:
@@ -409,20 +414,19 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
                      side: Side = "left") -> tuple[np.ndarray, np.ndarray]:
     """(source, target) basis indices, by ascending source, of the exact
     compression of S_a S_b* (R_a R_b* on the right side), for every (a, b):
-    S_b* is the pairing at (b~, e) and S_a the one at (e, a~) in
-    ``pair_table``, composed.  A word beyond its degree has the id -1,
-    whose slice indptr[-1]:indptr[0] is empty."""
+    S_b* is the pairing at (b~, e) and S_a the one at (e, a~), composed
+    (``pair_cells``).  A word beyond its degree has the id -1, which owns no
+    cell."""
     if a.n != trunc.n or b.n != trunc.n:
         raise TruncationError("word shape does not match truncation")
-    indptr, src, dst = trunc.pair_table(side)
     e = identity_multiword(trunc.n)
-    pids = trunc.pair_id(b.reverse(), e), trunc.pair_id(e, a.reverse())
-    strip, attach = (slice(indptr[p], indptr[p + 1]) for p in pids)
+    (src, dst, _), (a_src, a_dst, _) = (trunc.pair_cells(side, [trunc.pair_id(*key)])
+                                        for key in ((b.reverse(), e), (e, a.reverse())))
     image = np.full(trunc.dim, -1, dtype=np.int64)
-    image[src[attach]] = dst[attach]
-    target = image[dst[strip]]
+    image[a_src] = a_dst
+    target = image[dst]
     keep = target >= 0
-    return src[strip][keep], target[keep]
+    return src[keep], target[keep]
 
 
 def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
@@ -440,8 +444,8 @@ def pair_matrix(trunc: FockTruncation, side: Side, pids: np.ndarray, blocks: np.
     basis order.  Ids of -1 (pairs off the box) contribute nothing, repeated
     ids are refused.
 
-    Only the given pairs' cells whose source lies in the mask are read from
-    ``pair_table``.  Distinct pairs share no cell, so each cell is one stored
+    Only the given pairs' cells whose source lies in the mask are kept
+    (``pair_cells``).  Distinct pairs share no cell, so each cell is one stored
     e x e block.  The cells are sorted by (target, source), the block-row
     order, and their blocks are a block CSR (BSR) matrix, whose conversion
     is canonical CSR with cells * e^2 stored entries, explicit zeros

@@ -160,7 +160,7 @@ def schur_positivity(F: MultiToeplitzSymbol, r_grid: Iterable[float],
 
     The symbol must be Hermitian (``naimark.require_hermitian``).  The cells
     depend on the keys and the shape alone, so they are read once per call:
-    the keys' left pair-table cells inside the window and the right
+    the keys' left pairings' cells inside the window and the right
     kernel's Gram blocks (``naimark.gram_cells``).  Per r the blocks of
     ``F.scaled(r)`` are scattered onto dense zeros, giving every bit of
     ``symbol_operator`` on the window (+ 0.0, as ``pair_operator`` stores

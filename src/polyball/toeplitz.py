@@ -6,8 +6,8 @@ its Fourier symbol, a finitely supported matrix-valued map on the index pairs
 where per factor at least one word is the unit.  Membership (T equals its
 own Fourier series) and coefficient extraction read the operator's stored
 CSR entries; a symbol is evaluated at polyball points and back at the
-truncated creation tuple, where its monomials scatter from the truncation's
-lambda-pair table (``fock``).
+truncated creation tuple, where its monomials scatter onto their pairings'
+cells, computed from per-factor tables (``fock``).
 """
 
 from __future__ import annotations
@@ -137,14 +137,14 @@ def is_k_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     max|T - sum of T[a, b] (x) S_a S_b* over the lambda pairs (a, b)|.
     At finite truncation the multi-Toeplitz operators are the span of these
     pairings (``T_n = span{A_n* A_n}``), whose supports are disjoint.  The
-    pairing at (b~, a~) in the left ``pair_table`` is S_a S_b*, its first
-    cell b -> a, so T's coefficients are its blocks at the first cells.
+    left pairing at (b~, a~) is S_a S_b*, its first cell b -> a, so T's
+    coefficients are its blocks at the first cells (``first_cells``).
     No two pairings share a cell, so the series is never formed: on the
     cells of the nonzero coefficients the violation is |T - coefficient|,
     on T's other stored entries |T|."""
     trunc, e, m = T.trunc, T.coeff_dim, T.matrix
-    indptr, src, dst = trunc.pair_table("left")
-    coeffs = T.blocks(dst[indptr[:-1]], src[indptr[:-1]])
+    src, dst = trunc.first_cells("left")
+    coeffs = T.blocks(dst, src)
     pids = np.flatnonzero(coeffs.any(axis=(1, 2)))
     source, target, owner = trunc.pair_cells("left", pids)
     on = np.abs(T.blocks(target, source) - coeffs[pids[owner]])
@@ -184,7 +184,7 @@ def symbol_operator(sym: MultiToeplitzSymbol, trunc: FockTruncation,
     r-scaled symbol at the creations: the exact compression of the
     untruncated operator, equivalent to (but cheaper than) evaluate_symbol at
     the creation point.  The monomial at a key (a, b) is the pairing at the
-    lambda pair (b~, a~), so the sum is one scatter from the pair table."""
+    lambda pair (b~, a~), so the sum is one scatter at the pairings' cells."""
     return pair_operator(trunc, side, symbol_pair_ids(sym, trunc), sym.scaled(r).blocks())
 
 

@@ -344,7 +344,7 @@ def _id_berezin_factorization(cfg: RunConfig, rng) -> Iterator[float]:
         h = x.h_dim
         # C gathered on the window's columns only: C_W^H C_W is the window of C^H C
         c = cauchy_operator(trunc, x, columns=window).matrix
-        diff = poisson_window(x, trunc, window) - (c.conj().T @ c).toarray()
+        diff = poisson_window(x, trunc, low) - (c.conj().T @ c).toarray()
         dnorm = la.opnorm(defect(x))
         rho2 = [r * r for r in x.row_norms()]
         mass = math.prod(1.0 / (1.0 - q) for q in rho2)

@@ -133,7 +133,7 @@ def test_criterion_3_poisson_factorization():
         tail = dropped_shell_mass(rho, pairs=True, box=trunc.degrees)
         bound = tail + opnorm(defect(x)) * (math.prod(1.0 / (1.0 - r) for r in rho) - 1.0) ** 2
         c = cauchy_operator(trunc, x, "right").matrix.toarray()
-        p = poisson_window(x, trunc, np.ones(trunc.dim, dtype=bool))
+        p = poisson_window(x, trunc, [0] * trunc.k)
         diff = np.linalg.norm(p - c.conj().T @ c, 2)
         worst = max(worst, diff - bound)
     _report("3 poisson factorization", worst <= 0.0,

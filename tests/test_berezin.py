@@ -43,6 +43,8 @@ from polyball.words import (
     multiword,
 )
 
+from pair_oracle import flat_pair_table, flat_poisson_window
+
 
 def test_defect_scalars():
     assert abs(defect(PolyballPoint.from_scalars([[0.5]]))[0, 0] - 0.75) < 1e-15
@@ -460,7 +462,8 @@ def test_unknown_side_is_refused_by_the_kernel_and_the_resolvent(rng, side):
 
 
 def _whole_box(t):
-    return np.ones(t.dim, dtype=bool)
+    """The zero budget, whose window is the whole box."""
+    return [0] * t.k
 
 
 def test_poisson_kernel_at_zero():
@@ -537,8 +540,10 @@ WINDOW_SHAPES = [((2, 1), (3, 3)), ((1,), (6,)), ((3,), (4,)), ((1, 1, 2), (2, 2
 @pytest.mark.parametrize("n, degrees", WINDOW_SHAPES)
 def test_poisson_window_is_the_full_kernel_sliced(rng, n, degrees, h):
     """On the window of every room of the box, ``poisson_window`` has every
-    bit of the word-by-word full-box kernel sliced to the window, at random
-    points (row norm up to 0.9), a nilpotent point and the zero point."""
+    bit of the word-by-word full-box kernel sliced to the window, and of
+    the gather from the flat reference table on the boolean window, at
+    random points (row norm up to 0.9), a nilpotent point and the zero
+    point."""
     t = FockTruncation(n, degrees)
     points = [random_point(rng, n, h, 0.9), random_point(rng, n, h, 0.3),
               PolyballPoint([[np.zeros((h, h))] * ni for ni in n])]
@@ -549,7 +554,9 @@ def test_poisson_window_is_the_full_kernel_sliced(rng, n, degrees, h):
         for room in itertools.product(*(range(d + 1) for d in degrees)):
             window = t.window_mask(room)
             keep = np.repeat(window, h)
-            assert poisson_window(x, t, window).tobytes() == full[np.ix_(keep, keep)].tobytes()
+            got = poisson_window(x, t, room)
+            assert got.tobytes() == full[np.ix_(keep, keep)].tobytes()
+            assert got.tobytes() == flat_poisson_window(x, t, window).tobytes()
 
 
 def test_defect_factor_order(rng):
@@ -644,7 +651,7 @@ def _dense_pair_scatter(trunc, side, pids, blocks):
     """The former dense assembly of ``pair_operator``: a += scatter of each
     block onto a zero matrix at its pair's cells, ids of -1 dropped."""
     e = blocks.shape[1]
-    indptr, src, dst = trunc.pair_table(side)
+    indptr, src, dst = flat_pair_table(trunc, side)
     out = np.zeros((trunc.dim * e, trunc.dim * e), dtype=complex)
     for pid, block in zip(pids, blocks):
         if pid >= 0:
@@ -674,7 +681,7 @@ def test_pair_operator_dense_is_the_dense_scatter(ids, side):
     if ids == "some":
         pids = np.random.default_rng(8).permutation(len(pairs))[: len(pairs) // 2]
         pids[::5] = -1
-    indptr, _, _ = t.pair_table(side)
+    indptr, _, _ = flat_pair_table(t, side)
     kept = pids[pids >= 0]
     cells = int((indptr[kept + 1] - indptr[kept]).sum())
     for e in (1, 2, 3):

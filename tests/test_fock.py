@@ -30,6 +30,8 @@ from polyball.words import (
     words_up_to,
 )
 
+from pair_oracle import flat_creation_ids, flat_first_cells, flat_pair_cells, flat_pair_table
+
 
 def _factor_words(t, i):
     """The words of factor i of the truncation, in basis order."""
@@ -440,20 +442,18 @@ def test_monomial_indices_match_word_reference(n, degrees, side):
 @pytest.mark.parametrize("n, degrees", [((2, 1), (5, 5)), ((3,), (6,)), ((1, 1, 2), (2, 2, 2))])
 def test_pair_table_cells_unique(n, degrees, side):
     """No (target, source) cell is hit by two pairs, so a single scatter
-    over the pair table equals the pair-by-pair sum.  The cells are grouped
-    by pair id, every pair has at least one, each pair's sources strictly
-    ascend; the table is built once."""
+    over every pair's cells equals the pair-by-pair sum.  ``pair_cells`` of
+    all ids comes pair by pair, every pair has at least one cell and each
+    pair's sources strictly ascend."""
     t = FockTruncation(n, degrees)
-    indptr, src, dst = t.pair_table(side)
-    assert src.shape == dst.shape
-    assert indptr.size == len(lambda_pairs_within_degrees(n, degrees)) + 1
-    assert indptr[0] == 0 and indptr[-1] == src.size
-    assert np.all(np.diff(indptr) > 0)
+    count = len(lambda_pairs_within_degrees(n, degrees))
+    src, dst, owner = t.pair_cells(side, np.arange(count))
+    assert src.shape == dst.shape == owner.shape
+    assert np.array_equal(np.unique(owner), np.arange(count))
+    assert np.all(np.diff(owner) >= 0)
     cells = dst * t.dim + src
     assert np.unique(cells).size == cells.size
-    pid = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    assert np.all((np.diff(src) > 0) | (np.diff(pid) > 0))
-    assert t.pair_table(side)[1] is src
+    assert np.all((np.diff(src) > 0) | (np.diff(owner) > 0))
 
 
 def _pair_table_by_pairs(t, side):
@@ -485,24 +485,36 @@ def _pair_table_by_pairs(t, side):
 @pytest.mark.parametrize("n, degrees", [((3,), (6,)), ((2, 1), (5, 5)), ((1, 2, 1), (2, 2, 3)),
                                         ((2, 1), (0, 2))])
 def test_pair_table_blocks_match_per_pair_build(n, degrees, side):
-    """The length-block table has the per-pair build's cells in the same
-    order, entry for entry and dtype for dtype."""
+    """The length-block factor cells (``_factor_table``), multiplied
+    out into the flat reference table, have the per-pair build's cells in
+    the same order, entry for entry and dtype for dtype, and so do
+    ``pair_cells`` of every id in order."""
     t = FockTruncation(n, degrees)
-    for got, want in zip(t.pair_table(side), _pair_table_by_pairs(t, side)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    want = _pair_table_by_pairs(t, side)
+    for got, expected in zip(flat_pair_table(t, side), want):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+    indptr, src, dst = want
+    source, target, owner = t.pair_cells(side, np.arange(indptr.size - 1))
+    for got, expected in ((source, src), (target, dst),
+                          (owner, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)))):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("n, degrees", INDEX_SHAPES)
 def test_pair_table_first_cells_follow_pair_ids(n, degrees):
     """The first cell of the pairing at the lambda pair (a, b), the monomial
-    at (b~, a~), is a~ -> b~ in the left table and a -> b in the right."""
+    at (b~, a~), is a~ -> b~ on the left side and a -> b on the right
+    (``first_cells``), bit for bit the flat table's first cells."""
     t = FockTruncation(n, degrees)
     pairs = lambda_pairs_within_degrees(n, degrees)
     for side, flip in (("left", MultiWord.reverse), ("right", lambda w: w)):
-        indptr, src, dst = t.pair_table(side)
-        np.testing.assert_array_equal(src[indptr[:-1]], [t.basis_index(flip(a)) for a, _ in pairs])
-        np.testing.assert_array_equal(dst[indptr[:-1]], [t.basis_index(flip(b)) for _, b in pairs])
+        src, dst = t.first_cells(side)
+        np.testing.assert_array_equal(src, [t.basis_index(flip(a)) for a, _ in pairs])
+        np.testing.assert_array_equal(dst, [t.basis_index(flip(b)) for _, b in pairs])
+        for got, want in zip((src, dst), flat_first_cells(t, side)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_pair_operator_refuses_repeated_ids():
@@ -549,11 +561,13 @@ def test_pair_id_checks_every_factor_before_the_box(n, degrees):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_pair_table_is_shared_and_read_only(side):
-    """Truncations of one shape share one table per side, and its arrays
-    refuse writes."""
-    table = FockTruncation((2, 1), (3, 3)).pair_table(side)
-    assert all(x is y for x, y in zip(table, FockTruncation([2, 1], [3, 3]).pair_table(side)))
-    for array in table:
+    """The one cell structure is a table per factor, shared by every
+    truncation with a factor of that alphabet size and degree and side, and
+    its arrays refuse writes."""
+    tables = FockTruncation((2, 1), (3, 3))._factor_tables(side)
+    assert all(x is y for x, y in zip(tables, FockTruncation([2, 1], [3, 3])._factor_tables(side)))
+    assert FockTruncation((1, 2), (2, 3))._factor_tables(side)[1] is tables[0]
+    for array in itertools.chain.from_iterable(tables):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -588,16 +602,16 @@ def test_pair_id_refuses_other_shapes():
 @pytest.mark.parametrize("side", ["Left", "lft", "", None])
 def test_unknown_side_is_refused(side):
     """Only "left" and "right" name a side: any other value raises instead
-    of being read as the right side, and neither the pair table nor the
+    of being read as the right side, and neither the factor tables nor the
     letters cache anything under it."""
     t = FockTruncation((2, 1), (2, 2))
     a = multiword([[1], []], t.n)
-    built = fock._pair_table.cache_info(), fock._creation_letters.cache_info()
-    for call in (lambda: creation_tuple(t, side), lambda: t.pair_table(side),
-                 lambda: monomial_indices(t, a, a, side)):
+    built = fock._factor_table.cache_info(), fock._creation_letters.cache_info()
+    for call in (lambda: creation_tuple(t, side), lambda: t.pair_cells(side, [0]),
+                 lambda: t.first_cells(side), lambda: monomial_indices(t, a, a, side)):
         with pytest.raises(ValueError, match="side must be"):
             call()
-    assert (fock._pair_table.cache_info(), fock._creation_letters.cache_info()) == built
+    assert (fock._factor_table.cache_info(), fock._creation_letters.cache_info()) == built
 
 
 @pytest.mark.parametrize("n, degrees", [((2, 1), (3, 3)), ((3,), (3,)), ((1, 1, 2), (2, 2, 2)),
@@ -605,10 +619,11 @@ def test_unknown_side_is_refused(side):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_pair_cells_are_the_table_slices(n, degrees, side):
     """``pair_cells`` gives, pair after pair, the slice indptr[p]:indptr[p + 1]
-    of the pair table's sources and targets, owned by the pair's index in
-    ``pids``; an id of -1 owns no cell wherever it stands."""
+    of the flat reference table's sources and targets, owned by the pair's
+    index in ``pids``, bit for bit; an id of -1 owns no cell wherever it
+    stands."""
     t = FockTruncation(n, degrees)
-    indptr, src, dst = t.pair_table(side)
+    indptr, src, dst = flat_pair_table(t, side)
     rng = np.random.default_rng(3)
     drawn = rng.choice(len(indptr) - 1, size=12, replace=False)
     for pids in (np.insert(drawn, [0, 5, 12], -1), drawn[::-1], np.full(3, -1),
@@ -621,3 +636,44 @@ def test_pair_cells_are_the_table_slices(n, degrees, side):
                 for cells, part in zip(want, (src[cut], dst[cut], [j] * (cut.stop - cut.start))):
                     cells.extend(part)
         assert (source.tolist(), target.tolist(), owner.tolist()) == want
+        for got, expected in zip((source, target, owner), flat_pair_cells(t, side, pids)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+ORACLE_SHAPES = [((2, 1), (3, 3)), ((2, 1), (5, 5)), ((1, 1, 2), (2, 2, 2)), ((3,), (4,)),
+                 ((2, 2), (3, 2)), ((1, 2, 1), (2, 1, 2)), ((2, 1), (0, 2))]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, degrees", ORACLE_SHAPES)
+def test_pair_cells_on_a_window_are_the_table_cells_inside_it(n, degrees, side):
+    """With a budget, ``pair_cells`` filters each factor's cells to its
+    window before combining them: bit for bit the flat table's cells of the
+    same pairs whose source and target lie in ``window_mask(budget)``, for
+    every room, all ids in order and a shuffled subset with -1s."""
+    t = FockTruncation(n, degrees)
+    count = len(lambda_pairs_within_degrees(n, degrees))
+    rng = np.random.default_rng(len(n) + sum(degrees))
+    subset = rng.permutation(count)[: max(count // 3, 1)]
+    subset[::4] = -1
+    for room in itertools.product(*(range(d + 1) for d in degrees)):
+        for pids in (np.arange(count), subset):
+            got = t.pair_cells(side, pids, room)
+            want = flat_pair_cells(t, side, pids, t.window_mask(room))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n, degrees", ORACLE_SHAPES)
+def test_creation_ids_are_the_pairs_leaving_the_vacuum(n, degrees):
+    """The creation pairs (e, b) by arithmetic (per factor 0 for an empty
+    b_i, index(b_i) + dim_i - 1 otherwise) are the flat table's ids whose
+    first cell leaves the vacuum, in the same order, on both sides, and the
+    ids ``pair_id`` gives the keys (e, b) in basis order."""
+    t = FockTruncation(n, degrees)
+    ids = t.creation_ids()
+    for side in ("left", "right"):
+        want = flat_creation_ids(t, side)
+        assert ids.dtype == want.dtype and ids.tobytes() == want.tobytes()
+    e = identity_multiword(n)
+    assert ids.tolist() == [t.pair_id(e, t.basis_word(f)) for f in range(t.dim)]

@@ -22,8 +22,9 @@ from polyball.words import identity_multiword, multiword
 MEMOS = {
     # keyed by a shape (n, degrees) and a pair of multiwords
     "fock._pair_id",
+    # keyed by an alphabet size, a degree and a side
+    "fock._factor_table",
     # keyed by a shape (n, degrees) and a side
-    "fock._pair_table",
     "fock._creation_letters",
     # keyed by a shape n (or an alphabet size) and a length cap
     "words._words_up_to",
@@ -105,7 +106,7 @@ def test_a_point_keeps_only_its_entries():
     x.monomial_table(t)
     berezin_kernel(x, t)
     cauchy_operator(t, x, "left")
-    poisson_window(x, t, t.total_length_mask(2))
+    poisson_window(x, t, [1, 1])
     in_polyball(x)
     assert set(vars(x)) == {"X", "h_dim", "k", "n"}
 

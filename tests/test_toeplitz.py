@@ -340,7 +340,7 @@ def test_extract_poisson_kernel_scalar_point():
     prepending coincide, so the kernel is also multi-Toeplitz there."""
     t1 = FockTruncation([1, 1], [3, 3])
     z1 = PolyballPoint.from_scalars([[0.5], [0.5]])
-    pk1 = FockOperator(t1, poisson_window(z1, t1, np.ones(t1.dim, dtype=bool)))
+    pk1 = FockOperator(t1, poisson_window(z1, t1, [0] * t1.k))
     assert is_k_multi_toeplitz(pk1).passed
     sym1 = extract_symbol(pk1, 3)
     assert len(sym1) == len(lambda_pairs_up_to_total([1, 1], 3))
@@ -352,7 +352,7 @@ def test_extract_poisson_kernel_scalar_point():
     # invariant under right compressions
     t = FockTruncation([2, 1], [3, 3])
     z = PolyballPoint.from_scalars([[0.5, 0.0], [0.5]])
-    sym = extract_symbol(FockOperator(t, poisson_window(z, t, np.ones(t.dim, dtype=bool))), 3)
+    sym = extract_symbol(FockOperator(t, poisson_window(z, t, [0] * t.k)), 3)
     for (a, b), m in sym.items():
         assert abs(m[0, 0] - 0.5 ** (a.total_length + b.total_length)) < 1e-13
 

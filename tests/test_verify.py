@@ -333,7 +333,7 @@ def test_poisson_factorization_rooms_stay_within_their_bounds(n, degrees, h):
         points += [random_nilpotent_point(rng, n, h, r) for r in rng.uniform(0.05, 0.9, 4)]
     for x in points:
         c = cauchy_operator(t, x).matrix.toarray()
-        diff = poisson_window(x, t, np.ones(t.dim, dtype=bool)) - c.conj().T @ c
+        diff = poisson_window(x, t, [0] * t.k) - c.conj().T @ c
         dnorm = opnorm(defect(x))
         rho2 = [r * r for r in x.row_norms()]
         mass = math.prod(1.0 / (1.0 - q) for q in rho2)
@@ -436,15 +436,15 @@ def test_verify_suite_makes_no_from_row_isometries_call(monkeypatch):
 
 def test_verify_builds_each_shape_structure_once(cold_caches):
     """From cold caches, verify at both benchmark configurations builds each
-    memoized shape structure (pair table and creation letters per (n,
-    degrees, side), word enumeration per argument, kernel monomials and
-    tails) at most once:
+    memoized shape structure (factor cell tables per (alphabet size,
+    degree, side), creation letters per (n, degrees, side), word
+    enumeration per argument, kernel monomials and tails) at most once:
     every miss stored an entry, and none was evicted and built again."""
     for degrees, max_len in (((3, 3), 3), ((5, 5), 2)):
         results = verify.verify_suite(RunConfig(n=(2, 1), degrees=degrees, max_len=max_len))
         assert all(r.passed for r in results)
     names = {cache.__name__ for cache in cold_caches}
-    assert {"_pair_table", "_creation_letters", "_words_up_to", "_multiwords_up_to_total",
+    assert {"_factor_table", "_creation_letters", "_words_up_to", "_multiwords_up_to_total",
             "_lambda_pairs_up_to_total"} <= names
     for cache in cold_caches:
         info = cache.cache_info()
