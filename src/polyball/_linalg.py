@@ -1,9 +1,13 @@
 """Small linear-algebra helpers shared across the package.
 
-Norms and PSD verdicts are dense LAPACK, except the norms of Hermitian
-matrices above ``EXACT_DIM``: ``hermitian_norms`` takes those from one
-batched Lanczos recurrence, the package's only iterative spectral solver
-(no ARPACK)."""
+This is the only module that calls a LAPACK spectral routine (an SVD or an
+eigensolver).  Norms, singular values and PSD verdicts are dense LAPACK,
+except the norms of Hermitian matrices above ``EXACT_DIM``:
+``hermitian_norms`` takes those from one batched Lanczos recurrence, the
+package's only iterative spectral solver (no ARPACK).  LAPACK reads a NaN
+as a number, so the Hermitian helpers never hand it one: a matrix with a
+NaN or infinite entry has a NaN norm, smallest eigenvalue and root, and is
+not PSD."""
 
 from __future__ import annotations
 
@@ -18,7 +22,13 @@ def opnorm(m: np.ndarray) -> float:
     ``np.linalg.norm(m, 2)`` makes, without that function's dispatch."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(np.atleast_2d(m), compute_uv=False)[0])
+    return float(singular_values(np.atleast_2d(m))[0])
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """The singular values of a matrix, descending: LAPACK's SVD without
+    vectors, the package's one SVD call."""
+    return np.linalg.svd(m, compute_uv=False)
 
 
 EXACT_DIM = 124
@@ -135,16 +145,22 @@ def _lanczos_norms(mats) -> tuple[list[float], list[int]]:
 
 
 def min_eig_hermitian(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a (numerically) Hermitian matrix."""
+    """Smallest eigenvalue of a (numerically) Hermitian matrix; NaN for a
+    matrix with a NaN or infinite entry."""
     if m.shape[0] == 0:
         return 0.0
+    if not np.isfinite(m).all():
+        return math.nan
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
 
 
 def psd_verdict(m: np.ndarray) -> tuple[bool, float, float]:
     """The package's one PSD criterion, on the Hermitian part of ``m``:
     ``(psd, smallest eigenvalue, scale)`` with scale = max(largest eigenvalue,
-    1); PSD when the smallest eigenvalue is at least -1e-8 * scale."""
+    1); PSD when the smallest eigenvalue is at least -1e-8 * scale.  A
+    matrix with a NaN or infinite entry is not PSD, its figures NaN."""
+    if not np.isfinite(m).all():
+        return False, math.nan, math.nan
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     scale = max(float(w[-1]), 1.0)
     return float(w[0]) >= -1e-8 * scale, float(w[0]), scale
@@ -154,7 +170,10 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """The PSD square root of ``m``'s Hermitian part, by eigendecomposition.
 
     Eigenvalues at or below 1e-12 * max(largest, 1) are set to zero, so
-    nearly-singular defect operators do not produce NaNs."""
+    nearly-singular defect operators do not produce NaNs.  A matrix with a
+    NaN or infinite entry has the all-NaN root."""
+    if not np.isfinite(m).all():
+        return np.full(m.shape, math.nan, dtype=np.result_type(m, float))
     h = 0.5 * (m + m.conj().T)
     w, u = np.linalg.eigh(h)
     cutoff = 1e-12 * max(float(w[-1]), 1.0) if w.size else 0.0

@@ -396,7 +396,7 @@ def _min_singular(trunc: FockTruncation, X: PolyballPoint, side: Side) -> float:
     one-factor truncation, A the gather over the one-letter words: the exact
     SVD of the dense I - A."""
     a = _creation_gather(trunc, X, side, slice(1, trunc.n[0] + 1)).toarray()
-    return float(np.linalg.svd(np.eye(a.shape[0]) - a, compute_uv=False)[-1])
+    return float(la.singular_values(np.eye(a.shape[0]) - a)[-1])
 
 
 def cauchy_operator(trunc: FockTruncation, X: PolyballPoint, side: Side = "right",

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import opnorm, psd_verdict
+from ._linalg import opnorm, psd_verdict, singular_values
 from .toeplitz import MultiToeplitzSymbol
 from .words import (
     ENUMERATION_CACHE_SIZE,
@@ -347,7 +347,7 @@ def dilation_verify(D: NaimarkDilation, K: ToeplitzKernel,
                     comm_err = max(comm_err, opnorm(a @ b[:, :r_in] - b @ a[:, :r_in]))
     emb_err = float(np.max(np.abs(D.embedding.conj().T @ D.embedding - np.eye(e))))
     # minimality: the V_w E columns must span the whole space
-    sv = np.linalg.svd(np.concatenate(list(cols.values()), axis=1), compute_uv=False)
+    sv = singular_values(np.concatenate(list(cols.values()), axis=1))
     dim = int(np.count_nonzero(sv > rank_tol * max(float(sv[0]) if sv.size else 0.0, 1.0)))
     return DilationReport(
         reproduction_error=rep_err,

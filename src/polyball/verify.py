@@ -462,86 +462,86 @@ def _id_nu_roundtrip(cfg: RunConfig, rng) -> Iterator[float]:
             yield np.max(np.abs(got - scaled.coeff(a, g)))
 
 
-# (name, anchor, tolerance, errors); a row's position salts its random draws,
-# and the tolerance None is the run's --tol
+# (name, salt, anchor, tolerance, errors); the salt seeds the row's random
+# draws, frozen per name (a row's position when salts were introduced), so a
+# row can be added, moved or removed without re-seeding another; the
+# tolerance None is the run's --tol
 _IDENTITIES = [
-    ("words.comparability_reversal",
+    ("words.comparability_reversal", 0,
      "reversal intertwines word comparability and its quotients", 0.0, _id_words_reversal),
-    ("words.lambda_membership",
+    ("words.lambda_membership", 1,
      "index-pair membership is reversal invariant and a comparability fixed point", 0.0,
      _id_words_lambda),
-    ("fock.isometry_on_window",
+    ("fock.isometry_on_window", 2,
      "creation letters are isometries with orthogonal ranges on the window", 1e-12,
      _id_fock_isometry),
-    ("fock.cross_factor_commutation",
+    ("fock.cross_factor_commutation", 3,
      "creations on distinct factors commute on the window (left, right, mixed)", 1e-12,
      _id_fock_commutation),
-    ("fock.adjoint_consistency",
+    ("fock.adjoint_consistency", 4,
      "adjoint creation matrices are conjugate transposes; applications match matrices", 1e-12,
      _id_fock_adjoint),
-    ("fock.vacuum_cyclicity",
+    ("fock.vacuum_cyclicity", 5,
      "left creations applied to the vacuum span the truncation", 0.0, _id_fock_cyclicity),
-    ("toeplitz.membership",
+    ("toeplitz.membership", 6,
      "word monomials and adjoint-polynomial products are multi-Toeplitz", 1e-11,
      _id_toeplitz_membership),
-    ("toeplitz.fourier_roundtrip",
+    ("toeplitz.fourier_roundtrip", 7,
      "symbols are recovered exactly from their operators", 1e-11, _id_toeplitz_roundtrip),
-    ("toeplitz.norm_monotonicity",
+    ("toeplitz.norm_monotonicity", 8,
      "symbol norms at scaled creations are nondecreasing in the scale", 1e-9,
      _id_toeplitz_monotone),
-    ("berezin.kernel_isometry",
+    ("berezin.kernel_isometry", 9,
      "the kernel of a jointly nilpotent point is an isometry", 1e-10, _id_berezin_isometry),
-    ("berezin.intertwining",
+    ("berezin.intertwining", 10,
      "the kernel intertwines adjoint creations with the point adjoints", 1e-10,
      _id_berezin_intertwining),
-    ("berezin.moment_identity",
+    ("berezin.moment_identity", 11,
      "the transform sends creation monomials to point monomials within the tail", 0.0,
      _id_berezin_moment),
-    ("berezin.complete_positivity",
+    ("berezin.complete_positivity", 12,
      "the transform of a PSD operator is PSD", 1e-12, _id_berezin_cp),
-    ("berezin.poisson_factorization",
+    ("berezin.poisson_factorization", 13,
      "on every room-graded window the Poisson kernel is the resolvent square "
      "up to the dropped word shells", 1.0, _id_berezin_factorization),
-    ("berezin.defect_factor_order",
+    ("berezin.defect_factor_order", 14,
      "the defect is unchanged under permuting the factor maps", 1e-10, _id_berezin_defect_order),
-    ("berezin.spectral_radius",
+    ("berezin.spectral_radius", 15,
      "the joint spectral radius matches closed forms and the row-norm bound", 1e-9,
      _id_berezin_radius),
-    ("naimark.dilation_reproduction",
+    ("naimark.dilation_reproduction", 16,
      "PSD kernels dilate to commuting row isometries reproducing them on the window", 1e-8,
      _id_naimark_reproduction),
-    ("naimark.psd_refusal",
+    ("naimark.psd_refusal", 17,
      "non-PSD kernels are refused by the dilation", 0.0, _id_naimark_refusal),
-    ("pluriharm.schur_equivalence",
+    ("pluriharm.schur_equivalence", 18,
      "the operator and kernel positivity verdicts agree on matched truncations", 1e-9, _id_schur),
-    ("pluriharm.structure_positivity",
+    ("pluriharm.structure_positivity", 19,
      "functions built from doubly commuting row isometries are positive", None,
      _id_structure_positive),
-    ("pluriharm.poisson_transform_cp",
+    ("pluriharm.poisson_transform_cp", 20,
      "compression data transforms positively and matches the sandwiched resolvent square",
      1e-8, _id_poisson_transform_cp),
-    ("pluriharm.herglotz_real_part",
+    ("pluriharm.herglotz_real_part", 21,
      "the real part of the Herglotz transform is the Poisson transform", 1e-10,
      _id_herglotz_realpart),
-    ("pluriharm.nu_roundtrip",
+    ("pluriharm.nu_roundtrip", 22,
      "the radial-map data scales coefficientwise and matches the trace-form extraction", 1e-10,
      _id_nu_roundtrip),
 ]
-_ROW = {name: idx for idx, (name, *_) in enumerate(_IDENTITIES)}
 
 
 def run_item(name: str, cfg: RunConfig) -> IdentityResult:
-    """Runs one item on the draws salted by its row and folds the errors it yields.
+    """Runs one item on the draws salted by its row's salt and folds the errors it yields.
 
     The figure is Python's ``max(0.0, *errors)``, so 0.0 when the item
     computed none, except that a NaN error makes it NaN for good (nothing
     compares above a NaN), and a NaN fails every tolerance.
     """
     cfg.validate()
-    idx = _ROW[name]
-    _, anchor, tol, errors = _IDENTITIES[idx]
+    _, salt, anchor, tol, errors = {row[0]: row for row in _IDENTITIES}[name]
     worst = 0.0
-    for err in errors(cfg, _rng(cfg, idx)):
+    for err in errors(cfg, _rng(cfg, salt)):
         if err > worst or math.isnan(err):
             worst = err
     return IdentityResult(name, anchor, float(worst), float(cfg.tol if tol is None else tol))

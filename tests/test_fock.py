@@ -1,10 +1,13 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 from polyball import fock
+from polyball.berezin import poisson_window
 from polyball.fock import (
     FockOperator,
     FockTruncation,
@@ -29,6 +32,8 @@ from polyball.words import (
     multiwords_up_to_total,
     words_up_to,
 )
+from polyball.sampling import random_hermitian_symbol, random_point
+from polyball.toeplitz import is_k_multi_toeplitz, symbol_operator
 
 from pair_oracle import flat_creation_ids, flat_first_cells, flat_pair_cells, flat_pair_table
 
@@ -677,3 +682,38 @@ def test_creation_ids_are_the_pairs_leaving_the_vacuum(n, degrees):
         assert ids.dtype == want.dtype and ids.tobytes() == want.tobytes()
     e = identity_multiword(n)
     assert ids.tolist() == [t.pair_id(e, t.basis_word(f)) for f in range(t.dim)]
+
+
+@pytest.mark.parametrize("consumer", ["poisson_window", "is_k_multi_toeplitz"])
+def test_no_consumer_builds_a_whole_box_table(cold_caches, consumer):
+    """Memory guard.  At (2,1)@(9,9), from cold caches, the tracemalloc peak
+    of ``poisson_window`` on the room (5, 5) (h = 2) and of
+    ``is_k_multi_toeplitz`` on one symbol operator (e = 1, words up to
+    length 2, r = 0.5) stays below the size of one flat side table: its
+    1.74M cells' int64 sources and targets and its indptr, 28.2 MB.  Built
+    whole, that table made both peak at 84 MB cold; from the per-factor
+    tables they peak at about 4 and 17 MB."""
+    t = FockTruncation((2, 1), (9, 9))
+    rng = np.random.default_rng(0)
+    if consumer == "poisson_window":
+        x = random_point(rng, t.n, 2, 0.5)
+        call = lambda: poisson_window(x, t, (5, 5))  # noqa: E731
+    else:
+        op = symbol_operator(random_hermitian_symbol(rng, t.n, 1, 2), t, 0.5)
+        call = lambda: is_k_multi_toeplitz(op)  # noqa: E731
+    cells = math.prod(table[1].size for table in t._factor_tables("right"))
+    pairs = len(lambda_pairs_within_degrees(t.n, t.degrees))
+    flat_table = 2 * 8 * cells + 8 * (pairs + 1)
+    assert cells == 1_741_100 and round(flat_table / 1e6, 1) == 28.2
+    for cache in cold_caches:
+        cache.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < flat_table

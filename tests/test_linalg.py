@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 import polyball
-from polyball._linalg import EXACT_DIM, _lanczos_norms, hermitian_norms, opnorm, psd_sqrt
+from polyball._linalg import (EXACT_DIM, _lanczos_norms, hermitian_norms, min_eig_hermitian, opnorm,
+                              psd_sqrt, psd_verdict)
 from polyball.fock import FockTruncation
 from polyball.sampling import random_hermitian_symbol
 from polyball.toeplitz import symbol_operator
@@ -155,6 +156,56 @@ def test_the_package_imports_no_sparse_eigensolver():
             found += [f"{path.stem}: {name}" for name in names
                       if name.startswith("scipy.sparse.linalg")]
     assert found == []
+
+
+def _is_spectral(name: str) -> bool:
+    return name == "svd" or name.startswith("eig")
+
+
+def test_only_linalg_calls_a_spectral_routine():
+    """``_linalg`` is the only module that calls a LAPACK spectral routine:
+    no other module of the package names ``linalg.svd`` or ``linalg.eig*``
+    (``np.linalg.eigvalsh``, ``scipy.linalg.eigh`` and the like) or imports
+    such a name from ``numpy.linalg`` or ``scipy.linalg``.  Singular values
+    come from ``_linalg.singular_values``."""
+    found = []
+    for path in sorted(pathlib.Path(polyball.__file__).parent.glob("*.py")):
+        if path.stem == "_linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and _is_spectral(node.attr):
+                dotted = ast.unparse(node)
+                if dotted.split(".")[-2:-1] == ["linalg"]:
+                    found.append(f"{path.stem}: {dotted}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg",
+                                                                      "scipy.linalg"):
+                found += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names
+                          if _is_spectral(alias.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("helper", ["psd_verdict", "min_eig_hermitian", "psd_sqrt"])
+def test_a_non_finite_matrix_gives_nan_and_no_lapack_call(monkeypatch, helper, entry):
+    """I_5 with a NaN (or an infinity) at (0, 0): LAPACK's eigvalsh reads
+    it as a number, so each PSD helper answers without calling it, with a
+    NaN figure and a "not PSD" verdict: ``psd_verdict`` gives (False, NaN,
+    NaN), ``min_eig_hermitian`` NaN and ``psd_sqrt`` the all-NaN root."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    m = np.eye(5, dtype=complex)
+    m[0, 0] = entry
+    if helper == "psd_verdict":
+        psd, min_eig, scale = psd_verdict(m)
+        assert psd is False and math.isnan(min_eig) and math.isnan(scale)
+    elif helper == "min_eig_hermitian":
+        assert math.isnan(min_eig_hermitian(m))
+    else:
+        root = psd_sqrt(m)
+        assert root.shape == m.shape and root.dtype == m.dtype and np.isnan(root).all()
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])

@@ -265,9 +265,47 @@ ITEM_NAMES = [
 
 
 def test_item_names_keep_their_order():
-    """A row's position salts its draws, so an inserted or moved row would
-    re-seed every later item."""
+    """The report lists the items in row order."""
     assert [name for name, *_ in verify._IDENTITIES] == ITEM_NAMES
+
+
+ITEM_SALTS = {
+    "words.comparability_reversal": 0, "words.lambda_membership": 1,
+    "fock.isometry_on_window": 2, "fock.cross_factor_commutation": 3,
+    "fock.adjoint_consistency": 4, "fock.vacuum_cyclicity": 5,
+    "toeplitz.membership": 6, "toeplitz.fourier_roundtrip": 7, "toeplitz.norm_monotonicity": 8,
+    "berezin.kernel_isometry": 9, "berezin.intertwining": 10, "berezin.moment_identity": 11,
+    "berezin.complete_positivity": 12, "berezin.poisson_factorization": 13,
+    "berezin.defect_factor_order": 14, "berezin.spectral_radius": 15,
+    "naimark.dilation_reproduction": 16, "naimark.psd_refusal": 17,
+    "pluriharm.schur_equivalence": 18, "pluriharm.structure_positivity": 19,
+    "pluriharm.poisson_transform_cp": 20, "pluriharm.herglotz_real_part": 21,
+    "pluriharm.nu_roundtrip": 22,
+}
+
+
+def test_item_salts_are_frozen_and_unique():
+    """Each item's draws are salted by its own frozen salt, not by its row
+    position; a new item takes a salt no other item has."""
+    salts = {name: salt for name, salt, *_ in verify._IDENTITIES}
+    assert salts == ITEM_SALTS
+    assert len(set(salts.values())) == len(salts)
+
+
+def test_an_inserted_row_moves_no_other_item(monkeypatch):
+    """A dummy row inserted at position 0, with its own draws, leaves every
+    other item's report at verify-small seed 0 as it was."""
+    cfg = RunConfig(seed=0)
+    before = [r.to_json() for r in verify.verify_suite(cfg)]
+
+    def dummy(cfg, rng):
+        yield rng.random()
+
+    row = ("dummy.inserted", max(ITEM_SALTS.values()) + 1, "a row before all others", 1.0, dummy)
+    monkeypatch.setattr(verify, "_IDENTITIES", [row] + list(verify._IDENTITIES))
+    after = [r.to_json() for r in verify.verify_suite(cfg)]
+    assert after[0]["name"] == "dummy.inserted"
+    assert after[1:] == before
 
 
 @pytest.mark.parametrize("name", ITEM_NAMES)
@@ -277,7 +315,7 @@ def test_run_item_folds_errors_to_their_maximum_and_keeps_a_nan(monkeypatch, nam
     last or between real errors.  The item gets the draws of its row."""
     cfg = RunConfig(seed=5)
     idx = ITEM_NAMES.index(name)
-    _, anchor, tol, _ = verify._IDENTITIES[idx]
+    _, salt, anchor, tol, _ = verify._IDENTITIES[idx]
     draws = []
 
     def fold(errors):
@@ -285,7 +323,7 @@ def test_run_item_folds_errors_to_their_maximum_and_keeps_a_nan(monkeypatch, nam
             draws.append(rng.random())
             yield from errors
         rows = list(verify._IDENTITIES)
-        rows[idx] = (name, anchor, tol, item)
+        rows[idx] = (name, salt, anchor, tol, item)
         monkeypatch.setattr(verify, "_IDENTITIES", rows)
         return verify.run_item(name, cfg)
 
