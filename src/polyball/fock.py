@@ -191,13 +191,16 @@ class FockTruncation:
         box) owning none; with a ``budget``, only the cells inside
         ``window_mask(budget)``, each factor's cells filtered first."""
         tables = self._factor_tables(side)
-        if budget is not None:
-            tables = list(map(_in_window, tables, self._factor_windows(budget)))
+        if budget is not None:  # each factor's cells inside its window, by factor id
+            for i, window in enumerate(self._factor_windows(budget)):
+                indptr, s, t = tables[i]
+                keep = window[s] & window[t]
+                tables[i] = np.concatenate(([0], np.cumsum(keep)))[indptr], s[keep], t[keep]
         pids = np.asarray(pids, dtype=np.int64)
-        ids = np.unravel_index(np.where(pids >= 0, pids, 0), [t[0].size - 1 for t in tables])
+        ids = np.unravel_index(np.maximum(pids, 0), [t[0].size - 1 for t in tables])
         starts = [t[0][p] for t, p in zip(tables, ids)]
         sizes = [t[0][p + 1] - start for t, p, start in zip(tables, ids, starts)]
-        counts = np.where(pids >= 0, math.prod(sizes), 0)
+        counts = math.prod(sizes) * (pids >= 0)
         owner = np.repeat(np.arange(pids.size), counts)
         position = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
         src, dst, stride = 0, 0, 1
@@ -259,13 +262,6 @@ def _outer(parts: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
     for part, radix in zip(parts, radices):
         out = (out[:, None] * radix + part).ravel()
     return out
-
-
-def _in_window(table: tuple[np.ndarray, np.ndarray, np.ndarray], window: np.ndarray):
-    """A factor table's cells with source and target in ``window``, by factor id."""
-    indptr, src, dst = table
-    keep = window[src] & window[dst]
-    return np.concatenate(([0], np.cumsum(keep)))[indptr], src[keep], dst[keep]
 
 
 @lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
@@ -420,13 +416,14 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     if a.n != trunc.n or b.n != trunc.n:
         raise TruncationError("word shape does not match truncation")
     e = identity_multiword(trunc.n)
-    (src, dst, _), (a_src, a_dst, _) = (trunc.pair_cells(side, [trunc.pair_id(*key)])
-                                        for key in ((b.reverse(), e), (e, a.reverse())))
+    src, dst, owner = trunc.pair_cells(side, [trunc.pair_id(b.reverse(), e),
+                                              trunc.pair_id(e, a.reverse())])
+    strip, attach = owner == 0, owner == 1
     image = np.full(trunc.dim, -1, dtype=np.int64)
-    image[a_src] = a_dst
-    target = image[dst]
+    image[src[attach]] = dst[attach]
+    target = image[dst[strip]]
     keep = target >= 0
-    return src[keep], target[keep]
+    return src[strip][keep], target[keep]
 
 
 def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
