@@ -55,7 +55,6 @@ whatever it is built from, and is read by ``blocks``; ``dense()`` is for LAPACK.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -198,16 +197,14 @@ class FockTruncation:
                 tables[i] = np.concatenate(([0], np.cumsum(keep)))[indptr], s[keep], t[keep]
         pids = np.asarray(pids, dtype=np.int64)
         ids = np.unravel_index(np.maximum(pids, 0), [t[0].size - 1 for t in tables])
-        starts = [t[0][p] for t, p in zip(tables, ids)]
-        sizes = [t[0][p + 1] - start for t, p, start in zip(tables, ids, starts)]
-        counts = math.prod(sizes) * (pids >= 0)
-        owner = np.repeat(np.arange(pids.size), counts)
-        position = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-        src, dst, stride = 0, 0, 1
-        for (_, s, t), start, size, dim in list(zip(tables, starts, sizes, self.factor_dims))[::-1]:
-            position, at = np.divmod(position, size[owner])
-            at += start[owner]
-            src, dst, stride = src + s[at] * stride, dst + t[at] * stride, stride * dim
+        owner = np.flatnonzero(pids >= 0)
+        src = dst = np.zeros(owner.size, dtype=np.int64)
+        for (indptr, s, t), p, dim in zip(tables, ids, self.factor_dims):
+            # each cell so far repeats over its pair's cell range in this factor
+            start, size = indptr[p][owner], (indptr[p + 1] - indptr[p])[owner]
+            at = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+            owner = np.repeat(owner, size)
+            src, dst = np.repeat(src * dim, size) + s[at], np.repeat(dst * dim, size) + t[at]
         return src, dst, owner
 
     def first_cells(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
@@ -418,12 +415,12 @@ def monomial_indices(trunc: FockTruncation, a: MultiWord, b: MultiWord,
     e = identity_multiword(trunc.n)
     src, dst, owner = trunc.pair_cells(side, [trunc.pair_id(b.reverse(), e),
                                               trunc.pair_id(e, a.reverse())])
-    strip, attach = owner == 0, owner == 1
+    cut = np.count_nonzero(owner == 0)  # the strip pairing's cells come first
     image = np.full(trunc.dim, -1, dtype=np.int64)
-    image[src[attach]] = dst[attach]
-    target = image[dst[strip]]
+    image[src[cut:]] = dst[cut:]
+    target = image[dst[:cut]]
     keep = target >= 0
-    return src[strip][keep], target[keep]
+    return src[:cut][keep], target[keep]
 
 
 def pair_operator(trunc: FockTruncation, side: Side, pids: np.ndarray,
