@@ -197,14 +197,14 @@ class FockTruncation:
                 tables[i] = np.concatenate(([0], np.cumsum(keep)))[indptr], s[keep], t[keep]
         pids = np.asarray(pids, dtype=np.int64)
         ids = np.unravel_index(np.maximum(pids, 0), [t[0].size - 1 for t in tables])
-        owner = np.flatnonzero(pids >= 0)
+        owner = (pids >= 0).nonzero()[0]
         src = dst = np.zeros(owner.size, dtype=np.int64)
         for (indptr, s, t), p, dim in zip(tables, ids, self.factor_dims):
             # each cell so far repeats over its pair's cell range in this factor
             start, size = indptr[p][owner], (indptr[p + 1] - indptr[p])[owner]
-            at = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
-            owner = np.repeat(owner, size)
-            src, dst = np.repeat(src * dim, size) + s[at], np.repeat(dst * dim, size) + t[at]
+            at = np.arange(size.sum()) + (start - size.cumsum() + size).repeat(size)
+            owner = owner.repeat(size)
+            src, dst = (src * dim).repeat(size) + s[at], (dst * dim).repeat(size) + t[at]
         return src, dst, owner
 
     def first_cells(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
